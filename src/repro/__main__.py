@@ -18,8 +18,10 @@ Subcommands:
 * ``serve``  — run the simulation service: an HTTP server exposing
   simulate / compare / sweep (async job queue) over the same store
   (:mod:`repro.service`);
-* ``version`` — package version, default engine and numpy availability
-  (``--json`` for the machine-readable form behind ``GET /v1/health``);
+* ``version`` — package version, execution engine and whether numpy is
+  installed on the host (the simulator runs on the standard library
+  alone; ``--json`` for the machine-readable form behind
+  ``GET /v1/health``);
 * ``store``  — store administration: ``store migrate`` copies a result
   store between the JSON-directory and SQLite backends, verifying every
   entry's integrity digest.
@@ -96,8 +98,7 @@ def _store_path(args: argparse.Namespace) -> str:
 
 
 def _build_configs(modes: Sequence[str], machines: Sequence[str],
-                   machine_files: Sequence[str],
-                   engine: str = "vectorized") -> Dict[str, SystemConfig]:
+                   machine_files: Sequence[str]) -> Dict[str, SystemConfig]:
     expanded: List[str] = []
     for mode in modes:
         if mode == "all":
@@ -112,9 +113,6 @@ def _build_configs(modes: Sequence[str], machines: Sequence[str],
         configs[machine] = get_machine(machine)
     for machine_file in machine_files:
         configs[Path(machine_file).stem] = api.resolve_machine(machine_file)
-    if engine == "packed":
-        configs = {label: config.with_vectorized(False)
-                   for label, config in configs.items()}
     return configs
 
 
@@ -122,8 +120,7 @@ def _build_campaign(args: argparse.Namespace) -> Campaign:
     store = None if args.no_store else open_store(
         _store_path(args), backend=args.store_backend)
     return api.build_comparison(
-        _build_configs(args.mode, args.machine, args.machine_file,
-                       engine=args.engine),
+        _build_configs(args.mode, args.machine, args.machine_file),
         args.suite,
         baseline=api.DEFAULT_BASELINE,
         instructions=args.instructions,
@@ -157,12 +154,6 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
         help="machine description JSON to evaluate as a series "
              "(repeatable; the format SystemConfig.to_dict() writes; "
              "the series is labelled with the file stem)")
-    parser.add_argument(
-        "--engine", default="vectorized",
-        choices=["vectorized", "packed"],
-        help="packed-trace execution engine (default: %(default)s; the "
-             "engines are golden-tested bit-identical, so this only "
-             "affects wall-clock time and never the results)")
     parser.add_argument("--instructions", type=int, default=None,
                         help="instructions per workload "
                              "(default: REPRO_INSTRUCTIONS or 8000)")
@@ -423,9 +414,9 @@ def cmd_version(args: argparse.Namespace) -> int:
         return 0
     print(f"repro {payload['version']}")
     print(f"default engine:  {payload['default_engine']}")
-    numpy_state = ("available" if payload["numpy"]
-                   else "unavailable (packed engine fallback)")
-    print(f"numpy:           {numpy_state}")
+    numpy_state = "installed" if payload["numpy"] else "not installed"
+    print(f"numpy:           {numpy_state} (unused: the runtime needs only "
+          "the standard library)")
     print(f"store backends:  {', '.join(payload['store_backends'])}")
     print(f"schemes:         {payload['schemes']} registered")
     print(f"suites:          {payload['suites']} named")
@@ -547,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     schemes_parser.set_defaults(func=cmd_schemes)
 
     version_parser = subparsers.add_parser(
-        "version", help="package version, default engine and numpy "
-                        "availability")
+        "version", help="package version, execution engine and host "
+                        "facts")
     version_parser.add_argument("--json", action="store_true",
                                 help="canonical JSON (the same payload "
                                      "GET /v1/health serves)")

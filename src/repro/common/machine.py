@@ -12,7 +12,9 @@ dataclass) round-trips losslessly through a plain, versioned dictionary:
   :mod:`repro.workloads.mixes` are written as compact data.  Unknown keys
   are configuration mistakes and raise :class:`MachineFormatError` naming
   the offending key and the keys the class knows; so does a
-  ``schema_version`` this code does not understand.
+  ``schema_version`` this code does not understand.  The one retired
+  key, which older versions wrote but which no longer configures
+  anything, is accepted and ignored so saved files keep loading.
 
 Protection schemes serialise as their registry *names* (plain strings), so
 a machine file can reference any scheme registered through
@@ -56,6 +58,11 @@ _T = TypeVar("_T")
 #: Classes that may appear as the top level of a description (and therefore
 #: carry a ``schema_version`` key when serialised).
 _PUBLIC_CLASSES = (SystemConfig, CoreConfig, ProtectionConfig)
+
+#: A :class:`SystemConfig` key older versions wrote, ignored on load: it
+#: selected an execution engine that no longer exists, and results never
+#: depended on it, so files that carry it describe the same machine.
+_RETIRED_SYSTEM_KEY = "use_vectorized"
 
 
 class MachineFormatError(ValueError):
@@ -124,6 +131,9 @@ def _decode_dataclass(cls: Type[_T], payload: Any, context: str) -> _T:
             raise MachineFormatError(
                 f"{context}: unsupported {_VERSION_KEY} {version!r} "
                 f"(this version reads {MACHINE_SCHEMA_VERSION})")
+    if cls is SystemConfig and _RETIRED_SYSTEM_KEY in payload:
+        payload = dict(payload)
+        del payload[_RETIRED_SYSTEM_KEY]
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(payload) - known)
     if unknown:

@@ -390,13 +390,6 @@ class SystemConfig:
     #: machine-level fields above; a tuple must have exactly ``num_cores``
     #: entries and makes the machine (potentially) heterogeneous.
     cores: Optional[Tuple[CoreConfig, ...]] = None
-    #: Engine selection: drive cores through the vectorized packed-trace
-    #: engine (``OutOfOrderCore.run_vectorized``) instead of the scalar
-    #: packed loop.  Both engines are golden-tested bit-identical, so this
-    #: never changes results — only wall-clock time — but it is part of
-    #: the config (like ``use_packed`` on the :class:`Simulator`) so
-    #: campaigns, the api and the CLI can pin an engine end to end.
-    use_vectorized: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", _normalise_mode(self.mode))
@@ -532,15 +525,6 @@ class SystemConfig:
                           cores: Sequence[CoreConfig]) -> "SystemConfig":
         """An explicitly heterogeneous machine built from per-core configs."""
         return replace(self, num_cores=len(cores), cores=tuple(cores))
-
-    def with_vectorized(self, use_vectorized: bool) -> "SystemConfig":
-        """The same machine with the execution engine pinned.
-
-        ``True`` selects the vectorized packed-trace engine (the default),
-        ``False`` the scalar packed loop; results are bit-identical either
-        way.
-        """
-        return replace(self, use_vectorized=use_vectorized)
 
     # -- serialisation --------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

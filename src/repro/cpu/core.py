@@ -27,8 +27,9 @@ Two execution paths produce bit-identical results:
 * :meth:`OutOfOrderCore.run_packed` — the hot path.  It consumes a
   :class:`~repro.workloads.trace.PackedTrace` (struct-of-arrays), hoists
   every attribute lookup and memory-system capability probe into locals,
-  keeps register ready-times/taints in flat arrays, and accumulates
-  statistics in plain local integers flushed to the
+  keeps register ready-times/taints in flat arrays, executes runs of
+  simple ALU ops on one instruction-cache line as batches, and
+  accumulates statistics in plain local integers flushed to the
   :class:`~repro.common.statistics.StatGroup` counters once per call.
   Nothing is allocated per instruction.
 
@@ -63,11 +64,6 @@ from repro.cpu.instructions import (
 from repro.cpu.interface import MemorySystem
 from repro.cpu.rob import LoadQueue, ReorderBuffer, StoreQueue
 from repro.telemetry.tracer import active_tracer as _active_tracer
-
-try:  # numpy drives the vectorized engine's long-run replay; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
 #: Initial size of the flat register ready-time/taint arrays; grown on
 #: demand for traces that name larger register ids.
@@ -157,9 +153,9 @@ class OutOfOrderCore:
         self._record_delayed_forward = getattr(memory_system,
                                                "record_delayed_forward", None)
         # The base-class commit_fetch is an empty hook whose return value
-        # both engines ignore; when the scheme does not override it
-        # (everything but MuonTrap and heterogeneous frontends) the
-        # vectorized engine skips the call outright.
+        # both paths ignore; when the scheme does not override it
+        # (everything but MuonTrap and heterogeneous frontends)
+        # run_packed skips the call outright.
         self._commit_fetch_is_noop = (
             type(memory_system).commit_fetch is MemorySystem.commit_fetch)
         # The active tracer for the op currently in execute_op (None when
@@ -463,6 +459,15 @@ class OutOfOrderCore:
         into locals and statistics accumulated in local integers that are
         flushed once per call.
 
+        The trace's plan (:meth:`~repro.workloads.trace.PackedTrace.plan`)
+        marks maximal runs of simple ALU ops sharing one instruction-cache
+        line.  Such a run executes as a batch: one fetch-line check for the
+        whole run, no per-op classification and, for schemes that never
+        override the hook, no ``commit_fetch`` upcall.  Complex ops —
+        loads, stores, branches, syscalls — take the full per-op path.  A
+        call may start or stop inside a run (the simulator interleaves
+        cores in chunks): the plan records every op's run end.
+
         When a tracer is active (``repro.telemetry``), execution routes
         through the per-op boundary path instead — bit-identical results,
         every hook point live.  With tracing off (the default) the check
@@ -473,6 +478,7 @@ class OutOfOrderCore:
             return self._run_packed_traced(packed, start, end)
         if end is None:
             end = packed.length
+        plan_run_end = packed.plan(self._line_size).run_end
         # -- trace columns ---------------------------------------------------
         col_flags = packed.flags
         col_pcs = packed.pcs
@@ -525,6 +531,7 @@ class OutOfOrderCore:
         stt_future = self._stt_future
         invisispec = self._invisispec
         invisispec_future = self._invisispec and self._stt_future
+        commit_fetch_noop = self._commit_fetch_is_noop
         # -- core state pulled into locals -----------------------------------
         fetch_ready = self._fetch_ready
         current_fetch_line = self._current_fetch_line
@@ -546,7 +553,106 @@ class OutOfOrderCore:
         n_lq_stalls = 0
         n_sq_stalls = 0
 
-        for index in range(start, end):
+        index = start
+        while index < end:
+            stop = plan_run_end[index]
+            if stop > index:
+                # ==== batched simple run [index, stop) ======================
+                if stop > end:
+                    stop = end
+                # Fetch: every op in the batch shares one line, so only
+                # the first can miss the line buffer, and no simple op
+                # moves ``fetch_ready`` afterwards.
+                pc = col_pcs[index]
+                fetch_line = pc - pc % line_size
+                fetch_time = fetch_ready
+                if fetch_line != current_fetch_line:
+                    latency = mem_fetch(core_id, process_id, pc, fetch_time,
+                                        speculative=True, pc=pc).latency - 1
+                    if latency > 0:
+                        fetch_time += latency
+                    current_fetch_line = fetch_line
+                fetch_ready = fetch_time
+
+                for op_index in range(index, stop):
+                    dispatch_time = fetch_time
+                    if len(rob_times) >= rob_capacity:
+                        oldest = rob_times[0]
+                        if oldest > dispatch_time:
+                            n_rob_stalls += 1
+                            dispatch_time = oldest
+                    if dispatch_time > dispatch_cycle:
+                        dispatch_cycle = dispatch_time
+                        dispatch_used = 1
+                    elif dispatch_used < width:
+                        dispatch_time = dispatch_cycle
+                        dispatch_used += 1
+                    else:
+                        dispatch_cycle += 1
+                        dispatch_used = 1
+                        dispatch_time = dispatch_cycle
+
+                    # No STT issue delay: only loads and stores transmit,
+                    # and they are never simple.
+                    source_taint = None
+                    issue_time = dispatch_time + 1
+                    srcs = col_srcs[op_index]
+                    if srcs:
+                        for reg in srcs:
+                            if reg >= reg_limit:
+                                continue
+                            value = reg_ready[reg]
+                            if value > issue_time:
+                                issue_time = value
+                            visibility = reg_taint[reg]
+                            if visibility is not None \
+                                    and (source_taint is None
+                                         or visibility > source_taint):
+                                source_taint = visibility
+                    completion = issue_time + col_latencies[op_index]
+                    if stt_mode and source_taint is not None:
+                        taint_visibility = source_taint
+                    else:
+                        taint_visibility = None
+
+                    commit_time = (completion
+                                   if completion > last_commit_time
+                                   else last_commit_time)
+                    if commit_time > commit_cycle:
+                        commit_cycle = commit_time
+                        commit_used = 1
+                    elif commit_used < width:
+                        commit_time = commit_cycle
+                        commit_used += 1
+                    else:
+                        commit_cycle += 1
+                        commit_used = 1
+                        commit_time = commit_cycle
+                    if not commit_fetch_noop:
+                        op_pc = col_pcs[op_index]
+                        mem_commit_fetch(core_id, process_id, op_pc,
+                                         commit_time, pc=op_pc)
+                    last_commit_time = commit_time
+
+                    while rob_times and rob_times[0] <= dispatch_time:
+                        rob_pop()
+                    while rob_times and len(rob_times) >= rob_capacity:
+                        rob_pop()
+                    rob_append(commit_time)
+                    dst = col_dsts[op_index]
+                    if dst >= 0:
+                        if dst >= reg_limit:
+                            grow = dst + 1 - reg_limit
+                            reg_ready.extend([0] * grow)
+                            reg_taint.extend([None] * grow)
+                            reg_limit = dst + 1
+                        reg_ready[dst] = completion
+                        reg_taint[dst] = taint_visibility
+                    n_committed += 1
+                index = stop
+                continue
+
+            # ==== complex op: the full per-op path ===========================
             flags = col_flags[index]
             pc = col_pcs[index]
 
@@ -735,570 +841,6 @@ class OutOfOrderCore:
                                           commit_time + extra, pc=pc)
             elif flags & F_BRANCH:
                 n_branches += 1
-            mem_commit_fetch(core_id, process_id, pc, commit_time + extra,
-                             pc=pc)
-            if flags & (F_SYSCALL | F_CONTEXT_SWITCH):
-                n_context_switches += 1
-                mem_context_switch(core_id, commit_time + extra)
-                extra += mispredict_penalty
-            if flags & F_SANDBOX_ENTRY:
-                mem_sandbox_entry(core_id, commit_time + extra)
-            commit_time += extra
-            last_commit_time = commit_time
-
-            # 5. Update structures.
-            while rob_times and rob_times[0] <= dispatch_time:
-                rob_pop()
-            while rob_times and len(rob_times) >= rob_capacity:
-                rob_pop()
-            rob_append(commit_time)
-            if is_load:
-                while lq_times and lq_times[0] <= dispatch_time:
-                    lq_pop()
-                hold = (commit_time if commit_time > pending_lq_hold
-                        else pending_lq_hold)
-                while lq_times and len(lq_times) >= lq_capacity:
-                    lq_pop()
-                lq_append(hold)
-                pending_lq_hold = 0
-            if is_store:
-                while sq_times and sq_times[0] <= dispatch_time:
-                    sq_pop()
-                while sq_times and len(sq_times) >= sq_capacity:
-                    sq_pop()
-                sq_append(commit_time)
-            dst = col_dsts[index]
-            if dst >= 0:
-                if dst >= reg_limit:
-                    grow = dst + 1 - reg_limit
-                    reg_ready.extend([0] * grow)
-                    reg_taint.extend([None] * grow)
-                    reg_limit = dst + 1
-                reg_ready[dst] = completion
-                reg_taint[dst] = taint_visibility
-            n_committed += 1
-
-        # -- write state back -------------------------------------------------
-        self._fetch_ready = fetch_ready
-        self._current_fetch_line = current_fetch_line
-        self._last_commit_time = last_commit_time
-        self._last_branch_resolve = last_branch_resolve
-        self._pending_lq_hold = pending_lq_hold
-        self._dispatched_in_cycle = (dispatch_cycle, dispatch_used)
-        self._committed_in_cycle = (commit_cycle, commit_used)
-        self._sequence += end - start
-        rob.full_stalls += n_rob_stalls
-        load_queue.full_stalls += n_lq_stalls
-        store_queue.full_stalls += n_sq_stalls
-        # -- flush batched statistics -----------------------------------------
-        if n_committed:
-            self._committed.add(n_committed)
-        if n_loads:
-            self._committed_loads.add(n_loads)
-        if n_stores:
-            self._committed_stores.add(n_stores)
-        if n_branches:
-            self._committed_branches.add(n_branches)
-        if n_mispredictions:
-            self._mispredictions.add(n_mispredictions)
-        if n_squashed:
-            self._squashed_accesses.add(n_squashed)
-        if n_nack_retries:
-            self._nack_retries.add(n_nack_retries)
-        if n_context_switches:
-            self._context_switches.add(n_context_switches)
-        return last_commit_time
-
-    def run_vectorized(self, packed, start: int = 0,
-                       end: Optional[int] = None) -> int:
-        """Execute ops ``[start, end)`` of a packed trace, batching runs.
-
-        The plan-driven twin of :meth:`run_packed` (golden-tested
-        bit-identical to it and to :meth:`execute_op`): complex ops —
-        loads, stores, branches, syscalls — take the scalar path verbatim,
-        while maximal runs of simple ALU ops sharing one instruction-cache
-        line are replayed as batches.  Long full runs go through numpy
-        array recurrences (closed-form dispatch bandwidth, scatter-max
-        external-operand gathering, a lag-``width`` maximum recurrence for
-        the in-order commit stage); shorter or partial runs use a batched
-        scalar fast path that skips per-op classification, fetch-line
-        checks and — for schemes that never override the hook — the no-op
-        ``commit_fetch`` upcall.
-        """
-        if _active_tracer() is not None:
-            return self._run_packed_traced(packed, start, end)
-        if end is None:
-            end = packed.length
-        plan = packed.plan(self._line_size)
-        plan_run_end = plan.run_end
-        vector_runs = plan.vector_runs
-        # -- trace columns ---------------------------------------------------
-        col_flags = packed.flags
-        col_pcs = packed.pcs
-        col_addresses = packed.addresses
-        col_latencies = packed.latencies
-        col_srcs = packed.srcs
-        col_dsts = packed.dsts
-        col_targets = packed.targets
-        col_wrong_paths = packed.wrong_paths
-        # -- hoisted collaborators -------------------------------------------
-        core_id = self.core_id
-        process_id = self.process_id
-        memory = self.memory
-        mem_fetch = memory.fetch
-        mem_load = memory.load
-        mem_store_address_ready = memory.store_address_ready
-        mem_commit_load = memory.commit_load
-        mem_commit_store = memory.commit_store
-        mem_commit_fetch = memory.commit_fetch
-        mem_squash = memory.squash
-        mem_context_switch = memory.context_switch
-        mem_sandbox_entry = memory.sandbox_entry
-        mem_validation_latency = self._validation_latency
-        record_delayed_forward = self._record_delayed_forward
-        predictor_predict = self.predictor.predict
-        predictor_update = self.predictor.update
-        rob = self.rob
-        load_queue = self.load_queue
-        store_queue = self.store_queue
-        rob_times = rob._commit_times
-        lq_times = load_queue._commit_times
-        sq_times = store_queue._commit_times
-        rob_pop = rob_times.popleft
-        lq_pop = lq_times.popleft
-        sq_pop = sq_times.popleft
-        rob_append = rob_times.append
-        lq_append = lq_times.append
-        sq_append = sq_times.append
-        rob_extend = rob_times.extend
-        rob_capacity = rob.capacity
-        lq_capacity = load_queue.capacity
-        sq_capacity = store_queue.capacity
-        reg_ready = self._reg_ready
-        reg_taint = self._reg_taint
-        reg_limit = len(reg_ready)
-        # -- hoisted configuration -------------------------------------------
-        width = self.core_config.width
-        mispredict_penalty = self.core_config.mispredict_penalty
-        line_size = self._line_size
-        stt_mode = self._stt_mode
-        stt_future = self._stt_future
-        invisispec = self._invisispec
-        invisispec_future = self._invisispec and self._stt_future
-        commit_fetch_noop = self._commit_fetch_is_noop
-        # -- core state pulled into locals -----------------------------------
-        fetch_ready = self._fetch_ready
-        current_fetch_line = self._current_fetch_line
-        last_commit_time = self._last_commit_time
-        last_branch_resolve = self._last_branch_resolve
-        pending_lq_hold = self._pending_lq_hold
-        dispatch_cycle, dispatch_used = self._dispatched_in_cycle
-        commit_cycle, commit_used = self._committed_in_cycle
-        # -- locally accumulated statistics ----------------------------------
-        n_committed = 0
-        n_loads = 0
-        n_stores = 0
-        n_branches = 0
-        n_mispredictions = 0
-        n_squashed = 0
-        n_nack_retries = 0
-        n_context_switches = 0
-        n_rob_stalls = 0
-        n_lq_stalls = 0
-        n_sq_stalls = 0
-
-        index = start
-        while index < end:
-            stop = plan_run_end[index]
-            if stop > index:
-                # ==== batched simple run [index, stop) ======================
-                if stop > end:
-                    stop = end
-                # Fetch: every op in the batch shares one line, so only
-                # the first can miss the line buffer; the per-op
-                # ``fetch_ready = fetch_time`` assignments of the scalar
-                # loop are all no-ops after this point.
-                pc = col_pcs[index]
-                fetch_line = pc - pc % line_size
-                fetch_time = fetch_ready
-                if fetch_line != current_fetch_line:
-                    latency = mem_fetch(core_id, process_id, pc, fetch_time,
-                                        speculative=True, pc=pc).latency - 1
-                    if latency > 0:
-                        fetch_time += latency
-                    current_fetch_line = fetch_line
-                fetch_ready = fetch_time
-
-                run_plan = vector_runs.get(index) if vector_runs else None
-                if (run_plan is not None and stop == run_plan.stop
-                        and not stt_mode
-                        and len(rob_times) + (stop - index) <= rob_capacity):
-                    # ---- numpy whole-run replay ----------------------------
-                    # Preconditions: full run (the per-run summaries cover
-                    # exactly [start, stop)), STT off (no taint flow), and
-                    # enough ROB headroom that no op can stall even if no
-                    # entry retires — so dispatch, issue and commit reduce
-                    # to closed-form array recurrences.
-                    count = stop - index
-                    # Dispatch: every op wants ``fetch_time``; the width-
-                    # per-cycle tracker then assigns consecutive slots.
-                    if fetch_time > dispatch_cycle:
-                        base_cycle = fetch_time
-                        base_used = 0
-                    else:
-                        base_cycle = dispatch_cycle
-                        base_used = dispatch_used
-                    slots = _np.arange(base_used, base_used + count,
-                                       dtype=_np.int64)
-                    dispatches = base_cycle + slots // width
-                    dispatch_cycle = int(dispatches[-1])
-                    dispatch_used = (base_used + count - 1) % width + 1
-                    # Issue: dispatch + 1, raised by external operand
-                    # ready times (scatter-max over the run's reads).
-                    issue = dispatches + 1
-                    ext_regs = run_plan.ext_regs
-                    if ext_regs:
-                        values = _np.fromiter(
-                            (reg_ready[reg] if reg < reg_limit else 0
-                             for reg in ext_regs),
-                            dtype=_np.int64, count=len(ext_regs))
-                        floor = _np.zeros(count, dtype=_np.int64)
-                        _np.maximum.at(floor, run_plan.ext_positions, values)
-                        issue = _np.maximum(issue, floor)
-                    completion = issue + run_plan.lat
-                    for position, producers in run_plan.dep_ops:
-                        ready = issue[position]
-                        for producer in producers:
-                            value = completion[producer]
-                            if value > ready:
-                                ready = value
-                        completion[position] = ready + run_plan.lat[position]
-                    # Commit: in order, at most ``width`` per cycle.  The
-                    # tracker is exactly the lag-width recurrence
-                    # c[i] = max(base[i], c[i-width] + 1) over the running
-                    # maximum of completion times, with ``commit_used``
-                    # virtual commits at ``commit_cycle`` seeding the lag.
-                    base = _np.maximum.accumulate(
-                        _np.maximum(completion, last_commit_time))
-                    commits = base.copy()
-                    first = min(width, count)
-                    low = width - commit_used
-                    if low < first:
-                        _np.maximum(commits[low:first], commit_cycle + 1,
-                                    out=commits[low:first])
-                    for chunk in range(width, count, width):
-                        upper = min(chunk + width, count)
-                        _np.maximum(
-                            commits[chunk:upper],
-                            commits[chunk - width:chunk - width
-                                    + (upper - chunk)] + 1,
-                            out=commits[chunk:upper])
-                    commit_list = commits.tolist()
-                    new_last = commit_list[-1]
-                    trailing = int(_np.count_nonzero(commits == new_last))
-                    if new_last == commit_cycle:
-                        trailing += commit_used
-                    commit_cycle = new_last
-                    commit_used = trailing
-                    last_commit_time = new_last
-                    if not commit_fetch_noop:
-                        for offset in range(count):
-                            op_pc = col_pcs[index + offset]
-                            mem_commit_fetch(core_id, process_id, op_pc,
-                                             commit_list[offset], pc=op_pc)
-                    # ROB: deferred pops and appends leave the deque in
-                    # exactly the per-op state (commit times are
-                    # nondecreasing, so the per-op pop threshold is the
-                    # final dispatch time).
-                    while rob_times and rob_times[0] <= dispatch_cycle:
-                        rob_pop()
-                    cut = int(_np.searchsorted(commits, dispatch_cycle,
-                                               side="right"))
-                    if cut == 0:
-                        rob_extend(commit_list)
-                    elif cut < count:
-                        rob_extend(commit_list[cut:])
-                    # Register file: only the last write per register is
-                    # visible after the run (in-run readers resolved
-                    # against the completion array above).
-                    max_dst = run_plan.max_dst
-                    if max_dst >= reg_limit:
-                        grow = max_dst + 1 - reg_limit
-                        reg_ready.extend([0] * grow)
-                        reg_taint.extend([None] * grow)
-                        reg_limit = max_dst + 1
-                    completion_list = completion.tolist()
-                    for reg, position in run_plan.final_writes:
-                        reg_ready[reg] = completion_list[position]
-                    n_committed += count
-                    index = stop
-                    continue
-
-                # ---- batched scalar fast path --------------------------
-                for op_index in range(index, stop):
-                    dispatch_time = fetch_time
-                    if len(rob_times) >= rob_capacity:
-                        oldest = rob_times[0]
-                        if oldest > dispatch_time:
-                            n_rob_stalls += 1
-                            dispatch_time = oldest
-                    if dispatch_time > dispatch_cycle:
-                        dispatch_cycle = dispatch_time
-                        dispatch_used = 1
-                    elif dispatch_used < width:
-                        dispatch_time = dispatch_cycle
-                        dispatch_used += 1
-                    else:
-                        dispatch_cycle += 1
-                        dispatch_used = 1
-                        dispatch_time = dispatch_cycle
-
-                    source_taint = None
-                    issue_time = dispatch_time + 1
-                    srcs = col_srcs[op_index]
-                    if srcs:
-                        for reg in srcs:
-                            if reg >= reg_limit:
-                                continue
-                            value = reg_ready[reg]
-                            if value > issue_time:
-                                issue_time = value
-                            visibility = reg_taint[reg]
-                            if visibility is not None \
-                                    and (source_taint is None
-                                         or visibility > source_taint):
-                                source_taint = visibility
-                        if (stt_mode and source_taint is not None
-                                and col_flags[op_index] & F_TRANSMITTER
-                                and issue_time < source_taint):
-                            issue_time = source_taint
-                            if record_delayed_forward is not None:
-                                record_delayed_forward()
-                    completion = issue_time + col_latencies[op_index]
-                    if stt_mode and source_taint is not None:
-                        taint_visibility = source_taint
-                    else:
-                        taint_visibility = None
-
-                    commit_time = (completion
-                                   if completion > last_commit_time
-                                   else last_commit_time)
-                    if commit_time > commit_cycle:
-                        commit_cycle = commit_time
-                        commit_used = 1
-                    elif commit_used < width:
-                        commit_time = commit_cycle
-                        commit_used += 1
-                    else:
-                        commit_cycle += 1
-                        commit_used = 1
-                        commit_time = commit_cycle
-                    if not commit_fetch_noop:
-                        op_pc = col_pcs[op_index]
-                        mem_commit_fetch(core_id, process_id, op_pc,
-                                         commit_time, pc=op_pc)
-                    last_commit_time = commit_time
-
-                    while rob_times and rob_times[0] <= dispatch_time:
-                        rob_pop()
-                    while rob_times and len(rob_times) >= rob_capacity:
-                        rob_pop()
-                    rob_append(commit_time)
-                    dst = col_dsts[op_index]
-                    if dst >= 0:
-                        if dst >= reg_limit:
-                            grow = dst + 1 - reg_limit
-                            reg_ready.extend([0] * grow)
-                            reg_taint.extend([None] * grow)
-                            reg_limit = dst + 1
-                        reg_ready[dst] = completion
-                        reg_taint[dst] = taint_visibility
-                    n_committed += 1
-                index = stop
-                continue
-
-            # ==== complex op: the scalar run_packed body verbatim ===========
-            flags = col_flags[index]
-            pc = col_pcs[index]
-
-            fetch_line = pc - pc % line_size
-            fetch_time = fetch_ready
-            if fetch_line != current_fetch_line:
-                latency = mem_fetch(core_id, process_id, pc, fetch_time,
-                                    speculative=True, pc=pc).latency - 1
-                if latency > 0:
-                    fetch_time += latency
-                current_fetch_line = fetch_line
-            fetch_ready = fetch_time
-
-            dispatch_time = fetch_time
-            if len(rob_times) >= rob_capacity:
-                oldest = rob_times[0]
-                if oldest > dispatch_time:
-                    n_rob_stalls += 1
-                    dispatch_time = oldest
-            is_load = flags & F_LOAD
-            is_store = flags & F_STORE
-            if is_load and len(lq_times) >= lq_capacity:
-                oldest = lq_times[0]
-                if oldest > dispatch_time:
-                    n_lq_stalls += 1
-                    dispatch_time = oldest
-            if is_store and len(sq_times) >= sq_capacity:
-                oldest = sq_times[0]
-                if oldest > dispatch_time:
-                    n_sq_stalls += 1
-                    dispatch_time = oldest
-            if dispatch_time > dispatch_cycle:
-                dispatch_cycle = dispatch_time
-                dispatch_used = 1
-            elif dispatch_used < width:
-                dispatch_time = dispatch_cycle
-                dispatch_used += 1
-            else:
-                dispatch_cycle += 1
-                dispatch_used = 1
-                dispatch_time = dispatch_cycle
-
-            source_taint = None
-            issue_time = dispatch_time + 1
-            srcs = col_srcs[index]
-            if srcs:
-                for reg in srcs:
-                    if reg >= reg_limit:
-                        continue
-                    value = reg_ready[reg]
-                    if value > issue_time:
-                        issue_time = value
-                    visibility = reg_taint[reg]
-                    if visibility is not None and (source_taint is None
-                                                   or visibility > source_taint):
-                        source_taint = visibility
-                if (stt_mode and source_taint is not None
-                        and flags & F_TRANSMITTER
-                        and issue_time < source_taint):
-                    issue_time = source_taint
-                    if record_delayed_forward is not None:
-                        record_delayed_forward()
-
-            taint_visibility = None
-            if is_load:
-                address = col_addresses[index]
-                result = mem_load(core_id, process_id, address, issue_time,
-                                  speculative=True, pc=pc)
-                if result.must_retry_nonspeculative:
-                    n_nack_retries += 1
-                    retry_time = (issue_time if issue_time > last_commit_time
-                                  else last_commit_time)
-                    retry = mem_load(core_id, process_id, address, retry_time,
-                                     speculative=False, pc=pc)
-                    completion = retry_time + retry.latency
-                else:
-                    completion = issue_time + result.latency
-                if stt_mode:
-                    if stt_future:
-                        taint_visibility = (completion
-                                            if completion > last_commit_time
-                                            else last_commit_time)
-                    else:
-                        taint_visibility = (completion
-                                            if completion > last_branch_resolve
-                                            else last_branch_resolve)
-            elif is_store:
-                mem_store_address_ready(core_id, process_id,
-                                        col_addresses[index], issue_time,
-                                        speculative=True, pc=pc)
-                completion = issue_time + col_latencies[index]
-            elif flags & F_BRANCH:
-                resolve_time = issue_time + col_latencies[index]
-                taken = bool(flags & F_TAKEN)
-                target = col_targets[index]
-                if target < 0:
-                    target = None
-                if flags & F_FORCE_MISPREDICT:
-                    mispredicted = bool(flags & F_FORCE_MISPREDICT_VALUE)
-                    predictor_update(pc, taken, target)
-                else:
-                    predictor_predict(pc)
-                    mispredicted = predictor_update(pc, taken, target)
-                if resolve_time > last_branch_resolve:
-                    last_branch_resolve = resolve_time
-                if mispredicted:
-                    n_mispredictions += 1
-                    wrong_path = col_wrong_paths[index]
-                    if wrong_path:
-                        window = resolve_time - dispatch_time
-                        if window < 1:
-                            window = 1
-                        for access in wrong_path:
-                            offset = access.issue_offset
-                            issue_at = dispatch_time + (
-                                offset if offset < window else window)
-                            if access.is_instruction:
-                                mem_fetch(core_id, process_id, access.address,
-                                          issue_at, speculative=True,
-                                          pc=access.address)
-                            elif access.is_store:
-                                mem_store_address_ready(
-                                    core_id, process_id, access.address,
-                                    issue_at, speculative=True, pc=pc)
-                            else:
-                                mem_load(core_id, process_id, access.address,
-                                         issue_at, speculative=True, pc=pc)
-                            n_squashed += 1
-                        current_fetch_line = None
-                        mem_squash(core_id, resolve_time)
-                    redirect = resolve_time + mispredict_penalty
-                    if redirect > fetch_ready:
-                        fetch_ready = redirect
-                completion = resolve_time
-            else:
-                completion = issue_time + col_latencies[index]
-
-            if stt_mode and not is_load and source_taint is not None:
-                if taint_visibility is None or source_taint > taint_visibility:
-                    taint_visibility = source_taint
-
-            commit_time = (completion if completion > last_commit_time
-                           else last_commit_time)
-            if commit_time > commit_cycle:
-                commit_cycle = commit_time
-                commit_used = 1
-            elif commit_used < width:
-                commit_time = commit_cycle
-                commit_used += 1
-            else:
-                commit_cycle += 1
-                commit_used = 1
-                commit_time = commit_cycle
-
-            extra = 0
-            if is_load:
-                n_loads += 1
-                address = col_addresses[index]
-                if invisispec:
-                    if invisispec_future:
-                        visibility = commit_time
-                    else:
-                        visibility = (last_branch_resolve
-                                      if last_branch_resolve > issue_time
-                                      else issue_time)
-                    validation_done = visibility + mem_validation_latency(
-                        core_id, process_id, address, visibility, pc=pc)
-                    overshoot = validation_done - commit_time
-                    if overshoot > 0:
-                        extra += overshoot
-                    if invisispec_future:
-                        pending_lq_hold = validation_done
-                extra += mem_commit_load(core_id, process_id, address,
-                                         commit_time + extra, pc=pc)
-            elif is_store:
-                n_stores += 1
-                extra += mem_commit_store(core_id, process_id,
-                                          col_addresses[index],
-                                          commit_time + extra, pc=pc)
-            elif flags & F_BRANCH:
-                n_branches += 1
             if not commit_fetch_noop:
                 mem_commit_fetch(core_id, process_id, pc, commit_time + extra,
                                  pc=pc)
@@ -1311,6 +853,7 @@ class OutOfOrderCore:
             commit_time += extra
             last_commit_time = commit_time
 
+            # 5. Update structures.
             while rob_times and rob_times[0] <= dispatch_time:
                 rob_pop()
             while rob_times and len(rob_times) >= rob_capacity:

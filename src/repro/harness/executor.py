@@ -42,6 +42,7 @@ from multiprocessing import connection, get_context
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.telemetry.log import get_logger, log_event
+from repro.telemetry.phases import PHASES
 
 #: Environment variable: per-cell timeout in seconds (unset = no timeout).
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
@@ -247,7 +248,8 @@ class SerialExecutor(Executor):
 
 def _worker_main(conn) -> None:
     """Worker-process loop: receive (key, spec, attempt), reply with the
-    result or the error description; exit on the ``None`` sentinel / EOF.
+    result or the error description plus the cell's phase timings; exit
+    on the ``None`` sentinel / EOF.
 
     SIGINT is ignored so a Ctrl-C in the supervisor's terminal (delivered
     to the whole process group) doesn't race the supervisor's own
@@ -267,16 +269,20 @@ def _worker_main(conn) -> None:
         if message is None:
             return
         key, spec, attempt = message
+        # This process's PHASES is a fork-time copy nobody else reads:
+        # emptied per cell, it holds exactly the timings to send back.
+        PHASES.reset()
         started = time.perf_counter()
         try:
             plan = active_fault_plan()
             if plan is not None:
                 plan.apply_worker_faults(key, attempt)
             result = run_cell(spec)
-            reply = ("ok", result, time.perf_counter() - started)
+            kind, payload = "ok", result
         except BaseException as exc:  # noqa: BLE001 — reported, not hidden
-            reply = ("error", f"{type(exc).__name__}: {exc}",
-                     time.perf_counter() - started)
+            kind, payload = "error", f"{type(exc).__name__}: {exc}"
+        reply = (kind, payload, time.perf_counter() - started,
+                 PHASES.totals(), PHASES.counts())
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):
@@ -461,7 +467,9 @@ class PoolExecutor(Executor):
                                                  on_failure)
                     continue
                 worker.task, worker.deadline = None, None
-                kind, payload, seconds = reply
+                kind, payload, seconds, totals, counts = reply
+                for name, total in totals.items():
+                    PHASES.add(name, total, counts[name])
                 task.seconds += seconds
                 if kind == "ok":
                     on_complete(task.key, task.spec, payload, seconds)

@@ -19,13 +19,13 @@ the byte-compared result).
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from typing import Any, Dict, List
 
 from repro import __version__
 from repro.harness.executor import FailedCell
 from repro.harness.store import STORE_BACKENDS, result_to_dict
-from repro.workloads.trace import numpy_available
 
 
 def canonical_json(payload: Any) -> bytes:
@@ -35,14 +35,18 @@ def canonical_json(payload: Any) -> bytes:
 
 
 def version_payload() -> Dict[str, Any]:
-    """Package/version facts behind ``repro version`` and ``/v1/health``."""
+    """Package/version facts behind ``repro version`` and ``/v1/health``.
+
+    ``numpy`` reports whether numpy is installed on the host (looked up,
+    never imported); the simulator itself needs only the standard library.
+    """
     from repro.harness.suites import suite_names
     from repro.schemes import scheme_names
     return {
         "package": "repro",
         "version": __version__,
-        "default_engine": "vectorized",
-        "numpy": numpy_available(),
+        "default_engine": "packed",
+        "numpy": importlib.util.find_spec("numpy") is not None,
         "store_backends": list(STORE_BACKENDS),
         "schemes": len(scheme_names()),
         "suites": len(suite_names()),

@@ -174,18 +174,9 @@ class Simulator:
 
     def __init__(self, system: SimulatedSystem,
                  use_packed: bool = True,
-                 use_vectorized: Optional[bool] = None,
                  sampler: Optional["MetricsSampler"] = None) -> None:
         self.system = system
         self.use_packed = use_packed
-        # Engine selection: None defers to the system configuration
-        # (SystemConfig.use_vectorized, default on), exactly like the
-        # harness does; an explicit flag pins it for this simulator.  The
-        # vectorized engine is a refinement of the packed loop, so
-        # ``use_packed=False`` (the per-op boundary path) wins over it.
-        if use_vectorized is None:
-            use_vectorized = system.config.use_vectorized
-        self.use_vectorized = use_packed and use_vectorized
         # Time-series metrics (repro.telemetry.metrics): the sampler
         # snapshots the system's statistics tree at interleave boundaries.
         self.sampler = sampler
@@ -268,9 +259,6 @@ class Simulator:
         """Run a single trace to completion on one core (test helper)."""
         core = self.system.core(core_index)
         core.process_id = trace.process_id
-        if self.use_vectorized:
-            core.run_vectorized(trace.packed())
-            return core.result()
         if self.use_packed:
             core.run_packed(trace.packed())
             return core.result()
@@ -292,17 +280,13 @@ class Simulator:
         """
         chunk = self.INTERLEAVE_CHUNK
         use_packed = self.use_packed
-        use_vectorized = self.use_vectorized
-        if use_vectorized and len(traces) == 1 and self.sampler is None:
+        if use_packed and len(traces) == 1 and self.sampler is None:
             # Single-threaded workload with no sampler: interleaving is a
             # no-op, so run the whole remaining range in one engine call
             # (state persists across calls, so this is bit-identical to
             # chunked execution — it only avoids per-chunk re-hoisting).
             chunk = max(end - start for start, end in bounds) or chunk
         packs = [trace.packed() if use_packed else None for trace in traces]
-        runners = [self.system.core(thread_id).run_vectorized
-                   if use_vectorized else self.system.core(thread_id).run_packed
-                   for thread_id in range(len(traces))]
         cursors = [start for start, _ in bounds]
         ends = [end for _, end in bounds]
         done = [cursors[i] >= ends[i] for i in range(len(traces))]
@@ -318,7 +302,7 @@ class Simulator:
                 start = cursors[thread_id]
                 end = min(ends[thread_id], start + chunk)
                 if use_packed:
-                    runners[thread_id](packs[thread_id], start, end)
+                    core.run_packed(packs[thread_id], start, end)
                 else:
                     ops = trace.ops
                     execute_op = core.execute_op

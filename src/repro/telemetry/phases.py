@@ -12,7 +12,9 @@ sense.  :func:`phase` times a block against the process-wide
 ``python -m repro run --profile ...`` prints the accumulated phase report
 next to the cProfile output.  Phase timing measures harness wall-clock,
 never simulated time, and costs two ``perf_counter`` calls per block — it
-is always on; only the *report* is gated behind ``--profile``.
+is always on; only the *report* is gated behind ``--profile``.  Cells
+that run in pool workers send their timings back with their results
+(:mod:`repro.harness.executor`), so the report covers pooled campaigns too.
 """
 
 from __future__ import annotations
@@ -39,10 +41,13 @@ class PhaseTimers:
             self._totals[name] = self._totals.get(name, 0.0) + elapsed
             self._counts[name] = self._counts.get(name, 0) + 1
 
-    def add(self, name: str, seconds: float) -> None:
-        """Record an externally measured duration (e.g. from a worker)."""
+    def add(self, name: str, seconds: float, count: int = 1) -> None:
+        """Record externally measured time (e.g. from a worker).
+
+        ``count`` entries into ``name`` took ``seconds`` in total.
+        """
         self._totals[name] = self._totals.get(name, 0.0) + seconds
-        self._counts[name] = self._counts.get(name, 0) + 1
+        self._counts[name] = self._counts.get(name, 0) + count
 
     def totals(self) -> Dict[str, float]:
         return dict(self._totals)

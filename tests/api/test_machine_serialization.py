@@ -204,6 +204,29 @@ class TestErrors:
             == MACHINE_SCHEMA_VERSION
 
 
+def legacy_machine_dict(config):
+    """``config`` as the previous release's ``to_dict()`` wrote it: every
+    current key plus the since-retired engine switch."""
+    return {**machine_to_dict(config), "use_vectorized": True}
+
+
+class TestRetiredKeys:
+    def test_retired_engine_key_is_ignored(self):
+        config = get_machine("biglittle-asym")
+        assert machine_from_dict(legacy_machine_dict(config)) == config
+
+    def test_legacy_machine_file_loads(self, tmp_path):
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(legacy_machine_dict(SystemConfig())))
+        assert load_machine(path) == SystemConfig()
+
+    def test_retired_key_is_unknown_below_the_top_level(self):
+        payload = machine_to_dict(SystemConfig())
+        payload["core"]["use_vectorized"] = True
+        with pytest.raises(MachineFormatError, match="use_vectorized"):
+            machine_from_dict(payload)
+
+
 class TestFiles:
     def test_save_and_load(self, tmp_path):
         config = get_machine("biglittle-asym")

@@ -1,11 +1,15 @@
 """Tests for report rendering, env validation and the ``python -m repro`` CLI."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
+from repro.common.params import SystemConfig
 from repro.harness.report import Report
 from repro.sim.runner import instructions_per_workload, parallel_jobs
 from repro.sim.sweeps import filter_cache_associativity_configs
+from tests.api.test_machine_serialization import legacy_machine_dict
 
 SERIES = {
     "MuonTrap": {"hmmer": 1.05, "mcf": 1.20},
@@ -189,23 +193,16 @@ class TestCli:
         assert "removed 2 cached results" in capsys.readouterr().out
         assert not list(self.store_dir.glob("*.json"))
 
+    def test_machine_file_with_retired_key_runs(self, capsys, tmp_path):
+        machine = tmp_path / "legacy-muontrap.json"
+        machine.write_text(json.dumps(legacy_machine_dict(
+            SystemConfig(mode="muontrap"))))
+        assert self.run_cli("run", "--suite", "hmmer",
+                            "--machine-file", str(machine)) == 0
+        assert "legacy-muontrap" in capsys.readouterr().out
+
     def test_suites_lists_builtins(self, capsys):
         assert self.run_cli("suites") == 0
         out = capsys.readouterr().out
         assert "spec_int (11)" in out
         assert "parsec (7)" in out
-
-    def test_engine_flag_changes_nothing_but_reuses_the_store(self, capsys):
-        # The engines are golden-tested bit-identical and the store key
-        # excludes the engine choice, so a --engine packed re-run of a
-        # vectorized campaign is served entirely from the store — the
-        # strongest CLI-level statement of both properties at once.
-        assert self.run_cli("run", "--suite", "hmmer",
-                            "--mode", "muontrap") == 0
-        first = capsys.readouterr().out
-        assert "2 executed, 0 store hits" in first
-        assert self.run_cli("run", "--suite", "hmmer", "--mode", "muontrap",
-                            "--engine", "packed") == 0
-        second = capsys.readouterr().out
-        assert "0 executed, 2 store hits" in second
-        assert first.splitlines()[-2:] == second.splitlines()[-2:]

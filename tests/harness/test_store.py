@@ -48,6 +48,13 @@ class TestStableKey:
         assert stable_key(profile, config, 2000, 1234,
                           warmup_fraction=0.5) != base
 
+    def test_key_of_a_fixed_cell_is_pinned(self):
+        # Stored results stay reachable only while keys are stable: a
+        # change here silently recomputes every cell of every store.
+        key = stable_key(get_profile("mcf"),
+                         SystemConfig(mode=ProtectionMode.MUONTRAP), 8000, 1234)
+        assert key == "a5af5db23583c1dc021950c0"
+
     def test_profile_content_not_just_name_participates(self):
         profile = get_profile("hmmer")
         tweaked = dataclasses.replace(profile, hot_set_bytes=1024)

@@ -1,15 +1,13 @@
-"""Golden equivalence: all three execution engines must match bit-for-bit.
+"""Golden equivalence: the packed engine must match the per-op engine.
 
 The packed-trace fast path (`OutOfOrderCore.run_packed`) re-implements the
-per-instruction semantics of `execute_op` as a zero-allocation loop, and
-the plan-driven engine (`OutOfOrderCore.run_vectorized`) re-implements
-*that* with batched simple-op runs and numpy array recurrences.  These
-tests pin the contract down: for every protection scheme the paper
-evaluates, running the same workload through the per-op, packed and
-vectorized engines must produce a **bit-identical** `SimulationResult` —
-cycles, instructions, warmup cycles, per-core results and the complete
-statistics tree.  Any divergence, however small, is a bug in one of the
-engines.
+per-instruction semantics of `execute_op` as a zero-allocation loop that
+executes same-line runs of simple ops as batches.  These tests pin the
+contract down: for every protection scheme the paper evaluates, running
+the same workload through the per-op and packed engines must produce a
+**bit-identical** `SimulationResult` — cycles, instructions, warmup
+cycles, per-core results and the complete statistics tree.  Any
+divergence, however small, is a bug in one of the engines.
 """
 
 import pytest
@@ -44,18 +42,15 @@ CROSS_SECTION = ["mcf", "omnetpp", "lbm", "cactusADM", "streamcluster"]
 
 INSTRUCTIONS = 500
 
-#: Simulator constructor arguments selecting each engine.
-ENGINES = {
-    "per-op": {"use_packed": False},
-    "packed": {"use_packed": True, "use_vectorized": False},
-    "vectorized": {"use_packed": True, "use_vectorized": True},
-}
+#: Simulator ``use_packed`` flag selecting each engine.
+ENGINES = {"per-op": False, "packed": True}
 
 
 def _simulate(config: SystemConfig, profile, seed: int,
               engine: str) -> SimulationResult:
     workload = generate_workload(profile, INSTRUCTIONS, seed=seed)
-    simulator = Simulator(build_system(config, seed=seed), **ENGINES[engine])
+    simulator = Simulator(build_system(config, seed=seed),
+                          use_packed=ENGINES[engine])
     return simulator.run(workload, collect_stats=True, warmup_fraction=0.35)
 
 
@@ -78,11 +73,9 @@ def _assert_identical(candidate: SimulationResult, per_op: SimulationResult,
         assert candidate.stats[key] == value, f"{context}: {key}"
 
 
-def _assert_three_way(runner, context: str) -> None:
-    """per-op ≡ packed ≡ vectorized for one (config, workload, seed)."""
-    per_op = runner("per-op")
-    for engine in ("packed", "vectorized"):
-        _assert_identical(runner(engine), per_op, f"{context}/{engine}")
+def _assert_two_way(runner, context: str) -> None:
+    """per-op ≡ packed for one (config, workload, seed)."""
+    _assert_identical(runner("packed"), runner("per-op"), context)
 
 
 class TestPackedEquivalence:
@@ -92,14 +85,14 @@ class TestPackedEquivalence:
     def test_every_scheme_bit_identical_across_cross_section(self, mode,
                                                              seed):
         for benchmark in CROSS_SECTION:
-            _assert_three_way(
+            _assert_two_way(
                 lambda engine: _run(mode, benchmark, seed, engine),
                 f"{mode.value}/{benchmark}/seed={seed}")
 
     def test_full_mixed_suite_bit_identical(self):
         """Every benchmark of the ``mixed`` suite under the full defence."""
         for benchmark in resolve_suites(["mixed"]):
-            _assert_three_way(
+            _assert_two_way(
                 lambda engine: _run(ProtectionMode.MUONTRAP, benchmark,
                                     SEEDS[0], engine),
                 f"mixed/{benchmark}")
@@ -109,20 +102,20 @@ class TestPackedEquivalence:
         for mode in (ProtectionMode.INVISISPEC_FUTURE,
                      ProtectionMode.STT_FUTURE):
             for benchmark in ("mcf", "lbm"):
-                _assert_three_way(
+                _assert_two_way(
                     lambda engine: _run(mode, benchmark, SEEDS[1], engine),
                     f"{mode.value}/{benchmark}")
 
 
 class TestHeterogeneousEquivalence:
-    """big.LITTLE machine presets through all three engines.
+    """big.LITTLE machine presets through both engines.
 
     Heterogeneous machines stress what homogeneous runs cannot: per-core
-    pipeline widths and ROB capacities (the batched dispatch/commit
-    recurrences must honour each core's own width), per-core protection
-    modes (an unprotected LITTLE core beside an STT big core), and the
-    hetero memory system's ``commit_fetch`` override, which disables the
-    vectorized engine's no-op-elision fast path.
+    pipeline widths and ROB capacities (the batched dispatch and commit
+    must honour each core's own width), per-core protection modes (an
+    unprotected LITTLE core beside an STT big core), and the hetero
+    memory system's ``commit_fetch`` override, which disables the packed
+    engine's no-op-elision fast path.
     """
 
     PRESETS = ["biglittle-muontrap", "biglittle-asym"]
@@ -132,7 +125,7 @@ class TestHeterogeneousEquivalence:
     def test_biglittle_presets_bit_identical(self, preset, seed):
         config = get_machine(preset)
         profile = get_profile("mix-pointer-stream")
-        _assert_three_way(
+        _assert_two_way(
             lambda engine: _simulate(config, profile, seed, engine),
             f"{preset}/seed={seed}")
 
@@ -161,19 +154,17 @@ class TestCoRunPackedEquivalence:
     def test_corun_bit_identical_across_engines(self, mode, seed):
         for mix in self.MIXES:
             per_op = _run_corun(mode, mix, seed, "per-op")
-            for engine in ("packed", "vectorized"):
-                candidate = _run_corun(mode, mix, seed, engine)
-                _assert_identical(candidate, per_op,
-                                  f"{mode.value}/{mix}/{seed}/{engine}")
-                assert candidate.core_benchmarks == per_op.core_benchmarks
-                assert candidate.is_corun
+            candidate = _run_corun(mode, mix, seed, "packed")
+            _assert_identical(candidate, per_op, f"{mode.value}/{mix}/{seed}")
+            assert candidate.core_benchmarks == per_op.core_benchmarks
+            assert candidate.is_corun
 
     def test_corun_deterministic_across_runs(self):
         """The same spec twice gives byte-identical results."""
         first = _run_corun(ProtectionMode.MUONTRAP, "mix-pointer-stream",
-                           SEEDS[0], "vectorized")
+                           SEEDS[0], "packed")
         second = _run_corun(ProtectionMode.MUONTRAP, "mix-pointer-stream",
-                            SEEDS[0], "vectorized")
+                            SEEDS[0], "packed")
         _assert_identical(first, second, "determinism")
 
     @pytest.mark.slow
@@ -181,6 +172,6 @@ class TestCoRunPackedEquivalence:
         """The broad sweep: every mix under every scheme (tier-2)."""
         for mix in resolve_suites(["mixes"]):
             for mode in SCHEMES:
-                _assert_three_way(
+                _assert_two_way(
                     lambda engine: _run_corun(mode, mix, SEEDS[0], engine),
                     f"{mode.value}/{mix}")

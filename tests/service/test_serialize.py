@@ -37,7 +37,7 @@ class TestListingPayloads:
     def test_version_payload_names_the_capabilities(self):
         payload = version_payload()
         assert payload["package"] == "repro"
-        assert payload["default_engine"] == "vectorized"
+        assert payload["default_engine"] == "packed"
         assert isinstance(payload["numpy"], bool)
         assert payload["store_backends"] == ["json", "sqlite"]
         assert payload["schemes"] >= 6

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro import api
+from repro.common.params import SystemConfig
 from repro.harness.store import open_store
 from repro.service import (
     ApiKeyAuth,
@@ -28,6 +29,7 @@ from repro.service.serialize import (
     simulation_payload,
     sweep_payload,
 )
+from tests.api.test_machine_serialization import legacy_machine_dict
 from tests.service.test_ratelimit import FakeClock
 
 INSTRUCTIONS = 600
@@ -183,6 +185,14 @@ class TestByteIdentity:
         inline = api.simulate("mcf", scheme="muontrap",
                               instructions=INSTRUCTIONS)
         assert remote == canonical_json(simulation_payload(inline))
+
+    def test_machine_with_retired_key_matches_the_current_form(self, client):
+        machine = SystemConfig(mode="muontrap")
+        legacy = client.simulate("mcf", machine=legacy_machine_dict(machine),
+                                 instructions=INSTRUCTIONS)
+        current = client.simulate("mcf", machine=machine.to_dict(),
+                                  instructions=INSTRUCTIONS)
+        assert legacy == current
 
     def test_sweep_over_http_matches_inline_bytes(self, server, client):
         """The headline acceptance criterion."""

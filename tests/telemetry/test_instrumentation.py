@@ -131,6 +131,19 @@ class TestPhaseTimers:
         make_campaign().run()
         assert PHASES.counts().get("simulate", 0) >= before + 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_executed_cell_records_each_phase_once(self, jobs):
+        # Pooled cells run in worker processes; their timings travel back
+        # with the results, so serial and pooled campaigns count alike.
+        from repro.telemetry.phases import PHASES
+        before = PHASES.counts()
+        result = make_campaign(jobs=jobs).run()
+        after = PHASES.counts()
+        assert result.stats.executed == 2
+        assert result.stats.workers == jobs
+        for name in ("trace-gen", "pack", "simulate"):
+            assert after.get(name, 0) - before.get(name, 0) == 2, name
+
 
 class TestLogging:
     @pytest.fixture(autouse=True)

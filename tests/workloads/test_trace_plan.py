@@ -1,11 +1,10 @@
-"""Tests for the vectorized-engine trace plan (segmentation + run summaries).
+"""Tests for the packed engine's trace plan (batchable-run segmentation).
 
 The plan is derived data: ``run_end`` segments a packed trace into maximal
-runs of simple ops sharing one instruction-cache line, and ``vector_runs``
-summarises long full runs for numpy replay.  These tests pin the
-segmentation invariants (property-tested round-trip against the original
-op sequence), the run-summary contents, the empty/single-op edge cases,
-and the rule that plans never travel through pickles.
+runs of simple ops sharing one instruction-cache line.  These tests pin
+the segmentation invariants (property-tested round-trip against the
+original op sequence), the empty/single-op edge cases, and the rule that
+plans never travel through pickles.
 """
 
 import pickle
@@ -14,17 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.workloads.trace as trace_module
 from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.common.params import default_system_config
 from repro.cpu.core import OutOfOrderCore
-from repro.cpu.instructions import MicroOp, OpKind
+from repro.cpu.instructions import F_TRANSMITTER, KIND_FLAGS, MicroOp, OpKind
 from repro.workloads.trace import (
     COMPLEX_MASK,
     DEFAULT_LINE_SIZE,
-    VECTOR_MIN_RUN,
     PackedTrace,
-    TracePlan,
 )
 
 LINE = DEFAULT_LINE_SIZE
@@ -87,13 +83,10 @@ class TestSegmentation:
         plan = packed.plan(LINE)
         assert packed.length == 0
         assert plan.run_end == []
-        assert plan.vector_runs == {}
 
     def test_single_simple_op_is_a_run_of_one(self):
         packed = PackedTrace.pack([_alu(0x1000, dst=1)])
-        plan = packed.plan(LINE)
-        assert plan.run_end == [1]
-        assert plan.vector_runs == {}
+        assert packed.plan(LINE).run_end == [1]
 
     def test_single_complex_op_is_not_a_run(self):
         packed = PackedTrace.pack([_load(0x1000)])
@@ -105,6 +98,11 @@ class TestSegmentation:
                _alu(LINE, dst=3), _alu(LINE + 4, dst=4)]
         assert PackedTrace.pack(ops).plan(LINE).run_end == [2, 2, 4, 4]
 
+    def test_transmitters_are_never_batched(self):
+        # The batched path in run_packed applies no STT issue delay.
+        assert all(flags & COMPLEX_MASK for flags in KIND_FLAGS.values()
+                   if flags & F_TRANSMITTER)
+
     def test_runs_break_at_complex_ops(self):
         ops = [_alu(0x1000, dst=1), _load(0x1004), _alu(0x1008, dst=2),
                _alu(0x100C, dst=3)]
@@ -115,11 +113,11 @@ class TestSegmentation:
     def test_segmentation_round_trip(self, entries):
         """Walking the segments reconstructs the op sequence exactly.
 
-        The property covers the numpy segmentation path end to end: the
-        segments must tile ``[0, n)`` without gaps or overlap (so the
+        The segments must tile ``[0, n)`` without gaps or overlap (so the
         concatenation of per-segment op slices equals the original
         sequence), every batched segment must be entirely simple ops on
-        one line, and every batch must be maximal.
+        one line, every member must record the batch's end, and every
+        batch must be maximal.
         """
         ops = _materialise(entries)
         packed = PackedTrace.pack(ops)
@@ -135,6 +133,9 @@ class TestSegmentation:
                 for i in range(index, stop):
                     assert not packed.flags[i] & COMPLEX_MASK
                     assert packed.pcs[i] // LINE == line
+                    # An engine call starting mid-batch (a chunk
+                    # boundary) still finds where the batch stops.
+                    assert plan.run_end[i] == stop
                 # Maximality: the batch cannot be extended rightward.
                 assert stop == n or packed.flags[stop] & COMPLEX_MASK \
                     or packed.pcs[stop] // LINE != line
@@ -148,21 +149,6 @@ class TestSegmentation:
         # The concatenation of segment op slices is the original sequence.
         assert packed.unpack() == ops
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.lists(_op_entry, max_size=60))
-    def test_pure_python_fallback_matches_numpy(self, entries):
-        packed = PackedTrace.pack(_materialise(entries))
-        with_numpy = TracePlan.build(packed, LINE)
-        saved = trace_module._np
-        trace_module._np = None
-        try:
-            without_numpy = TracePlan.build(packed, LINE)
-        finally:
-            trace_module._np = saved
-        assert without_numpy.run_end == with_numpy.run_end
-        # The fallback builds no numpy run summaries, by design.
-        assert without_numpy.vector_runs == {}
-
 
 def _long_run(count, line_base=0x40_000):
     """``count`` ALU ops on one line: dependency chain through r1."""
@@ -173,43 +159,6 @@ def _long_run(count, line_base=0x40_000):
     return ops
 
 
-class TestRunSummaries:
-    def test_threshold_gates_run_plans(self):
-        below = PackedTrace.pack(_long_run(VECTOR_MIN_RUN - 1))
-        at = PackedTrace.pack(_long_run(VECTOR_MIN_RUN))
-        assert below.plan(LINE).vector_runs == {}
-        assert list(at.plan(LINE).vector_runs) == [0]
-
-    def test_run_plan_summarises_reads_and_writes(self):
-        ops = [
-            MicroOp(kind=OpKind.INT_ALU, pc=0x1000, src_regs=(5,),
-                    dst_reg=2, execution_latency=3),
-            MicroOp(kind=OpKind.INT_ALU, pc=0x1000, src_regs=(2, 6),
-                    dst_reg=2),
-            MicroOp(kind=OpKind.INT_ALU, pc=0x1000, src_regs=(2,),
-                    dst_reg=9),
-        ] + [MicroOp(kind=OpKind.NOP, pc=0x1000)] * (VECTOR_MIN_RUN - 3)
-        plan = PackedTrace.pack(ops).plan(LINE)
-        run = plan.vector_runs[0]
-        assert (run.start, run.stop) == (0, len(ops))
-        # r5 and r6 are external reads; r2 at positions 1 and 2 is in-run.
-        assert sorted(zip(run.ext_regs, run.ext_positions.tolist())) \
-            == [(5, 0), (6, 1)]
-        assert run.dep_ops == [(1, (0,)), (2, (1,))]
-        # Only the *last* write per register survives the run.
-        assert sorted(run.final_writes) == [(2, 1), (9, 2)]
-        assert run.max_dst == 9
-        assert run.lat.tolist() == [op.execution_latency for op in ops]
-
-    def test_mid_run_indices_are_not_keys(self):
-        plan = PackedTrace.pack(_long_run(VECTOR_MIN_RUN + 4)).plan(LINE)
-        assert list(plan.vector_runs) == [0]
-        # Every member of the batch knows the batch's end, so an engine
-        # entering mid-run (chunk boundaries) still finds the run end.
-        assert all(end == VECTOR_MIN_RUN + 4
-                   for end in plan.run_end)
-
-
 class TestPlanLifecycle:
     def test_plans_are_cached_per_line_size(self):
         packed = PackedTrace.pack(_long_run(8))
@@ -217,7 +166,7 @@ class TestPlanLifecycle:
         assert packed.plan(64) is not packed.plan(32)
 
     def test_plans_never_travel_through_pickles(self):
-        packed = PackedTrace.pack(_long_run(VECTOR_MIN_RUN))
+        packed = PackedTrace.pack(_long_run(32))
         packed.plan(LINE)
         clone = pickle.loads(pickle.dumps(packed))
         assert clone._plans is None          # derived data stays home
@@ -235,27 +184,20 @@ class TestEmptyAndSingleOpExecution:
 
     def test_empty_trace_is_a_no_op_on_every_engine(self):
         empty = PackedTrace.pack([])
-        for engine in ("run_packed", "run_vectorized"):
-            core = self._core()
-            # Establish a non-trivial clock first, then run nothing.
-            core.run_packed(PackedTrace.pack(_long_run(4)))
-            before = core.result()
-            clock = getattr(core, engine)(empty)
-            after = core.result()
-            assert clock == core._last_commit_time
-            assert after == before, engine
+        core = self._core()
+        # Establish a non-trivial clock first, then run nothing.
+        core.run_packed(PackedTrace.pack(_long_run(4)))
+        before = core.result()
+        assert core.run_packed(empty) == before.cycles
+        assert core.run(empty.unpack()) == before      # the per-op path
 
     def test_single_op_trace_identical_across_engines(self):
         single = PackedTrace.pack([_alu(0x1000, srcs=(1,), dst=2,
                                         latency=3)])
-        results = {}
-        for engine in ("run_packed", "run_vectorized"):
-            core = self._core()
-            clock = getattr(core, engine)(single)
-            results[engine] = (clock, core.result())
+        packed = self._core()
+        clock = packed.run_packed(single)
         per_op = self._core()
         per_op.execute_op(single.op(0))
-        results["per-op"] = (per_op._last_commit_time, per_op.result())
-        assert results["run_packed"] == results["run_vectorized"] \
-            == results["per-op"]
-        assert results["run_packed"][1].committed_instructions == 1
+        assert (clock, packed.result()) \
+            == (per_op._last_commit_time, per_op.result())
+        assert packed.result().committed_instructions == 1
