@@ -5,8 +5,8 @@ from conftest import run_once
 from repro.experiments.figures import figure7
 
 
-def test_figure7_write_invalidate_rate(benchmark, runner):
-    result = run_once(benchmark, figure7, runner)
+def test_figure7_write_invalidate_rate(benchmark, options):
+    result = run_once(benchmark, figure7, **options)
     print("\n" + result.to_markdown())
     rates = result.series["write fcache-invalidate rate"]
     # Rates are proportions, and most stores hit data already held privately,

@@ -20,7 +20,7 @@ import os
 import pytest
 
 from repro.harness.store import ResultStore
-from repro.sim.runner import ExperimentRunner, instructions_per_workload, parallel_jobs
+from repro.sim.runner import instructions_per_workload, parallel_jobs
 
 #: Default per-workload sample length for the benchmark harness.
 BENCH_INSTRUCTIONS = instructions_per_workload(default=1000)
@@ -34,10 +34,11 @@ def store():
 
 
 @pytest.fixture(scope="session")
-def runner(store) -> ExperimentRunner:
-    """One shared campaign-backed runner so benchmarks reuse baselines."""
-    return ExperimentRunner(instructions=BENCH_INSTRUCTIONS, store=store,
-                            jobs=parallel_jobs())
+def options(store) -> dict:
+    """Figure options shared by every benchmark; the one in-memory
+    ``cache`` lets later figures reuse earlier figures' baseline cells."""
+    return {"instructions": BENCH_INSTRUCTIONS, "store": store,
+            "jobs": parallel_jobs(), "cache": {}}
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -1,9 +1,9 @@
 """Quickstart: the public API in a dozen lines.
 
 Simulates one workload under MuonTrap and the unprotected baseline through
-:mod:`repro.api` — the stable facade the CLI, the experiment runner and the
-figure reproductions all use — and prints the normalised execution time
-together with the filter-cache statistics that explain it.
+:mod:`repro.api` — the stable facade the CLI and the figure reproductions
+both use — and prints the normalised execution time together with the
+filter-cache statistics that explain it.
 
 Run with:  python examples/quickstart.py [benchmark] [instructions]
 """

@@ -12,10 +12,9 @@ Run with:  python examples/spectre_attack_demo.py
 from __future__ import annotations
 
 from repro.attacks import ALL_ATTACKS
-from repro.common.params import ProtectionMode
 
-MODES = [ProtectionMode.UNPROTECTED, ProtectionMode.MUONTRAP,
-         ProtectionMode.INVISISPEC_FUTURE]
+#: Registry scheme names (``python -m repro schemes`` lists them all).
+MODES = ["unprotected", "muontrap", "invisispec-future"]
 
 
 def main() -> None:
@@ -29,7 +28,7 @@ def main() -> None:
             timings = ", ".join(
                 f"{value}:{latency}"
                 for value, latency in sorted(outcome.probe_latencies.items()))
-            print(f"  {mode.value:20s} {verdict:14s} "
+            print(f"  {mode:20s} {verdict:14s} "
                   f"secret={outcome.actual_secret} "
                   f"recovered={outcome.recovered_secret} "
                   f"probe latencies [{timings}]")

@@ -27,11 +27,7 @@ The package is organised around the paper's structure:
 from repro.common.params import (
     CoreConfig,
     ProtectionConfig,
-    ProtectionMode,
     SystemConfig,
-    default_system_config,
-    parsec_system_config,
-    spec_system_config,
 )
 
 __version__ = "1.0.0"
@@ -39,13 +35,9 @@ __version__ = "1.0.0"
 __all__ = [
     "CoreConfig",
     "ProtectionConfig",
-    "ProtectionMode",
     "SystemConfig",
     "api",
-    "default_system_config",
-    "parsec_system_config",
     "schemes",
-    "spec_system_config",
     "__version__",
 ]
 

@@ -393,7 +393,7 @@ def cmd_machines(args: argparse.Namespace) -> int:
     for name in machine_names():
         config = get_machine(name)
         cores = ", ".join(
-            f"core{index}: {core.scheme} "
+            f"core{index}: {core.mode} "
             f"({core.pipeline.width}-wide, "
             f"{core.l1d.size_bytes // 1024} KiB L1d)"
             for index, core in enumerate(config.core_configs()))

@@ -17,8 +17,8 @@ description dict (:mod:`repro.common.machine`), or a path to a machine
 JSON file — and *workload-likes* (benchmark / mix names or profile
 objects) anywhere a workload is expected.  :func:`resolve_machine` and
 :func:`resolve_workload` are that one authoritative resolution path; the
-command line, the :class:`~repro.sim.runner.ExperimentRunner`, the figure
-reproductions and the examples all construct their systems through it.
+command line, the figure reproductions and the examples all construct
+their systems through it.
 
 Execution routes through the campaign layer, so the facade inherits its
 guarantees: deterministic results independent of worker count, in-memory
@@ -53,28 +53,22 @@ from typing import (
 )
 
 from repro.common.machine import load_machine, machine_from_dict
-from repro.common.params import (
-    ProtectionMode,
-    SchemeLike,
-    SystemConfig,
-    scheme_name,
-)
+from repro.common.params import SystemConfig
 from repro.harness.campaign import (
     Campaign,
     CampaignResult,
     DEFAULT_SEED,
     RunSpec,
     execute_cells,
+    run_cell,
 )
 from repro.harness.report import Report
 from repro.harness.store import ResultStore
 from repro.schemes import get_scheme, is_registered
 from repro.sim.runner import DEFAULT_WARMUP_FRACTION, instructions_per_workload
-from repro.sim.simulator import SimulationResult, Simulator
-from repro.sim.system import build_system
+from repro.sim.simulator import SimulationResult
 from repro.telemetry.metrics import MetricsSampler, TimeSeries
-from repro.telemetry.tracer import Tracer, tracing
-from repro.workloads.generator import generate_workload
+from repro.telemetry.tracer import Tracer
 from repro.workloads.profiles import get_profile
 
 #: Anything that resolves to a machine configuration.
@@ -289,7 +283,7 @@ class SweepOutcome:
 
 def simulate(workload: WorkloadLike,
              machine: Optional[MachineLike] = None, *,
-             scheme: Optional[SchemeLike] = None,
+             scheme: Optional[str] = None,
              seed: int = DEFAULT_SEED,
              instructions: Optional[int] = None,
              warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
@@ -350,27 +344,19 @@ def _simulate_instrumented(spec: RunSpec, *,
                            ) -> SimulationOutcome:
     """One cell, run inline with telemetry attached.
 
-    Mirrors :func:`repro.harness.campaign.run_cell` exactly (same trace
-    generation, core widening and simulator construction), so an
-    instrumented run's cycles and statistics are bit-identical to the
-    cached path's.
+    Runs through the same :func:`~repro.harness.campaign.run_cell` as the
+    cached path, so an instrumented run's cycles and statistics are
+    bit-identical to an uninstrumented one's.
     """
-    workload = generate_workload(spec.profile, spec.instructions,
-                                 seed=spec.seed)
-    cores_needed = max(1, spec.profile.num_threads)
-    system_config = spec.config.with_cores(max(spec.config.num_cores,
-                                               cores_needed))
-    system = build_system(system_config, seed=spec.seed)
     tracer: Optional[Tracer] = None
     if (trace is not None and trace is not False) or chrome_trace is not None:
         tracer = trace if isinstance(trace, Tracer) else Tracer()
-        tracer.attach(system)
     sampler = (MetricsSampler(metrics_every)
                if metrics_every is not None else None)
-    simulator = Simulator(system, sampler=sampler)
-    with tracing(tracer):
-        result = simulator.run(workload, collect_stats=spec.collect_stats,
-                               warmup_fraction=spec.warmup_fraction)
+    # ``run_cell`` is bound at import: a profiler may replace
+    # ``campaign.run_cell`` with a one-argument wrapper
+    # (``perfbench/layers.py`` does), which these keywords would break.
+    result = run_cell(spec, tracer=tracer, sampler=sampler)
     trace_path: Optional[Path] = None
     if tracer is not None and isinstance(trace, (str, os.PathLike)):
         trace_path = Path(trace)
@@ -390,16 +376,12 @@ def _simulate_instrumented(spec: RunSpec, *,
 def _entry_config(entry: Any, base: SystemConfig) -> SystemConfig:
     """One series entry: scheme names apply to the base machine, the rest
     resolve as machines."""
-    if isinstance(entry, ProtectionMode):
-        entry = scheme_name(entry)
     if isinstance(entry, str) and is_registered(entry):
         return base.with_mode(entry)
     return resolve_machine(entry)
 
 
 def _entry_label(entry: Any) -> str:
-    if isinstance(entry, ProtectionMode):
-        entry = scheme_name(entry)
     if isinstance(entry, str) and is_registered(entry):
         return get_scheme(entry).display_name
     return machine_label(entry)
@@ -485,8 +467,8 @@ def build_comparison(schemes: Union[Sequence[Any], Mapping[str, Any]],
     """The :class:`Campaign` behind :func:`compare`, not yet executed.
 
     The command line uses this to run the same matrix under a profiler,
-    and the :class:`~repro.sim.runner.ExperimentRunner` to share its
-    in-memory result ``cache``; ordinary callers want :func:`compare`.
+    and the figure reproductions to share one in-memory result ``cache``;
+    ordinary callers want :func:`compare`.
     """
     base = resolve_machine(machine)
     configs = _series_configs(schemes, base)
@@ -532,7 +514,7 @@ def _replace_path(config: Any, path: str, value: Any) -> Any:
 def sweep(parameter: str, values: Sequence[Any],
           suite: Union[str, Sequence[str]] = "spec_int", *,
           machine: Optional[MachineLike] = None,
-          scheme: Optional[SchemeLike] = None,
+          scheme: Optional[str] = None,
           baseline: Optional[MachineLike] = DEFAULT_BASELINE,
           instructions: Optional[int] = None,
           seed: int = DEFAULT_SEED,

@@ -35,8 +35,7 @@ from repro.attacks.framework import (
     CrossCoreAttackEnvironment,
     classify_probe,
 )
-from repro.common.params import (SchemeLike, SystemConfig,
-                                 scheme_name)
+from repro.common.params import SystemConfig
 
 
 def classify_contention(latencies: Dict[int, int]) -> Tuple[Optional[int], int]:
@@ -50,9 +49,9 @@ def classify_contention(latencies: Dict[int, int]) -> Tuple[Optional[int], int]:
     return recovered, margin
 
 
-def _scheme_plan(mode: SchemeLike, num_cores: int,
-                 victim_mode: Optional[SchemeLike],
-                 attacker_mode: Optional[SchemeLike]):
+def _scheme_plan(mode: str, num_cores: int,
+                 victim_mode: Optional[str],
+                 attacker_mode: Optional[str]):
     """Resolve the per-core scheme assignment and its report label.
 
     With neither override set, the machine is homogeneous under ``mode``
@@ -62,12 +61,11 @@ def _scheme_plan(mode: SchemeLike, num_cores: int,
     outcome ``victim=<scheme>,attacker=<scheme>``.
     """
     if victim_mode is None and attacker_mode is None:
-        return None, scheme_name(mode)
+        return None, mode
     victim = victim_mode if victim_mode is not None else mode
     attacker = attacker_mode if attacker_mode is not None else mode
     core_modes = [attacker] + [victim] * (num_cores - 1)
-    return core_modes, (f"victim={scheme_name(victim)},"
-                        f"attacker={scheme_name(attacker)}")
+    return core_modes, f"victim={victim},attacker={attacker}"
 
 
 class CrossCoreReloadAttack:
@@ -75,12 +73,12 @@ class CrossCoreReloadAttack:
 
     name = "cross-core-reload"
 
-    def __init__(self, mode: SchemeLike = "unprotected",
+    def __init__(self, mode: str = "unprotected",
                  secret: int = 3, num_secret_values: int = 8,
                  num_cores: int = 2, seed: int = 0,
                  config: Optional[SystemConfig] = None,
-                 victim_mode: Optional[SchemeLike] = None,
-                 attacker_mode: Optional[SchemeLike] = None) -> None:
+                 victim_mode: Optional[str] = None,
+                 attacker_mode: Optional[str] = None) -> None:
         core_modes, self.mode_label = _scheme_plan(
             mode, num_cores, victim_mode, attacker_mode)
         self.environment = CrossCoreAttackEnvironment(
@@ -116,12 +114,12 @@ class CrossCoreLLCPrimeProbeAttack:
 
     name = "cross-core-llc-prime-probe"
 
-    def __init__(self, mode: SchemeLike = "unprotected",
+    def __init__(self, mode: str = "unprotected",
                  secret: int = 3, num_secret_values: int = 4,
                  num_cores: int = 2, seed: int = 0,
                  config: Optional[SystemConfig] = None,
-                 victim_mode: Optional[SchemeLike] = None,
-                 attacker_mode: Optional[SchemeLike] = None) -> None:
+                 victim_mode: Optional[str] = None,
+                 attacker_mode: Optional[str] = None) -> None:
         core_modes, self.mode_label = _scheme_plan(
             mode, num_cores, victim_mode, attacker_mode)
         self.environment = CrossCoreAttackEnvironment(
@@ -198,14 +196,14 @@ class CrossCoreLLCPrimeProbeAttack:
 CROSS_CORE_ATTACKS = [CrossCoreReloadAttack, CrossCoreLLCPrimeProbeAttack]
 
 
-def run_cross_core_suite(modes: Sequence[SchemeLike],
+def run_cross_core_suite(modes: Sequence[str],
                          seeds: Sequence[int] = (0,),
                          num_cores: int = 2,
                          config: Optional[SystemConfig] = None
                          ) -> Dict[Tuple[str, str, int], AttackOutcome]:
     """Run every cross-core attack for each mode × seed.
 
-    Returns ``{(attack name, mode value, seed): outcome}``; the harness is
+    Returns ``{(attack name, scheme name, seed): outcome}``; the harness is
     fully deterministic, so repeated invocations produce identical maps.
     """
     outcomes: Dict[Tuple[str, str, int], AttackOutcome] = {}
@@ -215,13 +213,12 @@ def run_cross_core_suite(modes: Sequence[SchemeLike],
                 attack = attack_cls(mode=mode, num_cores=num_cores,
                                     seed=seed, config=config)
                 outcome = attack.run()
-                outcomes[(attack.name, scheme_name(mode),
-                          seed)] = outcome
+                outcomes[(attack.name, mode, seed)] = outcome
     return outcomes
 
 
-def run_cross_scheme_matrix(victim_modes: Sequence[SchemeLike],
-                            attacker_modes: Sequence[SchemeLike],
+def run_cross_scheme_matrix(victim_modes: Sequence[str],
+                            attacker_modes: Sequence[str],
                             seeds: Sequence[int] = (0,),
                             num_cores: int = 2,
                             config: Optional[SystemConfig] = None
@@ -247,7 +244,6 @@ def run_cross_scheme_matrix(victim_modes: Sequence[SchemeLike],
                                         num_cores=num_cores, seed=seed,
                                         config=config)
                     outcome = attack.run()
-                    outcomes[(attack.name, scheme_name(victim_mode),
-                              scheme_name(attacker_mode),
+                    outcomes[(attack.name, victim_mode, attacker_mode,
                               seed)] = outcome
     return outcomes

@@ -26,8 +26,7 @@ from repro.attacks.framework import (
     classify_probe,
     VICTIM_SECRET_ADDRESS,
 )
-from repro.common.params import (SchemeLike,
-                                 SystemConfig, scheme_name)
+from repro.common.params import SystemConfig
 
 
 class FilterCacheCoherencyAttack:
@@ -35,7 +34,7 @@ class FilterCacheCoherencyAttack:
 
     name = "filter-cache-coherency"
 
-    def __init__(self, mode: SchemeLike = "muontrap",
+    def __init__(self, mode: str = "muontrap",
                  secret: int = 1, num_secret_values: int = 4,
                  config: Optional[SystemConfig] = None) -> None:
         self.environment = AttackEnvironment(
@@ -69,7 +68,7 @@ class FilterCacheCoherencyAttack:
         recovered, margin = classify_probe(latencies)
         # Timing invariance: if every probe takes the same time the channel
         # carries nothing and recovered is None.
-        return AttackOutcome(name=self.name, mode=scheme_name(self.mode),
+        return AttackOutcome(name=self.name, mode=self.mode,
                              actual_secret=secret,
                              recovered_secret=recovered,
                              probe_latencies=latencies,

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.params import (SchemeLike, SystemConfig,
-                                 scheme_name)
+from repro.common.params import SystemConfig
 from repro.cpu.instructions import MicroOp, OpKind, WrongPathAccess
 from repro.cpu.interface import MemorySystem
 from repro.memory.page_table import PageTableManager
@@ -76,7 +75,7 @@ class AttackEnvironment:
     """A memory system plus the attacker/victim processes and shared pages."""
 
     def __init__(self, config: Optional[SystemConfig] = None,
-                 mode: SchemeLike = "unprotected",
+                 mode: str = "unprotected",
                  num_cores: int = 1, secret: int = 3,
                  num_secret_values: int = 8,
                  shared_writable: bool = True,
@@ -244,11 +243,11 @@ class CrossCoreAttackEnvironment:
     _SYNC_REG = 60
     _DEST_REG = 61
 
-    def __init__(self, mode: SchemeLike = "unprotected",
+    def __init__(self, mode: str = "unprotected",
                  num_cores: int = 2, secret: int = 3,
                  num_secret_values: int = 8, seed: int = 0,
                  config: Optional[SystemConfig] = None,
-                 core_modes: Optional[Sequence[SchemeLike]] = None
+                 core_modes: Optional[Sequence[str]] = None
                  ) -> None:
         base = config or SystemConfig()
         if core_modes is not None:
@@ -270,7 +269,6 @@ class CrossCoreAttackEnvironment:
                 raise ValueError(
                     "a cross-core attack needs at least two cores")
             self.config = base.with_mode(mode).with_cores(num_cores)
-        self.core_modes = self.config.core_modes
         self.mode = mode
         self.secret = secret % num_secret_values
         self.num_secret_values = num_secret_values
@@ -433,11 +431,11 @@ def classify_probe(latencies: Dict[int, int]) -> Tuple[Optional[int], int]:
     return ordered[0][0], margin
 
 
-def run_attack_for_modes(attack_factory, modes: Sequence[SchemeLike],
+def run_attack_for_modes(attack_factory, modes: Sequence[str],
                          **kwargs) -> Dict[str, AttackOutcome]:
     """Run one attack against several protection modes (experiment helper)."""
     outcomes: Dict[str, AttackOutcome] = {}
     for mode in modes:
         attack = attack_factory(mode=mode, **kwargs)
-        outcomes[scheme_name(mode)] = attack.run()
+        outcomes[mode] = attack.run()
     return outcomes

@@ -24,8 +24,7 @@ from repro.attacks.framework import (
     classify_probe,
     VICTIM_SECRET_ADDRESS,
 )
-from repro.common.params import (SchemeLike,
-                                 SystemConfig, scheme_name)
+from repro.common.params import SystemConfig
 
 
 class InclusionPolicyAttack:
@@ -33,7 +32,7 @@ class InclusionPolicyAttack:
 
     name = "inclusion-policy"
 
-    def __init__(self, mode: SchemeLike = "unprotected",
+    def __init__(self, mode: str = "unprotected",
                  secret: int = 5, num_secret_values: int = 8,
                  config: Optional[SystemConfig] = None) -> None:
         base = config or SystemConfig()
@@ -90,7 +89,7 @@ class InclusionPolicyAttack:
         inverted = {value: -latency for value, latency in
                     slow_per_value.items()}
         recovered, _ = classify_probe(inverted)
-        return AttackOutcome(name=self.name, mode=scheme_name(self.mode),
+        return AttackOutcome(name=self.name, mode=self.mode,
                              actual_secret=secret,
                              recovered_secret=recovered,
                              probe_latencies=slow_per_value)

@@ -20,8 +20,7 @@ from repro.attacks.framework import (
     classify_probe,
     VICTIM_SECRET_ADDRESS,
 )
-from repro.common.params import (SchemeLike,
-                                 SystemConfig, scheme_name)
+from repro.common.params import SystemConfig
 
 
 class InstructionCacheAttack:
@@ -29,7 +28,7 @@ class InstructionCacheAttack:
 
     name = "instruction-cache"
 
-    def __init__(self, mode: SchemeLike = "unprotected",
+    def __init__(self, mode: str = "unprotected",
                  secret: int = 4, num_secret_values: int = 8,
                  config: Optional[SystemConfig] = None) -> None:
         self.environment = AttackEnvironment(
@@ -63,7 +62,7 @@ class InstructionCacheAttack:
             latencies[value] = env.attacker_fetch(self._gadget_address(value))
 
         recovered, _ = classify_probe(latencies)
-        return AttackOutcome(name=self.name, mode=scheme_name(self.mode),
+        return AttackOutcome(name=self.name, mode=self.mode,
                              actual_secret=secret,
                              recovered_secret=recovered,
                              probe_latencies=latencies)

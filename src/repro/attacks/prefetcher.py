@@ -22,8 +22,7 @@ from repro.attacks.framework import (
     LINE_SIZE,
     VICTIM_SECRET_ADDRESS,
 )
-from repro.common.params import (SchemeLike,
-                                 SystemConfig, scheme_name)
+from repro.common.params import SystemConfig
 
 
 class PrefetcherAttack:
@@ -40,7 +39,7 @@ class PrefetcherAttack:
     #: covering where the stream prefetcher runs ahead of the last access.
     PROBE_WINDOW = range(TRAIN_LENGTH, TRAIN_LENGTH + 10)
 
-    def __init__(self, mode: SchemeLike = "unprotected",
+    def __init__(self, mode: str = "unprotected",
                  secret: int = 2, num_secret_values: int = 4,
                  config: Optional[SystemConfig] = None) -> None:
         # Each candidate value gets its own 4 KiB region of the shared
@@ -82,7 +81,7 @@ class PrefetcherAttack:
             latencies[value] = fastest
 
         recovered, _ = classify_probe(latencies)
-        return AttackOutcome(name=self.name, mode=scheme_name(self.mode),
+        return AttackOutcome(name=self.name, mode=self.mode,
                              actual_secret=secret,
                              recovered_secret=recovered,
                              probe_latencies=latencies)

@@ -25,8 +25,7 @@ from repro.attacks.framework import (
     classify_probe,
     VICTIM_SECRET_ADDRESS,
 )
-from repro.common.params import (SchemeLike,
-                                 SystemConfig, scheme_name)
+from repro.common.params import SystemConfig
 
 
 class SharedDataCoherenceAttack:
@@ -34,7 +33,7 @@ class SharedDataCoherenceAttack:
 
     name = "shared-data-coherence"
 
-    def __init__(self, mode: SchemeLike = "unprotected",
+    def __init__(self, mode: str = "unprotected",
                  secret: int = 2, num_secret_values: int = 4,
                  config: Optional[SystemConfig] = None) -> None:
         self.environment = AttackEnvironment(
@@ -74,7 +73,7 @@ class SharedDataCoherenceAttack:
 
         inverted = {value: -latency for value, latency in latencies.items()}
         recovered, _ = classify_probe(inverted)
-        return AttackOutcome(name=self.name, mode=scheme_name(self.mode),
+        return AttackOutcome(name=self.name, mode=self.mode,
                              actual_secret=secret,
                              recovered_secret=recovered,
                              probe_latencies=latencies)

@@ -23,8 +23,7 @@ from repro.attacks.framework import (
     classify_probe,
     VICTIM_SECRET_ADDRESS,
 )
-from repro.common.params import (SchemeLike,
-                                 SystemConfig, scheme_name)
+from repro.common.params import SystemConfig
 
 
 class SpectrePrimeProbeAttack:
@@ -32,7 +31,7 @@ class SpectrePrimeProbeAttack:
 
     name = "spectre-prime-probe"
 
-    def __init__(self, mode: SchemeLike = "unprotected",
+    def __init__(self, mode: str = "unprotected",
                  secret: int = 3, num_secret_values: int = 8,
                  config: Optional[SystemConfig] = None) -> None:
         self.environment = AttackEnvironment(
@@ -63,7 +62,7 @@ class SpectrePrimeProbeAttack:
             latencies[value] = env.attacker_load(env.probe_address(value))
 
         recovered, _ = classify_probe(latencies)
-        return AttackOutcome(name=self.name, mode=scheme_name(self.mode),
+        return AttackOutcome(name=self.name, mode=self.mode,
                              actual_secret=secret,
                              recovered_secret=recovered,
                              probe_latencies=latencies)

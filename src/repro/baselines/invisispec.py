@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.caches.hierarchy import NonSpeculativeHierarchy
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
 from repro.core.domains import DomainTracker
@@ -85,11 +85,6 @@ class InvisiSpecMemorySystem(MemorySystem):
                 core_id=core_id, stats=core_stats.child("domains"))
         self._speculative_loads = stats.counter("speculative_buffer_fills")
         self._validations = stats.counter("validation_accesses")
-
-    @property
-    def mode(self) -> ProtectionMode:
-        return (ProtectionMode.INVISISPEC_FUTURE if self.future_variant
-                else ProtectionMode.INVISISPEC_SPECTRE)
 
     def domains(self, core_id: int) -> DomainTracker:
         return self._domains[core_id]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.baselines.unprotected import UnprotectedMemorySystem
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
 from repro.memory.page_table import PageTableManager
@@ -52,11 +52,6 @@ class STTMemorySystem(UnprotectedMemorySystem):
         self._delayed_forwards = stats.counter(
             "delayed_forwards",
             "dependent transmit instructions held back by taint")
-
-    @property
-    def mode(self) -> ProtectionMode:
-        return (ProtectionMode.STT_FUTURE if self.future_variant
-                else ProtectionMode.STT_SPECTRE)
 
     def record_delayed_forward(self) -> None:
         """Called by the core each time taint stalls a dependent instruction."""

@@ -18,16 +18,12 @@ from repro.common.params import (
     MemoryConfig,
     PipelineConfig,
     ProtectionConfig,
-    ProtectionMode,
     SystemConfig,
     TLBConfig,
     big_core,
     biglittle_system_config,
-    default_system_config,
     heterogeneous_corun_config,
     little_core,
-    parsec_system_config,
-    spec_system_config,
 )
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import Counter, Histogram, StatGroup, geometric_mean, ratio
@@ -44,7 +40,6 @@ __all__ = [
     "MemoryConfig",
     "PipelineConfig",
     "ProtectionConfig",
-    "ProtectionMode",
     "StatGroup",
     "SystemConfig",
     "TLBConfig",
@@ -53,15 +48,12 @@ __all__ = [
     "block_align",
     "block_number",
     "block_offset",
-    "default_system_config",
     "heterogeneous_corun_config",
     "little_core",
     "geometric_mean",
     "page_align",
     "page_number",
     "page_offset",
-    "parsec_system_config",
     "ratio",
     "set_index",
-    "spec_system_config",
 ]

@@ -41,9 +41,7 @@ from repro.common.params import (
     MemoryConfig,
     PipelineConfig,
     ProtectionConfig,
-    ProtectionMode,
     SystemConfig,
-    scheme_name,
 )
 
 #: Bump on incompatible field changes; :func:`config_from_dict` rejects
@@ -89,8 +87,6 @@ def _encode(value: Any) -> Any:
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: _encode(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
-    if isinstance(value, ProtectionMode):
-        return value.value
     if isinstance(value, tuple):
         return [_encode(item) for item in value]
     return value
@@ -158,16 +154,7 @@ def _decode(value: Any, hint: Any, context: str) -> Any:
             if type(None) in args:
                 return None
             raise MachineFormatError(f"{context}: null is not allowed")
-        # The one non-Optional union in the schema is SchemeLike
-        # (ProtectionMode | str): scheme names stay strings here and the
-        # config's own __post_init__ normalises builtin names to the enum.
         members = [arg for arg in args if arg is not type(None)]
-        if ProtectionMode in members:
-            if not isinstance(value, str):
-                raise MachineFormatError(
-                    f"{context}: protection scheme must be a name string, "
-                    f"got {type(value).__name__}")
-            return value
         if len(members) == 1:
             return _decode(value, members[0], context)
         raise MachineFormatError(  # pragma: no cover - no such field today
@@ -181,8 +168,6 @@ def _decode(value: Any, hint: Any, context: str) -> Any:
                      for index, item in enumerate(value))
     if dataclasses.is_dataclass(hint):
         return _decode_dataclass(hint, value, context)
-    if hint is ProtectionMode:  # pragma: no cover - covered by the union
-        return value
     return value
 
 

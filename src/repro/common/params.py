@@ -9,71 +9,15 @@ shared 2 MiB L2 with a stride prefetcher, and DDR3-1600 main memory.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
-class ProtectionMode(enum.Enum):
-    """The built-in protection schemes, as a (deprecated) enum.
-
-    Scheme identity is a *name* resolved through the registry in
-    :mod:`repro.schemes`; this enum survives as a thin alias for the seven
-    built-in names so existing code (and configs pickled by older
-    versions) keeps working.  New code should pass scheme name strings —
-    every ``mode`` field and ``with_mode`` helper accepts them — and query
-    capabilities via :func:`repro.schemes.get_scheme` rather than these
-    properties.
-    """
-
-    UNPROTECTED = "unprotected"
-    INSECURE_L0 = "insecure-l0"
-    MUONTRAP = "muontrap"
-    INVISISPEC_SPECTRE = "invisispec-spectre"
-    INVISISPEC_FUTURE = "invisispec-future"
-    STT_SPECTRE = "stt-spectre"
-    STT_FUTURE = "stt-future"
-
-    @property
-    def is_invisispec(self) -> bool:
-        """Deprecated: resolves through the scheme registry."""
-        from repro.schemes import get_scheme
-        return get_scheme(self).uses_speculative_buffers
-
-    @property
-    def is_stt(self) -> bool:
-        """Deprecated: resolves through the scheme registry."""
-        from repro.schemes import get_scheme
-        return get_scheme(self).delays_transmitters
-
-    @property
-    def uses_filter_cache(self) -> bool:
-        """Deprecated: resolves through the scheme registry."""
-        from repro.schemes import get_scheme
-        return get_scheme(self).supports_filter_caches
-
-
-#: A protection scheme reference: a registry name, or (for the builtins)
-#: the deprecated enum member.  Configs normalise builtin names to the
-#: enum, so equality and hashing are unaffected by which form callers use.
-SchemeLike = Union[str, ProtectionMode]
-
-
-def scheme_name(mode: SchemeLike) -> str:
-    """The canonical registry name of a scheme reference."""
-    if isinstance(mode, ProtectionMode):
-        return mode.value
-    return str(mode)
-
-
-def _normalise_mode(mode: SchemeLike) -> SchemeLike:
-    """Builtin names become enum members; custom names stay strings."""
-    if isinstance(mode, ProtectionMode):
-        return mode
-    try:
-        return ProtectionMode(mode)
-    except ValueError:
-        return str(mode)
+def _require_name_string(mode: object) -> None:
+    """Scheme identity is a registry name (see :mod:`repro.schemes`)."""
+    if not isinstance(mode, str):
+        raise TypeError(f"mode must be a protection scheme name string, "
+                        f"got {type(mode).__name__}")
 
 
 @dataclass(frozen=True)
@@ -277,7 +221,7 @@ class CoreConfig:
     protection).
     """
 
-    mode: SchemeLike = ProtectionMode.MUONTRAP
+    mode: str = "muontrap"
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     l1i: CacheConfig = field(default_factory=_default_l1i)
     l1d: CacheConfig = field(default_factory=_default_l1d)
@@ -288,19 +232,14 @@ class CoreConfig:
     protection: ProtectionConfig = field(default_factory=ProtectionConfig)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", _normalise_mode(self.mode))
+        _require_name_string(self.mode)
         if self.l1d.line_size != self.l1i.line_size:
             raise ValueError("a core's L1 line sizes must match")
         if (self.private_l2 is not None
                 and self.private_l2.line_size != self.l1d.line_size):
             raise ValueError("private L2 line size must match the core's L1s")
 
-    @property
-    def scheme(self) -> str:
-        """The core's protection-scheme name (registry key)."""
-        return scheme_name(self.mode)
-
-    def with_mode(self, mode: SchemeLike) -> "CoreConfig":
+    def with_mode(self, mode: str) -> "CoreConfig":
         return replace(self, mode=mode)
 
     def with_protection(self, protection: ProtectionConfig) -> "CoreConfig":
@@ -329,7 +268,7 @@ LITTLE_PIPELINE = PipelineConfig(
     mispredict_penalty=8, frequency_ghz=1.2)
 
 
-def big_core(mode: SchemeLike = ProtectionMode.MUONTRAP,
+def big_core(mode: str = "muontrap",
              private_l2: Optional[CacheConfig] = None,
              protection: Optional[ProtectionConfig] = None) -> CoreConfig:
     """A Table 1 big core, under the requested protection scheme."""
@@ -337,7 +276,7 @@ def big_core(mode: SchemeLike = ProtectionMode.MUONTRAP,
                       protection=protection or ProtectionConfig())
 
 
-def little_core(mode: SchemeLike = ProtectionMode.MUONTRAP,
+def little_core(mode: str = "muontrap",
                 private_l2: Optional[CacheConfig] = None,
                 protection: Optional[ProtectionConfig] = None) -> CoreConfig:
     """A LITTLE core: 2-wide pipeline, halved L1s, same filter geometry."""
@@ -365,7 +304,7 @@ class SystemConfig:
     is bit-identical to not passing one at all.
     """
 
-    mode: SchemeLike = ProtectionMode.MUONTRAP
+    mode: str = "muontrap"
     num_cores: int = 1
     core: PipelineConfig = field(default_factory=PipelineConfig)
     l1i: CacheConfig = field(default_factory=_default_l1i)
@@ -392,7 +331,7 @@ class SystemConfig:
     cores: Optional[Tuple[CoreConfig, ...]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", _normalise_mode(self.mode))
+        _require_name_string(self.mode)
         if self.num_cores < 1:
             raise ValueError("need at least one core")
         if self.l1d.line_size != self.l2.line_size:
@@ -455,13 +394,9 @@ class SystemConfig:
         return replace(self, cores=tuple(self.core_configs()))
 
     @property
-    def core_modes(self) -> Tuple[SchemeLike, ...]:
-        return tuple(core.mode for core in self.core_configs())
-
-    @property
     def core_schemes(self) -> Tuple[str, ...]:
         """Per-core protection-scheme names (registry keys)."""
-        return tuple(core.scheme for core in self.core_configs())
+        return tuple(core.mode for core in self.core_configs())
 
     @property
     def is_scheme_heterogeneous(self) -> bool:
@@ -495,7 +430,7 @@ class SystemConfig:
             cores = tuple(replace(core, **per_core) for core in cores)
         return replace(self, cores=cores, **fields)
 
-    def with_mode(self, mode: SchemeLike) -> "SystemConfig":
+    def with_mode(self, mode: str) -> "SystemConfig":
         return self._override(mode=mode)
 
     def with_protection(self, protection: ProtectionConfig) -> "SystemConfig":
@@ -543,30 +478,13 @@ class SystemConfig:
         return config_from_dict(payload, cls)
 
 
-def default_system_config(mode: SchemeLike = ProtectionMode.MUONTRAP,
-                          num_cores: int = 1) -> SystemConfig:
-    """The Table 1 system, in the requested protection mode."""
-    return SystemConfig(mode=mode, num_cores=num_cores)
-
-
-def spec_system_config(mode: SchemeLike = ProtectionMode.MUONTRAP) -> SystemConfig:
-    """Single-core system used for SPEC CPU2006 experiments."""
-    return default_system_config(mode=mode, num_cores=1)
-
-
-def parsec_system_config(mode: SchemeLike = ProtectionMode.MUONTRAP,
-                         num_cores: int = 4) -> SystemConfig:
-    """Four-core system used for Parsec experiments."""
-    return default_system_config(mode=mode, num_cores=num_cores)
-
-
 #: Default geometry of the optional private per-core L2 used by co-run
 #: systems: 256 KiB 8-way, mid-way between the L1s and the shared LLC.
 DEFAULT_PRIVATE_L2 = CacheConfig(name="l2p", size_bytes=256 * 1024,
                                  associativity=8, hit_latency=10, mshrs=8)
 
 
-def corun_system_config(mode: SchemeLike = ProtectionMode.MUONTRAP,
+def corun_system_config(mode: str = "muontrap",
                         num_cores: int = 2,
                         private_l2: bool = True) -> SystemConfig:
     """A multi-programmed co-run system: one private hierarchy per core.
@@ -576,7 +494,7 @@ def corun_system_config(mode: SchemeLike = ProtectionMode.MUONTRAP,
     base configuration then acts as the LLC behind the coherence bus and
     snoop filter.
     """
-    config = default_system_config(mode=mode, num_cores=num_cores)
+    config = SystemConfig(mode=mode, num_cores=num_cores)
     if private_l2:
         config = config.with_private_l2(DEFAULT_PRIVATE_L2)
     return config
@@ -588,7 +506,7 @@ LITTLE_PRIVATE_L2 = CacheConfig(name="l2p", size_bytes=128 * 1024,
                                 associativity=8, hit_latency=8, mshrs=4)
 
 
-def heterogeneous_corun_config(modes: Sequence[SchemeLike],
+def heterogeneous_corun_config(modes: Sequence[str],
                                private_l2: bool = True) -> SystemConfig:
     """A co-run machine of identical big cores under *per-core* schemes.
 
@@ -607,8 +525,8 @@ def heterogeneous_corun_config(modes: Sequence[SchemeLike],
 
 
 def biglittle_system_config(
-        big_modes: Sequence[SchemeLike],
-        little_modes: Sequence[SchemeLike]) -> SystemConfig:
+        big_modes: Sequence[str],
+        little_modes: Sequence[str]) -> SystemConfig:
     """A big.LITTLE machine: Table 1 big cores beside 2-wide LITTLE cores.
 
     Each big core owns the default 256 KiB private L2, each LITTLE core a
@@ -619,5 +537,5 @@ def biglittle_system_config(
               for mode in big_modes]
              + [little_core(mode=mode, private_l2=LITTLE_PRIVATE_L2)
                 for mode in little_modes])
-    base = default_system_config(mode=cores[0].mode, num_cores=len(cores))
+    base = SystemConfig(mode=cores[0].mode, num_cores=len(cores))
     return base.with_core_configs(cores)

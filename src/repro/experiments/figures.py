@@ -4,26 +4,28 @@ Each ``figure*`` function runs the simulations behind the corresponding
 exhibit and returns a :class:`FigureResult`: the per-benchmark series the
 figure plots plus the headline aggregate the text quotes.  The number of
 instructions per workload (and therefore the runtime) is controlled by the
-``REPRO_INSTRUCTIONS`` environment variable through
-:class:`~repro.sim.runner.ExperimentRunner`.
+``REPRO_INSTRUCTIONS`` environment variable.
 
-The functions are deliberately small wrappers over the experiment runner so
-they can be called both from the pytest-benchmark harness (one benchmark per
-figure) and from the examples / EXPERIMENTS.md generator.  Execution routes
-through the campaign layer (:mod:`repro.harness.campaign`): pass a runner
-built with ``jobs`` / ``store`` (or set ``REPRO_JOBS``) and the figure's run
-matrix executes on a worker pool with results persisted across invocations.
+The functions are deliberately small wrappers over
+:func:`repro.api.build_comparison`, so they can be called both from the
+pytest-benchmark harness (one benchmark per figure) and from the examples.
+Every keyword option (``instructions``, ``seed``, ``store``, ``jobs``,
+``cache``) is passed straight to it: ``jobs`` (or ``REPRO_JOBS``) sets the
+worker pool, ``store`` persists results across invocations and a shared
+``cache`` dict lets several figures reuse each other's cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from repro import api
+from repro.common.params import SystemConfig
 from repro.common.statistics import geometric_mean
+from repro.harness.campaign import DEFAULT_SEED
 from repro.harness.report import Report
 from repro.sim.runner import (
-    ExperimentRunner,
     cumulative_protection_configs,
     standard_modes,
     unprotected_config,
@@ -81,100 +83,82 @@ class FigureResult:
         return self.to_report().to_csv()
 
 
-def _run_mode_comparison(runner: ExperimentRunner, benchmarks: Sequence[str],
-                         num_cores: int, figure: str,
-                         description: str) -> FigureResult:
-    configs = standard_modes(num_cores=num_cores)
-    baseline = unprotected_config(num_cores=num_cores)
-    series = runner.normalised_series(benchmarks, configs, baseline)
+def _normalised_figure(figure: str, description: str,
+                       benchmarks: Sequence[str],
+                       configs: Mapping[str, SystemConfig], num_cores: int,
+                       options: Dict[str, Any]) -> FigureResult:
+    """Run ``configs`` over ``benchmarks`` against the unprotected machine."""
+    campaign = api.build_comparison(
+        configs, list(benchmarks),
+        baseline=unprotected_config(num_cores=num_cores), **options)
     result = FigureResult(figure=figure, description=description,
                           benchmarks=list(benchmarks),
-                          series={label: dict(s.values)
-                                  for label, s in series.items()})
+                          series=campaign.run().normalised())
     result.compute_geomeans()
     return result
 
 
-def figure3(runner: Optional[ExperimentRunner] = None,
-            benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def figure3(benchmarks: Optional[Sequence[str]] = None,
+            **options: Any) -> FigureResult:
     """Figure 3: SPEC CPU2006 normalised execution time for all five schemes."""
-    runner = runner or ExperimentRunner()
-    benchmarks = list(benchmarks or spec_benchmarks())
-    return _run_mode_comparison(
-        runner, benchmarks, num_cores=1, figure="figure3",
-        description="Normalised execution time, SPEC CPU2006: MuonTrap vs "
-                    "InvisiSpec and STT (lower is better)")
+    return _normalised_figure(
+        "figure3", "Normalised execution time, SPEC CPU2006: MuonTrap vs "
+                   "InvisiSpec and STT (lower is better)",
+        benchmarks or spec_benchmarks(), standard_modes(num_cores=1),
+        num_cores=1, options=options)
 
 
-def figure4(runner: Optional[ExperimentRunner] = None,
-            benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def figure4(benchmarks: Optional[Sequence[str]] = None,
+            **options: Any) -> FigureResult:
     """Figure 4: Parsec (4 threads) normalised execution time."""
-    runner = runner or ExperimentRunner()
-    benchmarks = list(benchmarks or parsec_benchmarks())
-    return _run_mode_comparison(
-        runner, benchmarks, num_cores=4, figure="figure4",
-        description="Normalised execution time, Parsec with 4 threads: "
-                    "MuonTrap vs InvisiSpec and STT (lower is better)")
+    return _normalised_figure(
+        "figure4", "Normalised execution time, Parsec with 4 threads: "
+                   "MuonTrap vs InvisiSpec and STT (lower is better)",
+        benchmarks or parsec_benchmarks(), standard_modes(num_cores=4),
+        num_cores=4, options=options)
 
 
-def figure5(runner: Optional[ExperimentRunner] = None,
-            sizes: Optional[Sequence[int]] = None,
-            benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def figure5(sizes: Optional[Sequence[int]] = None,
+            benchmarks: Optional[Sequence[str]] = None,
+            **options: Any) -> FigureResult:
     """Figure 5: fully associative filter-cache size sweep on Parsec."""
-    runner = runner or ExperimentRunner()
-    sizes = list(sizes or DEFAULT_SIZE_SWEEP)
-    benchmarks = list(benchmarks or parsec_benchmarks())
     configs = {f"{size}B": config for size, config in
-               filter_cache_size_configs(sizes, num_cores=4).items()}
-    baseline = unprotected_config(num_cores=4)
-    series = runner.normalised_series(benchmarks, configs, baseline)
-    result = FigureResult(
-        figure="figure5",
-        description="Normalised execution time with a fully associative "
-                    "data filter cache of varying size, Parsec",
-        benchmarks=benchmarks,
-        series={label: dict(s.values) for label, s in series.items()})
-    result.compute_geomeans()
-    return result
+               filter_cache_size_configs(list(sizes or DEFAULT_SIZE_SWEEP),
+                                         num_cores=4).items()}
+    return _normalised_figure(
+        "figure5", "Normalised execution time with a fully associative "
+                   "data filter cache of varying size, Parsec",
+        benchmarks or parsec_benchmarks(), configs, num_cores=4,
+        options=options)
 
 
-def figure6(runner: Optional[ExperimentRunner] = None,
-            associativities: Optional[Sequence[int]] = None,
-            benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def figure6(associativities: Optional[Sequence[int]] = None,
+            benchmarks: Optional[Sequence[str]] = None,
+            **options: Any) -> FigureResult:
     """Figure 6: associativity sweep of the 2 KiB filter cache on Parsec."""
-    runner = runner or ExperimentRunner()
-    associativities = list(associativities or DEFAULT_ASSOCIATIVITY_SWEEP)
-    benchmarks = list(benchmarks or parsec_benchmarks())
     configs = {f"{ways}-way": config for ways, config in
                filter_cache_associativity_configs(
-                   associativities, num_cores=4).items()}
-    baseline = unprotected_config(num_cores=4)
-    series = runner.normalised_series(benchmarks, configs, baseline)
-    result = FigureResult(
-        figure="figure6",
-        description="Normalised execution time when varying the "
-                    "associativity of a 2 KiB filter cache, Parsec",
-        benchmarks=benchmarks,
-        series={label: dict(s.values) for label, s in series.items()})
-    result.compute_geomeans()
-    return result
+                   list(associativities or DEFAULT_ASSOCIATIVITY_SWEEP),
+                   num_cores=4).items()}
+    return _normalised_figure(
+        "figure6", "Normalised execution time when varying the "
+                   "associativity of a 2 KiB filter cache, Parsec",
+        benchmarks or parsec_benchmarks(), configs, num_cores=4,
+        options=options)
 
 
-def figure7(runner: Optional[ExperimentRunner] = None,
-            benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def figure7(benchmarks: Optional[Sequence[str]] = None,
+            **options: Any) -> FigureResult:
     """Figure 7: proportion of writes triggering filter-cache invalidates."""
-    from repro import api
-    runner = runner or ExperimentRunner()
     benchmarks = list(benchmarks or spec_benchmarks())
+    outcome = api.build_comparison(
+        ["muontrap"], benchmarks, baseline=None, warmup_fraction=0.0,
+        collect_stats=True, **options).run()
     rates: Dict[str, float] = {}
     for benchmark in benchmarks:
-        outcome = api.simulate(
-            benchmark, "muontrap", seed=runner.seed,
-            instructions=runner.instructions, warmup_fraction=0.0,
-            collect_stats=True, store=runner.store)
-        stores = outcome.stats.get(
-            "system.memory_system.committed_stores", 0)
-        broadcasts = outcome.stats.get(
+        stats = outcome.result(benchmark, outcome.labels[0]).stats
+        stores = stats.get("system.memory_system.committed_stores", 0)
+        broadcasts = stats.get(
             "system.memory_system.store_filter_broadcasts", 0)
         rates[benchmark] = broadcasts / stores if stores else 0.0
     result = FigureResult(
@@ -189,49 +173,34 @@ def figure7(runner: Optional[ExperimentRunner] = None,
     return result
 
 
-def figure8(runner: Optional[ExperimentRunner] = None,
-            benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def figure8(benchmarks: Optional[Sequence[str]] = None,
+            **options: Any) -> FigureResult:
     """Figure 8: cumulative protection mechanisms on Parsec."""
-    runner = runner or ExperimentRunner()
-    benchmarks = list(benchmarks or parsec_benchmarks())
-    configs = cumulative_protection_configs(num_cores=4,
-                                            include_parallel_l1=False)
-    baseline = unprotected_config(num_cores=4)
-    series = runner.normalised_series(benchmarks, configs, baseline)
-    result = FigureResult(
-        figure="figure8",
-        description="Normalised execution time from cumulatively adding "
-                    "protection mechanisms, Parsec",
-        benchmarks=benchmarks,
-        series={label: dict(s.values) for label, s in series.items()})
-    result.compute_geomeans()
-    return result
+    return _normalised_figure(
+        "figure8", "Normalised execution time from cumulatively adding "
+                   "protection mechanisms, Parsec",
+        benchmarks or parsec_benchmarks(),
+        cumulative_protection_configs(num_cores=4,
+                                      include_parallel_l1=False),
+        num_cores=4, options=options)
 
 
-def figure9(runner: Optional[ExperimentRunner] = None,
-            benchmarks: Optional[Sequence[str]] = None) -> FigureResult:
+def figure9(benchmarks: Optional[Sequence[str]] = None,
+            **options: Any) -> FigureResult:
     """Figure 9: cumulative protection mechanisms on SPEC CPU2006."""
-    runner = runner or ExperimentRunner()
-    benchmarks = list(benchmarks or spec_benchmarks())
-    configs = cumulative_protection_configs(num_cores=1,
-                                            include_parallel_l1=True)
-    baseline = unprotected_config(num_cores=1)
-    series = runner.normalised_series(benchmarks, configs, baseline)
-    result = FigureResult(
-        figure="figure9",
-        description="Normalised execution time from cumulatively adding "
-                    "protection mechanisms, SPEC CPU2006",
-        benchmarks=benchmarks,
-        series={label: dict(s.values) for label, s in series.items()})
-    result.compute_geomeans()
-    return result
+    return _normalised_figure(
+        "figure9", "Normalised execution time from cumulatively adding "
+                   "protection mechanisms, SPEC CPU2006",
+        benchmarks or spec_benchmarks(),
+        cumulative_protection_configs(num_cores=1,
+                                      include_parallel_l1=True),
+        num_cores=1, options=options)
 
 
 def metrics_over_time(benchmark: str, scheme: str = "muontrap",
                       every: int = 1000, *,
-                      seed: Optional[int] = None,
-                      instructions: Optional[int] = None,
-                      runner: Optional[ExperimentRunner] = None):
+                      seed: int = DEFAULT_SEED,
+                      instructions: Optional[int] = None):
     """A benchmark's metrics sampled every N cycles, for over-time plots.
 
     Runs one instrumented simulation through :func:`repro.api.simulate`
@@ -246,12 +215,8 @@ def metrics_over_time(benchmark: str, scheme: str = "muontrap",
     The figures above plot end-of-run aggregates; this is the entry point
     for the time-resolved view of the same runs.
     """
-    from repro import api
-    runner = runner or ExperimentRunner()
     outcome = api.simulate(
-        benchmark, scheme, seed=runner.seed if seed is None else seed,
-        instructions=(runner.instructions if instructions is None
-                      else instructions),
+        benchmark, scheme, seed=seed, instructions=instructions,
         warmup_fraction=0.0, collect_stats=True, metrics_every=every)
     return outcome.timeseries
 

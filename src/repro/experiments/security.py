@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type
 
 from repro.attacks import ALL_ATTACKS, AttackOutcome
-from repro.common.params import SchemeLike, scheme_name
 
 
 @dataclass
@@ -23,8 +22,8 @@ class SecurityMatrix:
 
     outcomes: Dict[str, Dict[str, AttackOutcome]] = field(default_factory=dict)
 
-    def leaked(self, attack: str, mode: SchemeLike) -> bool:
-        return self.outcomes[attack][scheme_name(mode)].succeeded
+    def leaked(self, attack: str, mode: str) -> bool:
+        return self.outcomes[attack][mode].succeeded
 
     def rows(self) -> List[List[str]]:
         modes = sorted({mode for per_attack in self.outcomes.values()
@@ -55,13 +54,12 @@ class SecurityMatrix:
 
 
 def run_security_evaluation(
-        modes: Optional[Sequence[SchemeLike]] = None,
+        modes: Optional[Sequence[str]] = None,
         attacks: Optional[Sequence[Type]] = None) -> SecurityMatrix:
     """Run every attack against every requested protection scheme.
 
-    ``modes`` accepts registry scheme names (and the deprecated enum
-    members); the default pits the baseline that must leak against the
-    scheme that must not.
+    ``modes`` are registry scheme names; the default pits the baseline
+    that must leak against the scheme that must not.
     """
     modes = list(modes or ["unprotected", "muontrap"])
     attacks = list(attacks or ALL_ATTACKS)
@@ -69,6 +67,6 @@ def run_security_evaluation(
     for attack_cls in attacks:
         per_mode: Dict[str, AttackOutcome] = {}
         for mode in modes:
-            per_mode[scheme_name(mode)] = attack_cls(mode=mode).run()
+            per_mode[mode] = attack_cls(mode=mode).run()
         matrix.outcomes[attack_cls.name] = per_mode
     return matrix

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.common.params import SystemConfig, default_system_config
+from repro.common.params import SystemConfig
 
 
 def table1_rows(config: SystemConfig = None) -> List[List[str]]:
     """The Table 1 parameters as (section, parameter, value) rows."""
-    config = config or default_system_config()
+    config = config or SystemConfig()
     core = config.core
     bp = core.branch_predictor
     rows = [

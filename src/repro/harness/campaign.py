@@ -49,14 +49,15 @@ from repro.harness.faults import active_fault_plan
 from repro.harness.store import ResultStore, stable_key
 from repro.sim.runner import (
     DEFAULT_WARMUP_FRACTION,
-    NormalisedSeries,
     instructions_per_workload,
     parallel_jobs,
 )
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sim.system import build_system
 from repro.telemetry.log import get_logger, log_event
+from repro.telemetry.metrics import MetricsSampler
 from repro.telemetry.phases import phase
+from repro.telemetry.tracer import Tracer, tracing
 from repro.workloads.cache import (
     clear_shared_traces,
     materialize_shared_traces,
@@ -73,8 +74,8 @@ ProgressCallback = Callable[[int, int], None]
 
 def derive_seed(base_seed: int, replicate: int) -> int:
     """Seed of one replicate: stable, collision-free, and equal to the
-    base seed for replicate 0 so single-replicate campaigns reproduce the
-    historical :class:`~repro.sim.runner.ExperimentRunner` numbers."""
+    base seed for replicate 0 so a single-replicate campaign runs at
+    exactly the seed it was given."""
     if replicate == 0:
         return base_seed
     return (base_seed + 0x9E3779B1 * replicate) & 0x7FFFFFFF
@@ -103,7 +104,8 @@ class RunSpec:
                           self.collect_stats)
 
 
-def run_cell(spec: RunSpec) -> SimulationResult:
+def run_cell(spec: RunSpec, *, tracer: Optional[Tracer] = None,
+             sampler: Optional[MetricsSampler] = None) -> SimulationResult:
     """Execute one cell from scratch (pure function of the spec).
 
     Trace generation goes through the workload trace cache
@@ -114,6 +116,9 @@ def run_cell(spec: RunSpec) -> SimulationResult:
     is normally satisfied one tier earlier still: the fork-inherited
     shared registry the parent filled before the pool forked, making
     trace generation (and the packing below) a pure attach.
+
+    ``tracer`` and ``sampler`` instrument the run (:func:`repro.api.simulate`
+    passes them); neither changes the result.
     """
     with phase("trace-gen"):
         workload = generate_workload(spec.profile, spec.instructions,
@@ -126,9 +131,12 @@ def run_cell(spec: RunSpec) -> SimulationResult:
         system_config = spec.config.with_cores(max(spec.config.num_cores,
                                                    cores_needed))
         system = build_system(system_config, seed=spec.seed)
-        simulator = Simulator(system)
-        return simulator.run(workload, collect_stats=spec.collect_stats,
-                             warmup_fraction=spec.warmup_fraction)
+        if tracer is not None:
+            tracer.attach(system)
+        simulator = Simulator(system, sampler=sampler)
+        with tracing(tracer):
+            return simulator.run(workload, collect_stats=spec.collect_stats,
+                                 warmup_fraction=spec.warmup_fraction)
 
 
 @dataclass
@@ -469,11 +477,6 @@ class CampaignResult:
             series[label] = values
         return series
 
-    def normalised_series(self) -> Dict[str, NormalisedSeries]:
-        """The same data as :class:`~repro.sim.runner.NormalisedSeries`."""
-        return {label: NormalisedSeries(label=label, values=values)
-                for label, values in self.normalised().items()}
-
     def geomeans(self) -> Dict[str, float]:
         return {label: geometric_mean([v for v in values.values() if v > 0])
                 for label, values in self.normalised().items()}
@@ -582,8 +585,8 @@ class Campaign:
         self.max_retries = max_retries
         self.cell_timeout = cell_timeout
         self.executor = executor
-        # An external cache (e.g. an ExperimentRunner's) may be shared so
-        # several campaigns reuse each other's in-memory results.
+        # An external cache may be shared so several campaigns (the
+        # figures of one benchmark session) reuse each other's results.
         self._cache: Dict[str, SimulationResult] = \
             cache if cache is not None else {}
 

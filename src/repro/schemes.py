@@ -1,12 +1,9 @@
 """The protection-scheme registry.
 
-Historically, adding a protection scheme meant editing the
-:class:`~repro.common.params.ProtectionMode` enum *and* the dispatch
-if-chain in :func:`repro.sim.hetero.frontend_factory` *and* every module
-that compared ``ProtectionMode`` members to learn a scheme's capabilities.
-This module replaces all of that with data: a :class:`SchemeSpec` bundles
-a scheme's name, its memory-system factory and its capability flags, and
-the registry (:func:`register_scheme` / :func:`get_scheme` /
+A scheme is named by a plain string everywhere (``SystemConfig.mode``,
+machine files, the command line, HTTP payloads).  A :class:`SchemeSpec`
+bundles a scheme's name, its memory-system factory and its capability
+flags, and the registry (:func:`register_scheme` / :func:`get_scheme` /
 :func:`available_schemes`) is the single authoritative name -> scheme
 mapping the rest of the system dispatches through.
 
@@ -27,20 +24,15 @@ same way the builtins do::
 
 after which ``SystemConfig(mode="my-scheme")`` builds end-to-end through
 :func:`repro.api.simulate`, ``python -m repro run --mode my-scheme`` sweeps
-it, and ``python -m repro schemes`` lists it.  :class:`ProtectionMode` is
-kept as a thin, deprecated alias for the built-in names; its capability
-properties resolve through this registry.
+it, and ``python -m repro schemes`` lists it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
-from repro.common.params import ProtectionConfig, ProtectionMode, scheme_name
-
-#: Anything that names a scheme: a registry name or a ProtectionMode member.
-SchemeLike = Union[str, ProtectionMode]
+from repro.common.params import ProtectionConfig
 
 
 class UnknownSchemeError(ValueError):
@@ -54,9 +46,8 @@ class SchemeSpec:
     ``factory`` is called exactly like the built-in memory-system
     constructors: ``factory(config, page_tables=..., stats=..., rng=...,
     hierarchy=..., core_ids=...)`` and must return a
-    :class:`~repro.cpu.interface.MemorySystem`.  The capability flags
-    replace scattered ``ProtectionMode`` comparisons: consumers ask the
-    spec, not the enum.
+    :class:`~repro.cpu.interface.MemorySystem`.  Consumers learn what a
+    scheme does from the capability flags, never from its name.
     """
 
     name: str
@@ -171,32 +162,30 @@ def _register_builtin(spec: SchemeSpec) -> SchemeSpec:
     return spec
 
 
-def unregister_scheme(name: SchemeLike) -> None:
+def unregister_scheme(name: str) -> None:
     """Remove a user-registered scheme (builtins cannot be removed)."""
-    key = scheme_name(name)
-    spec = _REGISTRY.get(key)
+    spec = _REGISTRY.get(name)
     if spec is None:
         return
     if spec.builtin:
-        raise ValueError(f"cannot unregister built-in scheme {key!r}")
-    del _REGISTRY[key]
+        raise ValueError(f"cannot unregister built-in scheme {name!r}")
+    del _REGISTRY[name]
 
 
-def get_scheme(name: SchemeLike) -> SchemeSpec:
-    """Resolve a scheme name (or ProtectionMode member) to its spec."""
+def get_scheme(name: str) -> SchemeSpec:
+    """Resolve a scheme name to its spec."""
     _ensure_builtins()
-    key = scheme_name(name)
     try:
-        return _REGISTRY[key]
+        return _REGISTRY[name]
     except KeyError:
         raise UnknownSchemeError(
-            f"unknown protection scheme: {key!r} "
+            f"unknown protection scheme: {name!r} "
             f"(registered: {', '.join(scheme_names())})") from None
 
 
-def is_registered(name: SchemeLike) -> bool:
+def is_registered(name: str) -> bool:
     _ensure_builtins()
-    return scheme_name(name) in _REGISTRY
+    return name in _REGISTRY
 
 
 def available_schemes() -> List[SchemeSpec]:
@@ -223,7 +212,7 @@ def scheme_display_labels() -> Dict[str, str]:
     return {spec.name: spec.display_name for spec in available_schemes()}
 
 
-def scheme_config(name: SchemeLike, num_cores: int = 1):
+def scheme_config(name: str, num_cores: int = 1):
     """A default system configuration running one scheme on every core.
 
     Applies the scheme's ``default_protection`` tweaks when it declares
@@ -248,7 +237,6 @@ __all__ = [
     "register_scheme",
     "scheme_config",
     "scheme_display_labels",
-    "scheme_name",
     "scheme_names",
     "unregister_scheme",
 ]

@@ -81,7 +81,7 @@ def machines_payload() -> List[Dict[str, Any]]:
     for name in machine_names():
         config = get_machine(name)
         cores = [{
-            "scheme": core.scheme,
+            "scheme": core.mode,
             "width": core.pipeline.width,
             "l1d_kib": core.l1d.size_bytes // 1024,
             "insecure_scoped_invalidate":

@@ -26,28 +26,15 @@ neighbour's.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.caches.hierarchy import NonSpeculativeHierarchy
-from repro.common.params import SchemeLike, SystemConfig
+from repro.common.params import SystemConfig
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
 from repro.cpu.interface import MemoryAccessResult, MemorySystem
 from repro.memory.page_table import PageTableManager
 from repro.schemes import get_scheme
-
-
-def frontend_factory(mode: SchemeLike) -> Callable[..., MemorySystem]:
-    """The memory-system factory of one scheme.
-
-    A thin wrapper over the scheme registry (:mod:`repro.schemes`), kept
-    because every construction site historically dispatched through this
-    name.  Accepts scheme name strings and (deprecated)
-    :class:`~repro.common.params.ProtectionMode` members alike; raises
-    :class:`~repro.schemes.UnknownSchemeError` (a ``ValueError``) for
-    unregistered names.
-    """
-    return get_scheme(mode).factory
 
 
 class HeterogeneousMemorySystem(MemorySystem):
@@ -73,7 +60,7 @@ class HeterogeneousMemorySystem(MemorySystem):
         # hetero.muontrap.core0.data_filter..., hetero.unprotected.core1...
         by_scheme: Dict[str, List[int]] = {}
         for core_id in range(config.num_cores):
-            by_scheme.setdefault(config.core_config(core_id).scheme,
+            by_scheme.setdefault(config.core_config(core_id).mode,
                                  []).append(core_id)
         self._frontends: Dict[int, MemorySystem] = {}
         self.scheme_frontends: Dict[str, MemorySystem] = {}

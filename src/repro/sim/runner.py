@@ -1,31 +1,24 @@
-"""The experiment runner.
+"""Experiment settings shared by the campaign layer and the figures.
 
-Runs a benchmark under several protection modes (or several configurations
-of one mode) and reports normalised execution times relative to the
-unprotected baseline — the metric every performance figure in the paper
-uses.  The runner is deterministic: the same seed produces identical traces
-for every mode, so the comparison isolates the memory-system differences.
+Every performance figure in the paper reports execution time normalised
+to the unprotected baseline; this module holds what those comparisons
+share: the run-length and worker-count settings and the standard series
+of machines (the five schemes of Figures 3 and 4, the cumulative
+ablations of Figures 8 and 9).  The runs themselves go through
+:mod:`repro.api` and the campaign layer (:mod:`repro.harness.campaign`).
 
 The number of instructions per workload is configurable; the
 ``REPRO_INSTRUCTIONS`` environment variable overrides the default so the
 benchmark harness can be scaled to the available time budget, and
-``REPRO_JOBS`` sets the worker count used when runs execute through the
-campaign layer (:mod:`repro.harness.campaign`).
+``REPRO_JOBS`` sets the worker count of a campaign.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Optional
 
 from repro.common.params import ProtectionConfig, SystemConfig
-from repro.common.statistics import geometric_mean
-from repro.sim.simulator import SimulationResult
-from repro.workloads.profiles import WorkloadProfile, get_profile
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
-    from repro.harness.store import ResultStore
 
 DEFAULT_INSTRUCTIONS = 8000
 DEFAULT_WARMUP_FRACTION = 0.35
@@ -86,124 +79,6 @@ def parallel_jobs(default: Optional[int] = None) -> int:
     if default is not None:
         return max(1, default)
     return os.cpu_count() or 1
-
-
-@dataclass
-class BenchmarkRun:
-    """One benchmark executed under one system configuration."""
-
-    benchmark: str
-    mode_label: str
-    result: SimulationResult
-
-    @property
-    def cycles(self) -> int:
-        return self.result.cycles
-
-
-@dataclass
-class NormalisedSeries:
-    """Normalised execution times of one scheme over a set of benchmarks."""
-
-    label: str
-    values: Dict[str, float] = field(default_factory=dict)
-
-    def geomean(self) -> float:
-        return geometric_mean(list(self.values.values()))
-
-    def worst_case(self) -> float:
-        return max(self.values.values()) if self.values else 0.0
-
-    def best_case(self) -> float:
-        return min(self.values.values()) if self.values else 0.0
-
-
-class ExperimentRunner:
-    """Runs benchmark × configuration matrices and normalises the results.
-
-    Execution routes through the campaign layer
-    (:mod:`repro.harness.campaign`): results are cached in memory by a
-    stable content hash of their inputs, optionally persisted to a
-    :class:`~repro.harness.store.ResultStore`, and
-    :meth:`normalised_series` fans the run matrix out over a worker pool
-    when ``jobs`` (or ``REPRO_JOBS``) allows more than one worker.  The
-    results are identical whatever the worker count.
-    """
-
-    def __init__(self, instructions: Optional[int] = None,
-                 seed: int = 1234,
-                 warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-                 store: Optional["ResultStore"] = None,
-                 jobs: Optional[int] = None) -> None:
-        self.instructions = instructions_per_workload(instructions)
-        self.seed = seed
-        self.warmup_fraction = warmup_fraction
-        self.store = store
-        # Default to sequential unless REPRO_JOBS asks for a pool: single
-        # runs are not worth a fork, and tests stay single-process.
-        self.jobs = parallel_jobs(default=1) if jobs is None else max(1, jobs)
-        self._cache: Dict[str, SimulationResult] = {}
-
-    # -- single runs -----------------------------------------------------------
-    def run_benchmark(self, benchmark: str, config: SystemConfig,
-                      label: Optional[str] = None,
-                      collect_stats: bool = False) -> BenchmarkRun:
-        """Run one benchmark on one configuration (cached by content)."""
-        profile = get_profile(benchmark)
-        return self.run_profile(profile, config, label=label,
-                                collect_stats=collect_stats)
-
-    def _spec(self, profile: WorkloadProfile, config: SystemConfig,
-              label: str, collect_stats: bool):
-        from repro.harness.campaign import RunSpec
-        return RunSpec(profile=profile, label=label, config=config,
-                       instructions=self.instructions, seed=self.seed,
-                       warmup_fraction=self.warmup_fraction,
-                       collect_stats=collect_stats)
-
-    def run_profile(self, profile: WorkloadProfile, config: SystemConfig,
-                    label: Optional[str] = None,
-                    collect_stats: bool = False) -> BenchmarkRun:
-        # Single runs route through the public facade (repro.api), sharing
-        # this runner's in-memory cache and result store.
-        from repro import api
-        label = label or config.mode_label
-        outcome = api.simulate(
-            profile, config, seed=self.seed, instructions=self.instructions,
-            warmup_fraction=self.warmup_fraction,
-            collect_stats=collect_stats, label=label, store=self.store,
-            cache=self._cache)
-        return BenchmarkRun(benchmark=profile.name, mode_label=label,
-                            result=outcome.result)
-
-    # -- normalised comparisons ---------------------------------------------------
-    def normalised_series(self, benchmarks: Sequence[str],
-                          configs: Dict[str, SystemConfig],
-                          baseline_config: SystemConfig,
-                          baseline_label: str = "baseline"
-                          ) -> Dict[str, NormalisedSeries]:
-        """Run every benchmark under every configuration and normalise.
-
-        Returns one :class:`NormalisedSeries` per configuration label, with
-        values >1 meaning slower than the unprotected baseline (the paper's
-        convention: "normalised execution time, lower is better").  Times
-        are frequency-scaled (identical to raw cycle counts when every
-        core runs at the reference clock).  The matrix routes through the
-        public facade (:func:`repro.api.build_comparison`, the campaign
-        layer underneath), so independent cells run concurrently when
-        more than one job is configured.
-        """
-        from repro import api
-        campaign = api.build_comparison(
-            dict(configs), list(benchmarks), baseline=baseline_config,
-            baseline_label=baseline_label,
-            instructions=self.instructions, seed=self.seed,
-            warmup_fraction=self.warmup_fraction, store=self.store,
-            jobs=self.jobs, cache=self._cache)
-        return campaign.run().normalised_series()
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
 
 
 def standard_modes(num_cores: int = 1) -> Dict[str, SystemConfig]:

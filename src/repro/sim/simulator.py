@@ -159,12 +159,6 @@ class SimulationResult:
                 core_frequencies_ghz=[freq for _, _, _, freq in rows])
         return parts
 
-    def normalised_to(self, baseline: "SimulationResult") -> float:
-        """Execution time relative to a baseline run (the paper's metric)."""
-        if baseline.cycles == 0:
-            return 0.0
-        return self.cycles / baseline.cycles
-
 
 class Simulator:
     """Runs traces on the cores of a simulated system."""
@@ -254,15 +248,6 @@ class Simulator:
             core_frequencies_ghz=[
                 config.core_config(core_id).pipeline.frequency_ghz
                 for core_id in range(config.num_cores)])
-
-    def run_trace_on_core(self, trace: Trace, core_index: int) -> CoreResult:
-        """Run a single trace to completion on one core (test helper)."""
-        core = self.system.core(core_index)
-        core.process_id = trace.process_id
-        if self.use_packed:
-            core.run_packed(trace.packed())
-            return core.result()
-        return core.run(trace.ops)
 
     # -- internals ------------------------------------------------------------
     def _drain_memory_system(self) -> None:

@@ -138,11 +138,11 @@ class Tracer:
         LLC and the coherence bus) and every scheme frontend (filter
         caches, MMUs) and installs the instance-level trace wrappers.
         Event records carry registry scheme names (``muontrap``,
-        ``invisispec-spectre``, ...), never enum reprs.
+        ``invisispec-spectre``, ...).
         """
         config = system.config
         self.core_schemes = {
-            core_id: config.core_config(core_id).scheme
+            core_id: config.core_config(core_id).mode
             for core_id in range(config.num_cores)}
         for core_id in sorted(self.core_schemes):
             self.emit("meta", "core_scheme", cycle=0, core=core_id,

@@ -44,7 +44,6 @@ SCHEMES_EXPORTS = [
     "register_scheme",
     "scheme_config",
     "scheme_display_labels",
-    "scheme_name",
     "scheme_names",
     "unregister_scheme",
 ]

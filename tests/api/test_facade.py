@@ -3,12 +3,7 @@
 import pytest
 
 from repro import api
-from repro.common.params import (
-    FilterCacheConfig,
-    ProtectionMode,
-    SystemConfig,
-)
-from repro.sim.runner import ExperimentRunner, unprotected_config
+from repro.common.params import FilterCacheConfig, SystemConfig
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
 from repro.workloads.generator import generate_workload
@@ -29,7 +24,7 @@ class TestResolveMachine:
 
     def test_scheme_name(self):
         assert api.resolve_machine("stt-future") \
-            == SystemConfig(mode=ProtectionMode.STT_FUTURE)
+            == SystemConfig(mode="stt-future")
 
     def test_preset_name(self):
         assert api.resolve_machine("biglittle-asym") \
@@ -80,8 +75,7 @@ class TestSimulate:
                                warmup_fraction=0.25, collect_stats=True)
         profile = get_profile("mcf")
         workload = generate_workload(profile, INSTRUCTIONS, seed=SEED)
-        system = build_system(SystemConfig(mode=ProtectionMode.MUONTRAP),
-                              seed=SEED)
+        system = build_system(SystemConfig(mode="muontrap"), seed=SEED)
         manual = Simulator(system).run(workload, collect_stats=True,
                                        warmup_fraction=0.25)
         assert outcome.cycles == manual.cycles
@@ -136,21 +130,6 @@ class TestSimulate:
 
 
 class TestCompare:
-    def test_matches_experiment_runner(self):
-        comparison = api.compare(["muontrap", "stt-spectre"], suite="mcf",
-                                 seed=1234, instructions=INSTRUCTIONS)
-        runner = ExperimentRunner(instructions=INSTRUCTIONS, seed=1234)
-        series = runner.normalised_series(
-            ["mcf"],
-            {"MuonTrap": SystemConfig(mode=ProtectionMode.MUONTRAP),
-             "STT-Spectre": SystemConfig(mode=ProtectionMode.STT_SPECTRE)},
-            unprotected_config())
-        normalised = comparison.normalised()
-        assert normalised["MuonTrap"]["mcf"] \
-            == series["MuonTrap"].values["mcf"]
-        assert normalised["STT-Spectre"]["mcf"] \
-            == series["STT-Spectre"].values["mcf"]
-
     def test_accepts_mixed_series_and_mappings(self):
         comparison = api.compare(
             {"protected": "muontrap", "machine": "asym-protect"},
@@ -163,7 +142,7 @@ class TestCompare:
         cell = comparison.outcome("mcf", "MuonTrap")
         base = comparison.outcome("mcf", "baseline")
         assert cell.benchmark == "mcf"
-        assert base.machine.mode is ProtectionMode.UNPROTECTED
+        assert base.machine.mode == "unprotected"
         assert comparison.baseline_label == "baseline"
 
     def test_render_formats(self):
@@ -202,14 +181,14 @@ class TestSweep:
         # The swept field really is applied.
         config = sweep.comparison.campaign.configs["1024"]
         assert config.data_filter.size_bytes == 1024
-        assert config.mode is ProtectionMode.MUONTRAP
+        assert config.mode == "muontrap"
 
     def test_swept_value_matches_manual_config(self):
         sweep = api.sweep("data_filter.size_bytes", [1024], suite="mcf",
                           scheme="muontrap", instructions=INSTRUCTIONS)
         manual = api.simulate(
             "mcf",
-            SystemConfig(mode=ProtectionMode.MUONTRAP,
+            SystemConfig(mode="muontrap",
                          data_filter=FilterCacheConfig(size_bytes=1024)),
             seed=1234, instructions=INSTRUCTIONS)
         assert sweep.comparison.outcome("mcf", "1024").cycles \

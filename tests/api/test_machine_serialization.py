@@ -27,7 +27,6 @@ from repro.common.params import (
     FilterCacheConfig,
     PipelineConfig,
     ProtectionConfig,
-    ProtectionMode,
     SystemConfig,
     biglittle_system_config,
     corun_system_config,
@@ -35,7 +34,9 @@ from repro.common.params import (
 )
 from repro.workloads.mixes import MACHINE_PRESETS, get_machine, machine_names
 
-SCHEMES = [mode.value for mode in ProtectionMode] + ["custom-scheme-x"]
+SCHEMES = ["unprotected", "insecure-l0", "muontrap", "invisispec-spectre",
+           "invisispec-future", "stt-spectre", "stt-future",
+           "custom-scheme-x"]
 
 
 def random_cache(rng, name):
@@ -154,11 +155,9 @@ class TestRoundTrip:
             machine_from_dict({"num_cores": 1,
                                "cores": [{"schema_version": 99}]})
 
-    def test_builtin_mode_normalises_to_enum_custom_stays_string(self):
-        config = machine_from_dict({"mode": "muontrap"})
-        assert config.mode is ProtectionMode.MUONTRAP
-        config = machine_from_dict({"mode": "my-scheme"})
-        assert config.mode == "my-scheme"
+    def test_builtin_and_custom_scheme_names_load_as_strings(self):
+        assert machine_from_dict({"mode": "muontrap"}).mode == "muontrap"
+        assert machine_from_dict({"mode": "my-scheme"}).mode == "my-scheme"
 
 
 class TestPartialDescriptions:
@@ -194,6 +193,10 @@ class TestErrors:
             machine_from_dict({"num_cores": 1, "cores": {"mode": "x"}})
         with pytest.raises(MachineFormatError, match="name string"):
             machine_from_dict({"mode": 7})
+        with pytest.raises(MachineFormatError, match="name string"):
+            machine_from_dict({"mode": None})
+        with pytest.raises(MachineFormatError, match="name string"):
+            machine_from_dict({"num_cores": 1, "cores": [{"mode": 7}]})
 
     def test_domain_validation_errors_carry_the_context(self):
         with pytest.raises(MachineFormatError, match="SystemConfig"):
@@ -260,13 +263,13 @@ class TestPresetsAsData:
     def test_presets_equal_constructor_built_machines(self):
         expected = {
             "biglittle-muontrap": biglittle_system_config(
-                [ProtectionMode.MUONTRAP], [ProtectionMode.MUONTRAP]),
+                ["muontrap"], ["muontrap"]),
             "biglittle-asym": biglittle_system_config(
-                [ProtectionMode.MUONTRAP], [ProtectionMode.UNPROTECTED]),
+                ["muontrap"], ["unprotected"]),
             "asym-protect": heterogeneous_corun_config(
-                [ProtectionMode.MUONTRAP, ProtectionMode.UNPROTECTED]),
+                ["muontrap", "unprotected"]),
         }
-        scoped = corun_system_config(ProtectionMode.MUONTRAP, num_cores=2)
+        scoped = corun_system_config("muontrap", num_cores=2)
         expected["scoped-invalidate"] = scoped.with_protection(
             replace(scoped.protection, insecure_scoped_invalidate=True))
         assert sorted(MACHINE_PRESETS) == sorted(expected)

@@ -11,7 +11,7 @@ import pytest
 from repro import api
 from repro.__main__ import main as cli_main
 from repro.baselines.unprotected import UnprotectedMemorySystem
-from repro.common.params import ProtectionConfig, ProtectionMode, SystemConfig
+from repro.common.params import ProtectionConfig, SystemConfig
 from repro.schemes import (
     SchemeSpec,
     UnknownSchemeError,
@@ -61,16 +61,6 @@ class TestBuiltins:
         assert [spec.name for spec in figure_series_schemes()] == [
             "muontrap", "invisispec-spectre", "invisispec-future",
             "stt-spectre", "stt-future"]
-
-    def test_capability_flags_match_the_deprecated_enum_properties(self):
-        for mode in ProtectionMode:
-            spec = get_scheme(mode)
-            assert spec.supports_filter_caches == mode.uses_filter_cache
-            assert spec.delays_transmitters == mode.is_stt
-            assert spec.uses_speculative_buffers == mode.is_invisispec
-
-    def test_lookup_accepts_names_and_enum_members(self):
-        assert get_scheme("muontrap") is get_scheme(ProtectionMode.MUONTRAP)
 
     def test_unknown_scheme_is_a_value_error_naming_the_registry(self):
         with pytest.raises(UnknownSchemeError, match="no-such-scheme"):
@@ -191,6 +181,6 @@ class TestNames:
 
     def test_is_registered(self, custom_scheme):
         assert is_registered("muontrap")
-        assert is_registered(ProtectionMode.STT_FUTURE)
+        assert is_registered("stt-future")
         assert is_registered("slow-front-door")
         assert not is_registered("nope")

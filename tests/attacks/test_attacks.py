@@ -13,7 +13,6 @@ from repro.attacks import (
     classify_probe,
 )
 from repro.attacks.framework import AttackEnvironment
-from repro.common.params import ProtectionMode
 
 LEAKING_ATTACKS = [SpectrePrimeProbeAttack, InclusionPolicyAttack,
                    SharedDataCoherenceAttack, FilterCacheCoherencyAttack,
@@ -23,7 +22,7 @@ LEAKING_ATTACKS = [SpectrePrimeProbeAttack, InclusionPolicyAttack,
 @pytest.mark.parametrize("attack_cls", LEAKING_ATTACKS,
                          ids=[cls.name for cls in LEAKING_ATTACKS])
 def test_attack_succeeds_on_unprotected_system(attack_cls):
-    outcome = attack_cls(mode=ProtectionMode.UNPROTECTED).run()
+    outcome = attack_cls(mode="unprotected").run()
     assert outcome.succeeded, (
         f"{attack_cls.name} should leak the secret on an unprotected system; "
         f"probe latencies: {outcome.probe_latencies}")
@@ -32,7 +31,7 @@ def test_attack_succeeds_on_unprotected_system(attack_cls):
 @pytest.mark.parametrize("attack_cls", ALL_ATTACKS,
                          ids=[cls.name for cls in ALL_ATTACKS])
 def test_attack_fails_under_muontrap(attack_cls):
-    outcome = attack_cls(mode=ProtectionMode.MUONTRAP).run()
+    outcome = attack_cls(mode="muontrap").run()
     assert not outcome.succeeded, (
         f"{attack_cls.name} must not leak under MuonTrap; probe latencies: "
         f"{outcome.probe_latencies}")
@@ -40,21 +39,21 @@ def test_attack_fails_under_muontrap(attack_cls):
 
 @pytest.mark.parametrize("secret", [0, 1, 5, 7])
 def test_spectre_attack_recovers_arbitrary_secret_values(secret):
-    outcome = SpectrePrimeProbeAttack(mode=ProtectionMode.UNPROTECTED,
+    outcome = SpectrePrimeProbeAttack(mode="unprotected",
                                       secret=secret).run()
     assert outcome.recovered_secret == secret
 
 
 @pytest.mark.parametrize("secret", [0, 2, 6])
 def test_muontrap_blocks_arbitrary_secret_values(secret):
-    outcome = SpectrePrimeProbeAttack(mode=ProtectionMode.MUONTRAP,
+    outcome = SpectrePrimeProbeAttack(mode="muontrap",
                                       secret=secret).run()
     assert not outcome.succeeded
 
 
 def test_muontrap_probe_timing_is_uniform():
     """Under MuonTrap the attacker's probe latencies carry no signal."""
-    outcome = SpectrePrimeProbeAttack(mode=ProtectionMode.MUONTRAP).run()
+    outcome = SpectrePrimeProbeAttack(mode="muontrap").run()
     latencies = list(outcome.probe_latencies.values())[1:]  # skip TLB-walk one
     assert max(latencies) - min(latencies) < 2
 
@@ -62,8 +61,8 @@ def test_muontrap_probe_timing_is_uniform():
 def test_invisispec_still_leaks_through_instruction_cache_or_prefetcher():
     """InvisiSpec protects neither the I-cache nor the prefetcher (section 7)."""
     icache = InstructionCacheAttack(
-        mode=ProtectionMode.INVISISPEC_FUTURE).run()
-    prefetcher = PrefetcherAttack(mode=ProtectionMode.INVISISPEC_FUTURE).run()
+        mode="invisispec-future").run()
+    prefetcher = PrefetcherAttack(mode="invisispec-future").run()
     assert icache.succeeded or prefetcher.succeeded
 
 
@@ -76,7 +75,7 @@ def test_classify_probe_requires_a_margin():
 
 
 def test_environment_shares_probe_array_between_processes():
-    env = AttackEnvironment(mode=ProtectionMode.UNPROTECTED)
+    env = AttackEnvironment(mode="unprotected")
     attacker = env.page_tables.address_space(100)
     victim = env.page_tables.address_space(200)
     assert attacker.translate(env.probe_address(0)) == \
@@ -84,5 +83,5 @@ def test_environment_shares_probe_array_between_processes():
 
 
 def test_attack_outcome_reports_margin():
-    outcome = SpectrePrimeProbeAttack(mode=ProtectionMode.UNPROTECTED).run()
+    outcome = SpectrePrimeProbeAttack(mode="unprotected").run()
     assert outcome.signal_margin >= 0

@@ -16,9 +16,8 @@ from repro.attacks.cross_core import (
     classify_contention,
     run_cross_core_suite,
 )
-from repro.common.params import ProtectionMode
 
-LEAKY_MODES = [ProtectionMode.UNPROTECTED, ProtectionMode.INSECURE_L0]
+LEAKY_MODES = ["unprotected", "insecure-l0"]
 SEEDS = [0, 1]
 CORE_COUNTS = [2, 4]
 
@@ -26,15 +25,14 @@ CORE_COUNTS = [2, 4]
 class TestCrossCoreReload:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("num_cores", CORE_COUNTS)
-    @pytest.mark.parametrize("mode", LEAKY_MODES,
-                             ids=[mode.value for mode in LEAKY_MODES])
+    @pytest.mark.parametrize("mode", LEAKY_MODES)
     def test_insecure_systems_leak_across_cores(self, mode, num_cores, seed):
         for secret in (1, 5):
             outcome = CrossCoreReloadAttack(mode=mode, secret=secret,
                                             num_cores=num_cores,
                                             seed=seed).run()
             assert outcome.succeeded, (
-                f"{mode.value} should leak: {outcome.probe_latencies}")
+                f"{mode} should leak: {outcome.probe_latencies}")
             assert outcome.recovered_secret == secret
             assert outcome.signal_margin >= 2
 
@@ -42,7 +40,7 @@ class TestCrossCoreReload:
     @pytest.mark.parametrize("num_cores", CORE_COUNTS)
     def test_muontrap_blocks_the_channel(self, num_cores, seed):
         for secret in (1, 5):
-            outcome = CrossCoreReloadAttack(mode=ProtectionMode.MUONTRAP,
+            outcome = CrossCoreReloadAttack(mode="muontrap",
                                             secret=secret,
                                             num_cores=num_cores,
                                             seed=seed).run()
@@ -54,7 +52,7 @@ class TestCrossCoreReload:
         """The stronger property: probe latencies do not depend on the
         secret at all, not merely 'no single value stands out'."""
         latencies = [
-            CrossCoreReloadAttack(mode=ProtectionMode.MUONTRAP,
+            CrossCoreReloadAttack(mode="muontrap",
                                   secret=secret, seed=0).run().probe_latencies
             for secret in range(4)
         ]
@@ -63,20 +61,19 @@ class TestCrossCoreReload:
 
 class TestCrossCoreLLCPrimeProbe:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("mode", LEAKY_MODES,
-                             ids=[mode.value for mode in LEAKY_MODES])
+    @pytest.mark.parametrize("mode", LEAKY_MODES)
     def test_contention_channel_leaks_on_insecure_systems(self, mode, seed):
         for secret in (0, 2):
             outcome = CrossCoreLLCPrimeProbeAttack(mode=mode, secret=secret,
                                                    seed=seed).run()
             assert outcome.succeeded, (
-                f"{mode.value} should leak: {outcome.probe_latencies}")
+                f"{mode} should leak: {outcome.probe_latencies}")
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_muontrap_leaves_no_llc_footprint(self, seed):
         for secret in (0, 2):
             outcome = CrossCoreLLCPrimeProbeAttack(
-                mode=ProtectionMode.MUONTRAP, secret=secret, seed=seed).run()
+                mode="muontrap", secret=secret, seed=seed).run()
             assert outcome.recovered_secret is None, (
                 f"muontrap leaked: {outcome.probe_latencies}")
 
@@ -87,11 +84,11 @@ class TestCrossCoreLLCPrimeProbe:
 
 class TestCrossCoreSuite:
     def test_suite_runs_the_full_matrix_deterministically(self):
-        modes = LEAKY_MODES + [ProtectionMode.MUONTRAP]
+        modes = LEAKY_MODES + ["muontrap"]
         first = run_cross_core_suite(modes, seeds=SEEDS, num_cores=2)
         second = run_cross_core_suite(modes, seeds=SEEDS, num_cores=2)
         assert set(first) == {
-            (attack.name, mode.value, seed)
+            (attack.name, mode, seed)
             for attack in CROSS_CORE_ATTACKS
             for mode in modes for seed in SEEDS
         }
@@ -100,7 +97,7 @@ class TestCrossCoreSuite:
             rerun = second[key]
             assert outcome.probe_latencies == rerun.probe_latencies, key
             assert outcome.recovered_secret == rerun.recovered_secret, key
-            if mode_value == ProtectionMode.MUONTRAP.value:
+            if mode_value == "muontrap":
                 assert not outcome.succeeded, key
             else:
                 assert outcome.succeeded, key

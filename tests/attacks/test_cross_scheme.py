@@ -27,25 +27,22 @@ from repro.attacks.framework import (
 )
 from repro.common.params import (
     ProtectionConfig,
-    ProtectionMode,
     SystemConfig,
 )
 
-LEAKY = [ProtectionMode.UNPROTECTED, ProtectionMode.INSECURE_L0]
-SCHEMES = LEAKY + [ProtectionMode.MUONTRAP]
+LEAKY = ["unprotected", "insecure-l0"]
+SCHEMES = LEAKY + ["muontrap"]
 
 
 class TestCrossSchemeMatrix:
-    @pytest.mark.parametrize("attacker",
-                             SCHEMES, ids=[m.value for m in SCHEMES])
-    @pytest.mark.parametrize("victim",
-                             SCHEMES, ids=[m.value for m in SCHEMES])
+    @pytest.mark.parametrize("attacker", SCHEMES)
+    @pytest.mark.parametrize("victim", SCHEMES)
     def test_leak_depends_only_on_the_victim_scheme(self, victim, attacker):
         for attack_cls in CROSS_CORE_ATTACKS:
             outcome = attack_cls(victim_mode=victim, attacker_mode=attacker,
                                  seed=0).run()
             assert outcome.mode == (
-                f"victim={victim.value},attacker={attacker.value}")
+                f"victim={victim},attacker={attacker}")
             if victim in LEAKY:
                 assert outcome.succeeded, (
                     f"{outcome.mode} should leak via {attack_cls.name}: "
@@ -60,16 +57,15 @@ class TestCrossSchemeMatrix:
         on the same fabric, a MuonTrap victim's probe timing does not
         depend on the secret at all."""
         latencies = [
-            CrossCoreReloadAttack(victim_mode=ProtectionMode.MUONTRAP,
-                                  attacker_mode=ProtectionMode.UNPROTECTED,
+            CrossCoreReloadAttack(victim_mode="muontrap",
+                                  attacker_mode="unprotected",
                                   secret=secret, seed=0).run().probe_latencies
             for secret in range(4)
         ]
         assert all(entry == latencies[0] for entry in latencies[1:])
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("writer_mode", LEAKY,
-                             ids=[m.value for m in LEAKY])
+    @pytest.mark.parametrize("writer_mode", LEAKY)
     def test_unprotected_writers_still_invalidate_peer_filters(
             self, writer_mode):
         """The invalidation multicast is a fabric property: a committed
@@ -78,7 +74,7 @@ class TestCrossSchemeMatrix:
         is a secret-dependent 1-cycle hit, the very channel the broadcast
         exists to close."""
         env = CrossCoreAttackEnvironment(
-            core_modes=[writer_mode, ProtectionMode.MUONTRAP], secret=2)
+            core_modes=[writer_mode, "muontrap"], secret=2)
         env.victim_speculative_touch([env.probe_address(env.secret)])
         for value in range(env.num_secret_values):
             env.attacker_store(env.probe_address(value))
@@ -94,22 +90,22 @@ class TestCrossSchemeMatrix:
         first = run_cross_scheme_matrix(SCHEMES, SCHEMES, seeds=(0,))
         second = run_cross_scheme_matrix(SCHEMES, SCHEMES, seeds=(0,))
         assert set(first) == {
-            (attack.name, victim.value, attacker.value, 0)
+            (attack.name, victim, attacker, 0)
             for attack in CROSS_CORE_ATTACKS
             for victim in SCHEMES for attacker in SCHEMES}
         for key, outcome in first.items():
             assert outcome.probe_latencies == second[key].probe_latencies
             _, victim_value, _, _ = key
-            leaky = victim_value != ProtectionMode.MUONTRAP.value
+            leaky = victim_value != "muontrap"
             assert outcome.succeeded == leaky, key
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", [1])
     def test_matrix_holds_on_wider_machines_and_other_seeds(self, seed):
         outcomes = run_cross_scheme_matrix(
-            SCHEMES, [ProtectionMode.MUONTRAP], seeds=(seed,), num_cores=4)
+            SCHEMES, ["muontrap"], seeds=(seed,), num_cores=4)
         for (name, victim_value, _, _), outcome in outcomes.items():
-            leaky = victim_value != ProtectionMode.MUONTRAP.value
+            leaky = victim_value != "muontrap"
             assert outcome.succeeded == leaky, (name, victim_value)
 
 
@@ -117,7 +113,7 @@ def _scoped_environment(scoped: bool,
                         secret: int = 3) -> CrossCoreAttackEnvironment:
     config = SystemConfig(protection=ProtectionConfig(
         insecure_scoped_invalidate=scoped))
-    return CrossCoreAttackEnvironment(mode=ProtectionMode.MUONTRAP,
+    return CrossCoreAttackEnvironment(mode="muontrap",
                                       secret=secret, config=config)
 
 

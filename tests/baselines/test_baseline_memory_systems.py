@@ -4,10 +4,10 @@ from repro.baselines.insecure_l0 import InsecureL0MemorySystem
 from repro.baselines.invisispec import InvisiSpecMemorySystem
 from repro.baselines.stt import STTMemorySystem
 from repro.baselines.unprotected import UnprotectedMemorySystem
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 
 
-def cfg(mode=ProtectionMode.UNPROTECTED, cores=1):
+def cfg(mode="unprotected", cores=1):
     return SystemConfig(mode=mode, num_cores=cores)
 
 
@@ -42,14 +42,14 @@ class TestUnprotected:
 
 class TestInsecureL0:
     def test_l0_hit_after_fill(self):
-        memory = InsecureL0MemorySystem(cfg(ProtectionMode.INSECURE_L0))
+        memory = InsecureL0MemorySystem(cfg("insecure-l0"))
         memory.load(0, 0, 0x1_0000, 100, speculative=True)
         repeat = memory.load(0, 0, 0x1_0000, 300, speculative=True)
         assert repeat.hit_level == "l0"
         assert repeat.latency == 1
 
     def test_l1_also_filled(self):
-        memory = InsecureL0MemorySystem(cfg(ProtectionMode.INSECURE_L0))
+        memory = InsecureL0MemorySystem(cfg("insecure-l0"))
         memory.load(0, 0, 0x1_0000, 100, speculative=True)
         physical = memory.page_tables.address_space(0).translate(0x1_0000)
         assert memory.hierarchy.l1d(0).contains(physical)
@@ -58,7 +58,7 @@ class TestInsecureL0:
 
 class TestInvisiSpec:
     def test_speculative_load_does_not_fill_any_cache(self):
-        memory = InvisiSpecMemorySystem(cfg(ProtectionMode.INVISISPEC_SPECTRE))
+        memory = InvisiSpecMemorySystem(cfg("invisispec-spectre"))
         memory.load(0, 0, 0x1_0000, 100, speculative=True)
         physical = memory.page_tables.address_space(0).translate(0x1_0000)
         assert not memory.hierarchy.l1d(0).contains(physical)
@@ -66,7 +66,7 @@ class TestInvisiSpec:
         assert memory.speculative_buffer_contains(0, physical)
 
     def test_validation_fills_l1_and_counts(self):
-        memory = InvisiSpecMemorySystem(cfg(ProtectionMode.INVISISPEC_FUTURE))
+        memory = InvisiSpecMemorySystem(cfg("invisispec-future"))
         memory.load(0, 0, 0x1_0000, 100, speculative=True)
         latency = memory.validation_latency(0, 0, 0x1_0000, 400)
         assert latency > 0
@@ -75,29 +75,28 @@ class TestInvisiSpec:
         assert memory.validations == 1
 
     def test_squash_discards_speculative_buffer(self):
-        memory = InvisiSpecMemorySystem(cfg(ProtectionMode.INVISISPEC_SPECTRE))
+        memory = InvisiSpecMemorySystem(cfg("invisispec-spectre"))
         memory.load(0, 0, 0x1_0000, 100, speculative=True)
         memory.squash(0, 200)
         physical = memory.page_tables.address_space(0).translate(0x1_0000)
         assert not memory.speculative_buffer_contains(0, physical)
 
-    def test_variant_names_and_modes(self):
+    def test_variant_names(self):
         spectre = InvisiSpecMemorySystem(cfg(), future_variant=False)
         future = InvisiSpecMemorySystem(cfg(), future_variant=True)
-        assert spectre.mode is ProtectionMode.INVISISPEC_SPECTRE
-        assert future.mode is ProtectionMode.INVISISPEC_FUTURE
-        assert spectre.name != future.name
+        assert spectre.name == "invisispec-spectre"
+        assert future.name == "invisispec-future"
 
 
 class TestSTT:
     def test_memory_side_matches_unprotected(self):
-        memory = STTMemorySystem(cfg(ProtectionMode.STT_SPECTRE))
+        memory = STTMemorySystem(cfg("stt-spectre"))
         memory.load(0, 0, 0x1_0000, 100, speculative=True)
         physical = memory.page_tables.address_space(0).translate(0x1_0000)
         assert memory.hierarchy.l1d(0).contains(physical)
 
     def test_delayed_forward_counter(self):
-        memory = STTMemorySystem(cfg(ProtectionMode.STT_FUTURE),
+        memory = STTMemorySystem(cfg("stt-future"),
                                  future_variant=True)
         assert memory.delays_dependent_transmitters
         memory.record_delayed_forward()

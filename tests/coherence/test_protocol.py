@@ -18,7 +18,6 @@ from repro.coherence.snoop_filter import SnoopFilter
 from repro.coherence.states import CoherenceState, E, I, M, S
 from repro.common.params import (
     CacheConfig,
-    ProtectionMode,
     SystemConfig,
     corun_system_config,
 )
@@ -253,10 +252,10 @@ class TestRandomInterleavingInvariants:
     @pytest.mark.parametrize("topology", ["shared-l2", "private-l2"])
     @pytest.mark.parametrize("seed", [3, 17])
     def test_invariants_hold_under_random_interleaving(self, topology, seed):
-        config = (corun_system_config(ProtectionMode.UNPROTECTED,
+        config = (corun_system_config("unprotected",
                                       num_cores=4)
                   if topology == "private-l2"
-                  else SystemConfig(mode=ProtectionMode.UNPROTECTED,
+                  else SystemConfig(mode="unprotected",
                                     num_cores=4))
         hierarchy = NonSpeculativeHierarchy(config)
         rng = random.Random(seed)
@@ -281,7 +280,7 @@ class TestRandomInterleavingInvariants:
 
     def test_snoop_filter_skips_only_provably_empty_snoops(self):
         """Filtered snoops never change what a full probe would have found."""
-        config = SystemConfig(mode=ProtectionMode.UNPROTECTED, num_cores=4)
+        config = SystemConfig(mode="unprotected", num_cores=4)
         hierarchy = NonSpeculativeHierarchy(config)
         rng = random.Random(99)
         now = 0

@@ -4,19 +4,16 @@ import pytest
 
 from repro.common.params import (
     CacheConfig,
+    CoreConfig,
     FilterCacheConfig,
     ProtectionConfig,
-    ProtectionMode,
     SystemConfig,
-    default_system_config,
-    parsec_system_config,
-    spec_system_config,
 )
 
 
 class TestCacheConfig:
     def test_table1_l1d_geometry(self):
-        config = default_system_config()
+        config = SystemConfig()
         assert config.l1d.size_bytes == 64 * 1024
         assert config.l1d.associativity == 2
         assert config.l1d.hit_latency == 2
@@ -24,7 +21,7 @@ class TestCacheConfig:
         assert config.l1d.num_lines == 1024
 
     def test_table1_l1i_and_l2(self):
-        config = default_system_config()
+        config = SystemConfig()
         assert config.l1i.size_bytes == 32 * 1024
         assert config.l1i.hit_latency == 1
         assert config.l2.size_bytes == 2 * 1024 * 1024
@@ -84,22 +81,17 @@ class TestProtectionConfig:
 
 class TestSystemConfig:
     def test_mode_helpers(self):
-        config = default_system_config()
-        assert config.mode is ProtectionMode.MUONTRAP
-        assert config.with_mode(ProtectionMode.STT_FUTURE).mode is \
-            ProtectionMode.STT_FUTURE
+        config = SystemConfig()
+        assert config.mode == "muontrap"
+        assert config.with_mode("stt-future").mode == "stt-future"
         assert config.with_cores(4).num_cores == 4
 
-    def test_spec_and_parsec_presets(self):
-        assert spec_system_config().num_cores == 1
-        assert parsec_system_config().num_cores == 4
+    def test_mode_must_be_a_name_string(self):
+        with pytest.raises(TypeError, match="mode.*name string"):
+            SystemConfig(mode=7)
+        with pytest.raises(TypeError, match="mode.*name string"):
+            CoreConfig(mode=None)
 
     def test_rejects_zero_cores(self):
         with pytest.raises(ValueError):
             SystemConfig(num_cores=0)
-
-    def test_mode_predicates(self):
-        assert ProtectionMode.INVISISPEC_FUTURE.is_invisispec
-        assert ProtectionMode.STT_SPECTRE.is_stt
-        assert ProtectionMode.MUONTRAP.uses_filter_cache
-        assert not ProtectionMode.UNPROTECTED.uses_filter_cache

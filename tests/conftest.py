@@ -13,11 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.params import (
-    ProtectionMode,
-    SystemConfig,
-    default_system_config,
-)
+from repro.common.params import SystemConfig
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
 
@@ -46,12 +42,12 @@ def update_golden(request) -> bool:
 @pytest.fixture
 def config() -> SystemConfig:
     """The Table 1 system in MuonTrap mode, single core."""
-    return default_system_config()
+    return SystemConfig()
 
 
 @pytest.fixture
 def unprotected_config() -> SystemConfig:
-    return default_system_config(mode=ProtectionMode.UNPROTECTED)
+    return SystemConfig(mode="unprotected")
 
 
 @pytest.fixture
@@ -62,7 +58,7 @@ def seeded_config():
     a given benchmark is generated once per process) and makes failures
     reproducible by construction.
     """
-    return default_system_config(), FIXTURE_SEED
+    return SystemConfig(), FIXTURE_SEED
 
 
 @pytest.fixture

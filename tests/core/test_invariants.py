@@ -12,12 +12,12 @@ These encode the paper's two central guarantees as executable properties:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.core.muontrap import MuonTrapMemorySystem
 
 
 def build(num_cores=1):
-    return MuonTrapMemorySystem(SystemConfig(mode=ProtectionMode.MUONTRAP,
+    return MuonTrapMemorySystem(SystemConfig(mode="muontrap",
                                              num_cores=num_cores))
 
 

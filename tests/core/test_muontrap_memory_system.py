@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.params import (
     ProtectionConfig,
-    ProtectionMode,
     SystemConfig,
 )
 from repro.core.domains import DomainKind, DomainTracker
@@ -12,7 +11,7 @@ from repro.core.muontrap import MuonTrapMemorySystem
 
 
 def build(num_cores=1, protection=None):
-    config = SystemConfig(mode=ProtectionMode.MUONTRAP, num_cores=num_cores,
+    config = SystemConfig(mode="muontrap", num_cores=num_cores,
                           protection=protection or ProtectionConfig.full())
     return MuonTrapMemorySystem(config)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.unprotected import UnprotectedMemorySystem
-from repro.common.params import BranchPredictorConfig, default_system_config
+from repro.common.params import BranchPredictorConfig, SystemConfig
 from repro.core.muontrap import MuonTrapMemorySystem
 from repro.cpu.branch_predictor import (
     BranchTargetBuffer,
@@ -102,7 +102,7 @@ def _simple_trace(n=400, miss_stride=None):
 
 class TestOutOfOrderCore:
     def test_runs_trace_and_reports_result(self):
-        config = default_system_config()
+        config = SystemConfig()
         core = OutOfOrderCore(0, config, UnprotectedMemorySystem(config))
         result = core.run(_simple_trace())
         assert result.committed_instructions == 400
@@ -113,7 +113,7 @@ class TestOutOfOrderCore:
         assert result.committed_branches > 0
 
     def test_commit_times_monotonic(self):
-        config = default_system_config()
+        config = SystemConfig()
         core = OutOfOrderCore(0, config, UnprotectedMemorySystem(config))
         previous = 0
         for op in _simple_trace(200):
@@ -122,7 +122,7 @@ class TestOutOfOrderCore:
             previous = commit_time
 
     def test_mispredictions_generate_squashed_accesses(self):
-        config = default_system_config()
+        config = SystemConfig()
         core = OutOfOrderCore(0, config, UnprotectedMemorySystem(config))
         result = core.run(_simple_trace(600))
         assert result.mispredictions > 0
@@ -133,7 +133,7 @@ class TestOutOfOrderCore:
             MicroOp(kind=OpKind.LOAD, pc=0x1000)
 
     def test_muontrap_core_commits_everything(self):
-        config = default_system_config()
+        config = SystemConfig()
         memory = MuonTrapMemorySystem(config)
         core = OutOfOrderCore(0, config, memory)
         result = core.run(_simple_trace(300))

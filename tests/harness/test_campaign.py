@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.harness.campaign import (
     Campaign,
     ExecutionStats,
@@ -14,12 +14,12 @@ from repro.harness.campaign import (
     run_cell,
 )
 from repro.harness.store import ResultStore, result_to_dict
-from repro.sim.runner import ExperimentRunner, unprotected_config
+from repro.sim.runner import unprotected_config
 from repro.workloads.profiles import get_profile
 
 INSTRUCTIONS = 600
 
-CONFIGS = {"MuonTrap": SystemConfig(mode=ProtectionMode.MUONTRAP)}
+CONFIGS = {"MuonTrap": SystemConfig(mode="muontrap")}
 
 
 def make_campaign(store=None, jobs=1, benchmarks=("hmmer", "povray"),
@@ -136,32 +136,3 @@ class TestNormalisation:
             protected = result.result(benchmark, "MuonTrap").cycles
             assert series[benchmark] == pytest.approx(protected / baseline)
             assert series[benchmark] > 0
-
-    def test_normalised_series_matches_runner_output(self):
-        campaign_series = make_campaign().run().normalised_series()
-        runner = ExperimentRunner(instructions=INSTRUCTIONS)
-        runner_series = runner.normalised_series(
-            ["hmmer", "povray"], CONFIGS, unprotected_config())
-        assert (campaign_series["MuonTrap"].values
-                == runner_series["MuonTrap"].values)
-
-
-class TestRunnerIntegration:
-    def test_runner_uses_store_across_instances(self, tmp_path):
-        store = ResultStore(tmp_path)
-        first = ExperimentRunner(instructions=INSTRUCTIONS, store=store)
-        first.run_benchmark("hmmer", unprotected_config())
-        assert len(store) == 1
-
-        second = ExperimentRunner(instructions=INSTRUCTIONS, store=store)
-        hits_before = store.hits
-        run = second.run_benchmark("hmmer", unprotected_config())
-        assert store.hits == hits_before + 1
-        assert run.result.cycles > 0
-
-    def test_parallel_runner_matches_sequential(self):
-        sequential = ExperimentRunner(instructions=INSTRUCTIONS, jobs=1)
-        parallel = ExperimentRunner(instructions=INSTRUCTIONS, jobs=2)
-        args = (["hmmer", "povray"], CONFIGS, unprotected_config())
-        assert (sequential.normalised_series(*args)["MuonTrap"].values
-                == parallel.normalised_series(*args)["MuonTrap"].values)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.harness.campaign import Campaign
 from repro.harness.executor import CELL_TIMEOUT_ENV, MAX_RETRIES_ENV
 from repro.harness.faults import (
@@ -25,7 +25,7 @@ from repro.sim.runner import unprotected_config
 
 INSTRUCTIONS = 600
 
-CONFIGS = {"MuonTrap": SystemConfig(mode=ProtectionMode.MUONTRAP)}
+CONFIGS = {"MuonTrap": SystemConfig(mode="muontrap")}
 
 
 @pytest.fixture(autouse=True)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.harness import campaign as campaign_module
 from repro.harness.campaign import ExecutionStats, RunSpec, execute_cells
 from repro.harness.executor import (
@@ -39,7 +39,7 @@ def _clean_env(monkeypatch):
 
 def make_specs(benchmarks=("hmmer", "povray")):
     configs = [("baseline", unprotected_config()),
-               ("MuonTrap", SystemConfig(mode=ProtectionMode.MUONTRAP))]
+               ("MuonTrap", SystemConfig(mode="muontrap"))]
     return [RunSpec(profile=get_profile(benchmark), label=label,
                     config=config, instructions=INSTRUCTIONS, seed=1234)
             for benchmark in benchmarks for label, config in configs]

@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.common.params import ProtectionMode
 from repro.cpu.core import CoreResult
 from repro.harness.campaign import Campaign, CampaignResult
 from repro.harness.report import GEOMEAN_ROW, Report
@@ -239,7 +238,7 @@ class TestEndToEndMachineSweep:
             configs={"biglittle": get_machine("biglittle-muontrap")},
             # Normalise against the same machine, unprotected.
             baseline_config=get_machine("biglittle-muontrap").with_mode(
-                ProtectionMode.UNPROTECTED),
+                "unprotected"),
             instructions=600, jobs=1)
         result = campaign.run()
         assert result.has_corun_results

@@ -3,7 +3,9 @@
 import dataclasses
 import json
 
-from repro.common.params import ProtectionMode, SystemConfig
+import pytest
+
+from repro.common.params import SystemConfig
 from repro.cpu.core import CoreResult
 from repro.harness.store import (
     STORE_FSYNC_ENV,
@@ -14,6 +16,7 @@ from repro.harness.store import (
     stable_key,
 )
 from repro.sim.simulator import SimulationResult
+from repro.workloads.mixes import get_machine
 from repro.workloads.profiles import get_profile
 
 
@@ -32,33 +35,39 @@ def make_result(cycles=12345) -> SimulationResult:
 class TestStableKey:
     def test_same_inputs_same_key(self):
         profile = get_profile("hmmer")
-        config = SystemConfig(mode=ProtectionMode.MUONTRAP)
+        config = SystemConfig(mode="muontrap")
         assert (stable_key(profile, config, 2000, 1234)
                 == stable_key(profile, config, 2000, 1234))
 
     def test_any_input_change_changes_key(self):
         profile = get_profile("hmmer")
-        config = SystemConfig(mode=ProtectionMode.MUONTRAP)
+        config = SystemConfig(mode="muontrap")
         base = stable_key(profile, config, 2000, 1234)
         assert stable_key(get_profile("mcf"), config, 2000, 1234) != base
         assert stable_key(profile, config.with_mode(
-            ProtectionMode.UNPROTECTED), 2000, 1234) != base
+            "unprotected"), 2000, 1234) != base
         assert stable_key(profile, config, 2001, 1234) != base
         assert stable_key(profile, config, 2000, 1235) != base
         assert stable_key(profile, config, 2000, 1234,
                           warmup_fraction=0.5) != base
 
-    def test_key_of_a_fixed_cell_is_pinned(self):
+    @pytest.mark.parametrize("workload,machine,expected", [
+        ("mcf", SystemConfig(mode="muontrap"), "a5af5db23583c1dc021950c0"),
+        # Per-core scheme names of a heterogeneous preset.
+        ("mix-pointer-stream", get_machine("asym-protect"),
+         "f36f8d4927699404d4e47299"),
+    ], ids=["mcf-muontrap", "asym-protect"])
+    def test_key_of_a_fixed_cell_is_pinned(self, workload, machine,
+                                           expected):
         # Stored results stay reachable only while keys are stable: a
         # change here silently recomputes every cell of every store.
-        key = stable_key(get_profile("mcf"),
-                         SystemConfig(mode=ProtectionMode.MUONTRAP), 8000, 1234)
-        assert key == "a5af5db23583c1dc021950c0"
+        key = stable_key(get_profile(workload), machine, 8000, 1234)
+        assert key == expected
 
     def test_profile_content_not_just_name_participates(self):
         profile = get_profile("hmmer")
         tweaked = dataclasses.replace(profile, hot_set_bytes=1024)
-        config = SystemConfig(mode=ProtectionMode.MUONTRAP)
+        config = SystemConfig(mode="muontrap")
         assert (stable_key(profile, config, 2000, 1234)
                 != stable_key(tweaked, config, 2000, 1234))
 

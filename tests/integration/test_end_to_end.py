@@ -8,54 +8,59 @@ table drivers used by the benchmark harness.
 
 import pytest
 
-from repro.common.params import ProtectionMode, SystemConfig
+from repro import api
+from repro.common.params import ProtectionConfig, SystemConfig
 from repro.experiments.figures import figure4, figure7
 from repro.experiments.security import run_security_evaluation
 from repro.experiments.table1 import format_table1, table1_as_dict
-from repro.sim.runner import ExperimentRunner, standard_modes, unprotected_config
+from repro.sim.runner import standard_modes, unprotected_config
+
+INSTRUCTIONS = 900
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(instructions=900)
+def cache():
+    """One in-memory result cache shared by every run in this module."""
+    return {}
+
+
+def cycles(benchmark, config, cache):
+    return api.simulate(benchmark, config, instructions=INSTRUCTIONS,
+                        cache=cache).cycles
 
 
 class TestPerformanceRelationships:
-    def test_every_mode_completes_a_spec_workload(self, runner):
-        baseline = runner.run_benchmark("hmmer", unprotected_config())
-        assert baseline.result.cycles > 0
+    def test_every_mode_completes_a_spec_workload(self, cache):
+        baseline = cycles("hmmer", unprotected_config(), cache)
+        assert baseline > 0
         for label, config in standard_modes().items():
-            run = runner.run_benchmark("hmmer", config, label=label)
-            ratio = run.result.cycles / baseline.result.cycles
+            ratio = cycles("hmmer", config, cache) / baseline
             assert 0.5 < ratio < 3.0, f"{label} ratio {ratio} implausible"
 
-    def test_muontrap_cheaper_than_invisispec_future_on_parsec(self, runner):
-        baseline = runner.run_benchmark("streamcluster",
-                                        unprotected_config(num_cores=4))
-        muontrap = runner.run_benchmark(
+    def test_muontrap_cheaper_than_invisispec_future_on_parsec(self, cache):
+        baseline = cycles("streamcluster", unprotected_config(num_cores=4),
+                          cache)
+        muontrap = cycles("streamcluster",
+                          SystemConfig(mode="muontrap", num_cores=4), cache)
+        invisispec = cycles(
             "streamcluster",
-            SystemConfig(mode=ProtectionMode.MUONTRAP, num_cores=4),
-            label="mt")
-        invisispec = runner.run_benchmark(
-            "streamcluster",
-            SystemConfig(mode=ProtectionMode.INVISISPEC_FUTURE, num_cores=4),
-            label="isf")
-        assert muontrap.result.cycles <= invisispec.result.cycles * 1.05
-        assert baseline.result.cycles > 0
+            SystemConfig(mode="invisispec-future", num_cores=4), cache)
+        assert muontrap <= invisispec * 1.05
+        assert baseline > 0
 
-    def test_clear_on_misspeculate_costs_something(self, runner):
-        from repro.common.params import ProtectionConfig
-        base = SystemConfig(mode=ProtectionMode.MUONTRAP)
+    def test_clear_on_misspeculate_costs_something(self, cache):
+        base = SystemConfig(mode="muontrap")
         clearing = base.with_protection(
             ProtectionConfig(clear_on_misspeculate=True))
-        normal = runner.run_benchmark("gobmk", base, label="mt")
-        cleared = runner.run_benchmark("gobmk", clearing, label="mt-clear")
-        assert cleared.result.cycles >= normal.result.cycles * 0.97
+        normal = cycles("gobmk", base, cache)
+        cleared = cycles("gobmk", clearing, cache)
+        assert cleared >= normal * 0.97
 
 
 class TestExperimentDrivers:
-    def test_figure4_structure(self, runner):
-        result = figure4(runner, benchmarks=["swaptions", "blackscholes"])
+    def test_figure4_structure(self, cache):
+        result = figure4(["swaptions", "blackscholes"],
+                         instructions=INSTRUCTIONS, jobs=1, cache=cache)
         assert set(result.series) == set(standard_modes())
         assert set(result.benchmarks) == {"swaptions", "blackscholes"}
         assert all(value > 0 for series in result.series.values()
@@ -63,8 +68,9 @@ class TestExperimentDrivers:
         table = result.format_table()
         assert "geomean" in table
 
-    def test_figure7_rates_are_proportions(self, runner):
-        result = figure7(runner, benchmarks=["gcc", "lbm", "povray"])
+    def test_figure7_rates_are_proportions(self, cache):
+        result = figure7(["gcc", "lbm", "povray"],
+                         instructions=INSTRUCTIONS, jobs=1, cache=cache)
         rates = result.series["write fcache-invalidate rate"]
         assert set(rates) == {"gcc", "lbm", "povray"}
         assert all(0.0 <= rate <= 1.0 for rate in rates.values())

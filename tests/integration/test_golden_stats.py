@@ -21,11 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.params import (
-    ProtectionMode,
-    SystemConfig,
-    corun_system_config,
-)
+from repro.common.params import SystemConfig, corun_system_config
+from repro.schemes import available_schemes
 from repro.workloads.mixes import get_machine
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
@@ -39,13 +36,13 @@ WARMUP_FRACTION = 0.25
 
 #: (snapshot name, benchmark, system configuration).
 CASES = [
-    (mode.value, "mcf", SystemConfig(mode=mode))
-    for mode in ProtectionMode
+    (spec.name, "mcf", SystemConfig(mode=spec.name))
+    for spec in available_schemes() if spec.builtin
 ] + [
     ("corun-muontrap", "mix-pointer-stream",
-     corun_system_config(ProtectionMode.MUONTRAP, num_cores=2)),
+     corun_system_config("muontrap", num_cores=2)),
     ("corun-unprotected", "mix-pointer-stream",
-     corun_system_config(ProtectionMode.UNPROTECTED, num_cores=2)),
+     corun_system_config("unprotected", num_cores=2)),
     ("hetero-biglittle-muontrap", "mix-pointer-stream",
      get_machine("biglittle-muontrap")),
     ("hetero-asym-protect", "mix-pointer-stream",

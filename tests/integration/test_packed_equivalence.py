@@ -13,7 +13,6 @@ divergence, however small, is a bug in one of the engines.
 import pytest
 
 from repro.common.params import (
-    ProtectionMode,
     SystemConfig,
     corun_system_config,
 )
@@ -26,11 +25,11 @@ from repro.workloads.profiles import get_profile
 
 #: The five schemes of the acceptance matrix (Figures 3 and 4).
 SCHEMES = [
-    ProtectionMode.UNPROTECTED,
-    ProtectionMode.INSECURE_L0,
-    ProtectionMode.MUONTRAP,
-    ProtectionMode.INVISISPEC_SPECTRE,
-    ProtectionMode.STT_SPECTRE,
+    "unprotected",
+    "insecure-l0",
+    "muontrap",
+    "invisispec-spectre",
+    "stt-spectre",
 ]
 
 SEEDS = [7, 1234]
@@ -54,7 +53,7 @@ def _simulate(config: SystemConfig, profile, seed: int,
     return simulator.run(workload, collect_stats=True, warmup_fraction=0.35)
 
 
-def _run(mode: ProtectionMode, benchmark: str, seed: int,
+def _run(mode: str, benchmark: str, seed: int,
          engine: str) -> SimulationResult:
     profile = get_profile(benchmark)
     config = SystemConfig(mode=mode).with_cores(max(1, profile.num_threads))
@@ -80,31 +79,30 @@ def _assert_two_way(runner, context: str) -> None:
 
 class TestPackedEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("mode", SCHEMES,
-                             ids=[mode.value for mode in SCHEMES])
+    @pytest.mark.parametrize("mode", SCHEMES)
     def test_every_scheme_bit_identical_across_cross_section(self, mode,
                                                              seed):
         for benchmark in CROSS_SECTION:
             _assert_two_way(
                 lambda engine: _run(mode, benchmark, seed, engine),
-                f"{mode.value}/{benchmark}/seed={seed}")
+                f"{mode}/{benchmark}/seed={seed}")
 
     def test_full_mixed_suite_bit_identical(self):
         """Every benchmark of the ``mixed`` suite under the full defence."""
         for benchmark in resolve_suites(["mixed"]):
             _assert_two_way(
-                lambda engine: _run(ProtectionMode.MUONTRAP, benchmark,
+                lambda engine: _run("muontrap", benchmark,
                                     SEEDS[0], engine),
                 f"mixed/{benchmark}")
 
     def test_invisispec_future_and_stt_future_bit_identical(self):
         """The -Future variants exercise distinct visibility-point logic."""
-        for mode in (ProtectionMode.INVISISPEC_FUTURE,
-                     ProtectionMode.STT_FUTURE):
+        for mode in ("invisispec-future",
+                     "stt-future"):
             for benchmark in ("mcf", "lbm"):
                 _assert_two_way(
                     lambda engine: _run(mode, benchmark, SEEDS[1], engine),
-                    f"{mode.value}/{benchmark}")
+                    f"{mode}/{benchmark}")
 
 
 class TestHeterogeneousEquivalence:
@@ -130,7 +128,7 @@ class TestHeterogeneousEquivalence:
             f"{preset}/seed={seed}")
 
 
-def _run_corun(mode: ProtectionMode, mix: str, seed: int,
+def _run_corun(mode: str, mix: str, seed: int,
                engine: str) -> SimulationResult:
     profile = get_profile(mix)
     config = corun_system_config(mode=mode, num_cores=profile.num_threads)
@@ -149,21 +147,20 @@ class TestCoRunPackedEquivalence:
     MIXES = ["mix-pointer-stream", "mix-quad"]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("mode", SCHEMES,
-                             ids=[mode.value for mode in SCHEMES])
+    @pytest.mark.parametrize("mode", SCHEMES)
     def test_corun_bit_identical_across_engines(self, mode, seed):
         for mix in self.MIXES:
             per_op = _run_corun(mode, mix, seed, "per-op")
             candidate = _run_corun(mode, mix, seed, "packed")
-            _assert_identical(candidate, per_op, f"{mode.value}/{mix}/{seed}")
+            _assert_identical(candidate, per_op, f"{mode}/{mix}/{seed}")
             assert candidate.core_benchmarks == per_op.core_benchmarks
             assert candidate.is_corun
 
     def test_corun_deterministic_across_runs(self):
         """The same spec twice gives byte-identical results."""
-        first = _run_corun(ProtectionMode.MUONTRAP, "mix-pointer-stream",
+        first = _run_corun("muontrap", "mix-pointer-stream",
                            SEEDS[0], "packed")
-        second = _run_corun(ProtectionMode.MUONTRAP, "mix-pointer-stream",
+        second = _run_corun("muontrap", "mix-pointer-stream",
                             SEEDS[0], "packed")
         _assert_identical(first, second, "determinism")
 
@@ -174,4 +171,4 @@ class TestCoRunPackedEquivalence:
             for mode in SCHEMES:
                 _assert_two_way(
                     lambda engine: _run_corun(mode, mix, SEEDS[0], engine),
-                    f"{mode.value}/{mix}")
+                    f"{mode}/{mix}")

@@ -1,13 +1,10 @@
-"""Differential suite: registry dispatch ≡ the pre-redesign enum dispatch.
+"""Differential suite: registry dispatch ≡ the pre-registry dispatch.
 
-The scheme registry replaced the literal if-chain that used to live in
-``repro.sim.hetero.frontend_factory``.  These tests keep a faithful copy
-of that pre-redesign chain and prove that, for all seven built-in schemes,
-a system dispatched through the registry simulates **bit-identically**
-(cycles, instructions, and the full statistics tree) to one dispatched
-through the legacy chain — homogeneous and heterogeneous, and regardless
-of whether the scheme is named by the deprecated enum or by its registry
-name string.
+The scheme registry replaced a literal if-chain over the seven built-in
+schemes.  These tests keep a faithful copy of that chain, keyed by scheme
+name, and prove that, for all seven built-in schemes, a system dispatched
+through the registry simulates **bit-identically** (cycles, instructions,
+and the full statistics tree) to one dispatched through the legacy chain.
 
 (The heterogeneous presets are additionally pinned end-to-end by the
 golden snapshots in ``test_golden_stats.py``, which predate the registry.)
@@ -19,7 +16,7 @@ from repro.baselines.insecure_l0 import InsecureL0MemorySystem
 from repro.baselines.invisispec import InvisiSpecMemorySystem
 from repro.baselines.stt import STTMemorySystem
 from repro.baselines.unprotected import UnprotectedMemorySystem
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
 from repro.core.muontrap import MuonTrapMemorySystem
@@ -36,33 +33,35 @@ SEED = 1234
 WARMUP = 0.25
 
 
+BUILTIN_SCHEMES = ["unprotected", "insecure-l0", "muontrap",
+                   "invisispec-spectre", "invisispec-future",
+                   "stt-spectre", "stt-future"]
+
+
 def legacy_frontend_factory(mode):
-    """A faithful copy of the pre-redesign dispatch if-chain."""
-    if mode is ProtectionMode.MUONTRAP:
+    """A faithful copy of the pre-registry dispatch if-chain."""
+    if mode == "muontrap":
         return MuonTrapMemorySystem
-    if mode is ProtectionMode.UNPROTECTED:
+    if mode == "unprotected":
         return UnprotectedMemorySystem
-    if mode is ProtectionMode.INSECURE_L0:
+    if mode == "insecure-l0":
         return InsecureL0MemorySystem
-    if mode in (ProtectionMode.INVISISPEC_SPECTRE,
-                ProtectionMode.INVISISPEC_FUTURE):
+    if mode in ("invisispec-spectre", "invisispec-future"):
         def build_invisispec(config, **kwargs):
             return InvisiSpecMemorySystem(
-                config,
-                future_variant=mode is ProtectionMode.INVISISPEC_FUTURE,
+                config, future_variant=mode == "invisispec-future",
                 **kwargs)
         return build_invisispec
-    if mode in (ProtectionMode.STT_SPECTRE, ProtectionMode.STT_FUTURE):
+    if mode in ("stt-spectre", "stt-future"):
         def build_stt(config, **kwargs):
             return STTMemorySystem(
-                config, future_variant=mode is ProtectionMode.STT_FUTURE,
-                **kwargs)
+                config, future_variant=mode == "stt-future", **kwargs)
         return build_stt
     raise ValueError(f"unknown protection mode: {mode!r}")
 
 
 def legacy_build_system(config: SystemConfig, seed: int) -> SimulatedSystem:
-    """The pre-redesign single-scheme construction path, verbatim."""
+    """The pre-registry single-scheme construction path, verbatim."""
     stats = StatGroup("system")
     rng = DeterministicRng(seed)
     page_tables = PageTableManager(page_size=config.tlb.page_size)
@@ -95,36 +94,15 @@ def assert_identical(left, right):
 
 
 class TestHomogeneousDifferential:
-    @pytest.mark.parametrize("mode", list(ProtectionMode),
-                             ids=[mode.value for mode in ProtectionMode])
+    @pytest.mark.parametrize("mode", BUILTIN_SCHEMES)
     def test_registry_bit_identical_to_legacy_chain(self, mode):
         config = SystemConfig(mode=mode)
         registry = run(build_system(config, seed=SEED))
         legacy = run(legacy_build_system(config, seed=SEED))
         assert_identical(registry, legacy)
 
-    @pytest.mark.parametrize("mode", list(ProtectionMode),
-                             ids=[mode.value for mode in ProtectionMode])
-    def test_scheme_name_strings_equal_enum_members(self, mode):
-        by_enum = run(build_system(SystemConfig(mode=mode), seed=SEED))
-        by_name = run(build_system(SystemConfig(mode=mode.value),
-                                   seed=SEED))
-        assert_identical(by_enum, by_name)
-
 
 class TestHeterogeneousDifferential:
-    @pytest.mark.parametrize("preset", ["biglittle-asym", "asym-protect"])
-    def test_string_named_hetero_machines_equal_enum_named(self, preset):
-        config = get_machine(preset)
-        # Rebuild the same machine with every per-core mode expressed as a
-        # registry name string instead of the enum.
-        renamed = config.with_core_configs(
-            [core.with_mode(core.scheme) for core in config.core_configs()])
-        assert renamed.core_modes == config.core_modes  # normalised back
-        left = run(build_system(config, seed=SEED), "mix-pointer-stream")
-        right = run(build_system(renamed, seed=SEED), "mix-pointer-stream")
-        assert_identical(left, right)
-
     def test_hetero_composite_uses_registry_frontends(self):
         config = get_machine("asym-protect")
         system = build_system(config, seed=SEED)

@@ -89,6 +89,11 @@ class TestValidation:
             client.simulate("no-such-benchmark",
                             instructions=INSTRUCTIONS)
         assert excinfo.value.status == 400
+        # A scheme must be a registry name string.
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate("mcf", scheme=7, instructions=INSTRUCTIONS)
+        assert excinfo.value.status == 400
+        assert "name string" in excinfo.value.message
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:

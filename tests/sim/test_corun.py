@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.params import (
     DEFAULT_PRIVATE_L2,
-    ProtectionMode,
     SystemConfig,
     corun_system_config,
 )
@@ -14,7 +13,7 @@ from repro.workloads.generator import generate_workload
 from repro.workloads.profiles import get_profile
 
 
-def _corun_result(mode=ProtectionMode.UNPROTECTED, mix="mix-pointer-stream",
+def _corun_result(mode="unprotected", mix="mix-pointer-stream",
                   instructions=300, seed=7, private_l2=True,
                   collect_stats=False) -> SimulationResult:
     profile = get_profile(mix)
@@ -38,7 +37,7 @@ class TestPrivateL2Construction:
                 line_size=32))
 
     def test_hierarchy_builds_one_private_l2_per_core(self):
-        config = corun_system_config(ProtectionMode.UNPROTECTED, num_cores=3)
+        config = corun_system_config("unprotected", num_cores=3)
         system = build_system(config, seed=0)
         hierarchy = system.memory_system.hierarchy
         l2ps = [hierarchy.private_l2(core) for core in range(3)]
@@ -58,7 +57,7 @@ class TestPrivateL2Construction:
     def test_private_l2_absorbs_l1_victims(self):
         """A miss serviced once is later served by the private L2, not the
         bus: the hit goes to the ``l2p`` level."""
-        config = corun_system_config(ProtectionMode.UNPROTECTED, num_cores=2)
+        config = corun_system_config("unprotected", num_cores=2)
         system = build_system(config, seed=0)
         hierarchy = system.memory_system.hierarchy
         line = 0x4_0000
@@ -101,7 +100,7 @@ class TestCoRunExecution:
         """With warm-up enabled the parts must stay consistent with the
         aggregate: same accounting, no warm-up cycles leaking back in."""
         profile = get_profile("mix-pointer-stream")
-        config = corun_system_config(ProtectionMode.UNPROTECTED,
+        config = corun_system_config("unprotected",
                                      num_cores=profile.num_threads)
         workload = generate_workload(profile, 400, seed=7)
         result = Simulator(build_system(config, seed=7)).run(
@@ -130,7 +129,7 @@ class TestCoRunExecution:
         alone = {}
         for benchmark in parts:
             profile = get_profile(benchmark)
-            config = corun_system_config(ProtectionMode.UNPROTECTED,
+            config = corun_system_config("unprotected",
                                          num_cores=2)
             workload = generate_workload(profile, 400, seed=7)
             system = build_system(config, seed=7)
@@ -144,7 +143,7 @@ class TestCoRunExecution:
         from repro.workloads.mixes import MixProfile, generate_mix
         mix = MixProfile(name="test-twin", members=("lbm", "lbm"))
         workload = generate_mix(mix, 200, seed=2)
-        config = corun_system_config(ProtectionMode.UNPROTECTED, num_cores=2)
+        config = corun_system_config("unprotected", num_cores=2)
         system = build_system(config, seed=2)
         result = Simulator(system).run(workload)
         assert result.instructions == 400
@@ -155,9 +154,7 @@ class TestCoRunExecution:
                   for line in hierarchy.l1d(1).resident_lines()}
         assert not lines0 & lines1
 
-    @pytest.mark.parametrize("mode", [ProtectionMode.MUONTRAP,
-                                      ProtectionMode.UNPROTECTED],
-                             ids=lambda mode: mode.value)
+    @pytest.mark.parametrize("mode", ["muontrap", "unprotected"])
     def test_corun_runs_under_both_topologies(self, mode):
         with_l2p = _corun_result(mode=mode, private_l2=True)
         without = _corun_result(mode=mode, private_l2=False)

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro import api
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.harness.campaign import Campaign
 from repro.sim.simulator import (
     REFERENCE_FREQUENCY_GHZ,
@@ -52,12 +52,12 @@ class TestFrequencyScaling:
         campaign = Campaign(
             ["mcf"],
             configs={"fast": with_frequency(SystemConfig(), 4.0)},
-            baseline_config=SystemConfig(mode=ProtectionMode.UNPROTECTED),
+            baseline_config=SystemConfig(mode="unprotected"),
             instructions=INSTRUCTIONS, seed=SEED)
         normalised = campaign.run().normalised()["fast"]["mcf"]
         same_clock = Campaign(
             ["mcf"], configs={"same": SystemConfig()},
-            baseline_config=SystemConfig(mode=ProtectionMode.UNPROTECTED),
+            baseline_config=SystemConfig(mode="unprotected"),
             instructions=INSTRUCTIONS, seed=SEED)
         reference = same_clock.run().normalised()["same"]["mcf"]
         assert normalised == pytest.approx(reference / 2)

@@ -17,7 +17,6 @@ from repro.common.params import (
     CacheConfig,
     CoreConfig,
     ProtectionConfig,
-    ProtectionMode,
     SystemConfig,
     big_core,
     biglittle_system_config,
@@ -25,6 +24,7 @@ from repro.common.params import (
     heterogeneous_corun_config,
     little_core,
 )
+from repro.schemes import scheme_names
 from repro.sim.hetero import HeterogeneousMemorySystem
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
@@ -75,26 +75,25 @@ class TestValidation:
 
     def test_with_cores_tiles_an_explicit_core_list(self):
         machine = biglittle_system_config(
-            [ProtectionMode.MUONTRAP], [ProtectionMode.UNPROTECTED])
+            ["muontrap"], ["unprotected"])
         grown = machine.with_cores(4)
         assert grown.num_cores == 4
         assert [core.pipeline.width for core in grown.core_configs()] == [
             8, 2, 8, 2]
-        assert grown.core_modes == (
-            ProtectionMode.MUONTRAP, ProtectionMode.UNPROTECTED,
-            ProtectionMode.MUONTRAP, ProtectionMode.UNPROTECTED)
+        assert grown.core_schemes == (
+            "muontrap", "unprotected", "muontrap", "unprotected")
 
     def test_with_mode_overrides_every_core(self):
         machine = heterogeneous_corun_config(
-            [ProtectionMode.MUONTRAP, ProtectionMode.UNPROTECTED])
-        uniform = machine.with_mode(ProtectionMode.STT_SPECTRE)
+            ["muontrap", "unprotected"])
+        uniform = machine.with_mode("stt-spectre")
         assert not uniform.is_scheme_heterogeneous
         assert uniform.mode_label == "stt-spectre"
 
     def test_mode_label(self):
         assert SystemConfig().mode_label == "muontrap"
         machine = heterogeneous_corun_config(
-            [ProtectionMode.MUONTRAP, ProtectionMode.UNPROTECTED])
+            ["muontrap", "unprotected"])
         assert machine.is_scheme_heterogeneous
         assert machine.mode_label == "muontrap+unprotected"
 
@@ -109,8 +108,7 @@ class TestDifferentialRegression:
     """Identical-per-core heterogeneous == homogeneous, bit for bit."""
 
     @pytest.mark.parametrize("num_cores", sorted(MIXES))
-    @pytest.mark.parametrize("mode", list(ProtectionMode),
-                             ids=[mode.value for mode in ProtectionMode])
+    @pytest.mark.parametrize("mode", scheme_names())
     def test_identical_cores_match_homogeneous_path(self, mode, num_cores):
         config = corun_system_config(mode=mode, num_cores=num_cores)
         homogeneous = _run(config, MIXES[num_cores])
@@ -124,7 +122,7 @@ class TestDifferentialRegression:
 
     def test_identical_cores_match_on_shared_l2_topology(self):
         """The differential also holds without private L2s."""
-        config = corun_system_config(ProtectionMode.MUONTRAP, num_cores=2,
+        config = corun_system_config("muontrap", num_cores=2,
                                      private_l2=False)
         homogeneous = _run(config, MIXES[2])
         heterogeneous = _run(config.as_heterogeneous(), MIXES[2])
@@ -135,7 +133,7 @@ class TestDifferentialRegression:
 class TestHeterogeneousExecution:
     def test_mixed_schemes_build_the_composite_memory_system(self):
         machine = heterogeneous_corun_config(
-            [ProtectionMode.MUONTRAP, ProtectionMode.UNPROTECTED])
+            ["muontrap", "unprotected"])
         system = build_system(machine, seed=0)
         memory = system.memory_system
         assert isinstance(memory, HeterogeneousMemorySystem)
@@ -149,7 +147,7 @@ class TestHeterogeneousExecution:
         assert system.core(1).memory is memory.frontend(1)
 
     def test_uniform_core_list_builds_a_single_scheme_system(self):
-        config = corun_system_config(ProtectionMode.UNPROTECTED,
+        config = corun_system_config("unprotected",
                                      num_cores=2).as_heterogeneous()
         system = build_system(config, seed=0)
         assert not isinstance(system.memory_system,
@@ -158,7 +156,7 @@ class TestHeterogeneousExecution:
 
     def test_biglittle_pipelines_and_caches_differ_per_core(self):
         machine = biglittle_system_config(
-            [ProtectionMode.MUONTRAP], [ProtectionMode.MUONTRAP])
+            ["muontrap"], ["muontrap"])
         system = build_system(machine, seed=0)
         big, little = system.core(0), system.core(1)
         assert big.core_config.width == 8
@@ -178,7 +176,7 @@ class TestHeterogeneousExecution:
         from repro.cpu.instructions import MicroOp, OpKind
 
         machine = biglittle_system_config(
-            [ProtectionMode.UNPROTECTED], [ProtectionMode.UNPROTECTED])
+            ["unprotected"], ["unprotected"])
         ops = [MicroOp(kind=OpKind.INT_ALU, pc=0x1000 + 4 * index)
                for index in range(400)]
         # Fresh system per measurement: running both cores on one machine
@@ -190,7 +188,7 @@ class TestHeterogeneousExecution:
 
     def test_heterogeneous_run_is_deterministic(self):
         machine = heterogeneous_corun_config(
-            [ProtectionMode.MUONTRAP, ProtectionMode.UNPROTECTED])
+            ["muontrap", "unprotected"])
         first = _run(machine, MIXES[2])
         second = _run(machine, MIXES[2])
         assert first.cycles == second.cycles
@@ -201,7 +199,7 @@ class TestHeterogeneousExecution:
         """Capability probes are per core: an STT core's taint machinery
         must not leak onto its unprotected neighbour."""
         machine = heterogeneous_corun_config(
-            [ProtectionMode.STT_SPECTRE, ProtectionMode.UNPROTECTED])
+            ["stt-spectre", "unprotected"])
         system = build_system(machine, seed=0)
         assert system.core(0)._stt_mode
         assert not system.core(1)._stt_mode

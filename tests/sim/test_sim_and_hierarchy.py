@@ -1,4 +1,4 @@
-"""Tests for the hierarchy, system builder, simulator and experiment runner."""
+"""Tests for the hierarchy, system builder, simulator and standard configs."""
 
 import pytest
 
@@ -6,14 +6,9 @@ from repro.baselines.invisispec import InvisiSpecMemorySystem
 from repro.baselines.stt import STTMemorySystem
 from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.caches.hierarchy import NonSpeculativeHierarchy
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.core.muontrap import MuonTrapMemorySystem
-from repro.sim.runner import (
-    ExperimentRunner,
-    cumulative_protection_configs,
-    standard_modes,
-    unprotected_config,
-)
+from repro.sim.runner import cumulative_protection_configs, standard_modes
 from repro.sim.simulator import Simulator
 from repro.sim.sweeps import (
     filter_cache_associativity_configs,
@@ -65,7 +60,7 @@ class TestHierarchy:
 
     def test_simulator_drains_training_buffer_at_end_of_run(self):
         config = SystemConfig(num_cores=1,
-                              mode=ProtectionMode.UNPROTECTED)
+                              mode="unprotected")
         system = build_system(config, seed=3)
         workload = generate_workload(get_profile("mcf"), 600, seed=3)
         Simulator(system).run(workload)
@@ -85,12 +80,12 @@ class TestHierarchy:
 
 class TestSystemBuilder:
     @pytest.mark.parametrize("mode,expected", [
-        (ProtectionMode.UNPROTECTED, UnprotectedMemorySystem),
-        (ProtectionMode.MUONTRAP, MuonTrapMemorySystem),
-        (ProtectionMode.INVISISPEC_SPECTRE, InvisiSpecMemorySystem),
-        (ProtectionMode.INVISISPEC_FUTURE, InvisiSpecMemorySystem),
-        (ProtectionMode.STT_SPECTRE, STTMemorySystem),
-        (ProtectionMode.STT_FUTURE, STTMemorySystem),
+        ("unprotected", UnprotectedMemorySystem),
+        ("muontrap", MuonTrapMemorySystem),
+        ("invisispec-spectre", InvisiSpecMemorySystem),
+        ("invisispec-future", InvisiSpecMemorySystem),
+        ("stt-spectre", STTMemorySystem),
+        ("stt-future", STTMemorySystem),
     ])
     def test_builds_correct_memory_system(self, mode, expected):
         memory = build_memory_system(SystemConfig(mode=mode))
@@ -109,7 +104,7 @@ class TestSystemBuilder:
 class TestSimulator:
     def test_single_threaded_run(self):
         workload = generate_workload(get_profile("hmmer"), 1200, seed=11)
-        system = build_system(SystemConfig(mode=ProtectionMode.UNPROTECTED))
+        system = build_system(SystemConfig(mode="unprotected"))
         result = Simulator(system).run(workload)
         assert result.instructions == 1200
         assert result.cycles > 0
@@ -117,7 +112,7 @@ class TestSimulator:
 
     def test_multithreaded_run_uses_all_cores(self):
         workload = generate_workload(get_profile("swaptions"), 600, seed=11)
-        system = build_system(SystemConfig(mode=ProtectionMode.MUONTRAP,
+        system = build_system(SystemConfig(mode="muontrap",
                                            num_cores=4))
         result = Simulator(system).run(workload)
         assert result.instructions == 2400
@@ -127,9 +122,9 @@ class TestSimulator:
     def test_warmup_excludes_cycles_but_not_state(self):
         workload = generate_workload(get_profile("hmmer"), 1500, seed=11)
         cold = Simulator(build_system(
-            SystemConfig(mode=ProtectionMode.UNPROTECTED))).run(workload)
+            SystemConfig(mode="unprotected"))).run(workload)
         warm = Simulator(build_system(
-            SystemConfig(mode=ProtectionMode.UNPROTECTED))).run(
+            SystemConfig(mode="unprotected"))).run(
                 workload, warmup_fraction=0.4)
         assert warm.warmup_cycles > 0
         assert warm.cycles < cold.cycles
@@ -143,29 +138,13 @@ class TestSimulator:
     def test_deterministic_given_seed(self):
         workload = generate_workload(get_profile("gcc"), 800, seed=5)
         first = Simulator(build_system(
-            SystemConfig(mode=ProtectionMode.MUONTRAP), seed=3)).run(workload)
+            SystemConfig(mode="muontrap"), seed=3)).run(workload)
         second = Simulator(build_system(
-            SystemConfig(mode=ProtectionMode.MUONTRAP), seed=3)).run(workload)
+            SystemConfig(mode="muontrap"), seed=3)).run(workload)
         assert first.cycles == second.cycles
 
 
-class TestExperimentRunner:
-    def test_normalised_series_contains_all_benchmarks(self):
-        runner = ExperimentRunner(instructions=600)
-        series = runner.normalised_series(
-            ["hmmer", "povray"],
-            {"MuonTrap": SystemConfig(mode=ProtectionMode.MUONTRAP)},
-            unprotected_config())
-        values = series["MuonTrap"].values
-        assert set(values) == {"hmmer", "povray"}
-        assert all(value > 0 for value in values.values())
-
-    def test_results_are_cached(self):
-        runner = ExperimentRunner(instructions=600)
-        first = runner.run_benchmark("hmmer", unprotected_config())
-        second = runner.run_benchmark("hmmer", unprotected_config())
-        assert first.result is second.result
-
+class TestExperimentConfigs:
     def test_standard_modes_and_ablation_configs(self):
         modes = standard_modes()
         assert set(modes) == {"MuonTrap", "InvisiSpec-Spectre",

@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.harness.campaign import (
     Campaign,
     ExecutionStats,
@@ -18,7 +18,7 @@ from repro.telemetry import PhaseTimers, get_logger, log_event, phase
 from repro.telemetry.log import configure
 
 INSTRUCTIONS = 600
-CONFIGS = {"MuonTrap": SystemConfig(mode=ProtectionMode.MUONTRAP)}
+CONFIGS = {"MuonTrap": SystemConfig(mode="muontrap")}
 
 
 def make_campaign(**kwargs):

@@ -123,8 +123,6 @@ class TestTracedSimulation:
         metas = [event for event in outcome.tracer.events
                  if event.category == "meta"]
         assert [event.detail["scheme"] for event in metas] == ["muontrap"]
-        # Registry names, never enum reprs.
-        assert "ProtectionMode" not in jsonl_bytes(outcome.tracer).decode()
 
     def test_traced_run_matches_untraced_run(self, outcome):
         plain = api.simulate("mcf", scheme="muontrap", seed=SEED,

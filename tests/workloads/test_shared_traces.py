@@ -11,7 +11,7 @@ generate), and the campaign-level lifecycle.
 
 import pytest
 
-from repro.common.params import ProtectionMode, SystemConfig
+from repro.common.params import SystemConfig
 from repro.harness.campaign import Campaign
 from repro.sim.runner import unprotected_config
 from repro.workloads import generator as generator_module
@@ -116,7 +116,7 @@ class TestGenerateWorkloadAttachesFirst:
 def _campaign(jobs, **kwargs):
     return Campaign(
         ["hmmer", "povray"],
-        configs={"MuonTrap": SystemConfig(mode=ProtectionMode.MUONTRAP)},
+        configs={"MuonTrap": SystemConfig(mode="muontrap")},
         baseline_config=unprotected_config(),
         instructions=INSTRUCTIONS, jobs=jobs, **kwargs)
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.unprotected import UnprotectedMemorySystem
-from repro.common.params import default_system_config
+from repro.common.params import SystemConfig
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.instructions import F_TRANSMITTER, KIND_FLAGS, MicroOp, OpKind
 from repro.workloads.trace import (
@@ -179,7 +179,7 @@ class TestEmptyAndSingleOpExecution:
     """Engine-level pinning: degenerate traces return the entry clock."""
 
     def _core(self):
-        config = default_system_config()
+        config = SystemConfig()
         return OutOfOrderCore(0, config, UnprotectedMemorySystem(config))
 
     def test_empty_trace_is_a_no_op_on_every_engine(self):
