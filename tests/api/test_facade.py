@@ -130,6 +130,19 @@ class TestSimulate:
 
 
 class TestCompare:
+    def test_matches_separate_simulations(self):
+        comparison = api.compare(["muontrap", "stt-spectre"], suite="mcf",
+                                 seed=1234, instructions=INSTRUCTIONS)
+        baseline = api.simulate("mcf", "unprotected", seed=1234,
+                                instructions=INSTRUCTIONS)
+        normalised = comparison.normalised()
+        for label, scheme in (("MuonTrap", "muontrap"),
+                              ("STT-Spectre", "stt-spectre")):
+            outcome = api.simulate("mcf", scheme, seed=1234,
+                                   instructions=INSTRUCTIONS)
+            assert normalised[label]["mcf"] \
+                == outcome.normalised_to(baseline)
+
     def test_accepts_mixed_series_and_mappings(self):
         comparison = api.compare(
             {"protected": "muontrap", "machine": "asym-protect"},

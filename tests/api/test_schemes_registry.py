@@ -62,6 +62,27 @@ class TestBuiltins:
             "muontrap", "invisispec-spectre", "invisispec-future",
             "stt-spectre", "stt-future"]
 
+    def test_capability_flags_of_the_builtins(self):
+        # name: (filter caches, delays transmitters, speculative buffers)
+        expected = {
+            "unprotected": (False, False, False),
+            "insecure-l0": (True, False, False),
+            "muontrap": (True, False, False),
+            "invisispec-spectre": (False, False, True),
+            "invisispec-future": (False, False, True),
+            "stt-spectre": (False, True, False),
+            "stt-future": (False, True, False),
+        }
+        for name, flags in expected.items():
+            spec = get_scheme(name)
+            assert (spec.supports_filter_caches, spec.delays_transmitters,
+                    spec.uses_speculative_buffers) == flags, name
+
+    def test_lookup_is_by_name_string_only(self):
+        assert get_scheme("muontrap").name == "muontrap"
+        with pytest.raises(UnknownSchemeError, match="unknown"):
+            get_scheme(7)
+
     def test_unknown_scheme_is_a_value_error_naming_the_registry(self):
         with pytest.raises(UnknownSchemeError, match="no-such-scheme"):
             get_scheme("no-such-scheme")

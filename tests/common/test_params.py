@@ -92,6 +92,12 @@ class TestSystemConfig:
         with pytest.raises(TypeError, match="mode.*name string"):
             CoreConfig(mode=None)
 
+    def test_with_mode_must_be_given_a_name_string(self):
+        with pytest.raises(TypeError, match="mode.*name string"):
+            SystemConfig().with_mode(7)
+        with pytest.raises(TypeError, match="mode.*name string"):
+            CoreConfig().with_mode(None)
+
     def test_rejects_zero_cores(self):
         with pytest.raises(ValueError):
             SystemConfig(num_cores=0)

@@ -15,11 +15,17 @@ from repro.harness.campaign import (
 )
 from repro.harness.store import ResultStore, result_to_dict
 from repro.sim.runner import unprotected_config
+from repro.telemetry.metrics import MetricsSampler
+from repro.telemetry.tracer import Tracer
 from repro.workloads.profiles import get_profile
 
 INSTRUCTIONS = 600
 
 CONFIGS = {"MuonTrap": SystemConfig(mode="muontrap")}
+
+BUILTIN_SCHEMES = ["unprotected", "insecure-l0", "muontrap",
+                   "invisispec-spectre", "invisispec-future",
+                   "stt-spectre", "stt-future"]
 
 
 def make_campaign(store=None, jobs=1, benchmarks=("hmmer", "povray"),
@@ -136,3 +142,26 @@ class TestNormalisation:
             protected = result.result(benchmark, "MuonTrap").cycles
             assert series[benchmark] == pytest.approx(protected / baseline)
             assert series[benchmark] > 0
+
+
+class TestInstrumentedRunCell:
+    """``repro.api.simulate``'s traced and sampled runs go through
+    ``run_cell`` too; attaching telemetry must not change the result."""
+
+    @pytest.mark.parametrize("scheme", BUILTIN_SCHEMES)
+    def test_tracer_and_sampler_leave_the_result_unchanged(self, scheme):
+        spec = RunSpec(profile=get_profile("mcf"), label=scheme,
+                       config=SystemConfig(mode=scheme),
+                       instructions=INSTRUCTIONS, seed=7,
+                       collect_stats=True)
+        tracer = Tracer()
+        sampler = MetricsSampler(100)
+        instrumented = run_cell(spec, tracer=tracer, sampler=sampler)
+        plain = run_cell(spec)
+        assert len(tracer) > 0
+        assert len(sampler.timeseries) > 0
+        assert instrumented.cycles == plain.cycles
+        assert instrumented.instructions == plain.instructions
+        assert instrumented.warmup_cycles == plain.warmup_cycles
+        assert instrumented.core_results == plain.core_results
+        assert instrumented.stats == plain.stats

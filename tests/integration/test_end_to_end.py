@@ -10,9 +10,11 @@ import pytest
 
 from repro import api
 from repro.common.params import ProtectionConfig, SystemConfig
-from repro.experiments.figures import figure4, figure7
+from repro.experiments.figures import figure3, figure4, figure7
 from repro.experiments.security import run_security_evaluation
 from repro.experiments.table1 import format_table1, table1_as_dict
+from repro.harness import campaign
+from repro.harness.store import ResultStore
 from repro.sim.runner import standard_modes, unprotected_config
 
 INSTRUCTIONS = 900
@@ -74,6 +76,62 @@ class TestExperimentDrivers:
         rates = result.series["write fcache-invalidate rate"]
         assert set(rates) == {"gcc", "lbm", "povray"}
         assert all(0.0 <= rate <= 1.0 for rate in rates.values())
+
+    def test_figure_series_match_separate_simulations(self, cache):
+        result = figure3(["hmmer"], instructions=INSTRUCTIONS, jobs=1,
+                         cache=cache)
+        baseline = cycles("hmmer", unprotected_config(), cache)
+        assert set(result.series) == set(standard_modes())
+        for label, config in standard_modes().items():
+            assert result.series[label] == {
+                "hmmer": cycles("hmmer", config, cache) / baseline}
+
+    def test_figures_reuse_a_shared_cache(self, monkeypatch):
+        shared = {}
+        first = figure3(["hmmer"], instructions=INSTRUCTIONS, jobs=1,
+                        cache=shared)
+        assert len(shared) == len(standard_modes()) + 1  # plus the baseline
+
+        def no_simulation(spec):
+            raise AssertionError(f"{spec.label} was simulated again")
+
+        monkeypatch.setattr(campaign, "run_cell", no_simulation)
+        again = figure3(["hmmer"], instructions=INSTRUCTIONS, jobs=1,
+                        cache=shared)
+        assert again.series == first.series
+
+    def test_figures_reuse_a_store_across_calls(self, tmp_path):
+        store = ResultStore(tmp_path)
+        first = figure3(["povray"], instructions=INSTRUCTIONS, jobs=1,
+                        store=store)
+        cells = len(store)
+        assert cells == len(standard_modes()) + 1      # plus the baseline
+        hits = store.hits
+        again = figure3(["povray"], instructions=INSTRUCTIONS, jobs=1,
+                        store=store)
+        assert store.hits == hits + cells
+        assert len(store) == cells
+        assert again.series == first.series
+
+    def test_parallel_figure_matches_sequential(self, cache):
+        sequential = figure3(["hmmer", "povray"], instructions=INSTRUCTIONS,
+                             jobs=1, cache=cache)
+        parallel = figure3(["hmmer", "povray"], instructions=INSTRUCTIONS,
+                           jobs=2)
+        assert parallel.series == sequential.series
+        assert parallel.geomeans == sequential.geomeans
+
+    def test_figure7_matches_the_muontrap_statistics(self, cache):
+        result = figure7(["gcc"], instructions=INSTRUCTIONS, jobs=1,
+                         cache=cache)
+        stats = api.simulate("gcc", "muontrap", instructions=INSTRUCTIONS,
+                             warmup_fraction=0.0, collect_stats=True,
+                             cache=cache).stats
+        stores = stats["system.memory_system.committed_stores"]
+        broadcasts = stats["system.memory_system.store_filter_broadcasts"]
+        assert stores > 0
+        assert result.series["write fcache-invalidate rate"] == {
+            "gcc": broadcasts / stores}
 
     def test_table1_matches_configuration(self):
         entries = table1_as_dict()

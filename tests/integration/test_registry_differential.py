@@ -5,10 +5,14 @@ schemes.  These tests keep a faithful copy of that chain, keyed by scheme
 name, and prove that, for all seven built-in schemes, a system dispatched
 through the registry simulates **bit-identically** (cycles, instructions,
 and the full statistics tree) to one dispatched through the legacy chain.
+A heterogeneous machine whose per-core scheme names were read back from a
+machine file dispatches exactly like the in-memory preset.
 
 (The heterogeneous presets are additionally pinned end-to-end by the
 golden snapshots in ``test_golden_stats.py``, which predate the registry.)
 """
+
+import json
 
 import pytest
 
@@ -16,6 +20,7 @@ from repro.baselines.insecure_l0 import InsecureL0MemorySystem
 from repro.baselines.invisispec import InvisiSpecMemorySystem
 from repro.baselines.stt import STTMemorySystem
 from repro.baselines.unprotected import UnprotectedMemorySystem
+from repro.common.machine import machine_from_dict, machine_to_dict
 from repro.common.params import SystemConfig
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
@@ -103,6 +108,17 @@ class TestHomogeneousDifferential:
 
 
 class TestHeterogeneousDifferential:
+    @pytest.mark.parametrize("preset", ["biglittle-asym", "asym-protect"])
+    def test_machine_file_names_dispatch_like_the_preset(self, preset):
+        config = get_machine(preset)
+        loaded = machine_from_dict(json.loads(json.dumps(
+            machine_to_dict(config))))
+        assert loaded.core_schemes == config.core_schemes
+        assert all(type(name) is str for name in loaded.core_schemes)
+        left = run(build_system(config, seed=SEED), "mix-pointer-stream")
+        right = run(build_system(loaded, seed=SEED), "mix-pointer-stream")
+        assert_identical(left, right)
+
     def test_hetero_composite_uses_registry_frontends(self):
         config = get_machine("asym-protect")
         system = build_system(config, seed=SEED)

@@ -95,6 +95,17 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert "name string" in excinfo.value.message
 
+    @pytest.mark.parametrize("machine", [
+        {"mode": 7},
+        {"num_cores": 1, "cores": [{"mode": None}]},
+    ])
+    def test_machine_with_a_non_string_mode_is_a_400(self, client, machine):
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate("mcf", machine=machine,
+                            instructions=INSTRUCTIONS)
+        assert excinfo.value.status == 400
+        assert "name string" in excinfo.value.message
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.job("sweep-0000000000000000")

@@ -42,6 +42,15 @@ class TestFrequencyScaling:
         assert fast.result.core_wall_seconds()[0] \
             == base.result.core_wall_seconds()[0] / 2
 
+    def test_outcome_normalised_to_divides_time_not_cycles(self):
+        base = api.simulate("mcf", SystemConfig(), seed=SEED,
+                            instructions=INSTRUCTIONS)
+        fast = api.simulate("mcf", with_frequency(SystemConfig(), 4.0),
+                            seed=SEED, instructions=INSTRUCTIONS)
+        assert fast.cycles == base.cycles
+        assert fast.normalised_to(base) == 0.5
+        assert base.normalised_to(fast) == 2.0
+
     def test_reference_frequency_time_equals_cycles(self):
         outcome = api.simulate("mcf", seed=SEED, instructions=INSTRUCTIONS)
         assert outcome.result.core_frequencies_ghz \
