@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import SystemConfig
+from repro.core.frontend import SchemeFrontend
 from repro.cpu.instructions import MicroOp, OpKind, WrongPathAccess
 from repro.cpu.interface import MemorySystem
 from repro.memory.page_table import PageTableManager
@@ -114,10 +115,9 @@ class AttackEnvironment:
         if self._current_process.get(core_id) == process_id:
             return
         self._current_process[core_id] = process_id
-        switch = getattr(self.memory, "switch_to_process", None)
-        if switch is not None:
-            switch(core_id, process_id, self.now)
-        else:
+        if isinstance(self.memory, SchemeFrontend):
+            self.memory.switch_to_process(core_id, process_id, self.now)
+        else:   # a scheme implementing MemorySystem directly
             self.memory.context_switch(core_id, self.now)
         self.advance(200)
 

@@ -11,15 +11,12 @@ mechanisms.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.common.params import SystemConfig
-from repro.common.rng import DeterministicRng
+from repro.baselines.unprotected import UnprotectedMemorySystem
+from repro.common.params import CoreConfig
 from repro.common.statistics import StatGroup
 from repro.core.filter_cache import SpeculativeFilterCache
+from repro.core.frontend import CoreState
 from repro.cpu.interface import MemoryAccessResult
-from repro.baselines.unprotected import UnprotectedMemorySystem
-from repro.memory.page_table import PageTableManager
 
 
 class InsecureL0MemorySystem(UnprotectedMemorySystem):
@@ -27,38 +24,25 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
 
     name = "insecure-l0"
 
-    def __init__(self, config: SystemConfig,
-                 page_tables: Optional[PageTableManager] = None,
-                 stats: Optional[StatGroup] = None,
-                 rng: Optional[DeterministicRng] = None,
-                 hierarchy=None,
-                 core_ids: Optional[Sequence[int]] = None) -> None:
-        stats = stats or StatGroup("insecure_l0")
-        super().__init__(config, page_tables=page_tables, stats=stats,
-                         rng=rng, hierarchy=hierarchy, core_ids=core_ids)
-        self._data_l0 = {}
-        self._inst_l0 = {}
-        for core_id in self.core_ids:
-            per_core = config.core_config(core_id)
-            core_stats = stats.child(f"core{core_id}")
-            self._data_l0[core_id] = SpeculativeFilterCache(
-                per_core.data_filter, stats=core_stats.child("data_l0"),
-                name="data_l0")
-            self._inst_l0[core_id] = SpeculativeFilterCache(
-                per_core.inst_filter, stats=core_stats.child("inst_l0"),
-                name="inst_l0")
-
-    def data_l0(self, core_id: int) -> SpeculativeFilterCache:
-        return self._data_l0[core_id]
-
-    def inst_l0(self, core_id: int) -> SpeculativeFilterCache:
-        return self._inst_l0[core_id]
+    def _build_core(self, core_id: int, per_core: CoreConfig,
+                    stats: StatGroup) -> CoreState:
+        # The L0s live in the frontend's filter slots, so the tracer and
+        # the metrics sampler see them; their statistics keep the
+        # data_l0/inst_l0 names.
+        core = super()._build_core(core_id, per_core, stats)
+        core.data_filter = SpeculativeFilterCache(
+            per_core.data_filter, stats=stats.child("data_l0"),
+            name="data_l0")
+        core.inst_filter = SpeculativeFilterCache(
+            per_core.inst_filter, stats=stats.child("inst_l0"),
+            name="inst_l0")
+        return core
 
     # -- execute-time -----------------------------------------------------------
     def load(self, core_id: int, process_id: int, virtual_address: int,
              now: int, *, speculative: bool, pc: int = 0
              ) -> MemoryAccessResult:
-        l0 = self._data_l0[core_id]
+        l0 = self._cores[core_id].data_filter
         lookup = l0.lookup(virtual_address, now, process_id=process_id)
         if lookup.hit:
             return MemoryAccessResult(latency=lookup.latency, hit_level="l0")
@@ -79,7 +63,7 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
                             virtual_address: int, now: int, *,
                             speculative: bool, pc: int = 0
                             ) -> MemoryAccessResult:
-        l0 = self._data_l0[core_id]
+        l0 = self._cores[core_id].data_filter
         lookup = l0.lookup(virtual_address, now, process_id=process_id)
         if lookup.hit:
             return MemoryAccessResult(latency=lookup.latency, hit_level="l0")
@@ -98,7 +82,7 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
     def fetch(self, core_id: int, process_id: int, virtual_address: int,
               now: int, *, speculative: bool, pc: int = 0
               ) -> MemoryAccessResult:
-        l0 = self._inst_l0[core_id]
+        l0 = self._cores[core_id].inst_filter
         lookup = l0.lookup(virtual_address, now, process_id=process_id)
         if lookup.hit:
             return MemoryAccessResult(latency=lookup.latency, hit_level="l0i")

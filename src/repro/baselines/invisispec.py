@@ -23,16 +23,11 @@ reports for InvisiSpec.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.caches.hierarchy import NonSpeculativeHierarchy
 from repro.common.params import SystemConfig
-from repro.common.rng import DeterministicRng
-from repro.common.statistics import StatGroup
-from repro.core.domains import DomainTracker
-from repro.cpu.interface import MemoryAccessResult, MemorySystem
-from repro.memory.page_table import PageTableManager
-from repro.tlb.page_walker import MMU
+from repro.core.frontend import SchemeFrontend
+from repro.cpu.interface import MemoryAccessResult
 
 
 @dataclass
@@ -44,57 +39,23 @@ class _SpeculativeBufferEntry:
     filled_at: int
 
 
-class InvisiSpecMemorySystem(MemorySystem):
-    """Speculative-buffer loads with validation/exposure at the visibility point."""
+class InvisiSpecMemorySystem(SchemeFrontend):
+    """Speculative-buffer loads with validation/exposure at the visibility point.
 
-    def __init__(self, config: SystemConfig,
-                 future_variant: bool = False,
-                 page_tables: Optional[PageTableManager] = None,
-                 stats: Optional[StatGroup] = None,
-                 rng: Optional[DeterministicRng] = None,
-                 hierarchy: Optional[NonSpeculativeHierarchy] = None,
-                 core_ids: Optional[Sequence[int]] = None) -> None:
-        self.config = config
+    InvisiSpec does not protect the instruction cache, so fetches take the
+    unprotected :meth:`SchemeFrontend.fetch`.
+    """
+
+    def __init__(self, config: SystemConfig, future_variant: bool = False,
+                 **kwargs) -> None:
         self.future_variant = future_variant
         self.name = ("invisispec-future" if future_variant
                      else "invisispec-spectre")
-        stats = stats or StatGroup(self.name.replace("-", "_"))
-        self.stats = stats
-        rng = rng or DeterministicRng(0)
-        self.page_tables = (page_tables if page_tables is not None
-                            else PageTableManager(
-                                page_size=config.tlb.page_size))
-        self.hierarchy = (hierarchy if hierarchy is not None
-                          else NonSpeculativeHierarchy(
-                              config, stats=stats.child("hierarchy"),
-                              rng=rng))
-        self.core_ids = (list(core_ids) if core_ids is not None
-                         else list(range(config.num_cores)))
-        self._mmus: Dict[int, Tuple[MMU, MMU]] = {}
-        self._domains: Dict[int, DomainTracker] = {}
+        super().__init__(config, **kwargs)
         self._buffers: Dict[Tuple[int, int], _SpeculativeBufferEntry] = {}
-        for core_id in self.core_ids:
-            per_core = config.core_config(core_id)
-            core_stats = stats.child(f"core{core_id}")
-            self._mmus[core_id] = (
-                MMU(per_core.tlb, use_filter_tlb=False,
-                    stats=core_stats.child("dmmu"), name="dmmu"),
-                MMU(per_core.tlb, use_filter_tlb=False,
-                    stats=core_stats.child("immu"), name="immu"))
-            self._domains[core_id] = DomainTracker(
-                core_id=core_id, stats=core_stats.child("domains"))
-        self._speculative_loads = stats.counter("speculative_buffer_fills")
-        self._validations = stats.counter("validation_accesses")
-
-    def domains(self, core_id: int) -> DomainTracker:
-        return self._domains[core_id]
-
-    def _translate(self, core_id: int, process_id: int, virtual_address: int,
-                   instruction: bool) -> Tuple[Optional[int], int]:
-        space = self.page_tables.address_space(process_id)
-        mmu = self._mmus[core_id][1 if instruction else 0]
-        return mmu.translate_address(space, virtual_address,
-                                     speculative=False)
+        self._speculative_loads = self.stats.counter(
+            "speculative_buffer_fills")
+        self._validations = self.stats.counter("validation_accesses")
 
     # -- execute-time -----------------------------------------------------------
     def load(self, core_id: int, process_id: int, virtual_address: int,
@@ -155,23 +116,6 @@ class InvisiSpecMemorySystem(MemorySystem):
                                       hit_level="fault")
         return MemoryAccessResult(latency=tlb_latency + 1, hit_level="sq")
 
-    def fetch(self, core_id: int, process_id: int, virtual_address: int,
-              now: int, *, speculative: bool, pc: int = 0
-              ) -> MemoryAccessResult:
-        # InvisiSpec does not protect the instruction cache; fetches behave
-        # exactly as in the unprotected system.
-        physical, tlb_latency = self._translate(core_id, process_id,
-                                                virtual_address, True)
-        if physical is None:
-            return MemoryAccessResult(latency=tlb_latency + 1,
-                                      hit_level="fault")
-        outcome = self.hierarchy.access(core_id, physical, now + tlb_latency,
-                                        instruction=True,
-                                        speculative=speculative, pc=pc,
-                                        train_prefetcher=False)
-        return MemoryAccessResult(latency=tlb_latency + outcome.latency,
-                                  hit_level=outcome.hit_level)
-
     # -- the visibility-point re-access --------------------------------------------
     def validation_latency(self, core_id: int, process_id: int,
                            virtual_address: int, now: int, *,
@@ -221,21 +165,6 @@ class InvisiSpecMemorySystem(MemorySystem):
         stale = [key for key in self._buffers if key[0] == core_id]
         for key in stale:
             del self._buffers[key]
-
-    def switch_to_process(self, core_id: int, process_id: int,
-                          now: int = 0) -> None:
-        self._domains[core_id].context_switch(to_process=process_id)
-
-    def context_switch(self, core_id: int, now: int) -> None:
-        current = self._domains[core_id].current.process_id
-        self._domains[core_id].context_switch(to_process=current + 1)
-
-    def sandbox_entry(self, core_id: int, now: int) -> None:
-        self._domains[core_id].sandbox_entry(sandbox_id=1)
-
-    def drain(self, core_id: int, now: int) -> None:
-        """End of run: deliver prefetcher-training events still buffered."""
-        self.hierarchy.flush_speculative_training(now)
 
     # -- introspection ---------------------------------------------------------------------
     def speculative_buffer_contains(self, core_id: int,

@@ -21,13 +21,8 @@ most, matching the paper's observations.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.common.params import SystemConfig
-from repro.common.rng import DeterministicRng
-from repro.common.statistics import StatGroup
-from repro.memory.page_table import PageTableManager
 
 
 class STTMemorySystem(UnprotectedMemorySystem):
@@ -37,19 +32,12 @@ class STTMemorySystem(UnprotectedMemorySystem):
     #: for their source load's visibility point before issuing.
     delays_dependent_transmitters = True
 
-    def __init__(self, config: SystemConfig,
-                 future_variant: bool = False,
-                 page_tables: Optional[PageTableManager] = None,
-                 stats: Optional[StatGroup] = None,
-                 rng: Optional[DeterministicRng] = None,
-                 hierarchy=None,
-                 core_ids: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, config: SystemConfig, future_variant: bool = False,
+                 **kwargs) -> None:
         self.future_variant = future_variant
         self.name = "stt-future" if future_variant else "stt-spectre"
-        stats = stats or StatGroup(self.name.replace("-", "_"))
-        super().__init__(config, page_tables=page_tables, stats=stats,
-                         rng=rng, hierarchy=hierarchy, core_ids=core_ids)
-        self._delayed_forwards = stats.counter(
+        super().__init__(config, **kwargs)
+        self._delayed_forwards = self.stats.counter(
             "delayed_forwards",
             "dependent transmit instructions held back by taint")
 

@@ -10,77 +10,19 @@ six attacks succeed against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
-
-from repro.caches.hierarchy import NonSpeculativeHierarchy
 from repro.common.params import SystemConfig
-from repro.common.rng import DeterministicRng
-from repro.common.statistics import StatGroup
-from repro.core.domains import DomainTracker
-from repro.cpu.interface import MemoryAccessResult, MemorySystem
-from repro.memory.page_table import PageTableManager
-from repro.tlb.page_walker import MMU
+from repro.core.frontend import SchemeFrontend
+from repro.cpu.interface import MemoryAccessResult
 
 
-@dataclass
-class _CoreState:
-    data_mmu: MMU
-    inst_mmu: MMU
-    domains: DomainTracker
-
-
-class UnprotectedMemorySystem(MemorySystem):
+class UnprotectedMemorySystem(SchemeFrontend):
     """Conventional hierarchy with no speculation-related protections."""
 
     name = "unprotected"
 
-    def __init__(self, config: SystemConfig,
-                 page_tables: Optional[PageTableManager] = None,
-                 stats: Optional[StatGroup] = None,
-                 rng: Optional[DeterministicRng] = None,
-                 hierarchy: Optional[NonSpeculativeHierarchy] = None,
-                 core_ids: Optional[Sequence[int]] = None) -> None:
-        self.config = config
-        stats = stats or StatGroup("unprotected")
-        self.stats = stats
-        rng = rng or DeterministicRng(0)
-        self.page_tables = (page_tables if page_tables is not None
-                            else PageTableManager(
-                                page_size=config.tlb.page_size))
-        # A heterogeneous machine passes in the shared hierarchy and the
-        # subset of cores this scheme frontend serves; stand-alone use
-        # builds its own hierarchy and serves every core.
-        self.hierarchy = (hierarchy if hierarchy is not None
-                          else NonSpeculativeHierarchy(
-                              config, stats=stats.child("hierarchy"),
-                              rng=rng))
-        self.core_ids = (list(core_ids) if core_ids is not None
-                         else list(range(config.num_cores)))
-        self._cores: Dict[int, _CoreState] = {}
-        for core_id in self.core_ids:
-            per_core = config.core_config(core_id)
-            core_stats = stats.child(f"core{core_id}")
-            self._cores[core_id] = _CoreState(
-                data_mmu=MMU(per_core.tlb, use_filter_tlb=False,
-                             stats=core_stats.child("dmmu"), name="dmmu"),
-                inst_mmu=MMU(per_core.tlb, use_filter_tlb=False,
-                             stats=core_stats.child("immu"), name="immu"),
-                domains=DomainTracker(core_id=core_id,
-                                      stats=core_stats.child("domains")))
-        self._committed_stores = stats.counter("committed_stores")
-
-    # -- helpers -------------------------------------------------------------
-    def domains(self, core_id: int) -> DomainTracker:
-        return self._cores[core_id].domains
-
-    def _translate(self, core_id: int, process_id: int, virtual_address: int,
-                   instruction: bool) -> tuple:
-        core = self._cores[core_id]
-        space = self.page_tables.address_space(process_id)
-        mmu = core.inst_mmu if instruction else core.data_mmu
-        return mmu.translate_address(space, virtual_address,
-                                     speculative=False)
+    def __init__(self, config: SystemConfig, **kwargs) -> None:
+        super().__init__(config, **kwargs)
+        self._committed_stores = self.stats.counter("committed_stores")
 
     # -- execute-time ----------------------------------------------------------
     def load(self, core_id: int, process_id: int, virtual_address: int,
@@ -114,21 +56,6 @@ class UnprotectedMemorySystem(MemorySystem):
         return MemoryAccessResult(latency=tlb_latency + outcome.latency,
                                   hit_level=outcome.hit_level)
 
-    def fetch(self, core_id: int, process_id: int, virtual_address: int,
-              now: int, *, speculative: bool, pc: int = 0
-              ) -> MemoryAccessResult:
-        physical, tlb_latency = self._translate(core_id, process_id,
-                                                virtual_address, True)
-        if physical is None:
-            return MemoryAccessResult(latency=tlb_latency + 1,
-                                      hit_level="fault")
-        outcome = self.hierarchy.access(core_id, physical, now + tlb_latency,
-                                        instruction=True,
-                                        speculative=speculative, pc=pc,
-                                        train_prefetcher=False)
-        return MemoryAccessResult(latency=tlb_latency + outcome.latency,
-                                  hit_level=outcome.hit_level)
-
     # -- commit-time -------------------------------------------------------------
     def commit_load(self, core_id: int, process_id: int, virtual_address: int,
                     now: int, *, pc: int = 0) -> int:
@@ -145,22 +72,6 @@ class UnprotectedMemorySystem(MemorySystem):
                                              broadcast_to_filters=False)
         return min(result.latency,
                    self.hierarchy.l1d(core_id).config.hit_latency)
-
-    # -- control events -------------------------------------------------------------
-    def switch_to_process(self, core_id: int, process_id: int,
-                          now: int = 0) -> None:
-        self._cores[core_id].domains.context_switch(to_process=process_id)
-
-    def context_switch(self, core_id: int, now: int) -> None:
-        current = self._cores[core_id].domains.current.process_id
-        self._cores[core_id].domains.context_switch(to_process=current + 1)
-
-    def sandbox_entry(self, core_id: int, now: int) -> None:
-        self._cores[core_id].domains.sandbox_entry(sandbox_id=1)
-
-    def drain(self, core_id: int, now: int) -> None:
-        """End of run: deliver prefetcher-training events still buffered."""
-        self.hierarchy.flush_speculative_training(now)
 
 
 # -- scheme registration ------------------------------------------------------

@@ -6,13 +6,16 @@ from repro.core.domains import (
     ProtectionDomain,
 )
 from repro.core.filter_cache import FilterLookupResult, SpeculativeFilterCache
+from repro.core.frontend import CoreState, SchemeFrontend
 from repro.core.muontrap import MuonTrapMemorySystem
 
 __all__ = [
+    "CoreState",
     "DomainKind",
     "DomainTracker",
     "FilterLookupResult",
     "MuonTrapMemorySystem",
     "ProtectionDomain",
+    "SchemeFrontend",
     "SpeculativeFilterCache",
 ]

@@ -30,122 +30,53 @@ Domain switches
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
-
-from repro.caches.hierarchy import NonSpeculativeHierarchy
-from repro.common.params import ProtectionConfig, SystemConfig
-from repro.common.rng import DeterministicRng
+from repro.common.params import CoreConfig, SystemConfig
 from repro.common.statistics import StatGroup
-from repro.core.domains import DomainTracker
 from repro.core.filter_cache import SpeculativeFilterCache
-from repro.cpu.interface import MemoryAccessResult, MemorySystem
-from repro.memory.page_table import PageTableManager
-from repro.tlb.page_walker import MMU
+from repro.core.frontend import CoreState, SchemeFrontend
+from repro.cpu.interface import MemoryAccessResult
 
 
-@dataclass
-class _CoreState:
-    """Per-core MuonTrap structures."""
-
-    data_filter: SpeculativeFilterCache
-    inst_filter: SpeculativeFilterCache
-    data_mmu: MMU
-    inst_mmu: MMU
-    domains: DomainTracker
-    #: The core's own ablation switches: on a heterogeneous machine two
-    #: MuonTrap cores may enable different subsets of the mechanisms.
-    protection: ProtectionConfig
-
-
-class MuonTrapMemorySystem(MemorySystem):
+class MuonTrapMemorySystem(SchemeFrontend):
     """Filter caches + protected hierarchy implementing the full defence."""
 
     name = "muontrap"
 
-    def __init__(self, config: SystemConfig,
-                 page_tables: Optional[PageTableManager] = None,
-                 stats: Optional[StatGroup] = None,
-                 rng: Optional[DeterministicRng] = None,
-                 hierarchy: Optional[NonSpeculativeHierarchy] = None,
-                 core_ids: Optional[Sequence[int]] = None) -> None:
-        self.config = config
-        #: Machine-level view, kept for introspection; the access paths use
-        #: the per-core protection in :class:`_CoreState`.
-        self.protection: ProtectionConfig = config.protection
-        stats = stats or StatGroup("muontrap")
-        self.stats = stats
-        rng = rng or DeterministicRng(0)
-        self.page_tables = (page_tables if page_tables is not None
-                            else PageTableManager(
-                                page_size=config.tlb.page_size))
-        self.hierarchy = (hierarchy if hierarchy is not None
-                          else NonSpeculativeHierarchy(
-                              config, stats=stats.child("hierarchy"),
-                              rng=rng))
-        self.core_ids = (list(core_ids) if core_ids is not None
-                         else list(range(config.num_cores)))
-        self._cores: Dict[int, _CoreState] = {}
-        for core_id in self.core_ids:
-            per_core = config.core_config(core_id)
-            protection = per_core.protection
-            core_stats = stats.child(f"core{core_id}")
-            data_filter = SpeculativeFilterCache(
-                per_core.data_filter, stats=core_stats.child("data_filter"),
-                name="data_filter")
-            inst_filter = SpeculativeFilterCache(
-                per_core.inst_filter, stats=core_stats.child("inst_filter"),
-                name="inst_filter")
-            data_mmu = MMU(per_core.tlb,
-                           use_filter_tlb=protection.filter_tlb,
-                           stats=core_stats.child("dmmu"), name="dmmu")
-            inst_mmu = MMU(per_core.tlb,
-                           use_filter_tlb=protection.filter_tlb,
-                           stats=core_stats.child("immu"), name="immu")
-            domains = DomainTracker(core_id=core_id,
-                                    stats=core_stats.child("domains"))
-            state = _CoreState(data_filter=data_filter,
-                               inst_filter=inst_filter,
-                               data_mmu=data_mmu, inst_mmu=inst_mmu,
-                               domains=domains, protection=protection)
-            self._cores[core_id] = state
-            # Register the filter caches as targets of exclusive-upgrade
-            # invalidation broadcasts (section 4.5).  Registration is what
-            # makes the fabric multicast to this core (see
-            # CoherenceBus.has_peer_filter_listeners), so it is gated on
-            # the core's coherence protection: the "fcache only" ablation
-            # deliberately leaves its filter unprotected.
-            if protection.coherence_protection:
-                self.hierarchy.bus.register_filter_listener(
-                    core_id, data_filter.invalidate_physical)
-            domains.on_switch(
-                lambda old, new, cid=core_id: self._flush_core(cid))
+    def __init__(self, config: SystemConfig, **kwargs) -> None:
+        super().__init__(config, **kwargs)
+        stats = self.stats
         self._committed_loads = stats.counter("committed_loads")
         self._committed_stores = stats.counter("committed_stores")
         self._store_broadcasts = stats.counter("store_filter_broadcasts")
         self._nack_retries = stats.counter("nack_retries")
         self._misspeculation_flushes = stats.counter("misspeculation_flushes")
 
-    # -- helpers -----------------------------------------------------------------
-    def core_state(self, core_id: int) -> _CoreState:
-        return self._cores[core_id]
-
-    def data_filter(self, core_id: int) -> SpeculativeFilterCache:
-        return self._cores[core_id].data_filter
-
-    def inst_filter(self, core_id: int) -> SpeculativeFilterCache:
-        return self._cores[core_id].inst_filter
-
-    def domains(self, core_id: int) -> DomainTracker:
-        return self._cores[core_id].domains
-
-    def _translate(self, core: _CoreState, process_id: int,
-                   virtual_address: int, speculative: bool,
-                   instruction: bool) -> tuple:
-        space = self.page_tables.address_space(process_id)
-        mmu = core.inst_mmu if instruction else core.data_mmu
-        return mmu.translate_address(space, virtual_address,
-                                     speculative=speculative)
+    def _build_core(self, core_id: int, per_core: CoreConfig,
+                    stats: StatGroup) -> CoreState:
+        protection = per_core.protection
+        data_filter = SpeculativeFilterCache(
+            per_core.data_filter, stats=stats.child("data_filter"),
+            name="data_filter")
+        inst_filter = SpeculativeFilterCache(
+            per_core.inst_filter, stats=stats.child("inst_filter"),
+            name="inst_filter")
+        core = super()._build_core(core_id, per_core, stats,
+                                   filter_tlb=protection.filter_tlb)
+        core.data_filter = data_filter
+        core.inst_filter = inst_filter
+        core.protection = protection
+        # Register the filter caches as targets of exclusive-upgrade
+        # invalidation broadcasts (section 4.5).  Registration is what
+        # makes the fabric multicast to this core (see
+        # CoherenceBus.has_peer_filter_listeners), so it is gated on
+        # the core's coherence protection: the "fcache only" ablation
+        # deliberately leaves its filter unprotected.
+        if protection.coherence_protection:
+            self.hierarchy.bus.register_filter_listener(
+                core_id, data_filter.invalidate_physical)
+        core.domains.on_switch(
+            lambda old, new, cid=core_id: self._flush_core(cid))
+        return core
 
     def _flush_core(self, core_id: int) -> None:
         """Clear all speculative state on a protection-domain switch."""
@@ -168,7 +99,8 @@ class MuonTrapMemorySystem(MemorySystem):
         core = self._cores[core_id]
         protection = core.protection
         physical, tlb_latency = self._translate(
-            core, process_id, virtual_address, speculative, instruction=False)
+            core_id, process_id, virtual_address, instruction=False,
+            speculative=speculative)
         if physical is None:
             return MemoryAccessResult(latency=tlb_latency + 1,
                                       hit_level="fault")
@@ -244,7 +176,8 @@ class MuonTrapMemorySystem(MemorySystem):
         core = self._cores[core_id]
         protection = core.protection
         physical, tlb_latency = self._translate(
-            core, process_id, virtual_address, speculative, instruction=True)
+            core_id, process_id, virtual_address, instruction=True,
+            speculative=speculative)
         if physical is None:
             return MemoryAccessResult(latency=tlb_latency + 1,
                                       hit_level="fault")
@@ -373,25 +306,6 @@ class MuonTrapMemorySystem(MemorySystem):
             core.data_filter.flush()
         if protection.instruction_filter_cache:
             core.inst_filter.flush()
-
-    def context_switch(self, core_id: int, now: int) -> None:
-        self._cores[core_id].domains.context_switch(
-            to_process=self._cores[core_id].domains.current.process_id + 1)
-
-    def switch_to_process(self, core_id: int, process_id: int,
-                          now: int = 0) -> None:
-        """Explicit context switch to a named process (attack framework)."""
-        self._cores[core_id].domains.context_switch(to_process=process_id)
-
-    def syscall(self, core_id: int, now: int = 0) -> None:
-        self._cores[core_id].domains.syscall()
-
-    def sandbox_entry(self, core_id: int, now: int) -> None:
-        self._cores[core_id].domains.sandbox_entry(sandbox_id=1)
-
-    def drain(self, core_id: int, now: int) -> None:
-        """End of run: deliver prefetcher-training events still buffered."""
-        self.hierarchy.flush_speculative_training(now)
 
     # -- statistics ------------------------------------------------------------------------
     @property

@@ -1,11 +1,15 @@
 """The interface between the out-of-order core and a memory system.
 
-Every protection mode (unprotected, insecure-L0, MuonTrap, InvisiSpec, STT)
-provides a :class:`MemorySystem`.  The core calls it for speculative loads,
-stores and instruction fetches as they execute, again at commit, and on
-squashes and protection-domain switches.  The returned
-:class:`MemoryAccessResult` carries both the latency (the core's scheduling
-input) and the metadata the experiments and attacks inspect.
+Every protection scheme provides a :class:`MemorySystem`.  The core calls
+it for speculative loads, stores and instruction fetches as they execute,
+again at commit, and on squashes and protection-domain switches.  The
+returned :class:`MemoryAccessResult` carries both the latency (the core's
+scheduling input) and the metadata the experiments and attacks inspect.
+
+The five built-in schemes (unprotected, insecure-L0, MuonTrap, InvisiSpec,
+STT) derive from :class:`~repro.core.frontend.SchemeFrontend`, which holds
+their shared per-core translation and protection-domain state; a scheme
+may also implement this interface directly.
 """
 
 from __future__ import annotations
@@ -42,11 +46,9 @@ class MemorySystem(abc.ABC):
     def frontend(self, core_id: int) -> "MemorySystem":
         """The memory system one core should be driven against.
 
-        Single-scheme systems serve every core themselves; the
-        heterogeneous composite returns the per-core scheme frontend so
-        the core's capability probes (STT taint delays, InvisiSpec
-        validation) see that core's protection scheme, not its
-        neighbours'.
+        A single-scheme system serves every core itself.  The
+        heterogeneous container (:mod:`repro.sim.hetero`) has the same
+        method and returns the core's own scheme frontend.
         """
         return self
 

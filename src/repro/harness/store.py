@@ -35,8 +35,6 @@ the missing or damaged cells and nothing else.
 from __future__ import annotations
 
 import abc
-import dataclasses
-import enum
 import hashlib
 import itertools
 import json
@@ -47,6 +45,7 @@ from contextlib import closing
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
+from repro.common.jsonable import jsonable
 from repro.common.params import SystemConfig
 from repro.cpu.core import CoreResult
 from repro.sim.simulator import SimulationResult
@@ -75,23 +74,9 @@ STORE_BACKENDS = ("json", "sqlite")
 _TMP_COUNTER = itertools.count()
 
 
-def _jsonable(value: Any) -> Any:
-    """Convert dataclasses / enums / paths into plain JSON-friendly values."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {field.name: _jsonable(getattr(value, field.name))
-                for field in dataclasses.fields(value)}
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
-
-
 def config_fingerprint(config: SystemConfig) -> Dict[str, Any]:
     """A canonical, JSON-serialisable view of a system configuration."""
-    return _jsonable(config)
+    return jsonable(config)
 
 
 def stable_key(profile: WorkloadProfile, config: SystemConfig,
@@ -108,7 +93,7 @@ def stable_key(profile: WorkloadProfile, config: SystemConfig,
     results.
     """
     payload = {
-        "profile": _jsonable(profile),
+        "profile": jsonable(profile),
         "config": config_fingerprint(config),
         "instructions": instructions,
         "seed": seed,
@@ -128,7 +113,7 @@ def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
         "instructions": result.instructions,
         "warmup_cycles": result.warmup_cycles,
         "stats": dict(result.stats),
-        "core_results": [_jsonable(core) for core in result.core_results],
+        "core_results": [jsonable(core) for core in result.core_results],
         "core_benchmarks": list(result.core_benchmarks),
         "core_warmup_cycles": list(result.core_warmup_cycles),
         "core_warmup_instructions": list(result.core_warmup_instructions),

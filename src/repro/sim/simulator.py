@@ -252,9 +252,8 @@ class Simulator:
     # -- internals ------------------------------------------------------------
     def _drain_memory_system(self) -> None:
         """Flush end-of-run buffers (e.g. pending prefetcher training)."""
-        memory = self.system.memory_system
         for core in self.system.cores:
-            memory.drain(core.core_id, core.current_cycle)
+            core.memory.drain(core.core_id, core.current_cycle)
 
     def _run_interleaved(self, traces: List[Trace],
                          bounds: Sequence[Tuple[int, int]]) -> None:

@@ -21,7 +21,7 @@ co-run mixes and for cross-core attacker/victim pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.params import SystemConfig
 from repro.common.rng import DeterministicRng
@@ -30,19 +30,23 @@ from repro.cpu.core import OutOfOrderCore
 from repro.cpu.interface import MemorySystem
 from repro.memory.page_table import PageTableManager
 
+if TYPE_CHECKING:
+    from repro.core.frontend import CoreState
+    from repro.sim.hetero import HeterogeneousMemorySystem
+
 
 def build_memory_system(config: SystemConfig,
                         page_tables: Optional[PageTableManager] = None,
                         stats: Optional[StatGroup] = None,
                         rng: Optional[DeterministicRng] = None
-                        ) -> MemorySystem:
+                        ) -> MemorySystem | HeterogeneousMemorySystem:
     """Instantiate the memory system for the configured protection mode(s).
 
     A configuration whose cores all share one scheme gets the ordinary
     single-scheme system (including when an explicit per-core list is
     provided — identical entries are bit-identical to the homogeneous
     path).  Mixed schemes get the
-    :class:`~repro.sim.hetero.HeterogeneousMemorySystem` composite: one
+    :class:`~repro.sim.hetero.HeterogeneousMemorySystem` container: one
     shared fabric, one scheme frontend per protection scheme.
     """
     from repro.schemes import get_scheme
@@ -55,7 +59,7 @@ def build_memory_system(config: SystemConfig,
     # explicit per-core list can override the machine-level ``mode`` field.
     # The scheme registry (repro.schemes) is the one authoritative
     # name -> memory-system dispatch, shared with the heterogeneous
-    # composite.
+    # container.
     mode = config.core_config(0).mode if config.cores is not None \
         else config.mode
     return get_scheme(mode).factory(config, page_tables=page_tables,
@@ -67,7 +71,7 @@ class SimulatedSystem:
     """A memory system plus its cores, ready to execute traces."""
 
     config: SystemConfig
-    memory_system: MemorySystem
+    memory_system: MemorySystem | HeterogeneousMemorySystem
     cores: List[OutOfOrderCore]
     stats: StatGroup
     page_tables: PageTableManager
@@ -83,6 +87,19 @@ class SimulatedSystem:
     def hierarchy(self):
         """The shared non-speculative hierarchy (bus, snoop filter, LLC)."""
         return getattr(self.memory_system, "hierarchy", None)
+
+    def core_states(self) -> Iterator[Tuple[int, CoreState]]:
+        """``(core_id, state)`` for every core driven by a scheme frontend.
+
+        The tracer and the metrics sampler instrument these.  A core whose
+        scheme implements :class:`MemorySystem` directly has no
+        :class:`CoreState` and is skipped.
+        """
+        from repro.core.frontend import SchemeFrontend
+
+        for core in self.cores:
+            if isinstance(core.memory, SchemeFrontend):
+                yield core.core_id, core.memory.core_state(core.core_id)
 
 
 def build_system(config: SystemConfig, seed: int = 0,

@@ -156,29 +156,18 @@ class MetricsSampler:
     def bind(self, system: Any) -> None:
         """Point the sampler at a built system's statistics tree.
 
-        Also registers filter-cache occupancy gauges for every filter-
-        capable scheme frontend, so occupancy over time comes with the
+        Also registers an occupancy gauge for every L0 cache of every
+        core's scheme frontend, so occupancy over time comes with the
         counters.
         """
         if self.timeseries is None:
             self.timeseries = system.stats.to_timeseries()
-        memory = getattr(system, "memory_system", None)
-        frontends = getattr(memory, "scheme_frontends", None)
-        subsystems = (list(frontends.values()) if frontends
-                      else [memory] if memory is not None else [])
-        for frontend in subsystems:
-            data_filter = getattr(frontend, "data_filter", None)
-            inst_filter = getattr(frontend, "inst_filter", None)
-            for core_id in getattr(frontend, "core_ids", []) or []:
-                for accessor, label in ((data_filter, "data_filter"),
-                                        (inst_filter, "inst_filter")):
-                    if not callable(accessor):
-                        continue
-                    unit = accessor(core_id)
-                    if unit is not None:
-                        self.timeseries.add_gauge(
-                            f"core{core_id}.{label}.occupancy",
-                            unit.occupancy)
+        for core_id, state in system.core_states():
+            for unit in (state.data_filter, state.inst_filter):
+                if unit is not None:
+                    self.timeseries.add_gauge(
+                        f"core{core_id}.{unit.name}.occupancy",
+                        unit.occupancy)
 
     def on_cycle(self, cycle: int) -> None:
         """Sample if the clock crossed the next N-cycle mark."""

@@ -135,8 +135,8 @@ class Tracer:
         """Instrument a :class:`~repro.sim.system.SimulatedSystem`.
 
         Walks the shared hierarchy (per-core L1s, private L2s, the shared
-        LLC and the coherence bus) and every scheme frontend (filter
-        caches, MMUs) and installs the instance-level trace wrappers.
+        LLC and the coherence bus) and every core's frontend state (MMUs,
+        L0 caches) and installs the instance-level trace wrappers.
         Event records carry registry scheme names (``muontrap``,
         ``invisispec-spectre``, ...).
         """
@@ -147,19 +147,14 @@ class Tracer:
         for core_id in sorted(self.core_schemes):
             self.emit("meta", "core_scheme", cycle=0, core=core_id,
                       scheme=self.core_schemes[core_id])
-        hierarchy = getattr(system, "hierarchy", None)
-        if hierarchy is not None:
-            self._attach_hierarchy(hierarchy, config.num_cores)
-        memory = getattr(system, "memory_system", None)
-        frontends = getattr(memory, "scheme_frontends", None)
-        if frontends:             # heterogeneous composite
-            subsystems = [frontends[name] for name in sorted(frontends)]
-        elif memory is not None:
-            subsystems = [memory]
-        else:
-            subsystems = []
-        for subsystem in subsystems:
-            self._attach_frontend(subsystem)
+        if system.hierarchy is not None:
+            self._attach_hierarchy(system.hierarchy, config.num_cores)
+        for core_id, state in system.core_states():
+            state.data_mmu.attach_tracer(self, "dmmu", core=core_id)
+            state.inst_mmu.attach_tracer(self, "immu", core=core_id)
+            for unit in (state.data_filter, state.inst_filter):
+                if unit is not None:
+                    unit.attach_tracer(self, unit.name, core=core_id)
 
     def _attach_hierarchy(self, hierarchy: Any, num_cores: int) -> None:
         hierarchy.l2.attach_tracer(self, "l2")
@@ -170,31 +165,6 @@ class Tracer:
             private = hierarchy.private_l2(core_id)
             if private is not None:
                 private.attach_tracer(self, "l2p", core=core_id)
-
-    def _attach_frontend(self, frontend: Any) -> None:
-        """Instrument one scheme frontend (filter caches, MMUs), duck-typed."""
-        core_ids = list(getattr(frontend, "core_ids", []) or [])
-        data_filter = getattr(frontend, "data_filter", None)
-        inst_filter = getattr(frontend, "inst_filter", None)
-        core_state = getattr(frontend, "core_state", None)
-        states = getattr(frontend, "_cores", None)
-        for core_id in core_ids:
-            if callable(data_filter):
-                unit = data_filter(core_id)
-                if unit is not None:
-                    unit.attach_tracer(self, "data_filter", core=core_id)
-            if callable(inst_filter):
-                unit = inst_filter(core_id)
-                if unit is not None:
-                    unit.attach_tracer(self, "inst_filter", core=core_id)
-            state = (core_state(core_id) if callable(core_state)
-                     else states.get(core_id) if isinstance(states, dict)
-                     else None)
-            for attribute, label in (("data_mmu", "dmmu"),
-                                     ("inst_mmu", "immu")):
-                mmu = getattr(state, attribute, None)
-                if mmu is not None:
-                    mmu.attach_tracer(self, label, core=core_id)
 
     # -- export -----------------------------------------------------------------
     def write_jsonl(self, destination: Union[str, IO[str]]) -> int:

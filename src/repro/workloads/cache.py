@@ -29,8 +29,6 @@ itself); the shared registry is separate and only ever filled explicitly.
 
 from __future__ import annotations
 
-import dataclasses
-import enum
 import hashlib
 import itertools
 import json
@@ -39,8 +37,9 @@ import os
 import pickle
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Optional
+from typing import Optional
 
+from repro.common.jsonable import jsonable
 from repro.telemetry.log import get_logger, log_event
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.trace import WorkloadTraces
@@ -68,19 +67,6 @@ _DISABLED_VALUES = frozenset({"off", "none", "0", "disabled", "false"})
 _TMP_COUNTER = itertools.count()
 
 
-def _jsonable(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
-
-
 def trace_key(profile: WorkloadProfile, instructions: int, seed: int,
               process_id: int) -> str:
     """Content hash identifying one generated workload.
@@ -89,7 +75,7 @@ def trace_key(profile: WorkloadProfile, instructions: int, seed: int,
     collide with registry entries) plus every generation parameter.
     """
     payload = {
-        "profile": _jsonable(profile),
+        "profile": jsonable(profile),
         "instructions": instructions,
         "seed": seed,
         "process_id": process_id,

@@ -225,30 +225,10 @@ class PackedTrace:
 
     def unpack(self) -> List[MicroOp]:
         """Rebuild the equivalent micro-op list (lossless inverse of pack)."""
-        ops: List[MicroOp] = []
-        for i in range(self.length):
-            flags = self.flags[i]
-            ops.append(MicroOp(
-                kind=_KIND_CODES[self.kinds[i]],
-                pc=self.pcs[i],
-                sequence=self.sequences[i],
-                address=None if self.addresses[i] == _NONE
-                else self.addresses[i],
-                src_regs=self.srcs[i],
-                dst_reg=None if self.dsts[i] == _NONE else self.dsts[i],
-                execution_latency=self.latencies[i],
-                taken=bool(flags & F_TAKEN),
-                target=None if self.targets[i] == _NONE else self.targets[i],
-                force_mispredict=(bool(flags & F_FORCE_MISPREDICT_VALUE)
-                                  if flags & F_FORCE_MISPREDICT else None),
-                wrong_path=list(self.wrong_paths[i]),
-                is_context_switch=bool(flags & F_CONTEXT_SWITCH),
-                is_sandbox_entry=bool(flags & F_SANDBOX_ENTRY),
-            ))
-        return ops
+        return [self.op(index) for index in range(self.length)]
 
     def op(self, index: int) -> MicroOp:
-        """Materialise one op (debugging/inspection helper)."""
+        """Materialise one op."""
         flags = self.flags[index]
         return MicroOp(
             kind=_KIND_CODES[self.kinds[index]],

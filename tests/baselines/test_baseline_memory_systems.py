@@ -53,7 +53,7 @@ class TestInsecureL0:
         memory.load(0, 0, 0x1_0000, 100, speculative=True)
         physical = memory.page_tables.address_space(0).translate(0x1_0000)
         assert memory.hierarchy.l1d(0).contains(physical)
-        assert memory.data_l0(0).contains_physical(physical)
+        assert memory.data_filter(0).contains_physical(physical)
 
 
 class TestInvisiSpec:

@@ -32,6 +32,12 @@ class TestTraceKey:
         assert trace_key(mcf, 1000, 1, 3) != base
         assert trace_key(get_profile("lbm"), 1000, 1, 0) != base
 
+    def test_key_of_a_fixed_workload_is_pinned(self):
+        # Cached traces stay reachable only while keys are stable: a change
+        # here silently regenerates every trace of every on-disk cache.
+        assert (trace_key(get_profile("mcf"), 8000, 1234, 0)
+                == "d40ac10da69132e824173e78")
+
 
 class TestTraceCache:
     def test_memory_tier_round_trip(self):
