@@ -1,12 +1,13 @@
 """Micro-op representation used by the out-of-order core model.
 
-The workload generators (:mod:`repro.workloads`) produce streams of
-:class:`MicroOp` objects; the core model consumes them.  A micro-op carries
-its architectural effects only to the extent the timing and security model
-needs: which registers it reads and writes, which address it touches, how
-long its functional unit takes, whether it is a branch and what the branch
-actually does, and which *wrong-path* memory accesses the core would perform
-if the branch is mispredicted.
+The workload generators (:mod:`repro.workloads`) write packed trace
+columns, not :class:`MicroOp` objects; the columns build micro-ops on
+demand for the per-op core path.  A micro-op carries its architectural
+effects only to the extent the timing and security model needs: which
+registers it reads and writes, which address it touches, how long its
+functional unit takes, whether it is a branch and what the branch actually
+does, and which *wrong-path* memory accesses the core would perform if the
+branch is mispredicted.
 """
 
 from __future__ import annotations
@@ -98,11 +99,11 @@ class WrongPathAccess:
 class MicroOp:
     """One instruction of a workload trace.
 
-    ``MicroOp`` is the boundary format: the workload generators, the attack
-    programs and the unit tests build and inspect individual ops.  The bulk
-    simulation path packs whole traces into the struct-of-arrays
-    :class:`~repro.workloads.trace.PackedTrace` (lossless ``pack`` /
-    ``unpack`` converters) so the core never allocates per instruction.
+    ``MicroOp`` is the boundary format: the attack programs and the unit
+    tests build and inspect individual ops.  Traces are stored as the
+    struct-of-arrays :class:`~repro.workloads.trace.PackedTrace` (lossless
+    ``pack`` / ``unpack`` converters) so the core never allocates per
+    instruction.
     """
 
     kind: OpKind

@@ -115,7 +115,7 @@ def run_cell(spec: RunSpec, *, tracer: Optional[Tracer] = None,
     workers and campaign invocations.  In a parallel campaign the lookup
     is normally satisfied one tier earlier still: the fork-inherited
     shared registry the parent filled before the pool forked, making
-    trace generation (and the packing below) a pure attach.
+    trace generation a pure attach.
 
     ``tracer`` and ``sampler`` instrument the run (:func:`repro.api.simulate`
     passes them); neither changes the result.
@@ -123,9 +123,6 @@ def run_cell(spec: RunSpec, *, tracer: Optional[Tracer] = None,
     with phase("trace-gen"):
         workload = generate_workload(spec.profile, spec.instructions,
                                      seed=spec.seed)
-    with phase("pack"):
-        for trace in workload:
-            trace.packed()
     with phase("simulate"):
         cores_needed = max(1, spec.profile.num_threads)
         system_config = spec.config.with_cores(max(spec.config.num_cores,

@@ -19,10 +19,11 @@ records which benchmark ran on which core and
 Execution runs on the packed-trace fast path by default
 (:meth:`~repro.cpu.core.OutOfOrderCore.run_packed` over index ranges — no
 per-chunk slice copies, no per-op allocation).  Constructing the simulator
-with ``use_packed=False`` drives the same traces through the per-op
-:meth:`~repro.cpu.core.OutOfOrderCore.execute_op` boundary path instead;
-the two are golden-tested to produce bit-identical results, which is also
-what the hot-path benchmark uses to report the engine speedup.
+with ``use_packed=False`` builds each op from the same columns and drives
+it through the per-op :meth:`~repro.cpu.core.OutOfOrderCore.execute_op`
+boundary path instead; the two are golden-tested to produce bit-identical
+results, which is also what the hot-path benchmark uses to report the
+engine speedup.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class Simulator:
         warmup_ends: List[int] = []
         splits: List[int] = []
         if warmup_fraction > 0.0:
-            splits = [int(len(trace.ops) * warmup_fraction)
+            splits = [int(len(trace) * warmup_fraction)
                       for trace in traces]
             self._run_interleaved(
                 traces, [(0, split) for split in splits])
@@ -212,7 +213,7 @@ class Simulator:
             warmup_cycles = max(warmup_ends)
             warmup_instructions = sum(splits)
             self._run_interleaved(
-                traces, [(split, len(trace.ops))
+                traces, [(split, len(trace))
                          for trace, split in zip(traces, splits)])
             self._drain_memory_system()
             core_results = [core.result() for core in self.system.cores]
@@ -223,7 +224,7 @@ class Simulator:
                                for result in core_results) - warmup_instructions
         else:
             self._run_interleaved(
-                traces, [(0, len(trace.ops)) for trace in traces])
+                traces, [(0, len(trace)) for trace in traces])
             self._drain_memory_system()
             core_results = [core.result() for core in self.system.cores]
             cycles = max(result.cycles for result in core_results)
@@ -257,10 +258,10 @@ class Simulator:
 
     def _run_interleaved(self, traces: List[Trace],
                          bounds: Sequence[Tuple[int, int]]) -> None:
-        """Interleave execution of ``traces[i].ops[bounds[i]]`` across cores.
+        """Run ops ``bounds[i]`` of ``traces[i]`` interleaved across cores.
 
-        Iterates by index over each trace's packed columns (or op list on
-        the per-op path) — no per-chunk slice copies.
+        Iterates by index over each trace's packed columns — no per-chunk
+        slice copies; the per-op path builds one op at a time.
         """
         chunk = self.INTERLEAVE_CHUNK
         use_packed = self.use_packed
@@ -270,7 +271,7 @@ class Simulator:
             # (state persists across calls, so this is bit-identical to
             # chunked execution — it only avoids per-chunk re-hoisting).
             chunk = max(end - start for start, end in bounds) or chunk
-        packs = [trace.packed() if use_packed else None for trace in traces]
+        packs = [trace.packed() for trace in traces]
         cursors = [start for start, _ in bounds]
         ends = [end for _, end in bounds]
         done = [cursors[i] >= ends[i] for i in range(len(traces))]
@@ -279,7 +280,7 @@ class Simulator:
         remaining = done.count(False)
         sampler = self.sampler
         while remaining:
-            for thread_id, trace in enumerate(traces):
+            for thread_id in range(len(traces)):
                 if done[thread_id]:
                     continue
                 core = self.system.core(thread_id)
@@ -288,10 +289,10 @@ class Simulator:
                 if use_packed:
                     core.run_packed(packs[thread_id], start, end)
                 else:
-                    ops = trace.ops
+                    op_at = packs[thread_id].op
                     execute_op = core.execute_op
                     for index in range(start, end):
-                        execute_op(ops[index])
+                        execute_op(op_at(index))
                 cursors[thread_id] = end
                 if end >= ends[thread_id]:
                     done[thread_id] = True

@@ -55,7 +55,7 @@ TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 SHARED_TRACES_ENV = "REPRO_SHARED_TRACES"
 
 #: Bump when the trace layout changes; stale on-disk entries are ignored.
-TRACE_CACHE_VERSION = 1
+TRACE_CACHE_VERSION = 2
 
 #: Workloads kept in the in-process LRU tier.
 MEMORY_ENTRIES = 8
@@ -92,7 +92,15 @@ class TraceCache:
                  memory_entries: int = MEMORY_ENTRIES) -> None:
         self.root = Path(root) if root is not None else None
         if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+            except OSError as error:
+                # An unusable directory must not break simulation either:
+                # keep the memory tier alone.
+                log_event(get_logger("workloads.cache"),
+                          "trace_cache_unavailable", _level=logging.WARNING,
+                          root=self.root, reason=type(error).__name__)
+                self.root = None
         self.memory_entries = max(1, memory_entries)
         self._memory: "OrderedDict[str, WorkloadTraces]" = OrderedDict()
         self.hits = 0
@@ -264,10 +272,10 @@ def materialize_shared_traces(requests) -> int:
     :func:`~repro.workloads.mixes.generate_mix` composes them at run time.
 
     Each workload is generated through the ordinary cache tiers, then
-    *fully materialised* — packed columns and the default execution plan
-    built — so forked workers inherit finished read-only structures and
-    never fault in derived data of their own.  Returns the number of
-    workloads newly registered.
+    *fully materialised* — its default execution plan built — so forked
+    workers inherit finished read-only structures and never fault in
+    derived data of their own.  Returns the number of workloads newly
+    registered.
     """
     from repro.workloads.generator import generate_workload
     from repro.workloads.mixes import MixProfile

@@ -2,12 +2,15 @@
 
 Turns a :class:`~repro.workloads.profiles.WorkloadProfile` into one
 :class:`~repro.workloads.trace.Trace` per thread.  The generator is the
-substitution for running the real SPEC CPU2006 / Parsec binaries (see
-DESIGN.md): it produces instruction streams whose *statistical* behaviour —
+substitution for running the real SPEC CPU2006 / Parsec binaries: it
+produces instruction streams whose *statistical* behaviour —
 instruction mix, data locality, streaming, pointer chasing, branch
 predictability, wrong-path traffic, instruction footprint and inter-thread
 sharing — matches the profile, so that the relative timing of the different
 protection schemes emerges from the simulator rather than being scripted.
+Each op is written straight into the trace's packed columns
+(:meth:`~repro.workloads.trace.PackedTrace.append`); no per-op object is
+built.
 
 Address-space layout (virtual addresses, per process):
 
@@ -26,9 +29,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.common.rng import DeterministicRng
-from repro.cpu.instructions import MicroOp, OpKind, WrongPathAccess
+from repro.cpu.instructions import OpKind, WrongPathAccess
 from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.trace import Trace, WorkloadTraces
+from repro.workloads.trace import PackedTrace, Trace, WorkloadTraces
 
 CODE_BASE = 0x0040_0000
 PRIVATE_DATA_BASE = 0x1000_0000
@@ -53,6 +56,7 @@ class _ThreadState:
     rng: DeterministicRng
     data_base: int
     shared_base: int
+    packed: PackedTrace = field(default_factory=PackedTrace)
     pc: int = CODE_BASE
     recent_lines: List[int] = field(default_factory=list)
     streams: List[_DataStream] = field(default_factory=list)
@@ -77,19 +81,11 @@ class TraceGenerator:
     # -- public API ------------------------------------------------------------
     def generate(self, instructions: int,
                  process_id: int = 0) -> WorkloadTraces:
-        """Generate traces for every thread of the workload.
-
-        Each trace is emitted with its struct-of-arrays
-        :class:`~repro.workloads.trace.PackedTrace` view already built, so
-        the simulator's zero-allocation loop never packs on the hot path.
-        """
+        """Generate traces for every thread of the workload."""
         profile = self.profile.scaled_for_sample(instructions)
-        traces = []
-        for thread_id in range(self.profile.num_threads):
-            trace = self._generate_thread(profile, instructions, thread_id,
-                                          process_id)
-            trace.packed()
-            traces.append(trace)
+        traces = [self._generate_thread(profile, instructions, thread_id,
+                                        process_id)
+                  for thread_id in range(self.profile.num_threads)]
         return WorkloadTraces(benchmark=self.profile.name,
                               suite=self.profile.suite, traces=traces)
 
@@ -108,22 +104,20 @@ class TraceGenerator:
             rng=rng,
             data_base=PRIVATE_DATA_BASE + thread_id * PRIVATE_DATA_STRIDE,
             shared_base=SHARED_DATA_BASE)
-        ops: List[MicroOp] = []
         mix = self._mix_weights(profile)
-        while len(ops) < instructions:
+        for _ in range(instructions):
             kind = rng.weighted_choice(*mix)
             if kind is OpKind.LOAD:
-                ops.append(self._make_load(profile, state))
+                self._make_load(profile, state)
             elif kind is OpKind.STORE:
-                ops.append(self._make_store(profile, state))
+                self._make_store(profile, state)
             elif kind is OpKind.BRANCH:
-                ops.append(self._make_branch(profile, state))
+                self._make_branch(profile, state)
             elif kind is OpKind.SYSCALL:
-                ops.append(self._make_syscall(state))
+                self._make_syscall(state)
             else:
-                ops.append(self._make_compute(profile, state, kind))
-        return Trace(benchmark=profile.name, thread_id=thread_id,
-                     process_id=process_id, ops=ops[:instructions])
+                self._make_compute(profile, state, kind)
+        return Trace(profile.name, thread_id, process_id, state.packed)
 
     def _mix_weights(self, profile: WorkloadProfile):
         kinds = [OpKind.LOAD, OpKind.STORE, OpKind.BRANCH, OpKind.FP_ALU,
@@ -249,14 +243,14 @@ class TraceGenerator:
                 is_instruction=True, issue_offset=1))
         return accesses
 
-    # -- per-kind op constructors -----------------------------------------------------
+    # -- per-kind op encoders ---------------------------------------------------------
     def _fresh_register(self, state: _ThreadState) -> int:
         register = state.next_reg
         state.next_reg = (state.next_reg + 1) % 64 or 1
         return register
 
     def _make_load(self, profile: WorkloadProfile,
-                   state: _ThreadState) -> MicroOp:
+                   state: _ThreadState) -> None:
         rng = state.rng
         pc = self._advance_pc(profile, state)
         src_regs = ()
@@ -270,11 +264,11 @@ class TraceGenerator:
         dst = self._fresh_register(state)
         state.last_load_reg = dst
         state.last_load_line = address - (address % LINE_SIZE)
-        return MicroOp(kind=OpKind.LOAD, pc=pc, address=address,
-                       src_regs=src_regs, dst_reg=dst)
+        state.packed.append(OpKind.LOAD, pc, address=address,
+                            src_regs=src_regs, dst_reg=dst)
 
     def _make_store(self, profile: WorkloadProfile,
-                    state: _ThreadState) -> MicroOp:
+                    state: _ThreadState) -> None:
         rng = state.rng
         pc = self._advance_pc(profile, state)
         if rng.chance(profile.store_private_fraction) and state.recent_lines:
@@ -289,11 +283,11 @@ class TraceGenerator:
         if state.last_load_reg is not None and rng.chance(
                 profile.load_use_fraction):
             src_regs = (state.last_load_reg,)
-        return MicroOp(kind=OpKind.STORE, pc=pc, address=address,
-                       src_regs=src_regs)
+        state.packed.append(OpKind.STORE, pc, address=address,
+                            src_regs=src_regs)
 
     def _make_branch(self, profile: WorkloadProfile,
-                     state: _ThreadState) -> MicroOp:
+                     state: _ThreadState) -> None:
         rng = state.rng
         pc = self._advance_pc(profile, state)
         # Each static branch is biased; how strongly determines how well the
@@ -308,20 +302,21 @@ class TraceGenerator:
         if state.last_load_reg is not None and rng.chance(
                 profile.load_use_fraction * 0.5):
             src_regs = (state.last_load_reg,)
+        # The wrong-path draws come after the target draw.
         target = self._branch_target(profile, state)
-        op = MicroOp(kind=OpKind.BRANCH, pc=pc, taken=taken, target=target,
-                     src_regs=src_regs,
-                     wrong_path=self._wrong_path_accesses(profile, state))
+        state.packed.append(OpKind.BRANCH, pc, taken=taken, target=target,
+                            src_regs=src_regs,
+                            wrong_path=self._wrong_path_accesses(profile,
+                                                                 state))
         if taken:
             state.pc = target
-        return op
 
-    def _make_syscall(self, state: _ThreadState) -> MicroOp:
+    def _make_syscall(self, state: _ThreadState) -> None:
         pc = self._advance_pc(self.profile, state)
-        return MicroOp(kind=OpKind.SYSCALL, pc=pc, is_context_switch=False)
+        state.packed.append(OpKind.SYSCALL, pc)
 
     def _make_compute(self, profile: WorkloadProfile, state: _ThreadState,
-                      kind: OpKind) -> MicroOp:
+                      kind: OpKind) -> None:
         rng = state.rng
         pc = self._advance_pc(profile, state)
         src_regs = ()
@@ -329,7 +324,7 @@ class TraceGenerator:
                 profile.load_use_fraction):
             src_regs = (state.last_load_reg,)
         dst = self._fresh_register(state)
-        return MicroOp(kind=kind, pc=pc, src_regs=src_regs, dst_reg=dst)
+        state.packed.append(kind, pc, src_regs=src_regs, dst_reg=dst)
 
 
 def generate_workload(profile, instructions: int,
@@ -357,7 +352,7 @@ def generate_workload(profile, instructions: int,
         # constituents, so composition is nearly free; caching the composed
         # bundle as well would duplicate every constituent trace in the
         # cache (and, on the disk tier, pickle full copies of the shared
-        # ops), for no generation saved.
+        # columns), for no generation saved.
         return generate_mix(profile, instructions, seed=seed)
 
     from repro.workloads.cache import (active_trace_cache,

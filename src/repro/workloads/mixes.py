@@ -14,8 +14,8 @@ resolves their names, the suite registry exposes them (suite ``mixes``), and
 campaigns sweep them over schemes × seeds like any other workload.  Mix
 composition reuses the trace cache per *constituent*: each member's trace is
 generated (or fetched) exactly as it would be for a single-program run and
-then re-bound, without copying the instruction stream or its packed view,
-to the mix's per-core process.
+then re-bound, without copying its packed columns, to the mix's per-core
+process.
 """
 
 from __future__ import annotations
@@ -199,11 +199,11 @@ def generate_mix(mix: MixProfile, instructions: int,
     Each constituent is generated through :func:`generate_workload` with
     the *same* arguments a single-program run of that benchmark would use,
     so the trace cache (in-memory and on-disk) is shared with ordinary
-    sweeps; the resulting traces — including their already-built
-    :class:`~repro.workloads.trace.PackedTrace` views — are re-bound by
-    reference to the mix's process layout (constituent ``k`` becomes
-    process ``k``), never copied.  Cached traces are shared, immutable
-    objects, exactly as the harness treats every generated workload.
+    sweeps; the resulting traces' :class:`~repro.workloads.trace.PackedTrace`
+    columns are re-bound by reference to the mix's process layout
+    (constituent ``k`` becomes process ``k``), never copied.  Cached traces
+    are shared, immutable objects, exactly as the harness treats every
+    generated workload.
     """
     from repro.workloads.generator import generate_workload
 
@@ -212,9 +212,6 @@ def generate_mix(mix: MixProfile, instructions: int,
         member_workload = generate_workload(mix.member_profile(process_id),
                                             instructions, seed=seed)
         for trace in member_workload:
-            traces.append(Trace(benchmark=trace.benchmark,
-                                thread_id=len(traces),
-                                process_id=process_id,
-                                ops=trace.ops,
-                                _packed=trace._packed))
+            traces.append(Trace(trace.benchmark, len(traces), process_id,
+                                trace.packed()))
     return WorkloadTraces(benchmark=mix.name, suite="mix", traces=traces)

@@ -6,19 +6,16 @@ thread it models, which process it belongs to).  Multi-threaded workloads
 (Parsec) are represented as a :class:`WorkloadTraces` bundle with one trace
 per thread, all sharing one process/address space.
 
-Traces exist in two representations:
-
-* a list of :class:`~repro.cpu.instructions.MicroOp` objects — the boundary
-  format used by the generators, attacks and tests;
-* a :class:`PackedTrace` — a struct-of-arrays view (parallel lists of flag
-  bitmasks, pcs, addresses, latencies and register ids) consumed by the
-  zero-allocation core loop.  Packing precomputes the
-  ``is_load/is_store/is_branch/is_transmitter`` classification as flag bits
-  so the hot loop never touches :class:`~repro.cpu.instructions.OpKind`
-  enum properties.
-
-``PackedTrace.pack`` / ``PackedTrace.unpack`` are lossless converters
-between the two.
+A trace is stored in one form only, a :class:`PackedTrace`: parallel lists
+of flag bitmasks, pcs, addresses, latencies and register ids, read by the
+zero-allocation core loop.  :meth:`PackedTrace.append` is the one
+op-to-column encoder (the generator writes every op through it, and
+:meth:`PackedTrace.pack` runs it over a
+:class:`~repro.cpu.instructions.MicroOp` list); it folds the
+``is_load/is_store/is_branch/is_transmitter`` classification into flag bits
+so the hot loop never touches :class:`~repro.cpu.instructions.OpKind` enum
+properties.  ``MicroOp`` objects are built only on demand, by
+:meth:`PackedTrace.op` and :meth:`PackedTrace.unpack`.
 
 ``OutOfOrderCore.run_packed`` additionally consumes a :class:`TracePlan` —
 a one-time pass over the packed columns that segments the trace into
@@ -34,9 +31,10 @@ plans rebuild on first use).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.cpu.instructions import (
+    EXECUTION_LATENCY,
     F_BRANCH,
     F_CONTEXT_SWITCH,
     F_FORCE_MISPREDICT,
@@ -49,6 +47,7 @@ from repro.cpu.instructions import (
     KIND_FLAGS,
     MicroOp,
     OpKind,
+    WrongPathAccess,
     summarize_trace,
 )
 
@@ -121,34 +120,31 @@ class PackedTrace:
     op: the core loop reads each field with a single indexed load, all op
     classification is pre-folded into the ``flags`` bitmask, and running a
     trace allocates nothing per instruction.  Variable-size payloads
-    (source-register tuples, wrong-path access lists) are stored by
-    reference, so packing is cheap and lossless.
+    (source-register and wrong-path tuples) are stored by reference, and
+    every op without a wrong path shares the one empty tuple.
     """
 
-    __slots__ = ("length", "kinds", "flags", "pcs", "addresses", "latencies",
-                 "srcs", "dsts", "targets", "wrong_paths", "sequences",
-                 "_plans")
+    __slots__ = ("kinds", "flags", "pcs", "addresses", "latencies", "srcs",
+                 "dsts", "targets", "wrong_paths", "sequences", "_plans")
 
-    def __init__(self, length: int, kinds: List[int], flags: List[int],
-                 pcs: List[int], addresses: List[int], latencies: List[int],
-                 srcs: List[tuple], dsts: List[int], targets: List[int],
-                 wrong_paths: List[list], sequences: List[int]) -> None:
-        self.length = length
-        self.kinds = kinds
-        self.flags = flags
-        self.pcs = pcs
-        self.addresses = addresses
-        self.latencies = latencies
-        self.srcs = srcs
-        self.dsts = dsts
-        self.targets = targets
-        self.wrong_paths = wrong_paths
-        self.sequences = sequences
+    def __init__(self) -> None:
+        self.kinds: List[int] = []
+        self.flags: List[int] = []
+        self.pcs: List[int] = []
+        self.addresses: List[int] = []
+        self.latencies: List[int] = []
+        self.srcs: List[tuple] = []
+        self.dsts: List[int] = []
+        self.targets: List[int] = []
+        self.wrong_paths: List[tuple] = []
+        self.sequences: List[int] = []
         #: line_size -> cached TracePlan (derived data; never pickled).
         self._plans: Optional[Dict[int, "TracePlan"]] = None
 
     def __len__(self) -> int:
-        return self.length
+        return len(self.flags)
+
+    length = property(__len__)
 
     def plan(self, line_size: int) -> "TracePlan":
         """The (cached) batchable-run segmentation for ``line_size``.
@@ -167,8 +163,9 @@ class PackedTrace:
 
     # Plans are excluded from pickles: the on-disk trace cache and any
     # cross-process transfer carry only the columns, and the plan rebuilds
-    # (deterministically) on first use.  This also keeps pickles written
-    # by this version loadable by older readers and vice versa.
+    # (deterministically) on first use.  Pickles of another column layout
+    # are never read back: a layout change bumps the trace cache's
+    # TRACE_CACHE_VERSION.
     def __getstate__(self) -> Dict[str, object]:
         return {name: getattr(self, name) for name in self.__slots__
                 if name != "_plans"}
@@ -178,50 +175,54 @@ class PackedTrace:
         for name, value in state.items():
             setattr(self, name, value)
 
+    def append(self, kind: OpKind, pc: int, *, sequence: int = 0,
+               address: Optional[int] = None, src_regs: Sequence[int] = (),
+               dst_reg: Optional[int] = None,
+               execution_latency: Optional[int] = None, taken: bool = False,
+               target: Optional[int] = None,
+               force_mispredict: Optional[bool] = None,
+               wrong_path: Sequence[WrongPathAccess] = (),
+               is_context_switch: bool = False,
+               is_sandbox_entry: bool = False) -> None:
+        """Encode one op onto the columns (fields as on :class:`MicroOp`)."""
+        flags = KIND_FLAGS[kind]
+        if taken:
+            flags |= F_TAKEN
+        if is_context_switch:
+            flags |= F_CONTEXT_SWITCH
+        if is_sandbox_entry:
+            flags |= F_SANDBOX_ENTRY
+        if force_mispredict is not None:
+            flags |= F_FORCE_MISPREDICT
+            if force_mispredict:
+                flags |= F_FORCE_MISPREDICT_VALUE
+        self.kinds.append(_CODE_OF_KIND[kind])
+        self.flags.append(flags)
+        self.pcs.append(pc)
+        self.addresses.append(_NONE if address is None else address)
+        self.latencies.append(EXECUTION_LATENCY[kind]
+                              if execution_latency is None
+                              else execution_latency)
+        self.srcs.append(tuple(src_regs) if src_regs else ())
+        self.dsts.append(_NONE if dst_reg is None else dst_reg)
+        self.targets.append(_NONE if target is None else target)
+        self.wrong_paths.append(tuple(wrong_path) if wrong_path else ())
+        self.sequences.append(sequence)
+
     @classmethod
-    def pack(cls, ops: Sequence[MicroOp]) -> "PackedTrace":
+    def pack(cls, ops: Iterable[MicroOp]) -> "PackedTrace":
         """Convert a micro-op list into the packed representation."""
-        length = len(ops)
-        kinds = [0] * length
-        flags = [0] * length
-        pcs = [0] * length
-        addresses = [_NONE] * length
-        latencies = [0] * length
-        srcs: List[tuple] = [()] * length
-        dsts = [_NONE] * length
-        targets = [_NONE] * length
-        wrong_paths: List[list] = [None] * length  # type: ignore[list-item]
-        sequences = [0] * length
-        kind_flags = KIND_FLAGS
-        code_of = _CODE_OF_KIND
-        for i, op in enumerate(ops):
-            op_flags = kind_flags[op.kind]
-            if op.taken:
-                op_flags |= F_TAKEN
-            if op.is_context_switch:
-                op_flags |= F_CONTEXT_SWITCH
-            if op.is_sandbox_entry:
-                op_flags |= F_SANDBOX_ENTRY
-            if op.force_mispredict is not None:
-                op_flags |= F_FORCE_MISPREDICT
-                if op.force_mispredict:
-                    op_flags |= F_FORCE_MISPREDICT_VALUE
-            kinds[i] = code_of[op.kind]
-            flags[i] = op_flags
-            pcs[i] = op.pc
-            if op.address is not None:
-                addresses[i] = op.address
-            latencies[i] = op.execution_latency
-            if op.src_regs:
-                srcs[i] = tuple(op.src_regs)
-            if op.dst_reg is not None:
-                dsts[i] = op.dst_reg
-            if op.target is not None:
-                targets[i] = op.target
-            wrong_paths[i] = op.wrong_path
-            sequences[i] = op.sequence
-        return cls(length, kinds, flags, pcs, addresses, latencies, srcs,
-                   dsts, targets, wrong_paths, sequences)
+        packed = cls()
+        append = packed.append
+        for op in ops:
+            append(op.kind, op.pc, sequence=op.sequence, address=op.address,
+                   src_regs=op.src_regs, dst_reg=op.dst_reg,
+                   execution_latency=op.execution_latency, taken=op.taken,
+                   target=op.target, force_mispredict=op.force_mispredict,
+                   wrong_path=op.wrong_path,
+                   is_context_switch=op.is_context_switch,
+                   is_sandbox_entry=op.is_sandbox_entry)
+        return packed
 
     def unpack(self) -> List[MicroOp]:
         """Rebuild the equivalent micro-op list (lossless inverse of pack)."""
@@ -252,34 +253,27 @@ class PackedTrace:
 
 @dataclass
 class Trace:
-    """One thread's instruction stream."""
+    """One thread's instruction stream, stored as packed columns."""
 
     benchmark: str
     thread_id: int
     process_id: int
-    ops: List[MicroOp] = field(default_factory=list)
-    #: Cached packed view; built lazily (or eagerly by the generator).
-    _packed: Optional[PackedTrace] = field(default=None, repr=False,
-                                           compare=False)
+    columns: PackedTrace
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[MicroOp]:
-        return iter(self.ops)
+        return map(self.columns.op, range(len(self.columns)))
+
+    @property
+    def ops(self) -> List[MicroOp]:
+        """The trace as a fresh micro-op list, built on demand."""
+        return self.columns.unpack()
 
     def packed(self) -> PackedTrace:
-        """The struct-of-arrays view of this trace (cached).
-
-        The cache is invalidated when ``ops`` changes length; callers that
-        mutate ops in place should call :meth:`invalidate_packed`.
-        """
-        if self._packed is None or self._packed.length != len(self.ops):
-            self._packed = PackedTrace.pack(self.ops)
-        return self._packed
-
-    def invalidate_packed(self) -> None:
-        self._packed = None
+        """The struct-of-arrays columns this trace is stored as."""
+        return self.columns
 
     def summary(self) -> Dict[str, float]:
         return summarize_trace(self.ops)

@@ -141,7 +141,7 @@ class TestPhaseTimers:
         after = PHASES.counts()
         assert result.stats.executed == 2
         assert result.stats.workers == jobs
-        for name in ("trace-gen", "pack", "simulate"):
+        for name in ("trace-gen", "simulate"):
             assert after.get(name, 0) - before.get(name, 0) == 2, name
 
 

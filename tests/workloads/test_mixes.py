@@ -55,16 +55,15 @@ class TestMixGeneration:
             assert len(trace) == 300
 
     def test_constituent_traces_reuse_the_trace_cache(self):
-        """Mix composition must not regenerate (or repack) member traces."""
+        """Mix composition must not regenerate (or copy) member traces."""
         reset_trace_cache()
         try:
             single = generate_workload(get_profile("mcf"), 250, seed=9)
             mix = generate_workload(get_mix("mix-pointer-stream"), 250,
                                     seed=9)
-            # The mix's mcf trace shares the cached ops list and the cached
-            # PackedTrace object by reference — zero copying.
-            assert mix.traces[0].ops is single.traces[0].ops
-            assert mix.traces[0]._packed is single.traces[0]._packed
+            # The mix's mcf trace shares the cached PackedTrace object by
+            # reference — zero copying.
+            assert mix.traces[0].packed() is single.traces[0].packed()
         finally:
             reset_trace_cache()
 

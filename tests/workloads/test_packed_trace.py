@@ -164,28 +164,12 @@ class TestRandomizedRoundTrip:
 
 class TestTracePackedCache:
     def test_packed_view_is_cached(self):
-        trace = Trace(benchmark="demo", thread_id=0, process_id=0,
-                      ops=_varied_ops())
+        trace = Trace("demo", 0, 0, PackedTrace.pack(_varied_ops()))
         assert trace.packed() is trace.packed()
-
-    def test_cache_invalidated_on_length_change(self):
-        trace = Trace(benchmark="demo", thread_id=0, process_id=0,
-                      ops=_varied_ops())
-        first = trace.packed()
-        trace.ops.append(MicroOp(kind=OpKind.NOP, pc=0x2000))
-        second = trace.packed()
-        assert second is not first
-        assert len(second) == len(trace.ops)
-
-    def test_explicit_invalidation(self):
-        trace = Trace(benchmark="demo", thread_id=0, process_id=0,
-                      ops=_varied_ops())
-        first = trace.packed()
-        trace.invalidate_packed()
-        assert trace.packed() is not first
+        assert trace.ops == _varied_ops()
 
     def test_generator_emits_packed_traces(self):
         workload = TraceGenerator(get_profile("mcf"), seed=1).generate(200)
         for trace in workload:
-            assert trace._packed is not None
-            assert trace._packed.length == len(trace.ops)
+            assert isinstance(trace.packed(), PackedTrace)
+            assert trace.packed().length == len(trace) == 200

@@ -69,9 +69,7 @@ class TestRegistryPrimitives:
         workload = shared_trace_lookup(mcf, INSTRUCTIONS, 7, 0)
         assert workload is not None
         for trace in workload:
-            packed = trace._packed          # already built, not rebuilt
-            assert packed is not None
-            assert packed._plans            # plan pre-built for workers
+            assert trace.packed()._plans    # plan pre-built for workers
 
     def test_mixes_expand_to_their_constituents(self):
         mix = get_mix("mix-pointer-stream")

@@ -1,13 +1,13 @@
 """Tests for the trace containers."""
 
 from repro.cpu.instructions import MicroOp, OpKind
-from repro.workloads.trace import Trace, WorkloadTraces
+from repro.workloads.trace import PackedTrace, Trace, WorkloadTraces
 
 
 def make_trace(thread_id=0, n=10):
     ops = [MicroOp(kind=OpKind.INT_ALU, pc=0x1000 + 4 * i, dst_reg=1)
            for i in range(n)]
-    return Trace(benchmark="demo", thread_id=thread_id, process_id=0, ops=ops)
+    return Trace("demo", thread_id, 0, PackedTrace.pack(ops))
 
 
 class TestTrace:

@@ -1,7 +1,10 @@
 """Tests for the content-hash-keyed trace cache."""
 
+import logging
+
 import pytest
 
+from repro.telemetry.log import configure
 from repro.workloads.cache import (
     TRACE_CACHE_ENV,
     TraceCache,
@@ -36,7 +39,7 @@ class TestTraceKey:
         # Cached traces stay reachable only while keys are stable: a change
         # here silently regenerates every trace of every on-disk cache.
         assert (trace_key(get_profile("mcf"), 8000, 1234, 0)
-                == "d40ac10da69132e824173e78")
+                == "66a8e5b8fbec1f617af15d04")
 
 
 class TestTraceCache:
@@ -91,6 +94,20 @@ class TestTraceCache:
         reader = TraceCache(root=tmp_path)
         assert reader.get("torn") is None
         assert not path.exists()
+
+    def test_unusable_directory_keeps_the_memory_tier(self, tmp_path,
+                                                      monkeypatch, caplog):
+        configure()
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+        (tmp_path / "file").write_text("a regular file, not a directory")
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "file" / "cache"))
+        with caplog.at_level(logging.WARNING, logger="repro.workloads.cache"):
+            first = generate_workload(get_profile("mcf"), 100, seed=2)
+            second = generate_workload(get_profile("mcf"), 100, seed=2)
+        assert second is first
+        assert active_trace_cache().root is None
+        assert [message.split()[0] for message in caplog.messages] == [
+            "trace_cache_unavailable"]
 
     def test_clear_sweeps_stray_tmp_files(self, tmp_path):
         cache = TraceCache(root=tmp_path)
