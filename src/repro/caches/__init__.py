@@ -1,4 +1,4 @@
-"""Set-associative caches, replacement policies, MSHRs and write buffers."""
+"""Set-associative caches, replacement policies, MSHRs and the hierarchy."""
 
 from repro.caches.base_cache import SetAssociativeCache
 from repro.caches.cache_line import CacheLine
@@ -11,7 +11,6 @@ from repro.caches.replacement import (
     TreePLRUReplacement,
     make_replacement_policy,
 )
-from repro.caches.write_buffer import WriteBuffer
 
 __all__ = [
     "CacheLine",
@@ -24,6 +23,5 @@ __all__ = [
     "ReplacementPolicy",
     "SetAssociativeCache",
     "TreePLRUReplacement",
-    "WriteBuffer",
     "make_replacement_policy",
 ]

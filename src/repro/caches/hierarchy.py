@@ -1,7 +1,7 @@
 """The non-speculative cache hierarchy shared by every protection mode.
 
 This wires together the per-core private L1 instruction and data caches, the
-shared L2 with its stride prefetcher, main memory, and the MESI coherence
+shared L2 with its stream prefetcher, main memory, and the MESI coherence
 controller.  Protection-specific memory systems (the MuonTrap filter caches,
 InvisiSpec's speculative buffers, STT's delays, or the plain unprotected
 system) are thin layers on top of the two entry points provided here:
@@ -290,10 +290,10 @@ class NonSpeculativeHierarchy:
             return HierarchyResult(latency=outcome.latency, hit_level="nack",
                                    nacked=True)
         # Loads allocate an MSHR so occupancy statistics and merge behaviour
-        # are tracked; stores drain through the write buffer instead.  The
-        # latency charged is the downstream latency itself: the out-of-order
-        # core model accounts for overlap, so an additional structural stall
-        # here would double-count contention.
+        # are tracked; stores allocate none.  The latency charged is the
+        # downstream latency itself: the out-of-order core model accounts
+        # for overlap, so an additional structural stall here would
+        # double-count contention.
         total_latency = l1.config.hit_latency + outcome.latency
         if not is_store:
             l1.mshrs.allocate(line_address, now, outcome.latency)

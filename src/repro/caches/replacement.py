@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.caches.cache_line import CacheLine
+from repro.common.params import REPLACEMENT_POLICIES
 from repro.common.rng import DeterministicRng
 
 
@@ -105,12 +106,13 @@ class TreePLRUReplacement(ReplacementPolicy):
 
 def make_replacement_policy(name: str, associativity: int,
                             rng: DeterministicRng) -> ReplacementPolicy:
-    """Factory used by the cache constructors."""
-    name = name.lower()
-    if name == "lru":
+    """Factory used by the cache constructors; ``name`` is one of
+    :data:`~repro.common.params.REPLACEMENT_POLICIES`."""
+    policy = REPLACEMENT_POLICIES.get(name.lower())
+    if policy == "lru":
         return LRUReplacement()
-    if name == "random":
+    if policy == "random":
         return RandomReplacement(rng)
-    if name in ("plru", "tree-plru", "pseudo-lru"):
+    if policy == "plru":
         return TreePLRUReplacement(associativity)
     raise ValueError(f"unknown replacement policy: {name!r}")

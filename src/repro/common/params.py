@@ -13,6 +13,13 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
+#: Cache replacement policy names, matched case-insensitively, each mapped
+#: to the policy it builds (see
+#: :func:`repro.caches.replacement.make_replacement_policy`).
+REPLACEMENT_POLICIES = {"lru": "lru", "random": "random", "plru": "plru",
+                        "tree-plru": "plru", "pseudo-lru": "plru"}
+
+
 def _require_name_string(mode: object) -> None:
     """Scheme identity is a registry name (see :mod:`repro.schemes`)."""
     if not isinstance(mode, str):
@@ -47,6 +54,11 @@ class CacheConfig:
                 "associativity must be between 1 and the number of lines")
         if lines % self.associativity:
             raise ValueError("lines must divide evenly into sets")
+        if not isinstance(self.replacement, str) \
+                or self.replacement.lower() not in REPLACEMENT_POLICIES:
+            raise ValueError(
+                f"unknown replacement policy {self.replacement!r} "
+                f"(known: {', '.join(REPLACEMENT_POLICIES)})")
 
     @property
     def num_lines(self) -> int:

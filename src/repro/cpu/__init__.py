@@ -2,7 +2,6 @@
 
 from repro.cpu.branch_predictor import (
     BranchTargetBuffer,
-    ReturnAddressStack,
     SaturatingCounter,
     TournamentPredictor,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "OutOfOrderCore",
     "ReorderBuffer",
     "RetirementWindow",
-    "ReturnAddressStack",
     "SaturatingCounter",
     "StoreQueue",
     "TournamentPredictor",

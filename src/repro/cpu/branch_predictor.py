@@ -2,11 +2,13 @@
 
 A local predictor (2048-entry pattern history), a global predictor
 (8192-entry gshare) and a 2048-entry chooser, plus a 4096-entry branch
-target buffer and a 16-entry return address stack.  The workload generator
-produces branch *outcomes*; the predictor decides which of them the core
-mispredicts, so the misprediction rate (and therefore the volume of
-wrong-path execution each workload produces) is an emergent property of the
-branch behaviour encoded in the workload profile.
+target buffer.  Table 1's 16-entry return address stack is not modelled:
+traces have no call or return ops, so ``ras_entries`` only describes the
+machine.  The workload generator produces branch *outcomes*; the
+predictor decides which of them the core mispredicts, so the
+misprediction rate (and therefore the volume of wrong-path execution each
+workload produces) is an emergent property of the branch behaviour encoded
+in the workload profile.
 """
 
 from __future__ import annotations
@@ -58,29 +60,6 @@ class BranchTargetBuffer:
         self._table.clear()
 
 
-class ReturnAddressStack:
-    """A small circular return-address stack."""
-
-    def __init__(self, entries: int) -> None:
-        self.entries = entries
-        self._stack: List[int] = []
-        self.overflows = 0
-
-    def push(self, return_address: int) -> None:
-        if len(self._stack) >= self.entries:
-            self._stack.pop(0)
-            self.overflows += 1
-        self._stack.append(return_address)
-
-    def pop(self) -> Optional[int]:
-        if not self._stack:
-            return None
-        return self._stack.pop()
-
-    def __len__(self) -> int:
-        return len(self._stack)
-
-
 class TournamentPredictor:
     """Local + gshare global predictors arbitrated by a chooser."""
 
@@ -96,7 +75,6 @@ class TournamentPredictor:
                          for _ in range(self.config.chooser_entries)]
         self._global_history = 0
         self.btb = BranchTargetBuffer(self.config.btb_entries)
-        self.ras = ReturnAddressStack(self.config.ras_entries)
         stats = stats or StatGroup("branch_predictor")
         self.stats = stats
         self._predictions = stats.counter("predictions")

@@ -8,7 +8,8 @@ instructions per workload (and therefore the runtime) is controlled by the
 
 The functions are deliberately small wrappers over
 :func:`repro.api.build_comparison`, so they can be called both from the
-pytest-benchmark harness (one benchmark per figure) and from the examples.
+figure-shape tests (``tests/experiments/test_figure_shapes.py``) and from
+the examples.
 Every keyword option (``instructions``, ``seed``, ``store``, ``jobs``,
 ``cache``) is passed straight to it: ``jobs`` (or ``REPRO_JOBS``) sets the
 worker pool, ``store`` persists results across invocations and a shared

@@ -5,19 +5,14 @@ from repro.prefetch.commit_channel import (
     CommitPrefetchChannel,
     PrefetchNotification,
 )
-from repro.prefetch.next_line import NextLinePrefetcher
 from repro.prefetch.stream import StreamEntry, StreamPrefetcher
-from repro.prefetch.stride import StrideEntry, StridePrefetcher
 
 __all__ = [
     "CommitPrefetchChannel",
-    "NextLinePrefetcher",
     "NullPrefetcher",
     "PrefetchNotification",
     "Prefetcher",
     "StreamEntry",
     "StreamPrefetcher",
-    "StrideEntry",
-    "StridePrefetcher",
     "TrainingEvent",
 ]

@@ -1,14 +1,15 @@
 """A region-based stream prefetcher (the shared-L2 prefetcher).
 
-Unlike the PC-indexed :class:`~repro.prefetch.stride.StridePrefetcher`, this
-detector keys its table on the 4 KiB region an access falls into, so it
-recognises sequential streams regardless of which static instruction issued
-them.  This matches the stream/stride prefetchers typically configured at
-the L2 in gem5 and is the prefetcher the paper's commit-time-training
-results hinge on: wrong-path and mis-speculated accesses land in arbitrary
-regions and at arbitrary points of a stream, degrading the confidence of
-access-time training, whereas the commit-time notification stream
-(section 4.6) is in program order and keeps the detector locked on.
+The L2's ``prefetcher="stride"`` setting builds this prefetcher.  Its
+detector keys its table on the 4 KiB region an access falls into, not on
+the PC, so it recognises sequential streams regardless of which static
+instruction issued them.  This matches the stream/stride prefetchers
+typically configured at the L2 in gem5 and is the prefetcher the paper's
+commit-time-training results hinge on: wrong-path and mis-speculated
+accesses land in arbitrary regions and at arbitrary points of a stream,
+degrading the confidence of access-time training, whereas the commit-time
+notification stream (section 4.6) is in program order and keeps the
+detector locked on.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ ablations of Figures 8 and 9).  The runs themselves go through
 :mod:`repro.api` and the campaign layer (:mod:`repro.harness.campaign`).
 
 The number of instructions per workload is configurable; the
-``REPRO_INSTRUCTIONS`` environment variable overrides the default so the
-benchmark harness can be scaled to the available time budget, and
-``REPRO_JOBS`` sets the worker count of a campaign.
+``REPRO_INSTRUCTIONS`` environment variable overrides the default so a
+campaign can be scaled to the available time budget, and ``REPRO_JOBS``
+sets its worker count.
 """
 
 from __future__ import annotations
@@ -50,20 +50,19 @@ def env_int(name: str, minimum: int = 1) -> Optional[int]:
     return value
 
 
-def instructions_per_workload(explicit: Optional[int] = None,
-                              default: Optional[int] = None) -> int:
+def instructions_per_workload(explicit: Optional[int] = None) -> int:
     """Instruction sample length.
 
     Precedence: an ``explicit`` request (a CLI flag, a constructor
     argument) wins outright; otherwise the ``REPRO_INSTRUCTIONS``
-    environment variable; otherwise ``default`` (or the module default).
+    environment variable; otherwise :data:`DEFAULT_INSTRUCTIONS`.
     """
     if explicit is not None:
         return explicit
     value = env_int("REPRO_INSTRUCTIONS", minimum=500)
     if value is not None:
         return value
-    return default if default is not None else DEFAULT_INSTRUCTIONS
+    return DEFAULT_INSTRUCTIONS
 
 
 def parallel_jobs(default: Optional[int] = None) -> int:

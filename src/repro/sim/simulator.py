@@ -22,8 +22,7 @@ per-chunk slice copies, no per-op allocation).  Constructing the simulator
 with ``use_packed=False`` builds each op from the same columns and drives
 it through the per-op :meth:`~repro.cpu.core.OutOfOrderCore.execute_op`
 boundary path instead; the two are golden-tested to produce bit-identical
-results, which is also what the hot-path benchmark uses to report the
-engine speedup.
+results.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ Design goals, in order:
    zero-allocation body when none is installed; the memory-side hook points
    are *instance-attribute* method wrappers installed by
    :meth:`Tracer.attach`, so an untraced cache/bus/MMU instance executes
-   the plain class methods with no guard at all.  The perf gate
-   (``benchmarks/bench_hotpath.py --check-telemetry``) enforces this.
+   the plain class methods with no guard at all.  The tier-1 test
+   ``tests/telemetry/test_disabled_cost.py`` enforces this by pinning the
+   call counts of untraced runs.
 2. **Deterministic.**  Events are stamped with simulated cycles (never
    wall-clock) and appended in execution order, so a seed-pinned run
    produces a byte-identical JSONL stream across runs, hosts and worker

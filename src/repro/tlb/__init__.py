@@ -1,7 +1,7 @@
 """TLBs, the speculative filter TLB and the page-table walker."""
 
 from repro.tlb.filter_tlb import FilterTLB
-from repro.tlb.page_walker import MMU, PageTableWalker, TranslationResult
+from repro.tlb.page_walker import MMU, PageTableWalker
 from repro.tlb.tlb import TLB, TLBEntry, TLBTag
 
 __all__ = [
@@ -11,5 +11,4 @@ __all__ = [
     "TLB",
     "TLBEntry",
     "TLBTag",
-    "TranslationResult",
 ]

@@ -5,13 +5,12 @@ table.  The walk costs a fixed latency (several dependent memory accesses in
 a real machine).  Under MuonTrap the walker's own cache fills go through the
 filter cache, and translations triggered by speculative instructions are
 installed only in the filter TLB; the committing instruction re-translates
-(section 4.7), which this module models with the ``speculative`` flag on
-:meth:`walk`.
+(section 4.7), which this module models with the ``speculative`` flag of
+:meth:`MMU.translate_address`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.params import TLBConfig
@@ -19,18 +18,6 @@ from repro.common.statistics import StatGroup
 from repro.memory.page_table import AddressSpace
 from repro.tlb.filter_tlb import FilterTLB
 from repro.tlb.tlb import TLB
-
-
-@dataclass(slots=True)
-class TranslationResult:
-    """Outcome of a translation request."""
-
-    physical_address: Optional[int]
-    latency: int
-    tlb_hit: bool
-    filter_hit: bool = False
-    walked: bool = False
-    fault: bool = False
 
 
 class PageTableWalker:
@@ -102,55 +89,17 @@ class MMU:
         self.walker = PageTableWalker(config=self.config,
                                       stats=stats.child("walker"))
 
-    def translate(self, address_space: AddressSpace, virtual_address: int,
-                  speculative: bool = False) -> TranslationResult:
-        """Translate a virtual address for a (possibly speculative) access.
-
-        Non-speculative accesses fill the main TLB on a miss; speculative
-        accesses fill only the filter TLB when one is present, leaving the
-        non-speculative TLB untouched (section 4.7).
-        """
-        process_id = address_space.process_id
-        entry = self.tlb.lookup(process_id, virtual_address)
-        if entry is not None:
-            physical = (entry.frame * self.config.page_size
-                        + virtual_address % self.config.page_size)
-            return TranslationResult(physical_address=physical,
-                                     latency=self.config.hit_latency,
-                                     tlb_hit=True)
-        if self.filter_tlb is not None:
-            filter_entry = self.filter_tlb.lookup(process_id, virtual_address)
-            if filter_entry is not None:
-                physical = (filter_entry.frame * self.config.page_size
-                            + virtual_address % self.config.page_size)
-                return TranslationResult(physical_address=physical,
-                                         latency=self.config.hit_latency,
-                                         tlb_hit=False, filter_hit=True)
-        physical = self.walker.walk(address_space, virtual_address)
-        if physical is None:
-            return TranslationResult(physical_address=None,
-                                     latency=self.walker.walk_latency,
-                                     tlb_hit=False, walked=True, fault=True)
-        frame = physical // self.config.page_size
-        if speculative and self.filter_tlb is not None:
-            self.filter_tlb.insert_speculative(process_id, virtual_address,
-                                               frame)
-        else:
-            self.tlb.insert(process_id, virtual_address, frame)
-        return TranslationResult(physical_address=physical,
-                                 latency=self.walker.walk_latency,
-                                 tlb_hit=False, walked=True)
-
     def translate_address(self, address_space: AddressSpace,
                           virtual_address: int,
                           speculative: bool = False
                           ) -> "tuple[Optional[int], int]":
-        """Hot-path translation: ``(physical_address, latency)`` only.
+        """Translate a virtual address for a (possibly speculative) access.
 
-        Same TLB / filter-TLB / walker semantics as :meth:`translate`, but
-        returns a plain tuple instead of building a
-        :class:`TranslationResult` — the memory systems call this once per
-        simulated access and only ever read those two fields.
+        Returns ``(physical_address, latency)``; the physical address is
+        ``None`` on a page fault.  Non-speculative accesses fill the main
+        TLB on a miss; speculative accesses fill only the filter TLB when
+        one is present, leaving the non-speculative TLB untouched (section
+        4.7).
         """
         process_id = address_space.process_id
         config = self.config

@@ -202,6 +202,13 @@ class TestErrors:
         with pytest.raises(MachineFormatError, match="SystemConfig"):
             machine_from_dict({"num_cores": 0})
 
+    def test_unknown_replacement_policy_names_the_field(self):
+        payload = machine_to_dict(SystemConfig())
+        payload["l2"]["replacement"] = "fifo"
+        with pytest.raises(MachineFormatError,
+                           match=r"SystemConfig\.l2: .*replacement.*'fifo'"):
+            machine_from_dict(payload)
+
     def test_versioned_output(self):
         assert machine_to_dict(SystemConfig())["schema_version"] \
             == MACHINE_SCHEMA_VERSION

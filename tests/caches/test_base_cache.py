@@ -12,9 +12,8 @@ from repro.caches.replacement import (
     TreePLRUReplacement,
     make_replacement_policy,
 )
-from repro.caches.write_buffer import WriteBuffer
 from repro.coherence.states import E, I, M, S
-from repro.common.params import CacheConfig
+from repro.common.params import REPLACEMENT_POLICIES, CacheConfig
 from repro.common.rng import DeterministicRng
 
 
@@ -99,6 +98,23 @@ class TestReplacementPolicies:
         with pytest.raises(ValueError):
             make_replacement_policy("fifo", 4, rng)
 
+    @pytest.mark.parametrize("name", sorted(REPLACEMENT_POLICIES))
+    def test_every_accepted_name_builds_its_policy(self, name):
+        # CacheConfig and the factory share one name list, case ignored.
+        config = CacheConfig(name="l2", size_bytes=1024, associativity=2,
+                             replacement=name.upper())
+        policy = make_replacement_policy(config.replacement, 2,
+                                         DeterministicRng(0))
+        expected = {"lru": LRUReplacement, "random": RandomReplacement,
+                    "plru": TreePLRUReplacement}[REPLACEMENT_POLICIES[name]]
+        assert isinstance(policy, expected)
+
+    @pytest.mark.parametrize("name", ["fifo", 7])
+    def test_config_rejects_an_unknown_name(self, name):
+        with pytest.raises(ValueError, match="replacement policy"):
+            CacheConfig(name="l2", size_bytes=1024, associativity=2,
+                        replacement=name)
+
     def test_lru_picks_oldest(self):
         policy = LRUReplacement()
         lines = [CacheLine(address=i, state=S, last_use=use)
@@ -143,21 +159,6 @@ class TestMSHRs:
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError):
             MSHRFile(0)
-
-
-class TestWriteBuffer:
-    def test_no_stall_when_room(self):
-        buffer = WriteBuffer(entries=2)
-        assert buffer.push(0x100, now=0, drain_latency=10) == 0
-        assert buffer.push(0x200, now=1, drain_latency=10) == 0
-        assert buffer.occupancy(1) == 2
-
-    def test_stall_when_full(self):
-        buffer = WriteBuffer(entries=1)
-        buffer.push(0x100, now=0, drain_latency=50)
-        stall = buffer.push(0x200, now=10, drain_latency=50)
-        assert stall > 0
-        assert buffer.full_stalls == 1
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,7 +7,6 @@ from repro.common.params import BranchPredictorConfig, SystemConfig
 from repro.core.muontrap import MuonTrapMemorySystem
 from repro.cpu.branch_predictor import (
     BranchTargetBuffer,
-    ReturnAddressStack,
     SaturatingCounter,
     TournamentPredictor,
 )
@@ -26,18 +25,10 @@ class TestBranchPredictorComponents:
         counter.update(False)
         assert counter.value == 2
 
-    def test_btb_and_ras(self):
+    def test_btb(self):
         btb = BranchTargetBuffer(entries=16)
         btb.update(0x400, 0x800)
         assert btb.lookup(0x400) == 0x800
-        ras = ReturnAddressStack(entries=2)
-        ras.push(0x1000)
-        ras.push(0x2000)
-        ras.push(0x3000)           # overflows, drops the oldest
-        assert ras.pop() == 0x3000
-        assert ras.pop() == 0x2000
-        assert ras.pop() is None
-        assert ras.overflows == 1
 
     def test_predictor_learns_biased_branch(self):
         predictor = TournamentPredictor(BranchPredictorConfig())

@@ -96,7 +96,6 @@ class TestEnvValidation:
     def test_explicit_instructions_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "2500")
         assert instructions_per_workload(5000) == 5000
-        assert instructions_per_workload(default=1000) == 2500
 
     def test_instructions_env_rejects_too_small(self, monkeypatch):
         # A set-but-too-small value is a configuration mistake, not a
@@ -200,6 +199,18 @@ class TestCli:
         assert self.run_cli("run", "--suite", "hmmer",
                             "--machine-file", str(machine)) == 0
         assert "legacy-muontrap" in capsys.readouterr().out
+
+    def test_machine_file_with_unknown_replacement_is_rejected(
+            self, capsys, tmp_path):
+        payload = SystemConfig().to_dict()
+        payload["l2"]["replacement"] = "fifo"
+        machine = tmp_path / "fifo.json"
+        machine.write_text(json.dumps(payload))
+        assert self.run_cli("run", "--suite", "hmmer",
+                            "--machine-file", str(machine)) == 2
+        captured = capsys.readouterr()
+        assert "SystemConfig.l2" in captured.err and "'fifo'" in captured.err
+        assert "FAILED" not in captured.out
 
     def test_suites_lists_builtins(self, capsys):
         assert self.run_cli("suites") == 0

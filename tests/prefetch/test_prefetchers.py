@@ -5,36 +5,12 @@ from repro.prefetch.commit_channel import (
     CommitPrefetchChannel,
     PrefetchNotification,
 )
-from repro.prefetch.next_line import NextLinePrefetcher
 from repro.prefetch.stream import StreamPrefetcher
-from repro.prefetch.stride import StridePrefetcher
 
 
 def event(address, pc=0x400, cycle=0, was_miss=True):
     return TrainingEvent(address=address, pc=pc, cycle=cycle,
                          was_miss=was_miss)
-
-
-class TestStridePrefetcher:
-    def test_constant_stride_is_detected(self):
-        prefetcher = StridePrefetcher(degree=1, distance=0,
-                                      confidence_threshold=2)
-        issued = []
-        for index in range(6):
-            issued = prefetcher.train(event(0x1000 + index * 256))
-        assert issued, "a constant stride must eventually prefetch"
-        assert issued[0] > 0x1000
-
-    def test_irregular_stream_never_prefetches(self):
-        prefetcher = StridePrefetcher()
-        addresses = [0x1000, 0x5000, 0x2000, 0x9000, 0x3000, 0x7000]
-        assert all(not prefetcher.train(event(a)) for a in addresses)
-
-    def test_reset_clears_table(self):
-        prefetcher = StridePrefetcher()
-        prefetcher.train(event(0x1000))
-        prefetcher.reset()
-        assert prefetcher.entry_for_pc(0x400) is None
 
 
 class TestStreamPrefetcher:
@@ -64,13 +40,7 @@ class TestStreamPrefetcher:
         assert prefetcher.entry_for_address(0x20_0000).stride == 128
 
 
-class TestNextLineAndNull:
-    def test_next_line_on_miss_only(self):
-        prefetcher = NextLinePrefetcher(degree=2, only_on_miss=True)
-        assert prefetcher.train(event(0x1000, was_miss=False)) == []
-        assert prefetcher.train(event(0x1000, was_miss=True)) == [
-            0x1040, 0x1080]
-
+class TestNullPrefetcher:
     def test_null_prefetcher_is_silent(self):
         prefetcher = NullPrefetcher()
         assert prefetcher.train(event(0x1000)) == []

@@ -106,6 +106,17 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert "name string" in excinfo.value.message
 
+    def test_machine_with_an_unknown_replacement_policy_is_a_400(
+            self, client):
+        machine = SystemConfig().to_dict()
+        machine["l2"]["replacement"] = "fifo"
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate("mcf", machine=machine,
+                            instructions=INSTRUCTIONS)
+        assert excinfo.value.status == 400
+        assert "SystemConfig.l2" in excinfo.value.message
+        assert "'fifo'" in excinfo.value.message
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.job("sweep-0000000000000000")

@@ -63,41 +63,50 @@ class TestMMU:
         manager = PageTableManager()
         space = manager.address_space(1)
         mmu = MMU(TLBConfig(), use_filter_tlb=True)
-        first = mmu.translate(space, 0x8000, speculative=False)
-        assert first.walked and first.physical_address is not None
-        second = mmu.translate(space, 0x8000, speculative=False)
-        assert second.tlb_hit
-        assert second.physical_address == first.physical_address
+        first, latency = mmu.translate_address(space, 0x8000)
+        assert first is not None
+        assert latency == mmu.config.walk_latency
+        assert mmu.stats.get("walker.walks") == 1
+        second, latency = mmu.translate_address(space, 0x8000)
+        assert second == first
+        assert latency == mmu.config.hit_latency
+        assert mmu.stats.get("walker.walks") == 1
+        assert mmu.tlb.probe(1, 0x8000) is not None
 
     def test_speculative_walk_fills_only_filter_tlb(self):
         manager = PageTableManager()
         space = manager.address_space(1)
         mmu = MMU(TLBConfig(), use_filter_tlb=True)
-        result = mmu.translate(space, 0x9000, speculative=True)
-        assert result.walked
+        physical, _ = mmu.translate_address(space, 0x9000, speculative=True)
+        assert mmu.stats.get("walker.walks") == 1
         assert mmu.tlb.probe(1, 0x9000) is None
         assert mmu.filter_tlb.probe(1, 0x9000) is not None
         # Re-translating speculatively now hits the filter TLB.
-        again = mmu.translate(space, 0x9000, speculative=True)
-        assert again.filter_hit
+        again, latency = mmu.translate_address(space, 0x9000,
+                                               speculative=True)
+        assert again == physical
+        assert latency == mmu.config.hit_latency
+        assert mmu.stats.get("walker.walks") == 1
 
     def test_commit_translation_promotes_or_rewalks(self):
         manager = PageTableManager()
         space = manager.address_space(1)
         mmu = MMU(TLBConfig(), use_filter_tlb=True)
-        mmu.translate(space, 0x9000, speculative=True)
+        mmu.translate_address(space, 0x9000, speculative=True)
         mmu.commit_translation(space, 0x9000)
         assert mmu.tlb.probe(1, 0x9000) is not None
+        assert mmu.filter_tlb.promotions == 1
         # Committing a translation whose filter entry is gone re-walks.
         mmu.context_switch()
         mmu.commit_translation(space, 0xA000)
         assert mmu.tlb.probe(1, 0xA000) is not None
+        assert mmu.filter_tlb.promotions == 1
 
     def test_context_switch_flushes_filter_tlb(self):
         manager = PageTableManager()
         space = manager.address_space(1)
         mmu = MMU(TLBConfig(), use_filter_tlb=True)
-        mmu.translate(space, 0x9000, speculative=True)
+        mmu.translate_address(space, 0x9000, speculative=True)
         mmu.context_switch()
         assert mmu.filter_tlb.probe(1, 0x9000) is None
 
