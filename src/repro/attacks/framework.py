@@ -40,7 +40,6 @@ SANDBOX_PROCESS = 300
 
 SHARED_ARRAY_BASE = 0x0200_0000
 ATTACKER_PRIVATE_BASE = 0x0300_0000
-VICTIM_PRIVATE_BASE = 0x0400_0000
 VICTIM_SECRET_ADDRESS = 0x0400_8000
 LINE_SIZE = 64
 PAGE_SIZE = 4096
@@ -79,7 +78,6 @@ class AttackEnvironment:
                  mode: str = "unprotected",
                  num_cores: int = 1, secret: int = 3,
                  num_secret_values: int = 8,
-                 shared_writable: bool = True,
                  shared_bytes: Optional[int] = None) -> None:
         base = config or SystemConfig()
         self.config = base.with_mode(mode).with_cores(num_cores)
@@ -100,8 +98,7 @@ class AttackEnvironment:
             PAGE_SIZE, num_secret_values * 4 * LINE_SIZE)
         for offset in range(0, self.shared_bytes, PAGE_SIZE):
             attacker_space.share_page_with(victim_space,
-                                           SHARED_ARRAY_BASE + offset,
-                                           writable=shared_writable)
+                                           SHARED_ARRAY_BASE + offset)
         self._current_process: Dict[int, int] = {}
 
     # -- time -----------------------------------------------------------------
@@ -138,9 +135,8 @@ class AttackEnvironment:
         result = self.memory.store_address_ready(core_id, ATTACKER_PROCESS,
                                                  address, self.now,
                                                  speculative=False)
-        commit_latency = self.memory.commit_store(
+        total = result.latency + self.memory.commit_store(
             core_id, ATTACKER_PROCESS, address, self.now + result.latency)
-        total = result.latency + commit_latency
         self.advance(total + 5)
         return total
 
@@ -163,31 +159,12 @@ class AttackEnvironment:
         self.advance(result.latency + 1)
         return result.latency
 
-    def victim_speculative_store(self, address: int, core_id: int = 0) -> int:
-        """A victim store whose address resolves under squashed speculation."""
-        self.run_as(core_id, VICTIM_PROCESS)
-        result = self.memory.store_address_ready(core_id, VICTIM_PROCESS,
-                                                 address, self.now,
-                                                 speculative=True)
-        self.advance(result.latency + 1)
-        return result.latency
-
     def victim_speculative_fetch(self, address: int, core_id: int = 0) -> int:
         """A victim instruction fetch on a mispredicted (squashed) path."""
         self.run_as(core_id, VICTIM_PROCESS)
         result = self.memory.fetch(core_id, VICTIM_PROCESS, address, self.now,
                                    speculative=True)
         self.advance(result.latency + 1)
-        return result.latency
-
-    def victim_committed_load(self, address: int, core_id: int = 0) -> int:
-        """A victim load that really commits (non-speculative work)."""
-        self.run_as(core_id, VICTIM_PROCESS)
-        result = self.memory.load(core_id, VICTIM_PROCESS, address, self.now,
-                                  speculative=False)
-        self.memory.commit_load(core_id, VICTIM_PROCESS, address,
-                                self.now + result.latency)
-        self.advance(result.latency + 5)
         return result.latency
 
     def victim_squash(self, core_id: int = 0) -> None:
@@ -202,9 +179,6 @@ class AttackEnvironment:
 
     def attacker_private_address(self, index: int) -> int:
         return ATTACKER_PRIVATE_BASE + index * LINE_SIZE
-
-    def victim_private_address(self, index: int) -> int:
-        return VICTIM_PRIVATE_BASE + index * LINE_SIZE
 
 
 class CrossCoreAttackEnvironment:
@@ -285,8 +259,7 @@ class CrossCoreAttackEnvironment:
         self.shared_bytes = max(PAGE_SIZE, num_secret_values * 4 * LINE_SIZE)
         for offset in range(0, self.shared_bytes, PAGE_SIZE):
             attacker_space.share_page_with(victim_space,
-                                           SHARED_ARRAY_BASE + offset,
-                                           writable=True)
+                                           SHARED_ARRAY_BASE + offset)
         self._attacker_space = attacker_space
         self._victim_space = victim_space
         # Warm both cores' code lines and timing chains so the first real

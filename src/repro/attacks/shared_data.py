@@ -38,7 +38,7 @@ class SharedDataCoherenceAttack:
                  config: Optional[SystemConfig] = None) -> None:
         self.environment = AttackEnvironment(
             config=config, mode=mode, num_cores=2, secret=secret,
-            num_secret_values=num_secret_values, shared_writable=True)
+            num_secret_values=num_secret_values)
         self.mode = mode
         self.attacker_core = 0
         self.victim_core = 1

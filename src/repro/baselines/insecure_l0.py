@@ -43,12 +43,12 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
              now: int, *, speculative: bool, pc: int = 0
              ) -> MemoryAccessResult:
         l0 = self._cores[core_id].data_filter
-        lookup = l0.lookup(virtual_address, now, process_id=process_id)
-        if lookup.hit:
-            return MemoryAccessResult(latency=lookup.latency, hit_level="l0")
+        hit_latency = l0.config.hit_latency
+        if l0.lookup(virtual_address, now, process_id=process_id) is not None:
+            return MemoryAccessResult(latency=hit_latency, hit_level="l0")
         # Serial L0 lookup in front of the normal (L1-filling) path.
         result = super().load(core_id, process_id, virtual_address,
-                              now + lookup.latency, speculative=speculative,
+                              now + hit_latency, speculative=speculative,
                               pc=pc)
         space = self.page_tables.address_space(process_id)
         physical = space.translate(virtual_address)
@@ -56,7 +56,7 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
             l0.fill(virtual_address, physical, now + result.latency,
                     process_id=process_id, committed=True,
                     fill_level=result.hit_level)
-        return MemoryAccessResult(latency=lookup.latency + result.latency,
+        return MemoryAccessResult(latency=hit_latency + result.latency,
                                   hit_level=result.hit_level)
 
     def store_address_ready(self, core_id: int, process_id: int,
@@ -64,11 +64,11 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
                             speculative: bool, pc: int = 0
                             ) -> MemoryAccessResult:
         l0 = self._cores[core_id].data_filter
-        lookup = l0.lookup(virtual_address, now, process_id=process_id)
-        if lookup.hit:
-            return MemoryAccessResult(latency=lookup.latency, hit_level="l0")
+        hit_latency = l0.config.hit_latency
+        if l0.lookup(virtual_address, now, process_id=process_id) is not None:
+            return MemoryAccessResult(latency=hit_latency, hit_level="l0")
         result = super().store_address_ready(
-            core_id, process_id, virtual_address, now + lookup.latency,
+            core_id, process_id, virtual_address, now + hit_latency,
             speculative=speculative, pc=pc)
         space = self.page_tables.address_space(process_id)
         physical = space.translate(virtual_address)
@@ -76,18 +76,18 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
             l0.fill(virtual_address, physical, now + result.latency,
                     process_id=process_id, committed=True,
                     fill_level=result.hit_level)
-        return MemoryAccessResult(latency=lookup.latency + result.latency,
+        return MemoryAccessResult(latency=hit_latency + result.latency,
                                   hit_level=result.hit_level)
 
     def fetch(self, core_id: int, process_id: int, virtual_address: int,
               now: int, *, speculative: bool, pc: int = 0
               ) -> MemoryAccessResult:
         l0 = self._cores[core_id].inst_filter
-        lookup = l0.lookup(virtual_address, now, process_id=process_id)
-        if lookup.hit:
-            return MemoryAccessResult(latency=lookup.latency, hit_level="l0i")
+        hit_latency = l0.config.hit_latency
+        if l0.lookup(virtual_address, now, process_id=process_id) is not None:
+            return MemoryAccessResult(latency=hit_latency, hit_level="l0i")
         result = super().fetch(core_id, process_id, virtual_address,
-                               now + lookup.latency, speculative=speculative,
+                               now + hit_latency, speculative=speculative,
                                pc=pc)
         space = self.page_tables.address_space(process_id)
         physical = space.translate(virtual_address)
@@ -95,7 +95,7 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
             l0.fill(virtual_address, physical, now + result.latency,
                     process_id=process_id, committed=True,
                     fill_level=result.hit_level)
-        return MemoryAccessResult(latency=lookup.latency + result.latency,
+        return MemoryAccessResult(latency=hit_latency + result.latency,
                                   hit_level=result.hit_level)
 
 

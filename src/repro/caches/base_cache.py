@@ -202,7 +202,6 @@ class SetAssociativeCache:
         victim_line.owner_process = None
         victim_line.se_upgrade_pending = False
         victim_line.fill_level = None
-        victim_line.insert_time = now
         victim_line.touch(now)
         self._policy.on_access(set_idx, victim_way, now)
         self._fills.increment()
@@ -280,9 +279,3 @@ class SetAssociativeCache:
     @property
     def invalidations(self) -> int:
         return self._invalidations.value
-
-    def set_addresses(self, set_idx: int) -> List[int]:
-        """Addresses of the valid lines in one set (attack helper)."""
-        if not 0 <= set_idx < self.num_sets:
-            raise IndexError("set index out of range")
-        return [line.address for line in self._sets[set_idx] if line.valid]

@@ -10,7 +10,7 @@ the fill-level tag that directs commit-time prefetch notifications
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.coherence.states import CoherenceState, I
@@ -24,7 +24,6 @@ class CacheLine:
     state: CoherenceState = I
     dirty: bool = False
     last_use: int = 0
-    insert_time: int = 0
     # Prefetch support: lines installed by a prefetcher are not "demanded"
     # until a real access touches them, and may still be in flight.
     prefetched: bool = False

@@ -47,10 +47,6 @@ class SnoopResult:
     def has_private_owner(self) -> bool:
         return self.dirty_owner is not None or self.exclusive_owner is not None
 
-    @property
-    def any_copy(self) -> bool:
-        return self.has_private_owner or bool(self.sharers)
-
 
 class CoherenceBus:
     """Registry of private caches plus snoop/broadcast primitives."""
@@ -108,10 +104,6 @@ class CoherenceBus:
     @property
     def core_ids(self) -> List[int]:
         return sorted(self._private_caches)
-
-    def private_cache(self, core_id: int) -> "SetAssociativeCache":
-        """The core's first-registered private cache (its L1 data cache)."""
-        return self._private_caches[core_id][0]
 
     def private_caches(self, core_id: int) -> List["SetAssociativeCache"]:
         return self._private_caches[core_id]

@@ -15,15 +15,6 @@ DEFAULT_LINE_SIZE = 64
 DEFAULT_PAGE_SIZE = 4096
 
 
-def is_power_of_two(value: int) -> bool:
-    """True when ``value`` is a positive power of two."""
-    return value > 0 and (value & (value - 1)) == 0
-
-
-# The three block helpers below sit on every cache/TLB access path, so the
-# power-of-two validation is inlined rather than delegated to
-# ``is_power_of_two`` (a function call per address would dominate them).
-
 def block_align(address: int, block_size: int = DEFAULT_LINE_SIZE) -> int:
     """Round ``address`` down to the start of its block."""
     if block_size <= 0 or block_size & (block_size - 1):

@@ -461,9 +461,6 @@ class SystemConfig:
                           for index in range(num_cores))
         return replace(self, num_cores=num_cores, cores=cores)
 
-    def with_data_filter(self, data_filter: FilterCacheConfig) -> "SystemConfig":
-        return self._override(data_filter=data_filter)
-
     def with_private_l2(self,
                         private_l2: Optional[CacheConfig]) -> "SystemConfig":
         return self._override(private_l2=private_l2)

@@ -5,7 +5,7 @@ from repro.core.domains import (
     DomainTracker,
     ProtectionDomain,
 )
-from repro.core.filter_cache import FilterLookupResult, SpeculativeFilterCache
+from repro.core.filter_cache import SpeculativeFilterCache
 from repro.core.frontend import CoreState, SchemeFrontend
 from repro.core.muontrap import MuonTrapMemorySystem
 
@@ -13,7 +13,6 @@ __all__ = [
     "CoreState",
     "DomainKind",
     "DomainTracker",
-    "FilterLookupResult",
     "MuonTrapMemorySystem",
     "ProtectionDomain",
     "SchemeFrontend",

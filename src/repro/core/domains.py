@@ -34,9 +34,6 @@ class ProtectionDomain:
     process_id: int = 0
     label: str = ""
 
-    def same_process(self, other: "ProtectionDomain") -> bool:
-        return self.process_id == other.process_id
-
 
 # Callbacks invoked when the domain changes; the MuonTrap memory system
 # registers its filter-cache / filter-TLB flushes here.

@@ -9,8 +9,9 @@ allowed to reach:
 * every line carries a *committed* bit (section 4.2): it is set when an
   instruction using the line reaches in-order commit, at which point the
   line is written through to the L1;
-* validity is stored in per-line valid bits held outside the SRAM so the
-  whole cache can be invalidated in a single cycle (section 4.3);
+* a line's coherence state is its valid bit: the hardware holds valid
+  bits outside the SRAM so the whole cache can be invalidated in a single
+  cycle (section 4.3), and a flush costs no modelled time;
 * lines are tagged with both the virtual and the physical address
   (section 4.4) so the cache is virtually indexed from the CPU side and can
   still be snooped by physical address;
@@ -23,24 +24,15 @@ allowed to reach:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.caches.cache_line import CacheLine
-from repro.caches.mshr import MSHRFile
 from repro.coherence.states import I, S
-from repro.common.addresses import block_align
 from repro.common.params import FilterCacheConfig
 from repro.common.statistics import StatGroup
 
-
-@dataclass(slots=True)
-class FilterLookupResult:
-    """Outcome of a CPU-side filter-cache lookup."""
-
-    hit: bool
-    latency: int
-    line: Optional[CacheLine] = None
+_last_use = attrgetter("last_use")
 
 
 class SpeculativeFilterCache:
@@ -63,20 +55,14 @@ class SpeculativeFilterCache:
             [CacheLine() for _ in range(self.associativity)]
             for _ in range(self.num_sets)
         ]
-        # Valid bits live in registers outside the SRAM so that a protection
-        # domain switch can clear the whole cache in one cycle.
-        self._valid_bits: List[List[bool]] = [
-            [False] * self.associativity for _ in range(self.num_sets)
-        ]
-        # Physical-tag index: physical line address -> (set, way) of the
-        # line installed by the last fill.  Verified before use (flushes and
-        # invalidations leave stale entries behind), turning the
-        # all-set snoop scan of probe_physical into an O(1) lookup.  Fills
-        # are the only operation that sets a valid bit, and at most one
-        # resident line can hold a given physical address (fills evict
-        # aliases first), so the verified index is exact.
+        # Physical-tag index: physical line address -> the line installed
+        # by the last fill.  Verified before use (flushes and invalidations
+        # leave stale entries behind), turning the all-set snoop scan of
+        # probe_physical into an O(1) lookup.  Fills are the only operation
+        # that makes a line valid, and at most one resident line can hold
+        # a given physical address (fills evict aliases first), so the
+        # verified index is exact.
         self._physical_index: dict = {}
-        self.mshrs = MSHRFile(self.config.mshrs)
         stats = stats or StatGroup(name)
         self.stats = stats
         self._hits = stats.counter("hits")
@@ -95,40 +81,27 @@ class SpeculativeFilterCache:
     def line_address(self, address: int) -> int:
         return address & self._offset_mask
 
-    def _set_index(self, address: int) -> int:
-        return (address >> self._line_shift) % self.num_sets
-
-    def _iter_valid(self, set_index: int):
-        valid = self._valid_bits[set_index]
-        lines = self._sets[set_index]
-        for way in range(self.associativity):
-            if valid[way]:
-                yield way, lines[way]
-
     # -- CPU-side lookup (virtually indexed) -------------------------------------
     def lookup(self, virtual_address: int, now: int = 0,
-               process_id: Optional[int] = None) -> FilterLookupResult:
-        """Look the cache up by virtual address from the CPU side."""
+               process_id: Optional[int] = None) -> Optional[CacheLine]:
+        """Look the cache up by virtual address from the CPU side.
+
+        Returns the hit line, or None on a miss; either way the lookup
+        takes ``config.hit_latency`` cycles.
+        """
         virtual_line = virtual_address & self._offset_mask
-        set_index = (virtual_address >> self._line_shift) % self.num_sets
-        valid = self._valid_bits[set_index]
-        lines = self._sets[set_index]
-        for way in range(self.associativity):
-            if not valid[way]:
-                continue
-            line = lines[way]
-            if line.virtual_tag != virtual_line:
+        for line in self._sets[(virtual_address >> self._line_shift)
+                               % self.num_sets]:
+            if line.virtual_tag != virtual_line or line.state is I:
                 continue
             if process_id is not None and line.owner_process not in (
                     None, process_id):
                 continue
             line.last_use = now
             self._hits.increment()
-            return FilterLookupResult(hit=True,
-                                      latency=self.config.hit_latency,
-                                      line=line)
+            return line
         self._misses.increment()
-        return FilterLookupResult(hit=False, latency=self.config.hit_latency)
+        return None
 
     # -- memory-side lookup (physically indexed) -----------------------------------
     def probe_physical(self, physical_address: int) -> Optional[CacheLine]:
@@ -140,14 +113,8 @@ class SpeculativeFilterCache:
         answers in O(1) what a scan of every set would.
         """
         physical_line = physical_address & self._offset_mask
-        slot = self._physical_index.get(physical_line)
-        if slot is None:
-            return None
-        set_index, way = slot
-        if not self._valid_bits[set_index][way]:
-            return None
-        line = self._sets[set_index][way]
-        if line.address != physical_line:
+        line = self._physical_index.get(physical_line)
+        if line is None or line.state is I or line.address != physical_line:
             return None
         return line
 
@@ -157,14 +124,9 @@ class SpeculativeFilterCache:
     def contains_virtual(self, virtual_address: int,
                          process_id: Optional[int] = None) -> bool:
         virtual_line = virtual_address & self._offset_mask
-        set_index = (virtual_address >> self._line_shift) % self.num_sets
-        valid = self._valid_bits[set_index]
-        lines = self._sets[set_index]
-        for way in range(self.associativity):
-            if not valid[way]:
-                continue
-            line = lines[way]
-            if line.virtual_tag == virtual_line and (
+        for line in self._sets[(virtual_address >> self._line_shift)
+                               % self.num_sets]:
+            if line.virtual_tag == virtual_line and line.state is not I and (
                     process_id is None or line.owner_process in (
                         None, process_id)):
                 return True
@@ -187,27 +149,22 @@ class SpeculativeFilterCache:
         existing_physical = self.probe_physical(physical_address)
         if existing_physical is not None and (
                 existing_physical.virtual_tag != virtual_line):
-            self._invalidate_line(existing_physical)
-        set_index = (virtual_address >> self._line_shift) % self.num_sets
+            existing_physical.invalidate()
+        lines = self._sets[(virtual_address >> self._line_shift)
+                           % self.num_sets]
         # Re-use the line if it is already present (refill after downgrade).
-        valid = self._valid_bits[set_index]
-        lines = self._sets[set_index]
-        for reuse_way in range(self.associativity):
-            if not valid[reuse_way]:
-                continue
-            line = lines[reuse_way]
-            if line.virtual_tag == virtual_line:
+        for line in lines:
+            if line.virtual_tag == virtual_line and line.state is not I:
                 line.committed = line.committed or committed
                 line.se_upgrade_pending = line.se_upgrade_pending or se_upgrade
                 line.last_use = now
                 return line
-        way = self._choose_victim(set_index)
-        line = lines[way]
-        if valid[way]:
+        line = self._choose_victim(lines)
+        if line.state is not I:
             self._evictions.increment()
             if not line.committed:
                 self._uncommitted_evictions.increment()
-        self._physical_index[physical_line] = (set_index, way)
+        self._physical_index[physical_line] = line
         line.address = physical_line
         line.state = S
         line.dirty = False
@@ -216,25 +173,17 @@ class SpeculativeFilterCache:
         line.owner_process = process_id
         line.se_upgrade_pending = se_upgrade
         line.fill_level = fill_level
-        line.insert_time = now
-        line.touch(now)
-        self._valid_bits[set_index][way] = True
+        line.last_use = now
         self._fills.increment()
         return line
 
-    def _choose_victim(self, set_index: int) -> int:
-        for way in range(self.associativity):
-            if not self._valid_bits[set_index][way]:
-                return way
-        # LRU among valid ways.
-        oldest_way = 0
-        oldest_time = self._sets[set_index][0].last_use
-        for way in range(self.associativity):
-            line = self._sets[set_index][way]
-            if line.last_use < oldest_time:
-                oldest_time = line.last_use
-                oldest_way = way
-        return oldest_way
+    @staticmethod
+    def _choose_victim(lines: List[CacheLine]) -> CacheLine:
+        """The first invalid way, otherwise the least recently used."""
+        for line in lines:
+            if line.state is I:
+                return line
+        return min(lines, key=_last_use)
 
     # -- commit / invalidation -----------------------------------------------------
     def mark_committed(self, virtual_address: int,
@@ -247,14 +196,9 @@ class SpeculativeFilterCache:
         hierarchy (section 4.2).
         """
         virtual_line = virtual_address & self._offset_mask
-        set_index = (virtual_address >> self._line_shift) % self.num_sets
-        valid = self._valid_bits[set_index]
-        lines = self._sets[set_index]
-        for way in range(self.associativity):
-            if not valid[way]:
-                continue
-            line = lines[way]
-            if line.virtual_tag == virtual_line:
+        for line in self._sets[(virtual_address >> self._line_shift)
+                               % self.num_sets]:
+            if line.virtual_tag == virtual_line and line.state is not I:
                 if not line.committed:
                     line.committed = True
                     self._commits.increment()
@@ -262,38 +206,30 @@ class SpeculativeFilterCache:
                 return line
         return None
 
-    def _invalidate_line(self, line: CacheLine) -> None:
-        set_index = self._set_index(line.virtual_tag
-                                    if line.virtual_tag is not None
-                                    else line.address)
-        for way in range(self.associativity):
-            if self._sets[set_index][way] is line:
-                self._valid_bits[set_index][way] = False
-        line.invalidate()
-
     def invalidate_physical(self, physical_address: int) -> bool:
         """Invalidate by physical address (coherence broadcast target)."""
         line = self.probe_physical(physical_address)
         if line is None:
             return False
         self._snoop_invalidations.increment()
-        self._invalidate_line(line)
+        line.invalidate()
         return True
 
     def flush(self) -> int:
-        """Clear every valid bit in a single cycle (section 4.3).
+        """Drop every line (section 4.3).
 
-        The write-through-at-commit policy means nothing needs writing back:
-        committed data is already in the L1 and uncommitted data may simply
-        disappear.  Returns the number of lines dropped.
+        The hardware clears its valid bits in a single cycle, so a flush
+        costs no modelled time.  The write-through-at-commit policy means
+        nothing needs writing back: committed data is already in the L1
+        and uncommitted data may simply disappear.  Returns the number of
+        lines dropped.
         """
         dropped = 0
-        for set_index in range(self.num_sets):
-            for way in range(self.associativity):
-                if self._valid_bits[set_index][way]:
+        for lines in self._sets:
+            for line in lines:
+                if line.state is not I:
                     dropped += 1
-                    self._valid_bits[set_index][way] = False
-                    self._sets[set_index][way].invalidate()
+                    line.invalidate()
         self._flushes.increment()
         self._lines_flushed.increment(dropped)
         return dropped
@@ -347,8 +283,8 @@ class SpeculativeFilterCache:
 
     # -- introspection -------------------------------------------------------------
     def resident_lines(self) -> List[CacheLine]:
-        return [line for set_index in range(self.num_sets)
-                for _, line in self._iter_valid(set_index)]
+        return [line for lines in self._sets for line in lines
+                if line.state is not I]
 
     def occupancy(self) -> int:
         return len(self.resident_lines())

@@ -119,16 +119,15 @@ class MuonTrapMemorySystem(SchemeFrontend):
                 must_retry_nonspeculative=outcome.nacked)
 
         filter_cache = core.data_filter
-        lookup = filter_cache.lookup(virtual_address, now,
-                                     process_id=process_id)
-        if lookup.hit:
-            return MemoryAccessResult(latency=tlb_latency + lookup.latency,
+        hit_latency = filter_cache.config.hit_latency
+        if filter_cache.lookup(virtual_address, now,
+                               process_id=process_id) is not None:
+            return MemoryAccessResult(latency=tlb_latency + hit_latency,
                                       hit_level="l0")
         # Filter miss: consult the L1 and below.  Serial lookup adds the
         # filter-cache cycle in front of the L1; the parallel-access
         # optimisation of section 6.5 overlaps the two.
-        probe_penalty = 0 if protection.parallel_l1_access else \
-            filter_cache.config.hit_latency
+        probe_penalty = 0 if protection.parallel_l1_access else hit_latency
         outcome = self.hierarchy.read_for_filter(
             core_id, physical, now + tlb_latency + probe_penalty,
             speculative=speculative,
@@ -188,12 +187,11 @@ class MuonTrapMemorySystem(SchemeFrontend):
             return MemoryAccessResult(latency=tlb_latency + outcome.latency,
                                       hit_level=outcome.hit_level)
         filter_cache = core.inst_filter
-        lookup = filter_cache.lookup(virtual_address, now,
-                                     process_id=process_id)
-        if lookup.hit:
-            return MemoryAccessResult(latency=tlb_latency + lookup.latency,
-                                      hit_level="l0i")
         probe_penalty = filter_cache.config.hit_latency
+        if filter_cache.lookup(virtual_address, now,
+                               process_id=process_id) is not None:
+            return MemoryAccessResult(latency=tlb_latency + probe_penalty,
+                                      hit_level="l0i")
         outcome = self.hierarchy.read_for_filter(
             core_id, physical, now + tlb_latency + probe_penalty,
             speculative=speculative, protect_coherence=False,

@@ -2,7 +2,6 @@
 
 from repro.cpu.branch_predictor import (
     BranchTargetBuffer,
-    SaturatingCounter,
     TournamentPredictor,
 )
 from repro.cpu.core import CoreResult, OutOfOrderCore
@@ -28,7 +27,6 @@ __all__ = [
     "OutOfOrderCore",
     "ReorderBuffer",
     "RetirementWindow",
-    "SaturatingCounter",
     "StoreQueue",
     "TournamentPredictor",
     "WrongPathAccess",

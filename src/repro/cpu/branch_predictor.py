@@ -1,8 +1,9 @@
 """The tournament branch predictor of Table 1.
 
 A local predictor (2048-entry pattern history), a global predictor
-(8192-entry gshare) and a 2048-entry chooser, plus a 4096-entry branch
-target buffer.  Table 1's 16-entry return address stack is not modelled:
+(8192-entry gshare) and a 2048-entry chooser, each a list of 2-bit
+saturating counters held as plain ints, plus a 4096-entry branch target
+buffer.  Table 1's 16-entry return address stack is not modelled:
 traces have no call or return ops, so ``ras_entries`` only describes the
 machine.  The workload generator produces branch *outcomes*; the
 predictor decides which of them the core mispredicts, so the
@@ -19,24 +20,10 @@ from repro.common.params import BranchPredictorConfig
 from repro.common.statistics import StatGroup
 
 
-class SaturatingCounter:
-    """An n-bit saturating counter used by all the predictor tables."""
-
-    __slots__ = ("value", "maximum")
-
-    def __init__(self, bits: int = 2, initial: Optional[int] = None) -> None:
-        self.maximum = (1 << bits) - 1
-        self.value = initial if initial is not None else (self.maximum + 1) // 2
-
-    @property
-    def taken(self) -> bool:
-        return self.value > self.maximum // 2
-
-    def update(self, taken: bool) -> None:
-        if taken:
-            self.value = min(self.maximum, self.value + 1)
-        else:
-            self.value = max(0, self.value - 1)
+#: A counter starts weakly taken, predicts taken at 2 or more and
+#: saturates at 0 and 3: ``_TRAIN[taken][value]`` is its next value.
+WEAKLY_TAKEN = 2
+_TRAIN = ((0, 0, 1, 2), (1, 2, 3, 3))
 
 
 class BranchTargetBuffer:
@@ -65,42 +52,33 @@ class TournamentPredictor:
 
     def __init__(self, config: Optional[BranchPredictorConfig] = None,
                  stats: Optional[StatGroup] = None) -> None:
-        self.config = config or BranchPredictorConfig()
-        self._local_history: List[int] = [0] * self.config.local_entries
-        self._local_counters = [SaturatingCounter()
-                                for _ in range(self.config.local_entries)]
-        self._global_counters = [SaturatingCounter()
-                                 for _ in range(self.config.global_entries)]
-        self._chooser = [SaturatingCounter()
-                         for _ in range(self.config.chooser_entries)]
+        config = self.config = config or BranchPredictorConfig()
+        self._local_history: List[int] = [0] * config.local_entries
+        self._local_counters = [WEAKLY_TAKEN] * config.local_entries
+        self._global_counters = [WEAKLY_TAKEN] * config.global_entries
+        self._chooser = [WEAKLY_TAKEN] * config.chooser_entries
         self._global_history = 0
-        self.btb = BranchTargetBuffer(self.config.btb_entries)
+        self.btb = BranchTargetBuffer(config.btb_entries)
         stats = stats or StatGroup("branch_predictor")
         self.stats = stats
         self._predictions = stats.counter("predictions")
         self._mispredictions = stats.counter("mispredictions")
         self._btb_misses = stats.counter("btb_misses")
 
-    # -- index helpers ----------------------------------------------------------
-    def _local_index(self, pc: int) -> int:
-        return (pc >> 2) % self.config.local_entries
-
-    def _global_index(self, pc: int) -> int:
-        return ((pc >> 2) ^ self._global_history) % self.config.global_entries
-
-    def _chooser_index(self, pc: int) -> int:
-        return (pc >> 2) % self.config.chooser_entries
-
     # -- prediction / update ------------------------------------------------------
     def predict(self, pc: int) -> bool:
         """Predict the direction of the branch at ``pc``."""
         self._predictions.increment()
-        local_idx = self._local_index(pc)
-        pattern = self._local_history[local_idx] % self.config.local_entries
-        local_prediction = self._local_counters[pattern].taken
-        global_prediction = self._global_counters[self._global_index(pc)].taken
-        use_global = self._chooser[self._chooser_index(pc)].taken
-        return global_prediction if use_global else local_prediction
+        config = self.config
+        word = pc >> 2
+        if self._chooser[word % config.chooser_entries] >= WEAKLY_TAKEN:
+            counter = self._global_counters[
+                (word ^ self._global_history) % config.global_entries]
+        else:
+            counter = self._local_counters[
+                self._local_history[word % config.local_entries]
+                % config.local_entries]
+        return counter >= WEAKLY_TAKEN
 
     def predict_target(self, pc: int) -> Optional[int]:
         target = self.btb.lookup(pc)
@@ -111,14 +89,20 @@ class TournamentPredictor:
     def update(self, pc: int, taken: bool,
                target: Optional[int] = None) -> bool:
         """Update all structures; returns True if the branch was mispredicted."""
-        local_idx = self._local_index(pc)
-        pattern = self._local_history[local_idx] % self.config.local_entries
-        local_prediction = self._local_counters[pattern].taken
-        global_idx = self._global_index(pc)
-        global_prediction = self._global_counters[global_idx].taken
-        chooser_idx = self._chooser_index(pc)
-        use_global = self._chooser[chooser_idx].taken
-        prediction = global_prediction if use_global else local_prediction
+        config = self.config
+        word = pc >> 2
+        local_idx = word % config.local_entries
+        pattern = self._local_history[local_idx] % config.local_entries
+        global_idx = (word ^ self._global_history) % config.global_entries
+        chooser_idx = word % config.chooser_entries
+        local_counters = self._local_counters
+        global_counters = self._global_counters
+        chooser = self._chooser
+        local_prediction = local_counters[pattern] >= WEAKLY_TAKEN
+        global_prediction = global_counters[global_idx] >= WEAKLY_TAKEN
+        prediction = (global_prediction
+                      if chooser[chooser_idx] >= WEAKLY_TAKEN
+                      else local_prediction)
 
         mispredicted = prediction != taken
         if taken and target is not None:
@@ -131,9 +115,11 @@ class TournamentPredictor:
 
         # Chooser trains toward whichever component was right.
         if local_prediction != global_prediction:
-            self._chooser[chooser_idx].update(global_prediction == taken)
-        self._local_counters[pattern].update(taken)
-        self._global_counters[global_idx].update(taken)
+            chooser[chooser_idx] = _TRAIN[global_prediction == taken][
+                chooser[chooser_idx]]
+        train = _TRAIN[taken]
+        local_counters[pattern] = train[local_counters[pattern]]
+        global_counters[global_idx] = train[global_counters[global_idx]]
         self._local_history[local_idx] = (
             (self._local_history[local_idx] << 1) | int(taken)) & 0x3FF
         self._global_history = (

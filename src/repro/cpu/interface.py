@@ -28,9 +28,6 @@ class MemoryAccessResult:
     #: coherency speculation NACK); the core must retry it once the
     #: instruction is no longer speculative.
     must_retry_nonspeculative: bool = False
-    #: Extra cycles that must elapse at commit before the instruction can
-    #: retire (InvisiSpec validation, committed-store ownership, ...).
-    commit_latency: int = 0
 
     @property
     def served(self) -> bool:

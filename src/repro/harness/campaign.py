@@ -30,17 +30,16 @@ Three properties make campaigns practical for paper-scale sweeps:
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.common.env import env_flag
 from repro.common.params import SystemConfig
 from repro.common.statistics import geometric_mean
 from repro.harness.executor import (
     CellExecutionError,
-    Executor,
     FailedCell,
     PoolExecutor,
     SerialExecutor,
@@ -210,7 +209,6 @@ def execute_cells(specs: Sequence[RunSpec], *,
                   cache: Optional[Dict[str, SimulationResult]] = None,
                   stats: Optional[ExecutionStats] = None,
                   progress: Optional[ProgressCallback] = None,
-                  executor: Optional[Executor] = None,
                   max_retries: Optional[int] = None,
                   cell_timeout: Optional[float] = None,
                   failures: Optional[List[FailedCell]] = None
@@ -220,15 +218,14 @@ def execute_cells(specs: Sequence[RunSpec], *,
     Returns a mapping from cell key to result covering every spec.  Cells
     missing from both caches run through the supervised executor layer
     (:mod:`repro.harness.executor`): a :class:`PoolExecutor` when
-    ``jobs > 1``, a :class:`SerialExecutor` otherwise, or any
-    ``executor`` passed explicitly.  Results land back in both caches —
-    the store is written *as each cell completes*, so an interrupted run
-    resumes from everything that finished.  The output is independent of
-    the worker count, and of how many retries, timeouts or worker deaths
-    occurred along the way.
+    ``jobs > 1``, a :class:`SerialExecutor` otherwise.  Results land back
+    in both caches — the store is written *as each cell completes*, so an
+    interrupted run resumes from everything that finished.  The output is
+    independent of the worker count, and of how many retries, timeouts or
+    worker deaths occurred along the way.
 
-    ``max_retries`` / ``cell_timeout`` configure the default executors
-    (falling back to ``REPRO_MAX_RETRIES`` / ``REPRO_CELL_TIMEOUT``).
+    ``max_retries`` / ``cell_timeout`` configure the executor (falling
+    back to ``REPRO_MAX_RETRIES`` / ``REPRO_CELL_TIMEOUT``).
     Cells that fail permanently are appended to ``failures`` when a list
     is given; without one, a :class:`CellExecutionError` is raised after
     the surviving cells have completed (preserving the historical
@@ -273,12 +270,11 @@ def execute_cells(specs: Sequence[RunSpec], *,
         workers = (min(jobs, len(pending))
                    if jobs > 1 and len(pending) > 1 else 1)
         stats.workers = max(stats.workers, workers)
-        if executor is None:
-            executor = (PoolExecutor(workers, max_retries=max_retries,
-                                     cell_timeout=cell_timeout)
-                        if workers > 1
-                        else SerialExecutor(max_retries=max_retries,
-                                            cell_timeout=cell_timeout))
+        executor = (PoolExecutor(workers, max_retries=max_retries,
+                                 cell_timeout=cell_timeout)
+                    if workers > 1
+                    else SerialExecutor(max_retries=max_retries,
+                                        cell_timeout=cell_timeout))
         if isinstance(executor, PoolExecutor) and shared_traces_enabled():
             # Materialise every distinct workload *before* the pool forks:
             # workers inherit the finished traces (packed columns and
@@ -369,11 +365,9 @@ def execute_cells(specs: Sequence[RunSpec], *,
 
 def _progress_enabled() -> bool:
     """Progress-line gate: ``REPRO_PROGRESS`` override, else a TTY check."""
-    raw = os.environ.get("REPRO_PROGRESS", "").strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
+    forced = env_flag("REPRO_PROGRESS")
+    if forced is not None:
+        return forced
     try:
         return sys.stderr.isatty()
     except Exception:
@@ -555,9 +549,7 @@ class Campaign:
                  jobs: Optional[int] = None,
                  cache: Optional[Dict[str, SimulationResult]] = None,
                  max_retries: Optional[int] = None,
-                 cell_timeout: Optional[float] = None,
-                 executor: Optional[Executor] = None
-                 ) -> None:
+                 cell_timeout: Optional[float] = None) -> None:
         if not benchmarks:
             raise ValueError("campaign needs at least one benchmark")
         if not configs:
@@ -577,11 +569,9 @@ class Campaign:
         self.store = store
         self.jobs = jobs
         # Supervision policy (None = the REPRO_MAX_RETRIES /
-        # REPRO_CELL_TIMEOUT environment defaults); an explicit executor
-        # overrides the jobs-based choice entirely.
+        # REPRO_CELL_TIMEOUT environment defaults).
         self.max_retries = max_retries
         self.cell_timeout = cell_timeout
-        self.executor = executor
         # An external cache may be shared so several campaigns (the
         # figures of one benchmark session) reuse each other's results.
         self._cache: Dict[str, SimulationResult] = \
@@ -634,7 +624,7 @@ class Campaign:
         failures: List[FailedCell] = []
         results = execute_cells(specs, jobs=self.jobs, store=self.store,
                                 cache=self._cache, stats=stats,
-                                progress=progress, executor=self.executor,
+                                progress=progress,
                                 max_retries=self.max_retries,
                                 cell_timeout=self.cell_timeout,
                                 failures=failures)

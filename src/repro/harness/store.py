@@ -45,6 +45,7 @@ from contextlib import closing
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
+from repro.common.env import env_flag
 from repro.common.jsonable import jsonable
 from repro.common.params import SystemConfig
 from repro.cpu.core import CoreResult
@@ -147,11 +148,6 @@ def result_digest(result_payload: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _fsync_enabled() -> bool:
-    raw = os.environ.get(STORE_FSYNC_ENV, "").strip().lower()
-    return raw in ("1", "true", "yes", "on")
-
-
 #: Sentinel returned by ``load_entry`` for entries that exist but cannot
 #: even be parsed (as opposed to ``None`` for entries that do not exist).
 CORRUPT = object()
@@ -171,7 +167,8 @@ class StoreBackend(abc.ABC):
     backend_name = "abstract"
 
     def __init__(self, fsync: Optional[bool] = None) -> None:
-        self.fsync = _fsync_enabled() if fsync is None else fsync
+        self.fsync = (env_flag(STORE_FSYNC_ENV, default=False)
+                      if fsync is None else fsync)
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -3,7 +3,6 @@
 from repro.memory.main_memory import MainMemory
 from repro.memory.page_table import (
     AddressSpace,
-    PageTableEntry,
     PageTableManager,
     PhysicalFrameAllocator,
 )
@@ -11,7 +10,6 @@ from repro.memory.page_table import (
 __all__ = [
     "AddressSpace",
     "MainMemory",
-    "PageTableEntry",
     "PageTableManager",
     "PhysicalFrameAllocator",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.common.addresses import page_number, page_offset
+from repro.common.addresses import page_number
 
 
 class PhysicalFrameAllocator:
@@ -30,21 +30,6 @@ class PhysicalFrameAllocator:
         self._next_frame += 1
         return frame
 
-    @property
-    def allocated_frames(self) -> int:
-        return self._next_frame - 1
-
-
-@dataclass(slots=True)
-class PageTableEntry:
-    """A single translation, with the permission bits the walker checks."""
-
-    frame: int
-    readable: bool = True
-    writable: bool = True
-    executable: bool = True
-    user_accessible: bool = True
-
 
 @dataclass
 class AddressSpace:
@@ -53,7 +38,8 @@ class AddressSpace:
     process_id: int
     allocator: PhysicalFrameAllocator
     page_size: int = 4096
-    entries: Dict[int, PageTableEntry] = field(default_factory=dict)
+    #: Virtual page number -> physical frame number.
+    entries: Dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
@@ -64,31 +50,20 @@ class AddressSpace:
                   allocate: bool = True) -> Optional[int]:
         """Translate ``virtual_address``; allocate a frame on first touch."""
         vpn = virtual_address >> self._page_shift
-        entry = self.entries.get(vpn)
-        if entry is None:
+        frame = self.entries.get(vpn)
+        if frame is None:
             if not allocate:
                 return None
-            entry = PageTableEntry(frame=self.allocator.allocate())
-            self.entries[vpn] = entry
-        return (entry.frame * self.page_size
+            frame = self.entries[vpn] = self.allocator.allocate()
+        return (frame * self.page_size
                 + (virtual_address & (self.page_size - 1)))
 
-    def entry_for(self, virtual_address: int) -> Optional[PageTableEntry]:
-        return self.entries.get(page_number(virtual_address, self.page_size))
-
-    def map_page(self, virtual_address: int, frame: int,
-                 writable: bool = True,
-                 user_accessible: bool = True) -> PageTableEntry:
+    def map_page(self, virtual_address: int, frame: int) -> None:
         """Install an explicit mapping (used to create shared pages)."""
-        vpn = page_number(virtual_address, self.page_size)
-        entry = PageTableEntry(frame=frame, writable=writable,
-                               user_accessible=user_accessible)
-        self.entries[vpn] = entry
-        return entry
+        self.entries[page_number(virtual_address, self.page_size)] = frame
 
     def share_page_with(self, other: "AddressSpace", my_virtual: int,
-                        their_virtual: Optional[int] = None,
-                        writable: bool = True) -> int:
+                        their_virtual: Optional[int] = None) -> int:
         """Map one of my pages into ``other`` at ``their_virtual``.
 
         Returns the shared physical frame number.  This models shared
@@ -98,12 +73,8 @@ class AddressSpace:
         assert physical is not None
         frame = page_number(physical, self.page_size)
         target_virtual = my_virtual if their_virtual is None else their_virtual
-        other.map_page(target_virtual, frame, writable=writable)
+        other.map_page(target_virtual, frame)
         return frame
-
-    @property
-    def mapped_pages(self) -> int:
-        return len(self.entries)
 
 
 class PageTableManager:

@@ -55,9 +55,6 @@ class CommitPrefetchChannel:
         self._prefetchers[level] = prefetcher
         self._fill_handlers[level] = fill_handler
 
-    def has_prefetcher(self, level: str) -> bool:
-        return level in self._prefetchers
-
     def notify(self, notification: PrefetchNotification) -> None:
         """Queue a notification generated by a committing instruction."""
         if notification.level not in self._prefetchers:

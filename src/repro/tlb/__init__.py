@@ -2,13 +2,11 @@
 
 from repro.tlb.filter_tlb import FilterTLB
 from repro.tlb.page_walker import MMU, PageTableWalker
-from repro.tlb.tlb import TLB, TLBEntry, TLBTag
+from repro.tlb.tlb import TLB
 
 __all__ = [
     "FilterTLB",
     "MMU",
     "PageTableWalker",
     "TLB",
-    "TLBEntry",
-    "TLBTag",
 ]

@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.common.params import TLBConfig
 from repro.common.statistics import StatGroup
-from repro.tlb.tlb import TLB, TLBEntry
+from repro.tlb.tlb import TLB
 
 
 class FilterTLB:
@@ -33,20 +33,16 @@ class FilterTLB:
                                          "translations committed to main TLB")
         self._flushes = stats.counter("flushes")
 
-    def lookup(self, process_id: int,
-               virtual_address: int) -> Optional[TLBEntry]:
+    def lookup(self, process_id: int, virtual_address: int) -> Optional[int]:
         return self._tlb.lookup(process_id, virtual_address)
 
-    def probe(self, process_id: int,
-              virtual_address: int) -> Optional[TLBEntry]:
+    def probe(self, process_id: int, virtual_address: int) -> Optional[int]:
         return self._tlb.probe(process_id, virtual_address)
 
     def insert_speculative(self, process_id: int, virtual_address: int,
-                           frame: int, writable: bool = True) -> TLBEntry:
+                           frame: int) -> None:
         """Record a translation performed on behalf of a speculative access."""
-        entry, _ = self._tlb.insert(process_id, virtual_address, frame,
-                                    writable=writable, speculative=True)
-        return entry
+        self._tlb.insert(process_id, virtual_address, frame)
 
     def commit(self, process_id: int, virtual_address: int) -> bool:
         """Promote a speculative translation into the non-speculative TLB.
@@ -55,12 +51,11 @@ class FilterTLB:
         commits.  Returns False if the translation has already been evicted
         from the filter TLB (the main TLB will simply re-walk on next use).
         """
-        entry = self._tlb.probe(process_id, virtual_address)
-        if entry is None:
+        frame = self._tlb.probe(process_id, virtual_address)
+        if frame is None:
             return False
         if self.main_tlb is not None:
-            self.main_tlb.insert(process_id, virtual_address, entry.frame,
-                                 writable=entry.writable, speculative=False)
+            self.main_tlb.insert(process_id, virtual_address, frame)
         self._promotions.increment()
         return True
 

@@ -103,17 +103,13 @@ class MMU:
         """
         process_id = address_space.process_id
         config = self.config
-        entry = self.tlb.lookup(process_id, virtual_address)
-        if entry is not None:
-            return (entry.frame * config.page_size
+        frame = self.tlb.lookup(process_id, virtual_address)
+        if frame is None and self.filter_tlb is not None:
+            frame = self.filter_tlb.lookup(process_id, virtual_address)
+        if frame is not None:
+            return (frame * config.page_size
                     + (virtual_address & (config.page_size - 1)),
                     config.hit_latency)
-        if self.filter_tlb is not None:
-            filter_entry = self.filter_tlb.lookup(process_id, virtual_address)
-            if filter_entry is not None:
-                return (filter_entry.frame * config.page_size
-                        + (virtual_address & (config.page_size - 1)),
-                        config.hit_latency)
         physical = self.walker.walk(address_space, virtual_address)
         if physical is None:
             return None, self.walker.walk_latency

@@ -9,35 +9,10 @@ section 4.7 lives in :mod:`repro.tlb.filter_tlb`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.common.params import TLBConfig
 from repro.common.statistics import StatGroup
-
-
-@dataclass(frozen=True, slots=True)
-class TLBTag:
-    """The (process, virtual page) key a TLB entry is looked up by.
-
-    Kept as the public face of :attr:`TLBEntry.tag`; internally the TLB
-    keys its entry map by plain ``(process_id, virtual_page)`` tuples,
-    which hash several times faster than a frozen dataclass and allocate
-    nothing on the lookup path.
-    """
-
-    process_id: int
-    virtual_page: int
-
-
-@dataclass(slots=True)
-class TLBEntry:
-    """One cached translation."""
-
-    tag: TLBTag
-    frame: int
-    writable: bool = True
-    speculative: bool = False
 
 
 class TLB:
@@ -55,7 +30,8 @@ class TLB:
         if self.page_size <= 0 or self.page_size & (self.page_size - 1):
             raise ValueError("page size must be a power of two")
         self._page_shift = self.page_size.bit_length() - 1
-        self._entries: "OrderedDict[Tuple[int, int], TLBEntry]" = OrderedDict()
+        # (process, virtual page) -> frame number, least recently used first.
+        self._entries: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
         stats = stats or StatGroup(name)
         self.stats = stats
         self._hits = stats.counter("hits")
@@ -63,63 +39,42 @@ class TLB:
         self._evictions = stats.counter("evictions")
         self._flushes = stats.counter("flushes")
 
-    def _tag(self, process_id: int, virtual_address: int) -> Tuple[int, int]:
-        return process_id, virtual_address >> self._page_shift
-
-    def lookup(self, process_id: int,
-               virtual_address: int) -> Optional[TLBEntry]:
-        """Return the entry translating ``virtual_address``, if cached."""
+    def lookup(self, process_id: int, virtual_address: int) -> Optional[int]:
+        """Return the frame translating ``virtual_address``, if cached."""
         tag = (process_id, virtual_address >> self._page_shift)
-        entry = self._entries.get(tag)
-        if entry is None:
+        frame = self._entries.get(tag)
+        if frame is None:
             self._misses.increment()
             return None
         self._entries.move_to_end(tag)
         self._hits.increment()
-        return entry
+        return frame
 
-    def probe(self, process_id: int,
-              virtual_address: int) -> Optional[TLBEntry]:
+    def probe(self, process_id: int, virtual_address: int) -> Optional[int]:
         """Lookup without updating LRU or statistics (attack/test helper)."""
         return self._entries.get(
             (process_id, virtual_address >> self._page_shift))
 
-    def insert(self, process_id: int, virtual_address: int, frame: int,
-               writable: bool = True,
-               speculative: bool = False) -> Tuple[TLBEntry, Optional[TLBEntry]]:
-        """Install a translation; returns (entry, evicted_entry_or_None)."""
+    def insert(self, process_id: int, virtual_address: int,
+               frame: int) -> None:
+        """Install a translation, evicting the LRU entry when full."""
         tag = (process_id, virtual_address >> self._page_shift)
-        victim: Optional[TLBEntry] = None
-        entry = self._entries.get(tag)
-        if entry is not None:
-            self._entries.move_to_end(tag)
-            entry.frame = frame
-            entry.writable = writable
-            entry.speculative = speculative
-            return entry, None
-        if len(self._entries) >= self.capacity:
-            _, victim = self._entries.popitem(last=False)
+        entries = self._entries
+        if tag in entries:
+            entries.move_to_end(tag)
+        elif len(entries) >= self.capacity:
+            entries.popitem(last=False)
             self._evictions.increment()
-        entry = TLBEntry(tag=TLBTag(*tag), frame=frame, writable=writable,
-                         speculative=speculative)
-        self._entries[tag] = entry
-        return entry, victim
+        entries[tag] = frame
 
     def translate(self, process_id: int,
                   virtual_address: int) -> Optional[int]:
         """Full translation through the TLB (None on a miss)."""
-        entry = self.lookup(process_id, virtual_address)
-        if entry is None:
+        frame = self.lookup(process_id, virtual_address)
+        if frame is None:
             return None
-        return (entry.frame * self.page_size
+        return (frame * self.page_size
                 + (virtual_address & (self.page_size - 1)))
-
-    def invalidate(self, process_id: int, virtual_address: int) -> bool:
-        tag = self._tag(process_id, virtual_address)
-        if tag in self._entries:
-            del self._entries[tag]
-            return True
-        return False
 
     def flush(self) -> int:
         """Drop every entry; returns how many were dropped."""

@@ -39,19 +39,21 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
 
+from repro.common.env import OFF_VALUES, env_flag
 from repro.common.jsonable import jsonable
 from repro.telemetry.log import get_logger, log_event
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.trace import WorkloadTraces
 
-#: Environment variable: a directory enables the on-disk tier, ``off`` (or
-#: ``none``/``0``/``disabled``) disables caching altogether, unset/empty
-#: keeps the in-memory tier only.
+#: Environment variable: a directory enables the on-disk tier, an off
+#: spelling of :func:`~repro.common.env.env_flag` (``off``, ``0``, ``no``,
+#: ...) disables caching altogether, unset/empty keeps the in-memory tier
+#: only.
 TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 
-#: Environment variable: set to ``off`` (or ``none``/``0``/``disabled``/
-#: ``false``) to stop campaigns from pre-materialising traces into the
-#: fork-inherited shared registry (default: enabled).
+#: Environment variable: an on/off flag (:func:`~repro.common.env.env_flag`);
+#: off stops campaigns from pre-materialising traces into the
+#: fork-inherited shared registry (default: on).
 SHARED_TRACES_ENV = "REPRO_SHARED_TRACES"
 
 #: Bump when the trace layout changes; stale on-disk entries are ignored.
@@ -59,8 +61,6 @@ TRACE_CACHE_VERSION = 2
 
 #: Workloads kept in the in-process LRU tier.
 MEMORY_ENTRIES = 8
-
-_DISABLED_VALUES = frozenset({"off", "none", "0", "disabled", "false"})
 
 #: Distinguishes temporary files written by concurrent threads of one
 #: process; the pid distinguishes processes.
@@ -209,7 +209,7 @@ def active_trace_cache() -> Optional[TraceCache]:
     """
     global _active_cache, _active_signature
     signature = os.environ.get(TRACE_CACHE_ENV, "").strip()
-    if signature.lower() in _DISABLED_VALUES:
+    if signature.lower() in OFF_VALUES:
         return None
     if _active_cache is None or signature != _active_signature:
         _active_cache = TraceCache(Path(signature) if signature else None)
@@ -244,8 +244,7 @@ _shared_traces: dict = {}
 
 def shared_traces_enabled() -> bool:
     """Whether campaigns may pre-materialise traces (default: yes)."""
-    raw = os.environ.get(SHARED_TRACES_ENV, "").strip().lower()
-    return raw not in _DISABLED_VALUES
+    return env_flag(SHARED_TRACES_ENV, default=True)
 
 
 def shared_trace_lookup(profile: WorkloadProfile, instructions: int,

@@ -17,14 +17,15 @@ class TestFillAndLookup:
         cache = make_filter()
         cache.fill(virtual_address=0x1000, physical_address=0x8000, now=1,
                    process_id=1)
-        assert cache.lookup(0x1000, process_id=1).hit
+        line = cache.lookup(0x1000, process_id=1)
+        assert line is not None and line.address == 0x8000
         assert cache.contains_physical(0x8000)
         assert not cache.contains_physical(0x1000)
-        assert cache.lookup(0x1000, process_id=1).latency == 1
+        assert cache.config.hit_latency == 1
 
     def test_miss_records_statistics(self):
         cache = make_filter()
-        assert not cache.lookup(0x4000).hit
+        assert cache.lookup(0x4000) is None
         assert cache.misses == 1
         assert cache.hits == 0
 
@@ -48,8 +49,8 @@ class TestFillAndLookup:
     def test_process_isolation_on_lookup(self):
         cache = make_filter()
         cache.fill(0x1000, 0x8000, now=1, process_id=1)
-        assert not cache.lookup(0x1000, process_id=2).hit
-        assert cache.lookup(0x1000, process_id=1).hit
+        assert cache.lookup(0x1000, process_id=2) is None
+        assert cache.lookup(0x1000, process_id=1) is not None
 
 
 class TestCommit:
@@ -93,7 +94,7 @@ class TestInvalidation:
         cache.fill(0x1000, 0x8000, now=1)
         cache.flush()
         cache.fill(0x1000, 0x8000, now=2)
-        assert cache.lookup(0x1000).hit
+        assert cache.lookup(0x1000) is not None
 
 
 class TestCapacity:

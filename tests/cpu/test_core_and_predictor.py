@@ -5,25 +5,40 @@ import pytest
 from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.common.params import BranchPredictorConfig, SystemConfig
 from repro.core.muontrap import MuonTrapMemorySystem
-from repro.cpu.branch_predictor import (
-    BranchTargetBuffer,
-    SaturatingCounter,
-    TournamentPredictor,
-)
+from repro.cpu.branch_predictor import BranchTargetBuffer, TournamentPredictor
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.instructions import MicroOp, OpKind, WrongPathAccess, summarize_trace
 from repro.cpu.rob import LoadQueue, ReorderBuffer
 
 
 class TestBranchPredictorComponents:
-    def test_saturating_counter(self):
-        counter = SaturatingCounter(bits=2, initial=0)
-        assert not counter.taken
-        for _ in range(5):
-            counter.update(True)
-        assert counter.taken and counter.value == 3
-        counter.update(False)
-        assert counter.value == 2
+    def test_table_counters_saturate_at_both_bounds(self):
+        """Every table entry is a 2-bit counter: starts at 2, stays in 0-3."""
+        predictor = TournamentPredictor(BranchPredictorConfig())
+        local = predictor._local_counters
+        global_ = predictor._global_counters
+        tables = (local, global_, predictor._chooser)
+        assert all(set(table) == {2} for table in tables)
+        assert predictor.predict(0x400)          # weakly taken
+        # Once both histories are all ones, the local pattern (10 bits)
+        # and the gshare index stop moving, so the same two entries take
+        # every further update.
+        all_taken_local, all_taken_global = 0x3FF, 0x100 ^ 0x1FFF
+        for _ in range(40):
+            predictor.update(0x400, True)
+        assert local[all_taken_local] == global_[all_taken_global] == 3
+        assert max(max(table) for table in tables) == 3
+        predictor.update(0x400, False)           # one step down from 3
+        assert local[all_taken_local] == global_[all_taken_global] == 2
+        # All-zero histories pin the entries of the not-taken run.
+        all_clear_local, all_clear_global = 0, 0x100
+        for _ in range(40):
+            predictor.update(0x400, False)
+        assert local[all_clear_local] == global_[all_clear_global] == 0
+        assert min(min(table) for table in tables) == 0
+        assert not predictor.predict(0x400)
+        predictor.update(0x400, True)            # one step up from 0
+        assert local[all_clear_local] == global_[all_clear_global] == 1
 
     def test_btb(self):
         btb = BranchTargetBuffer(entries=16)

@@ -212,6 +212,18 @@ class TestCli:
         assert "SystemConfig.l2" in captured.err and "'fifo'" in captured.err
         assert "FAILED" not in captured.out
 
+    def test_unknown_on_off_spelling_is_a_config_error(self, capsys,
+                                                       monkeypatch):
+        """``REPRO_STORE_FSYNC=enabled`` is rejected, not read as off."""
+        monkeypatch.setenv("REPRO_STORE_FSYNC", "enabled")
+        assert self.run_cli("run", "--suite", "hmmer") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: environment variable REPRO_STORE_FSYNC must be one of "
+            "1/true/yes/on (on) or 0/false/no/off/none/disabled (off), "
+            "got 'enabled'"]
+        assert not self.store_dir.exists()
+
     def test_suites_lists_builtins(self, capsys):
         assert self.run_cli("suites") == 0
         out = capsys.readouterr().out

@@ -47,7 +47,7 @@ class TestFilterTLB:
         filter_tlb = FilterTLB(main_tlb=main)
         filter_tlb.insert_speculative(1, 0x5000, frame=9)
         assert filter_tlb.commit(1, 0x5000)
-        assert main.probe(1, 0x5000).frame == 9
+        assert main.probe(1, 0x5000) == 9
         assert filter_tlb.promotions == 1
 
     def test_flush_discards_speculative_translations(self):

@@ -53,6 +53,14 @@ class TestRegistryPrimitives:
         monkeypatch.setenv(SHARED_TRACES_ENV, "1")
         assert shared_traces_enabled()
 
+    def test_no_disables_the_registry(self, monkeypatch):
+        """``no`` turns the registry off, as it turns progress off."""
+        monkeypatch.setenv(SHARED_TRACES_ENV, "no")
+        assert not shared_traces_enabled()
+        monkeypatch.setenv(SHARED_TRACES_ENV, "nope")
+        with pytest.raises(ValueError, match=SHARED_TRACES_ENV):
+            shared_traces_enabled()
+
     def test_materialise_registers_each_distinct_workload_once(self):
         mcf = get_profile("mcf")
         lbm = get_profile("lbm")

@@ -146,6 +146,15 @@ class TestGenerateWorkloadCaching:
         # Identical content either way — caching only changes identity.
         assert [t.ops for t in first] == [t.ops for t in second]
 
+    def test_env_no_disables_caching_without_a_directory(
+            self, monkeypatch, tmp_path):
+        """An off spelling is never taken for a disk-tier directory name."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(TRACE_CACHE_ENV, "no")
+        assert active_trace_cache() is None
+        generate_workload(get_profile("mcf"), 300, seed=4)
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_directory_enables_disk_tier(self, monkeypatch, tmp_path):
         monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
         generate_workload(get_profile("mcf"), 300, seed=4)
