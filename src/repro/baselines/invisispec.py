@@ -22,21 +22,11 @@ reports for InvisiSpec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Set, Tuple
 
 from repro.common.params import SystemConfig
 from repro.core.frontend import SchemeFrontend
 from repro.cpu.interface import MemoryAccessResult
-
-
-@dataclass
-class _SpeculativeBufferEntry:
-    """One load's hidden data (word-granularity in the real design)."""
-
-    physical_line: int
-    fill_level: str
-    filled_at: int
 
 
 class InvisiSpecMemorySystem(SchemeFrontend):
@@ -52,7 +42,9 @@ class InvisiSpecMemorySystem(SchemeFrontend):
         self.name = ("invisispec-future" if future_variant
                      else "invisispec-spectre")
         super().__init__(config, **kwargs)
-        self._buffers: Dict[Tuple[int, int], _SpeculativeBufferEntry] = {}
+        # The (core, line) pairs whose data sits in a speculative buffer.
+        # The data itself is never modelled, only whether it is buffered.
+        self._buffers: Set[Tuple[int, int]] = set()
         self._speculative_loads = self.stats.counter(
             "speculative_buffer_fills")
         self._validations = self.stats.counter("validation_accesses")
@@ -98,9 +90,7 @@ class InvisiSpecMemorySystem(SchemeFrontend):
                 self.hierarchy.train_l2_prefetcher(line, pc, now,
                                                    was_miss=True)
         self._speculative_loads.increment()
-        self._buffers[(core_id, line)] = _SpeculativeBufferEntry(
-            physical_line=line, fill_level=fill_level,
-            filled_at=now + tlb_latency + latency)
+        self._buffers.add((core_id, line))
         return MemoryAccessResult(latency=tlb_latency + latency,
                                   hit_level=f"specbuf-{fill_level}")
 
@@ -133,7 +123,7 @@ class InvisiSpecMemorySystem(SchemeFrontend):
             return 0
         line = self.hierarchy.line_address(physical)
         self._validations.increment()
-        self._buffers.pop((core_id, line), None)
+        self._buffers.discard((core_id, line))
         # The validation is a repeat of an access the prefetcher has already
         # been trained on, so it does not train again.
         outcome = self.hierarchy.access(core_id, physical, now,
@@ -162,9 +152,7 @@ class InvisiSpecMemorySystem(SchemeFrontend):
     # -- control events -----------------------------------------------------------------
     def squash(self, core_id: int, now: int) -> None:
         # Squashed loads simply abandon their speculative-buffer entries.
-        stale = [key for key in self._buffers if key[0] == core_id]
-        for key in stale:
-            del self._buffers[key]
+        self._buffers = {key for key in self._buffers if key[0] != core_id}
 
     # -- introspection ---------------------------------------------------------------------
     def speculative_buffer_contains(self, core_id: int,

@@ -8,13 +8,12 @@ paper studies, only the presence, state and timing of lines.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.caches.cache_line import CacheLine
 from repro.caches.mshr import MSHRFile
 from repro.caches.replacement import make_replacement_policy
-from repro.coherence.states import CoherenceState, E, I, M, S
-from repro.common.addresses import block_align
+from repro.coherence.states import CoherenceState, I, M, S
 from repro.common.params import CacheConfig
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
@@ -38,17 +37,12 @@ class SetAssociativeCache:
         rng = rng or DeterministicRng(0)
         self._policy = make_replacement_policy(
             config.replacement, config.associativity, rng)
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(self.associativity)]
-            for _ in range(self.num_sets)
-        ]
-        # Tag index: line address -> (set index, way) of the line installed
-        # by the last fill of that address.  Entries are verified against
-        # the line before use (fills and invalidations may leave them
-        # stale), so lookups stay exact while running in O(1) instead of
-        # scanning the set.  An address can be indexed at most once: fills
-        # are the only operation that makes a line valid, and they re-index.
-        self._tag_index: dict = {}
+        # Only resident lines exist: one dict maps each resident line
+        # address to its line, and a set's way list (None for an empty way)
+        # is built on the set's first fill.
+        self._lines: Dict[int, CacheLine] = {}
+        self._sets: List[Optional[List[Optional[CacheLine]]]] = \
+            [None] * self.num_sets
         self.mshrs = MSHRFile(config.mshrs)
         stats = stats or StatGroup(config.name)
         self.stats = stats
@@ -67,29 +61,20 @@ class SetAssociativeCache:
     def set_index_of(self, address: int) -> int:
         return (address >> self._line_shift) % self.num_sets
 
-    def _set_for(self, address: int) -> List[CacheLine]:
-        return self._sets[self.set_index_of(address)]
-
     # -- lookup / fill / invalidate -----------------------------------------
     def lookup(self, address: int, now: int = 0,
                update_replacement: bool = True) -> Optional[CacheLine]:
-        """Return the valid line holding ``address``, or None on a miss."""
-        line_addr = address & self._offset_mask
-        slot = self._tag_index.get(line_addr)
-        if slot is None:
-            return None
-        set_idx, way = slot
-        line = self._sets[set_idx][way]
-        if line.address != line_addr or line.state is I:
-            return None
-        if update_replacement:
+        """Return the line holding ``address``, or None on a miss."""
+        line = self._lines.get(address & self._offset_mask)
+        if line is not None and update_replacement:
             line.last_use = now
-            self._policy.on_access(set_idx, way, now)
+            self._policy.on_access(
+                (address >> self._line_shift) % self.num_sets, line.way, now)
         return line
 
     def probe(self, address: int) -> Optional[CacheLine]:
         """Lookup without disturbing replacement state (used by snoops)."""
-        return self.lookup(address, update_replacement=False)
+        return self._lines.get(address & self._offset_mask)
 
     def record_hit(self) -> None:
         self._hits.increment()
@@ -151,83 +136,69 @@ class SetAssociativeCache:
              ) -> Tuple[CacheLine, Optional[CacheLine]]:
         """Install ``address`` in state ``state``; returns (line, victim).
 
-        The victim is a *copy* of the evicted line (or None); if it was dirty
-        the ``writeback_handler`` is invoked so the next level can accept the
-        data.
+        The victim is the evicted line itself (or None), no longer resident;
+        if it was dirty the ``writeback_handler`` is invoked with it so the
+        next level can accept the data.  The new line takes the first empty
+        way, otherwise the way the replacement policy picks from the full
+        set.
         """
-        line_addr = self.line_address(address)
-        cache_set = self._set_for(address)
-        set_idx = self.set_index_of(address)
-        existing = self.lookup(address, now)
-        if existing is not None:
-            existing.state = state
-            existing.dirty = existing.dirty or dirty
-            existing.touch(now)
-            return existing, None
-        # Prefer an invalid way before consulting the replacement policy.
-        victim_way = None
-        for way, line in enumerate(cache_set):
-            if line.state is I:
-                victim_way = way
-                break
-        if victim_way is None:
-            victim_way = self._policy.victim(set_idx, cache_set)
-        victim_line = cache_set[victim_way]
-        victim_copy: Optional[CacheLine] = None
-        old_address = victim_line.address
-        if victim_line.state is not I:
-            victim_copy = CacheLine(
-                address=victim_line.address, state=victim_line.state,
-                dirty=victim_line.dirty, last_use=victim_line.last_use,
-                prefetched=victim_line.prefetched,
-                committed=victim_line.committed,
-                virtual_tag=victim_line.virtual_tag,
-                owner_process=victim_line.owner_process,
-                fill_level=victim_line.fill_level)
+        line_addr = address & self._offset_mask
+        set_idx = (address >> self._line_shift) % self.num_sets
+        line = self._lines.get(line_addr)
+        if line is not None:
+            line.state = state
+            line.dirty = line.dirty or dirty
+            line.last_use = now
+            self._policy.on_access(set_idx, line.way, now)
+            return line, None
+        ways = self._sets[set_idx]
+        if ways is None:
+            ways = self._sets[set_idx] = [None] * self.associativity
+        victim: Optional[CacheLine] = None
+        if None in ways:
+            way = ways.index(None)
+        else:
+            way = self._policy.victim(set_idx, ways)
+            victim = ways[way]
+            del self._lines[victim.address]
             self._evictions.increment()
-            if victim_line.dirty:
+            if victim.dirty:
                 self._writebacks.increment()
                 if writeback_handler is not None:
-                    writeback_handler(victim_copy)
-        if self._tag_index.get(old_address) == (set_idx, victim_way):
-            del self._tag_index[old_address]
-        self._tag_index[line_addr] = (set_idx, victim_way)
-        victim_line.address = line_addr
-        victim_line.state = state
-        victim_line.dirty = dirty
-        victim_line.prefetched = prefetched
-        victim_line.ready_at = ready_at
-        victim_line.committed = False
-        victim_line.virtual_tag = None
-        victim_line.owner_process = None
-        victim_line.se_upgrade_pending = False
-        victim_line.fill_level = None
-        victim_line.touch(now)
-        self._policy.on_access(set_idx, victim_way, now)
+                    writeback_handler(victim)
+        line = CacheLine(line_addr, state, dirty, now, prefetched, ready_at,
+                         way)
+        ways[way] = self._lines[line_addr] = line
+        self._policy.on_access(set_idx, way, now)
         self._fills.increment()
         if prefetched:
             self._prefetch_fills.increment()
-        return victim_line, victim_copy
+        return line, victim
+
+    def _remove(self, line: CacheLine) -> None:
+        """Drop a resident line, leaving its way empty (an invalidation)."""
+        del self._lines[line.address]
+        self._sets[(line.address >> self._line_shift)
+                   % self.num_sets][line.way] = None
+        self._invalidations.increment()
 
     def invalidate(self, address: int) -> bool:
         """Invalidate the line holding ``address`` if present."""
-        line = self.probe(address)
+        line = self._lines.get(address & self._offset_mask)
         if line is None:
             return False
-        line.invalidate()
-        self._invalidations.increment()
+        self._remove(line)
         return True
 
     def downgrade(self, address: int,
                   to_state: CoherenceState = S) -> Optional[CoherenceState]:
         """Move the line to ``to_state`` (snoop response); returns old state."""
-        line = self.probe(address)
+        line = self._lines.get(address & self._offset_mask)
         if line is None:
             return None
         old_state = line.state
         if to_state is I:
-            line.invalidate()
-            self._invalidations.increment()
+            self._remove(line)
         else:
             line.state = to_state
         return old_state
@@ -245,12 +216,9 @@ class SetAssociativeCache:
 
     def flush_all(self) -> int:
         """Invalidate every line; returns the number of lines dropped."""
-        dropped = 0
-        for cache_set in self._sets:
-            for line in cache_set:
-                if line.valid:
-                    line.invalidate()
-                    dropped += 1
+        dropped = len(self._lines)
+        self._lines.clear()
+        self._sets = [None] * self.num_sets
         return dropped
 
     # -- introspection helpers (used heavily by tests and attacks) ----------
@@ -262,11 +230,12 @@ class SetAssociativeCache:
         return line.state if line is not None else I
 
     def resident_lines(self) -> List[CacheLine]:
-        return [line for cache_set in self._sets for line in cache_set
-                if line.valid]
+        """Every resident line, in set order and way order within a set."""
+        return [line for ways in self._sets if ways is not None
+                for line in ways if line is not None]
 
     def occupancy(self) -> int:
-        return len(self.resident_lines())
+        return len(self._lines)
 
     @property
     def hits(self) -> int:

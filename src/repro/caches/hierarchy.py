@@ -16,7 +16,9 @@ system) are thin layers on top of the two entry points provided here:
 
 Commit-side helpers (:meth:`commit_fill_l1`, :meth:`commit_store`,
 :meth:`notify_commit_prefetch`) implement write-through-at-commit, exclusive
-upgrades with filter-cache broadcasts, and commit-time prefetcher training.
+upgrades with filter-cache broadcasts, and commit-time prefetcher training,
+which calls the L2 prefetcher directly (no queue sits between commit and
+the prefetcher).
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
 from repro.memory.main_memory import MainMemory
 from repro.prefetch.base import NullPrefetcher, Prefetcher, TrainingEvent
-from repro.prefetch.commit_channel import (
-    CommitPrefetchChannel,
-    PrefetchNotification,
-)
 from repro.prefetch.stream import StreamPrefetcher
 
 
@@ -115,14 +113,13 @@ class NonSpeculativeHierarchy:
                              degree=config.l2.prefetch_degree + 1,
                              stats=stats.child("l2_prefetcher"))
             if config.l2.prefetcher == "stride" else NullPrefetcher())
-        self.commit_prefetch = CommitPrefetchChannel(
-            stats=stats.child("commit_prefetch"))
-        self.commit_prefetch.attach(
-            "l2", self.l2_prefetcher,
-            lambda line, now: self._install_prefetch(line, now))
-        self.commit_prefetch.attach(
-            "memory", self.l2_prefetcher,
-            lambda line, now: self._install_prefetch(line, now))
+        # Commit-time training (section 4.6) goes straight to the L2
+        # prefetcher.  ``dropped_notifications`` stays 0: nothing queues
+        # between commit and the prefetcher, so nothing can overflow.
+        commit_stats = stats.child("commit_prefetch")
+        self._commit_notifications = commit_stats.counter("notifications")
+        commit_stats.counter("dropped_notifications")
+        self._commit_prefetches = commit_stats.counter("prefetches_generated")
         self._store_commits = stats.counter("store_commits")
         self._store_filter_broadcasts = stats.counter(
             "store_filter_broadcasts",
@@ -130,7 +127,7 @@ class NonSpeculativeHierarchy:
         # Access-time (speculative) prefetcher training sees the miss stream
         # in the order an out-of-order core issues it, not program order.
         # The small reorder buffer below emulates that jumbling; commit-time
-        # notifications bypass it and train strictly in order, which is the
+        # training bypasses it and trains strictly in order, which is the
         # effect behind the paper's lbm result (section 6.1).
         self._speculative_train_rng = rng.fork(999)
         self._speculative_train_buffer: list = []
@@ -210,12 +207,19 @@ class NonSpeculativeHierarchy:
             delivered += 1
         return delivered
 
-    def notify_commit_prefetch(self, line_address: int, pc: int, level: str,
+    def notify_commit_prefetch(self, line_address: int, pc: int,
                                now: int) -> None:
-        """Queue a commit-time prefetch notification (MuonTrap, section 4.6)."""
-        self.commit_prefetch.notify(PrefetchNotification(
-            line_address=line_address, pc=pc, level=level, cycle=now))
-        self.commit_prefetch.drain(now)
+        """Train the L2 prefetcher on a committed access (section 4.6).
+
+        Commit order is program order, so the prefetcher sees no wrong-path
+        access and no issue-order jumbling; what it proposes is installed
+        in the L2 at once.
+        """
+        self._commit_notifications.increment()
+        for line in self.l2_prefetcher.train(
+                TrainingEvent(address=line_address, pc=pc, cycle=now)):
+            self._install_prefetch(line, now)
+            self._commit_prefetches.increment()
 
     # -- conventional access path ----------------------------------------------
     def access(self, core_id: int, address: int, now: int, *,

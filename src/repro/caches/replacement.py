@@ -2,8 +2,8 @@
 
 Three policies are provided: true LRU (the default, matching the gem5
 classic caches used by the paper), random replacement, and tree pseudo-LRU.
-A policy chooses a victim among the lines of one set; invalid lines are
-always preferred by the cache itself before the policy is consulted.
+A policy chooses a victim among the lines of one full set; the cache itself
+fills the first empty way, if any, before the policy is consulted.
 """
 
 from __future__ import annotations

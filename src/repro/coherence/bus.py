@@ -131,7 +131,7 @@ class CoherenceBus:
             strongest: Optional[CoherenceState] = None
             for cache in caches:
                 line = cache.probe(line_address)
-                if line is None or not line.valid:
+                if line is None:
                     continue
                 state = line.state
                 if state is CoherenceState.MODIFIED:

@@ -59,6 +59,10 @@ class CacheConfig:
             raise ValueError(
                 f"unknown replacement policy {self.replacement!r} "
                 f"(known: {', '.join(REPLACEMENT_POLICIES)})")
+        # Only "stride" builds a prefetcher (the shared L2's stream one).
+        if self.prefetcher not in (None, "stride"):
+            raise ValueError(f"unknown prefetcher {self.prefetcher!r} "
+                             "(known: None, 'stride')")
 
     @property
     def num_lines(self) -> int:

@@ -4,15 +4,16 @@ MuonTrap clears its filter structures whenever execution crosses a
 protection-domain boundary: a context switch between processes, a system
 call into the kernel, or entry into (or out of) a sandboxed region of the
 same process (sections 4.3 and 4.9).  This module provides a small per-core
-tracker that the memory systems and the attack framework use to decide when
-those flushes must happen, and to count them.
+tracker that records the current domain and counts the crossings.  It has
+no listeners: a memory system that flushes on a crossing (MuonTrap) does so
+in its own control-event methods, right after the tracker switches.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Optional
 
 from repro.common.statistics import StatGroup
 
@@ -35,11 +36,6 @@ class ProtectionDomain:
     label: str = ""
 
 
-# Callbacks invoked when the domain changes; the MuonTrap memory system
-# registers its filter-cache / filter-TLB flushes here.
-DomainSwitchListener = Callable[[ProtectionDomain, ProtectionDomain], None]
-
-
 @dataclass
 class DomainTracker:
     """Tracks the protection domain currently executing on one core."""
@@ -51,19 +47,9 @@ class DomainTracker:
     stats: StatGroup = field(default_factory=lambda: StatGroup("domains"))
 
     def __post_init__(self) -> None:
-        self._listeners: List[DomainSwitchListener] = []
         self._context_switches = self.stats.counter("context_switches")
         self._syscalls = self.stats.counter("syscall_entries")
         self._sandbox_entries = self.stats.counter("sandbox_entries")
-
-    def on_switch(self, listener: DomainSwitchListener) -> None:
-        self._listeners.append(listener)
-
-    def _transition(self, new_domain: ProtectionDomain) -> None:
-        old = self.current
-        self.current = new_domain
-        for listener in self._listeners:
-            listener(old, new_domain)
 
     # -- the three boundary crossings of section 4.3 ----------------------------
     def context_switch(self, to_process: int,
@@ -74,7 +60,7 @@ class DomainTracker:
             domain_id=to_process, kind=DomainKind.USER_PROCESS,
             process_id=to_process,
             label=label or f"process-{to_process}")
-        self._transition(domain)
+        self.current = domain
         return domain
 
     def syscall(self) -> ProtectionDomain:
@@ -83,7 +69,7 @@ class DomainTracker:
         domain = ProtectionDomain(
             domain_id=-1, kind=DomainKind.KERNEL,
             process_id=self.current.process_id, label="kernel")
-        self._transition(domain)
+        self.current = domain
         return domain
 
     def sandbox_entry(self, sandbox_id: int,
@@ -94,7 +80,7 @@ class DomainTracker:
             domain_id=sandbox_id, kind=DomainKind.SANDBOX,
             process_id=self.current.process_id,
             label=label or f"sandbox-{sandbox_id}")
-        self._transition(domain)
+        self.current = domain
         return domain
 
     def sandbox_exit(self) -> ProtectionDomain:
@@ -104,7 +90,7 @@ class DomainTracker:
             domain_id=self.current.process_id, kind=DomainKind.USER_PROCESS,
             process_id=self.current.process_id,
             label=f"process-{self.current.process_id}")
-        self._transition(domain)
+        self.current = domain
         return domain
 
     @property

@@ -9,30 +9,50 @@ allowed to reach:
 * every line carries a *committed* bit (section 4.2): it is set when an
   instruction using the line reaches in-order commit, at which point the
   line is written through to the L1;
-* a line's coherence state is its valid bit: the hardware holds valid
-  bits outside the SRAM so the whole cache can be invalidated in a single
-  cycle (section 4.3), and a flush costs no modelled time;
+* a line is valid exactly while it is in the cache.  The hardware keeps its
+  valid bits outside the SRAM so the whole cache can be invalidated in a
+  single cycle (section 4.3); the model empties its ways, and a flush
+  costs no modelled time;
 * lines are tagged with both the virtual and the physical address
   (section 4.4) so the cache is virtually indexed from the CPU side and can
   still be snooped by physical address;
-* coherence-wise a line is only ever Shared; the ``SE`` pseudo-state flag
-  records that an unprotected system would have taken Exclusive, so an
-  asynchronous upgrade can be launched at commit (section 4.5);
-* each line records the hierarchy level it was filled from so commit-time
-  prefetch notifications can be routed there (section 4.6).
+* coherence-wise a resident line is only ever Shared, so it carries no
+  state; the ``SE`` pseudo-state flag records that an unprotected system
+  would have taken Exclusive, so an asynchronous upgrade can be launched at
+  commit (section 4.5);
+* each line records the hierarchy level it was filled from, so a commit
+  trains the L2 prefetcher only for lines the L2 or memory supplied
+  (section 4.6).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.caches.cache_line import CacheLine
-from repro.coherence.states import I, S
 from repro.common.params import FilterCacheConfig
 from repro.common.statistics import StatGroup
 
 _last_use = attrgetter("last_use")
+
+
+@dataclass(slots=True, eq=False)
+class FilterLine:
+    """One resident filter-cache line; it is valid and Shared by definition.
+
+    Lines compare by identity, so a scan for an empty way (``None in
+    ways``) never calls a generated ``__eq__``.
+    """
+
+    address: int                    # physical line address
+    virtual_tag: int                # virtual line address
+    owner_process: Optional[int]
+    committed: bool
+    se_upgrade_pending: bool
+    fill_level: str
+    last_use: int
+    way: int
 
 
 class SpeculativeFilterCache:
@@ -51,18 +71,15 @@ class SpeculativeFilterCache:
             raise ValueError("line size must be a power of two")
         self._offset_mask = -self.line_size          # == ~(line_size - 1)
         self._line_shift = self.line_size.bit_length() - 1
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(self.associativity)]
-            for _ in range(self.num_sets)
-        ]
-        # Physical-tag index: physical line address -> the line installed
-        # by the last fill.  Verified before use (flushes and invalidations
-        # leave stale entries behind), turning the all-set snoop scan of
-        # probe_physical into an O(1) lookup.  Fills are the only operation
-        # that makes a line valid, and at most one resident line can hold
-        # a given physical address (fills evict aliases first), so the
-        # verified index is exact.
-        self._physical_index: dict = {}
+        # One list of ways per set, None for an empty way.
+        self._sets: List[List[Optional[FilterLine]]] = [
+            [None] * self.associativity for _ in range(self.num_sets)]
+        # Physical-tag index: physical line address -> its resident line.
+        # Lines are placed by their *virtual* set index, so a physical snoop
+        # cannot recompute the set; the index answers it in O(1).  It holds
+        # exactly the resident lines, since at most one resident line holds
+        # a given physical address (fills evict aliases first).
+        self._physical_index: Dict[int, FilterLine] = {}
         stats = stats or StatGroup(name)
         self.stats = stats
         self._hits = stats.counter("hits")
@@ -83,7 +100,7 @@ class SpeculativeFilterCache:
 
     # -- CPU-side lookup (virtually indexed) -------------------------------------
     def lookup(self, virtual_address: int, now: int = 0,
-               process_id: Optional[int] = None) -> Optional[CacheLine]:
+               process_id: Optional[int] = None) -> Optional[FilterLine]:
         """Look the cache up by virtual address from the CPU side.
 
         Returns the hit line, or None on a miss; either way the lookup
@@ -92,7 +109,7 @@ class SpeculativeFilterCache:
         virtual_line = virtual_address & self._offset_mask
         for line in self._sets[(virtual_address >> self._line_shift)
                                % self.num_sets]:
-            if line.virtual_tag != virtual_line or line.state is I:
+            if line is None or line.virtual_tag != virtual_line:
                 continue
             if process_id is not None and line.owner_process not in (
                     None, process_id):
@@ -104,19 +121,9 @@ class SpeculativeFilterCache:
         return None
 
     # -- memory-side lookup (physically indexed) -----------------------------------
-    def probe_physical(self, physical_address: int) -> Optional[CacheLine]:
-        """Find a line by physical address (coherence snoops, aliasing).
-
-        Lines are placed by their *virtual* set index (the cache is
-        virtually indexed from the CPU side), so a physical probe cannot
-        recompute the set from the address; the verified physical-tag index
-        answers in O(1) what a scan of every set would.
-        """
-        physical_line = physical_address & self._offset_mask
-        line = self._physical_index.get(physical_line)
-        if line is None or line.state is I or line.address != physical_line:
-            return None
-        return line
+    def probe_physical(self, physical_address: int) -> Optional[FilterLine]:
+        """Find a resident line by physical address (snoops, aliasing)."""
+        return self._physical_index.get(physical_address & self._offset_mask)
 
     def contains_physical(self, physical_address: int) -> bool:
         return self.probe_physical(physical_address) is not None
@@ -126,7 +133,7 @@ class SpeculativeFilterCache:
         virtual_line = virtual_address & self._offset_mask
         for line in self._sets[(virtual_address >> self._line_shift)
                                % self.num_sets]:
-            if line.virtual_tag == virtual_line and line.state is not I and (
+            if line is not None and line.virtual_tag == virtual_line and (
                     process_id is None or line.owner_process in (
                         None, process_id)):
                 return True
@@ -136,58 +143,53 @@ class SpeculativeFilterCache:
     def fill(self, virtual_address: int, physical_address: int, now: int, *,
              process_id: Optional[int] = None, committed: bool = False,
              se_upgrade: bool = False,
-             fill_level: str = "l2") -> CacheLine:
+             fill_level: str = "l2") -> FilterLine:
         """Install a line brought in from the non-speculative hierarchy.
 
         The line is always installed in the Shared state; ``se_upgrade``
         records the SE pseudo-state.  Physical-address aliasing within the
         process is prevented by evicting any existing line with the same
-        physical address first (section 4.4).
+        physical address first (section 4.4).  The new line takes the first
+        empty way, otherwise the least recently used one.
         """
         virtual_line = virtual_address & self._offset_mask
         physical_line = physical_address & self._offset_mask
-        existing_physical = self.probe_physical(physical_address)
-        if existing_physical is not None and (
-                existing_physical.virtual_tag != virtual_line):
-            existing_physical.invalidate()
-        lines = self._sets[(virtual_address >> self._line_shift)
-                           % self.num_sets]
+        alias = self._physical_index.get(physical_line)
+        if alias is not None and alias.virtual_tag != virtual_line:
+            self._remove(alias)
+        ways = self._sets[(virtual_address >> self._line_shift)
+                          % self.num_sets]
         # Re-use the line if it is already present (refill after downgrade).
-        for line in lines:
-            if line.virtual_tag == virtual_line and line.state is not I:
+        for line in ways:
+            if line is not None and line.virtual_tag == virtual_line:
                 line.committed = line.committed or committed
                 line.se_upgrade_pending = line.se_upgrade_pending or se_upgrade
                 line.last_use = now
                 return line
-        line = self._choose_victim(lines)
-        if line.state is not I:
+        if None in ways:
+            way = ways.index(None)
+        else:
+            victim = min(ways, key=_last_use)
+            way = victim.way
+            del self._physical_index[victim.address]
             self._evictions.increment()
-            if not line.committed:
+            if not victim.committed:
                 self._uncommitted_evictions.increment()
-        self._physical_index[physical_line] = line
-        line.address = physical_line
-        line.state = S
-        line.dirty = False
-        line.committed = committed
-        line.virtual_tag = virtual_line
-        line.owner_process = process_id
-        line.se_upgrade_pending = se_upgrade
-        line.fill_level = fill_level
-        line.last_use = now
+        line = FilterLine(physical_line, virtual_line, process_id, committed,
+                          se_upgrade, fill_level, now, way)
+        ways[way] = self._physical_index[physical_line] = line
         self._fills.increment()
         return line
 
-    @staticmethod
-    def _choose_victim(lines: List[CacheLine]) -> CacheLine:
-        """The first invalid way, otherwise the least recently used."""
-        for line in lines:
-            if line.state is I:
-                return line
-        return min(lines, key=_last_use)
+    def _remove(self, line: FilterLine) -> None:
+        """Drop a resident line, leaving its way empty."""
+        del self._physical_index[line.address]
+        self._sets[(line.virtual_tag >> self._line_shift)
+                   % self.num_sets][line.way] = None
 
     # -- commit / invalidation -----------------------------------------------------
     def mark_committed(self, virtual_address: int,
-                       now: int = 0) -> Optional[CacheLine]:
+                       now: int = 0) -> Optional[FilterLine]:
         """Set the committed bit on the line holding ``virtual_address``.
 
         Returns the line so the caller can write it through to the L1 (and
@@ -198,7 +200,7 @@ class SpeculativeFilterCache:
         virtual_line = virtual_address & self._offset_mask
         for line in self._sets[(virtual_address >> self._line_shift)
                                % self.num_sets]:
-            if line.virtual_tag == virtual_line and line.state is not I:
+            if line is not None and line.virtual_tag == virtual_line:
                 if not line.committed:
                     line.committed = True
                     self._commits.increment()
@@ -208,11 +210,11 @@ class SpeculativeFilterCache:
 
     def invalidate_physical(self, physical_address: int) -> bool:
         """Invalidate by physical address (coherence broadcast target)."""
-        line = self.probe_physical(physical_address)
+        line = self._physical_index.get(physical_address & self._offset_mask)
         if line is None:
             return False
         self._snoop_invalidations.increment()
-        line.invalidate()
+        self._remove(line)
         return True
 
     def flush(self) -> int:
@@ -224,12 +226,11 @@ class SpeculativeFilterCache:
         and uncommitted data may simply disappear.  Returns the number of
         lines dropped.
         """
-        dropped = 0
-        for lines in self._sets:
-            for line in lines:
-                if line.state is not I:
-                    dropped += 1
-                    line.invalidate()
+        dropped = len(self._physical_index)
+        if dropped:
+            self._physical_index.clear()
+            self._sets = [[None] * self.associativity
+                          for _ in range(self.num_sets)]
         self._flushes.increment()
         self._lines_flushed.increment(dropped)
         return dropped
@@ -282,12 +283,12 @@ class SpeculativeFilterCache:
         self.flush = flush
 
     # -- introspection -------------------------------------------------------------
-    def resident_lines(self) -> List[CacheLine]:
-        return [line for lines in self._sets for line in lines
-                if line.state is not I]
+    def resident_lines(self) -> List[FilterLine]:
+        return [line for ways in self._sets for line in ways
+                if line is not None]
 
     def occupancy(self) -> int:
-        return len(self.resident_lines())
+        return len(self._physical_index)
 
     @property
     def hits(self) -> int:

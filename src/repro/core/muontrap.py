@@ -16,16 +16,16 @@ Execute-time behaviour
 Commit-time behaviour
     The committed bit is set and the line written through to the L1
     (section 4.2); pending ``SE`` upgrades launch an asynchronous exclusive
-    upgrade; commit-time prefetch notifications are sent to the level the
-    line was filled from (section 4.6); committed stores obtain ownership,
+    upgrade; a commit of a line the L2 or memory supplied trains the L2
+    prefetcher (section 4.6); committed stores obtain ownership,
     broadcasting filter-cache invalidations when the line was not already
     private (the Figure 7 event).
 
 Domain switches
     Context switches, system calls and sandbox entries flush the filter
-    caches and the filter TLB by clearing their valid bits (section 4.3);
-    optionally the caches are also flushed on every misspeculation
-    (section 4.9).
+    caches and the filter TLB by clearing their valid bits (section 4.3),
+    right after the core's domain tracker records the switch; optionally
+    the caches are also flushed on every misspeculation (section 4.9).
 """
 
 from __future__ import annotations
@@ -74,12 +74,24 @@ class MuonTrapMemorySystem(SchemeFrontend):
         if protection.coherence_protection:
             self.hierarchy.bus.register_filter_listener(
                 core_id, data_filter.invalidate_physical)
-        core.domains.on_switch(
-            lambda old, new, cid=core_id: self._flush_core(cid))
         return core
 
+    # -- protection-domain switches (section 4.3) ---------------------------------
+    def switch_to_process(self, core_id: int, process_id: int,
+                          now: int = 0) -> None:
+        super().switch_to_process(core_id, process_id, now)
+        self._flush_core(core_id)
+
+    def context_switch(self, core_id: int, now: int) -> None:
+        super().context_switch(core_id, now)
+        self._flush_core(core_id)
+
+    def sandbox_entry(self, core_id: int, now: int) -> None:
+        super().sandbox_entry(core_id, now)
+        self._flush_core(core_id)
+
     def _flush_core(self, core_id: int) -> None:
-        """Clear all speculative state on a protection-domain switch."""
+        """Clear all speculative state once the core's domain has switched."""
         core = self._cores[core_id]
         protection = core.protection
         if protection.data_filter_cache and \
@@ -225,7 +237,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
             return 0
         line = core.data_filter.mark_committed(virtual_address, now)
         if line is not None:
-            fill_level = line.fill_level or "l2"
+            fill_level = line.fill_level
             exclusive = line.se_upgrade_pending
             line.se_upgrade_pending = False
             self.hierarchy.commit_fill_l1(core_id, physical, now,
@@ -243,7 +255,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
         if protection.commit_time_prefetch and fill_level in (
                 "l2", "memory"):
             self.hierarchy.notify_commit_prefetch(
-                self.hierarchy.line_address(physical), pc, "l2", now)
+                self.hierarchy.line_address(physical), pc, now)
         return 0
 
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
@@ -269,7 +281,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
         if protection.commit_time_prefetch and result.hit_level in (
                 "l2", "memory"):
             self.hierarchy.notify_commit_prefetch(
-                self.hierarchy.line_address(physical), pc, "l2", now)
+                self.hierarchy.line_address(physical), pc, now)
         # Ownership acquisition happens in the store buffer; only charge the
         # L1 portion against commit bandwidth.
         return min(result.latency,

@@ -17,7 +17,7 @@ reproducing the behaviour the paper's evaluation depends on:
 * STT-style defences delay the issue of transmit instructions that depend
   on a still-speculative load;
 * every committed load/store/fetch performs its commit-time action in the
-  memory system (write-through-at-commit, prefetch notification, exclusive
+  memory system (write-through-at-commit, prefetcher training, exclusive
   upgrade, ...).
 
 Two execution paths produce bit-identical results:

@@ -1,16 +1,10 @@
-"""Prefetchers and the MuonTrap commit-time prefetch channel."""
+"""Prefetchers: the shared-L2 stream prefetcher and its interface."""
 
 from repro.prefetch.base import NullPrefetcher, Prefetcher, TrainingEvent
-from repro.prefetch.commit_channel import (
-    CommitPrefetchChannel,
-    PrefetchNotification,
-)
 from repro.prefetch.stream import StreamEntry, StreamPrefetcher
 
 __all__ = [
-    "CommitPrefetchChannel",
     "NullPrefetcher",
-    "PrefetchNotification",
     "Prefetcher",
     "StreamEntry",
     "StreamPrefetcher",

@@ -4,8 +4,9 @@ Prefetchers observe a stream of training events (demand accesses to the
 cache they are attached to) and emit candidate prefetch addresses.  Under an
 unprotected system the training events arrive as soon as a (possibly
 speculative, possibly wrong-path) access touches the cache; under MuonTrap
-they arrive only through the commit-time notification channel
-(section 4.6), so the prefetcher never learns anything about squashed
+they arrive only when an access commits
+(:meth:`~repro.caches.hierarchy.NonSpeculativeHierarchy.notify_commit_prefetch`,
+section 4.6), so the prefetcher never learns anything about squashed
 execution.
 """
 

@@ -7,9 +7,9 @@ instruction issued them.  This matches the stream/stride prefetchers
 typically configured at the L2 in gem5 and is the prefetcher the paper's
 commit-time-training results hinge on: wrong-path and mis-speculated
 accesses land in arbitrary regions and at arbitrary points of a stream,
-degrading the confidence of access-time training, whereas the commit-time
-notification stream (section 4.6) is in program order and keeps the
-detector locked on.
+degrading the confidence of access-time training, whereas commit-time
+training (section 4.6) arrives in program order and keeps the detector
+locked on.
 """
 
 from __future__ import annotations

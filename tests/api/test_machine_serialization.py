@@ -47,7 +47,7 @@ def random_cache(rng, name):
                        associativity=assoc, line_size=line,
                        hit_latency=rng.randint(1, 4),
                        mshrs=rng.randint(1, 8),
-                       prefetcher=rng.choice([None, "stride", "next_line"]))
+                       prefetcher=rng.choice([None, "stride"]))
 
 
 def random_core(rng, line_size):
@@ -202,11 +202,16 @@ class TestErrors:
         with pytest.raises(MachineFormatError, match="SystemConfig"):
             machine_from_dict({"num_cores": 0})
 
-    def test_unknown_replacement_policy_names_the_field(self):
+    @pytest.mark.parametrize("field, name", [
+        ("replacement", "fifo"),
+        ("prefetcher", "stream"),
+        ("prefetcher", "STRIDE"),
+    ])
+    def test_unknown_cache_policy_names_the_field(self, field, name):
         payload = machine_to_dict(SystemConfig())
-        payload["l2"]["replacement"] = "fifo"
+        payload["l2"][field] = name
         with pytest.raises(MachineFormatError,
-                           match=r"SystemConfig\.l2: .*replacement.*'fifo'"):
+                           match=rf"SystemConfig\.l2: .*{field}.*'{name}'"):
             machine_from_dict(payload)
 
     def test_versioned_output(self):

@@ -44,11 +44,24 @@ class TestLookupAndFill:
         set_stride = cache.num_sets * 64
         a, b, c = 0x0, set_stride, 2 * set_stride  # all map to set 0
         cache.fill(a, S, now=1)
-        cache.fill(b, S, now=2)
+        cache.fill(b, M, now=2, dirty=True)
         cache.lookup(a, now=3)          # make b the LRU
         _, victim = cache.fill(c, S, now=4)
+        # The victim is the evicted line itself, with its address and
+        # dirty bit intact.
         assert victim is not None and victim.address == b
+        assert victim.dirty and victim.state is M
         assert cache.contains(a) and cache.contains(c) and not cache.contains(b)
+
+    def test_fill_takes_the_first_empty_way_before_evicting(self):
+        cache = small_cache(size=256, assoc=2, line=64)  # 2 sets, 2 ways
+        set_stride = cache.num_sets * 64
+        cache.fill(0x0, S, now=1)
+        cache.fill(set_stride, S, now=2)
+        assert cache.invalidate(0x0)
+        line, victim = cache.fill(2 * set_stride, S, now=3)
+        assert victim is None and line.way == 0
+        assert cache.contains(set_stride)
 
     def test_dirty_eviction_invokes_writeback(self):
         cache = small_cache(size=128, assoc=1, line=64)
@@ -109,11 +122,18 @@ class TestReplacementPolicies:
                     "plru": TreePLRUReplacement}[REPLACEMENT_POLICIES[name]]
         assert isinstance(policy, expected)
 
-    @pytest.mark.parametrize("name", ["fifo", 7])
-    def test_config_rejects_an_unknown_name(self, name):
-        with pytest.raises(ValueError, match="replacement policy"):
+    @pytest.mark.parametrize("field, name, message", [
+        ("replacement", "fifo", "replacement policy"),
+        ("replacement", 7, "replacement policy"),
+        # Only "stride" builds the L2 prefetcher: any other spelling would
+        # silently run with none.
+        ("prefetcher", "stream", "prefetcher"),
+        ("prefetcher", "STRIDE", "prefetcher"),
+    ])
+    def test_config_rejects_an_unknown_name(self, field, name, message):
+        with pytest.raises(ValueError, match=message):
             CacheConfig(name="l2", size_bytes=1024, associativity=2,
-                        replacement=name)
+                        **{field: name})
 
     def test_lru_picks_oldest(self):
         policy = LRUReplacement()
@@ -171,6 +191,31 @@ def test_cache_occupancy_never_exceeds_capacity(addresses):
         cache.fill(address, S, now=now)
         assert cache.occupancy() <= cache.config.num_lines
         assert cache.contains(address)
+        resident = cache.resident_lines()
+        assert cache.occupancy() == len(resident)
+        assert all(cache.probe(line.address) is line for line in resident)
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps=st.lists(st.tuples(st.booleans(),
+                                st.integers(min_value=0, max_value=1 << 12)),
+                      min_size=1, max_size=200))
+def test_only_resident_lines_are_found(steps):
+    """Property: occupancy counts exactly the resident lines, probe finds
+    every one of them, and an invalidated line is gone."""
+    cache = small_cache(size=512, assoc=2, line=64)
+    for now, (invalidate, address) in enumerate(steps):
+        resident = cache.resident_lines()
+        if invalidate and resident:
+            line = resident[address % len(resident)]
+            assert cache.invalidate(line.address)
+            assert cache.probe(line.address) is None
+            assert line not in cache.resident_lines()
+        else:
+            cache.fill(address, S, now=now)
+        resident = cache.resident_lines()
+        assert cache.occupancy() == len(resident)
+        assert all(cache.probe(line.address) is line for line in resident)
 
 
 @settings(max_examples=30, deadline=None)

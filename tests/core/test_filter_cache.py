@@ -130,6 +130,35 @@ def test_filter_cache_capacity_invariant(fills):
         assert cache.occupancy() <= cache.config.num_lines
         physical_lines = [line.address for line in cache.resident_lines()]
         assert len(physical_lines) == len(set(physical_lines))
+        resident = cache.resident_lines()
+        assert cache.occupancy() == len(resident)
+        assert all(cache.probe_physical(line.address) is line
+                   for line in resident)
+
+
+@settings(max_examples=25, deadline=None)
+@given(steps=st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=1 << 14),
+              st.integers(min_value=0, max_value=1 << 14)),
+    min_size=1, max_size=120))
+def test_only_resident_lines_are_found(steps):
+    """Property: occupancy counts exactly the resident lines,
+    probe_physical finds every one of them, and an invalidated line is
+    gone."""
+    cache = make_filter(size=512, assoc=2)
+    for now, (invalidate, virtual, physical) in enumerate(steps):
+        resident = cache.resident_lines()
+        if invalidate and resident:
+            line = resident[virtual % len(resident)]
+            assert cache.invalidate_physical(line.address)
+            assert cache.probe_physical(line.address) is None
+            assert line not in cache.resident_lines()
+        else:
+            cache.fill(virtual, physical, now=now)
+        resident = cache.resident_lines()
+        assert cache.occupancy() == len(resident)
+        assert all(cache.probe_physical(line.address) is line
+                   for line in resident)
 
 
 @settings(max_examples=25, deadline=None)

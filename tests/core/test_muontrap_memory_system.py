@@ -42,14 +42,28 @@ class TestSpeculativeIsolation:
         assert repeat.hit_level == "l0"
         assert repeat.latency <= 2
 
-    def test_context_switch_clears_filter_caches(self):
+    @pytest.mark.parametrize("event, args", [
+        ("switch_to_process", (0, 1)),
+        ("context_switch", (0, 200)),
+        ("sandbox_entry", (0, 200)),
+    ], ids=["switch_to_process", "context_switch", "sandbox_entry"])
+    def test_context_switch_clears_filter_caches(self, event, args):
+        """Each domain-crossing event flushes the filter caches and the
+        filter TLBs by itself, after the domain tracker has switched."""
         memory = build()
         memory.load(0, 0, 0x1_0000, 100, speculative=True)
         memory.fetch(0, 0, 0x40_0000, 100, speculative=True)
+        core = memory.core_state(0)
         assert memory.data_filter(0).occupancy() > 0
-        memory.switch_to_process(0, 1)
+        assert memory.inst_filter(0).occupancy() > 0
+        assert len(core.data_mmu.filter_tlb) > 0
+        domain_before = core.domains.current
+        getattr(memory, event)(*args)
+        assert core.domains.current != domain_before
         assert memory.data_filter(0).occupancy() == 0
         assert memory.inst_filter(0).occupancy() == 0
+        assert len(core.data_mmu.filter_tlb) == 0
+        assert len(core.inst_mmu.filter_tlb) == 0
 
     def test_squash_clears_only_with_clear_on_misspeculate(self):
         keep = build()
@@ -117,23 +131,32 @@ class TestCommitTimePrefetch:
 
     def test_committed_loads_do_train_prefetcher(self):
         memory = build()
+        hierarchy = memory.hierarchy
         for index in range(12):
             address = 0x8_0000 + index * 64
             memory.load(0, 0, address, 100 + index * 10, speculative=True)
             memory.commit_load(0, 0, address, 500 + index * 10)
-        assert memory.hierarchy.l2_prefetcher.training_events > 0
+        assert hierarchy.l2_prefetcher.training_events > 0
+        # Commit-time training delivers its prefetches into the L2: lines
+        # ahead of the committed stream are resident, marked prefetched.
+        assert hierarchy.stats.get("commit_prefetch.prefetches_generated") > 0
+        last = memory.page_tables.address_space(0).translate(
+            0x8_0000 + 11 * 64)
+        ahead = [line for line in hierarchy.l2.resident_lines()
+                 if line.prefetched and line.address > last]
+        assert ahead
 
 
 class TestDomainTracker:
     def test_transitions_and_counters(self):
         tracker = DomainTracker(core_id=0)
-        seen = []
-        tracker.on_switch(lambda old, new: seen.append((old.kind, new.kind)))
-        tracker.syscall()
+        assert tracker.syscall().kind is DomainKind.KERNEL
+        assert tracker.current.kind is DomainKind.KERNEL
         tracker.context_switch(to_process=5)
         tracker.sandbox_entry(sandbox_id=1)
+        assert tracker.current.kind is DomainKind.SANDBOX
         tracker.sandbox_exit()
         assert tracker.context_switches == 1
         assert tracker.sandbox_entries == 2
-        assert seen[0][1] is DomainKind.KERNEL
         assert tracker.current.kind is DomainKind.USER_PROCESS
+        assert tracker.current.process_id == 5

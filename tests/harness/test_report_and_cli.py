@@ -200,16 +200,23 @@ class TestCli:
                             "--machine-file", str(machine)) == 0
         assert "legacy-muontrap" in capsys.readouterr().out
 
-    def test_machine_file_with_unknown_replacement_is_rejected(
-            self, capsys, tmp_path):
+    @pytest.mark.parametrize("field, name", [
+        ("replacement", "fifo"),
+        ("prefetcher", "stream"),
+    ])
+    def test_machine_file_with_unknown_cache_policy_is_rejected(
+            self, capsys, tmp_path, field, name):
         payload = SystemConfig().to_dict()
-        payload["l2"]["replacement"] = "fifo"
-        machine = tmp_path / "fifo.json"
+        payload["l2"][field] = name
+        machine = tmp_path / f"{name}.json"
         machine.write_text(json.dumps(payload))
         assert self.run_cli("run", "--suite", "hmmer",
                             "--machine-file", str(machine)) == 2
         captured = capsys.readouterr()
-        assert "SystemConfig.l2" in captured.err and "'fifo'" in captured.err
+        error_lines = captured.err.splitlines()
+        assert len(error_lines) == 1 and error_lines[0].startswith("error:")
+        assert "SystemConfig.l2" in captured.err
+        assert f"'{name}'" in captured.err
         assert "FAILED" not in captured.out
 
     def test_unknown_on_off_spelling_is_a_config_error(self, capsys,

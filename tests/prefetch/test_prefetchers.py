@@ -1,10 +1,10 @@
-"""Tests for the prefetchers and the commit-time notification channel."""
+"""Tests for the prefetchers.
+
+Commit-time training reaching the L2 is covered by
+``tests/core/test_muontrap_memory_system.py::TestCommitTimePrefetch``.
+"""
 
 from repro.prefetch.base import NullPrefetcher, TrainingEvent
-from repro.prefetch.commit_channel import (
-    CommitPrefetchChannel,
-    PrefetchNotification,
-)
 from repro.prefetch.stream import StreamPrefetcher
 
 
@@ -46,34 +46,3 @@ class TestNullPrefetcher:
         assert prefetcher.train(event(0x1000)) == []
         assert prefetcher.prefetches_issued == 0
 
-
-class TestCommitPrefetchChannel:
-    def _channel(self):
-        channel = CommitPrefetchChannel()
-        fills = []
-        channel.attach("l2", StreamPrefetcher(degree=1, distance=0),
-                       lambda line, now: fills.append(line))
-        return channel, fills
-
-    def test_notifications_reach_attached_prefetcher(self):
-        channel, fills = self._channel()
-        for index in range(8):
-            channel.notify(PrefetchNotification(
-                line_address=0x9000 + index * 64, pc=0x400, level="l2",
-                cycle=index))
-            channel.drain(now=index)
-        assert fills, "commit-time training must eventually issue prefetches"
-
-    def test_unattached_level_is_ignored(self):
-        channel, fills = self._channel()
-        channel.notify(PrefetchNotification(line_address=0x9000, pc=0,
-                                            level="l1", cycle=0))
-        assert channel.pending == 0
-
-    def test_queue_capacity_drops_excess(self):
-        channel = CommitPrefetchChannel(queue_capacity=2)
-        channel.attach("l2", NullPrefetcher(), lambda line, now: None)
-        for index in range(5):
-            channel.notify(PrefetchNotification(line_address=index * 64,
-                                                pc=0, level="l2", cycle=0))
-        assert channel.pending == 2

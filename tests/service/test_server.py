@@ -106,16 +106,20 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert "name string" in excinfo.value.message
 
-    def test_machine_with_an_unknown_replacement_policy_is_a_400(
-            self, client):
+    @pytest.mark.parametrize("field, name", [
+        ("replacement", "fifo"),
+        ("prefetcher", "stream"),
+    ])
+    def test_machine_with_an_unknown_cache_policy_is_a_400(
+            self, client, field, name):
         machine = SystemConfig().to_dict()
-        machine["l2"]["replacement"] = "fifo"
+        machine["l2"][field] = name
         with pytest.raises(ServiceError) as excinfo:
             client.simulate("mcf", machine=machine,
                             instructions=INSTRUCTIONS)
         assert excinfo.value.status == 400
         assert "SystemConfig.l2" in excinfo.value.message
-        assert "'fifo'" in excinfo.value.message
+        assert f"'{name}'" in excinfo.value.message
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
