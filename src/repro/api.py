@@ -314,6 +314,8 @@ def simulate(workload: WorkloadLike,
     Instrumented runs always simulate inline — caches are neither
     consulted nor written, because a cached result has no event stream.
     """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     profile = resolve_workload(workload)
     config = resolve_machine(machine)
     if scheme is not None:

@@ -89,7 +89,7 @@ class InvisiSpecMemorySystem(SchemeFrontend):
                 # loads train it exactly as in the unprotected system.
                 self.hierarchy.train_l2_prefetcher(line, pc, now,
                                                    was_miss=True)
-        self._speculative_loads.increment()
+        self._speculative_loads.value += 1
         self._buffers.add((core_id, line))
         return MemoryAccessResult(latency=tlb_latency + latency,
                                   hit_level=f"specbuf-{fill_level}")
@@ -122,7 +122,7 @@ class InvisiSpecMemorySystem(SchemeFrontend):
         if physical is None:
             return 0
         line = self.hierarchy.line_address(physical)
-        self._validations.increment()
+        self._validations.value += 1
         self._buffers.discard((core_id, line))
         # The validation is a repeat of an access the prefetcher has already
         # been trained on, so it does not train again.

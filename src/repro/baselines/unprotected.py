@@ -63,7 +63,7 @@ class UnprotectedMemorySystem(SchemeFrontend):
 
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
                      now: int, *, pc: int = 0) -> int:
-        self._committed_stores.increment()
+        self._committed_stores.value += 1
         space = self.page_tables.address_space(process_id)
         physical = space.translate(virtual_address)
         if physical is None:

@@ -12,7 +12,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.caches.cache_line import CacheLine
 from repro.caches.mshr import MSHRFile
-from repro.caches.replacement import make_replacement_policy
+from repro.caches.replacement import (ReplacementPolicy,
+                                     make_replacement_policy)
 from repro.coherence.states import CoherenceState, I, M, S
 from repro.common.params import CacheConfig
 from repro.common.rng import DeterministicRng
@@ -37,6 +38,13 @@ class SetAssociativeCache:
         rng = rng or DeterministicRng(0)
         self._policy = make_replacement_policy(
             config.replacement, config.associativity, rng)
+        # The per-hit/per-fill hook, or None when the policy keeps the
+        # base class's empty one (LRU reads ``last_use``, random reads
+        # nothing); only tree-PLRU overrides it.
+        self._on_access = (
+            self._policy.on_access
+            if type(self._policy).on_access is not ReplacementPolicy.on_access
+            else None)
         # Only resident lines exist: one dict maps each resident line
         # address to its line, and a set's way list (None for an empty way)
         # is built on the set's first fill.
@@ -68,8 +76,9 @@ class SetAssociativeCache:
         line = self._lines.get(address & self._offset_mask)
         if line is not None and update_replacement:
             line.last_use = now
-            self._policy.on_access(
-                (address >> self._line_shift) % self.num_sets, line.way, now)
+            if self._on_access is not None:
+                self._on_access((address >> self._line_shift) % self.num_sets,
+                                line.way, now)
         return line
 
     def probe(self, address: int) -> Optional[CacheLine]:
@@ -77,10 +86,10 @@ class SetAssociativeCache:
         return self._lines.get(address & self._offset_mask)
 
     def record_hit(self) -> None:
-        self._hits.increment()
+        self._hits.value += 1
 
     def record_miss(self) -> None:
-        self._misses.increment()
+        self._misses.value += 1
 
     # -- observability -------------------------------------------------------
     def attach_tracer(self, tracer, unit: str,
@@ -149,7 +158,8 @@ class SetAssociativeCache:
             line.state = state
             line.dirty = line.dirty or dirty
             line.last_use = now
-            self._policy.on_access(set_idx, line.way, now)
+            if self._on_access is not None:
+                self._on_access(set_idx, line.way, now)
             return line, None
         ways = self._sets[set_idx]
         if ways is None:
@@ -161,18 +171,19 @@ class SetAssociativeCache:
             way = self._policy.victim(set_idx, ways)
             victim = ways[way]
             del self._lines[victim.address]
-            self._evictions.increment()
+            self._evictions.value += 1
             if victim.dirty:
-                self._writebacks.increment()
+                self._writebacks.value += 1
                 if writeback_handler is not None:
                     writeback_handler(victim)
         line = CacheLine(line_addr, state, dirty, now, prefetched, ready_at,
                          way)
         ways[way] = self._lines[line_addr] = line
-        self._policy.on_access(set_idx, way, now)
-        self._fills.increment()
+        if self._on_access is not None:
+            self._on_access(set_idx, way, now)
+        self._fills.value += 1
         if prefetched:
-            self._prefetch_fills.increment()
+            self._prefetch_fills.value += 1
         return line, victim
 
     def _remove(self, line: CacheLine) -> None:
@@ -180,7 +191,7 @@ class SetAssociativeCache:
         del self._lines[line.address]
         self._sets[(line.address >> self._line_shift)
                    % self.num_sets][line.way] = None
-        self._invalidations.increment()
+        self._invalidations.value += 1
 
     def invalidate(self, address: int) -> bool:
         """Invalidate the line holding ``address`` if present."""

@@ -38,6 +38,10 @@ from repro.memory.main_memory import MainMemory
 from repro.prefetch.base import NullPrefetcher, Prefetcher, TrainingEvent
 from repro.prefetch.stream import StreamPrefetcher
 
+#: Where the access-time training reorder window delivers from: mostly the
+#: oldest buffered event, sometimes the second or third.
+_REORDER_DRAW = (0, 0, 0, 1, 1, 2)
+
 
 @dataclass(slots=True)
 class HierarchyResult:
@@ -73,6 +77,9 @@ class NonSpeculativeHierarchy:
                  stats: Optional[StatGroup] = None,
                  rng: Optional[DeterministicRng] = None) -> None:
         self.config = config
+        # Every cache of the hierarchy shares the shared L2's line size
+        # (SystemConfig and CoreConfig check it).
+        self._line_mask = -config.l2.line_size
         stats = stats or StatGroup("hierarchy")
         self.stats = stats
         rng = rng or DeterministicRng(0)
@@ -144,7 +151,46 @@ class NonSpeculativeHierarchy:
         return self._l2p.get(core_id)
 
     def line_address(self, address: int) -> int:
-        return self.l2.line_address(address)
+        return address & self._line_mask
+
+    # -- fills that move a dirty victim one level down ------------------------
+    # Each fill runs its victim's write-back inside ``fill``, before the new
+    # line is installed (so a traced run records the write-back first).  The
+    # write-back closures are built here, so the access paths below carry
+    # no closure cells of their own.
+    def _fill_l1(self, core_id: int, l1: SetAssociativeCache,
+                 line_address: int, state: CoherenceState, now: int,
+                 dirty: bool = False, prefetched: bool = False,
+                 ready_at: int = 0) -> None:
+        """Fill a private L1; a dirty victim lands below it at ``now``."""
+        l1.fill(line_address, state, now, dirty, prefetched, ready_at,
+                lambda victim: self._writeback_from_l1(
+                    core_id, victim.address, now))
+
+    def _fill_l2p(self, l2p: SetAssociativeCache, line_address: int,
+                  state: CoherenceState, now: int,
+                  dirty: bool = False) -> None:
+        """Fill a private L2; a dirty victim lands in the shared L2."""
+        l2p.fill(line_address, state, now, dirty,
+                 writeback_handler=lambda victim: self._fill_l2(
+                     victim.address, M, now, dirty=True))
+
+    def _fill_l2(self, line_address: int, state: CoherenceState, now: int,
+                 dirty: bool = False, prefetched: bool = False,
+                 ready_at: int = 0) -> None:
+        """Fill the shared L2; a dirty victim is written back to memory."""
+        self.l2.fill(line_address, state, now, dirty, prefetched, ready_at,
+                     lambda victim: self.memory.write(victim.address, now))
+
+    def _writeback_from_l1(self, core_id: int, line_address: int,
+                           now: int) -> None:
+        """A dirty L1 victim lands in the private L2 (or the shared LLC)."""
+        l2p = self._l2p.get(core_id)
+        if l2p is None:
+            self._fill_l2(line_address, M, now, dirty=True)
+            return
+        self._fill_l2p(l2p, line_address, M, now, dirty=True)
+        self.bus.note_fill(core_id, line_address)
 
     # -- prefetch machinery ---------------------------------------------------
     def _install_prefetch(self, line_address: int, now: int) -> None:
@@ -154,16 +200,15 @@ class NonSpeculativeHierarchy:
         file is full the prefetch is dropped rather than queued, which is
         how hardware prefetchers typically behave under load.
         """
-        if self.l2.probe(line_address) is not None:
+        l2 = self.l2
+        if l2.probe(line_address) is not None:
             return
-        if self.l2.mshrs.occupancy(now) >= self.l2.mshrs.capacity:
+        if l2.mshrs.occupancy(now) >= l2.mshrs.num_entries:
             return
         fill_latency = self.config.memory.access_latency
-        self.l2.mshrs.allocate(line_address, now, fill_latency)
-        self.l2.fill(line_address, E, now, prefetched=True,
-                     ready_at=now + fill_latency,
-                     writeback_handler=lambda victim: self.memory.write(
-                         victim.address, now))
+        l2.mshrs.allocate(line_address, now, fill_latency)
+        self._fill_l2(line_address, E, now, prefetched=True,
+                      ready_at=now + fill_latency)
 
     def train_l2_prefetcher(self, address: int, pc: int, now: int,
                             was_miss: bool) -> None:
@@ -174,16 +219,15 @@ class NonSpeculativeHierarchy:
         roughly in issue order.  A small reorder window models that the
         issue order of an 8-wide out-of-order core is not program order.
         """
-        event = TrainingEvent(address=address, pc=pc, cycle=now,
-                              was_miss=was_miss)
-        self._speculative_train_buffer.append(event)
-        if len(self._speculative_train_buffer) <= 3:
+        buffer = self._speculative_train_buffer
+        buffer.append(TrainingEvent(address, pc, now, was_miss))
+        if len(buffer) <= 3:
             return
         # Mild reordering: most events arrive in order, but nearby accesses
         # (different loop iterations in flight together) occasionally swap.
-        index = self._speculative_train_rng.choice([0, 0, 0, 1, 1, 2])
-        index = min(index, len(self._speculative_train_buffer) - 1)
-        delivered = self._speculative_train_buffer.pop(index)
+        # The buffer holds at least four events, so every draw is in range.
+        delivered = buffer.pop(self._speculative_train_rng.choice(
+            _REORDER_DRAW))
         for line in self.l2_prefetcher.train(delivered):
             self._install_prefetch(line, delivered.cycle)
 
@@ -215,11 +259,11 @@ class NonSpeculativeHierarchy:
         access and no issue-order jumbling; what it proposes is installed
         in the L2 at once.
         """
-        self._commit_notifications.increment()
+        self._commit_notifications.value += 1
         for line in self.l2_prefetcher.train(
-                TrainingEvent(address=line_address, pc=pc, cycle=now)):
+                TrainingEvent(line_address, pc, now)):
             self._install_prefetch(line, now)
-            self._commit_prefetches.increment()
+            self._commit_prefetches.value += 1
 
     # -- conventional access path ----------------------------------------------
     def access(self, core_id: int, address: int, now: int, *,
@@ -235,9 +279,10 @@ class NonSpeculativeHierarchy:
         Shared or Exclusive.
         """
         l1 = self._l1i[core_id] if instruction else self._l1d[core_id]
-        line_address = l1.line_address(address)
+        line_address = address & self._line_mask
         line = l1.lookup(line_address, now)
-        if line is not None and (not is_store or line.state.is_private):
+        if line is not None and (not is_store or line.state is M
+                                 or line.state is E):
             l1.record_hit()
             latency = l1.config.hit_latency
             if line.prefetched and line.ready_at > now:
@@ -246,19 +291,18 @@ class NonSpeculativeHierarchy:
             if is_store:
                 line.state = M
                 line.dirty = True
-            return HierarchyResult(latency=latency, hit_level="l1",
-                                   granted_state=line.state)
+            return HierarchyResult(latency, "l1", granted_state=line.state)
         l1.record_miss()
         mshr_entry = l1.mshrs.lookup(line_address, now)
         if mshr_entry is not None and not is_store:
             # Merge with an in-flight miss to the same line.
             latency = max(1, mshr_entry.ready_time - now)
-            return HierarchyResult(latency=l1.config.hit_latency + latency,
-                                   hit_level="mshr")
+            return HierarchyResult(l1.config.hit_latency + latency, "mshr")
         l2p = self._l2p.get(core_id)
         if l2p is not None:
             pline = l2p.lookup(line_address, now)
-            if pline is not None and (not is_store or pline.state.is_private):
+            if pline is not None and (not is_store or pline.state is M
+                                      or pline.state is E):
                 # Served entirely within the core's private hierarchy: no
                 # bus transaction, the L1 refills from the private L2.
                 l2p.record_hit()
@@ -268,19 +312,14 @@ class NonSpeculativeHierarchy:
                     pline.dirty = True
                 state = M if is_store else pline.state
                 if fill_l1:
-                    l1.fill(line_address, state, now + latency,
-                            dirty=is_store,
-                            writeback_handler=lambda victim:
-                            self._writeback_from_l1(core_id, victim.address,
-                                                    now + latency))
-                return HierarchyResult(latency=latency, hit_level="l2p",
-                                       granted_state=state)
+                    self._fill_l1(core_id, l1, line_address, state,
+                                  now + latency, dirty=is_store)
+                return HierarchyResult(latency, "l2p", granted_state=state)
             l2p.record_miss()
         if is_store:
-            already_private = line is not None and line.state.is_private
+            # A store that found its line privately held returned above.
             outcome = self.controller.write(
-                core_id, line_address, now,
-                already_private=already_private,
+                core_id, line_address, now, already_private=False,
                 # The upgrade transaction is snooped by every protected
                 # filter cache on the fabric, whatever the writer's own
                 # scheme (no-op unless a mixed machine registered peers).
@@ -291,8 +330,7 @@ class NonSpeculativeHierarchy:
                 core_id, line_address, now, speculative=speculative,
                 protect_coherence=protect_coherence)
         if outcome.nacked:
-            return HierarchyResult(latency=outcome.latency, hit_level="nack",
-                                   nacked=True)
+            return HierarchyResult(outcome.latency, "nack", nacked=True)
         # Loads allocate an MSHR so occupancy statistics and merge behaviour
         # are tracked; stores allocate none.  The latency charged is the
         # downstream latency itself: the out-of-order core model accounts
@@ -303,42 +341,20 @@ class NonSpeculativeHierarchy:
             l1.mshrs.allocate(line_address, now, outcome.latency)
         if fill_l1:
             state = M if is_store else outcome.granted_state
-            l1.fill(line_address, state, now + total_latency,
-                    dirty=is_store,
-                    writeback_handler=lambda victim: self._writeback_from_l1(
-                        core_id, victim.address, now + total_latency))
+            filled_at = now + total_latency
+            self._fill_l1(core_id, l1, line_address, state, filled_at,
+                          dirty=is_store)
             if l2p is not None:
-                l2p.fill(line_address, state, now + total_latency,
-                         dirty=is_store,
-                         writeback_handler=lambda victim:
-                         self._writeback_to_l2(victim.address,
-                                               now + total_latency))
+                self._fill_l2p(l2p, line_address, state, filled_at,
+                               dirty=is_store)
             if l2p is not None or not instruction:
                 self.bus.note_fill(core_id, line_address)
         if train_prefetcher and not instruction and outcome.hit_level in (
                 "l2", "memory"):
             self.train_l2_prefetcher(line_address, pc, now, was_miss=True)
-        return HierarchyResult(latency=total_latency,
-                               hit_level=outcome.hit_level,
+        return HierarchyResult(total_latency, outcome.hit_level,
                                granted_state=outcome.granted_state,
                                exclusive_available=outcome.exclusive_available)
-
-    def _writeback_to_l2(self, line_address: int, now: int) -> None:
-        self.l2.fill(line_address, M, now, dirty=True,
-                     writeback_handler=lambda victim: self.memory.write(
-                         victim.address, now))
-
-    def _writeback_from_l1(self, core_id: int, line_address: int,
-                           now: int) -> None:
-        """A dirty L1 victim lands in the private L2 (or the shared LLC)."""
-        l2p = self._l2p.get(core_id)
-        if l2p is None:
-            self._writeback_to_l2(line_address, now)
-            return
-        l2p.fill(line_address, M, now, dirty=True,
-                 writeback_handler=lambda victim: self._writeback_to_l2(
-                     victim.address, now))
-        self.bus.note_fill(core_id, line_address)
 
     # -- MuonTrap filter-cache path ---------------------------------------------
     def read_for_filter(self, core_id: int, address: int, now: int, *,
@@ -357,7 +373,7 @@ class NonSpeculativeHierarchy:
         filter line should be marked ``SE``.
         """
         l1 = self._l1i[core_id] if instruction else self._l1d[core_id]
-        line_address = l1.line_address(address)
+        line_address = address & self._line_mask
         line = l1.lookup(line_address, now)
         if line is not None:
             l1.record_hit()
@@ -365,15 +381,14 @@ class NonSpeculativeHierarchy:
             if line.prefetched and line.ready_at > now:
                 latency += line.ready_at - now
                 line.prefetched = False
-            return HierarchyResult(latency=latency, hit_level="l1",
-                                   granted_state=S,
-                                   exclusive_available=line.state.is_private)
+            return HierarchyResult(latency, "l1", granted_state=S,
+                                   exclusive_available=line.state is M
+                                   or line.state is E)
         l1.record_miss()
         mshr_entry = l1.mshrs.lookup(line_address, now)
         if mshr_entry is not None:
             latency = max(1, mshr_entry.ready_time - now)
-            return HierarchyResult(latency=l1.config.hit_latency + latency,
-                                   hit_level="mshr")
+            return HierarchyResult(l1.config.hit_latency + latency, "mshr")
         l2p = self._l2p.get(core_id)
         if l2p is not None:
             pline = l2p.lookup(line_address, now)
@@ -382,17 +397,16 @@ class NonSpeculativeHierarchy:
                 # memory, so it may supply the line (section 4.5).
                 l2p.record_hit()
                 latency = l1.config.hit_latency + l2p.config.hit_latency
-                return HierarchyResult(
-                    latency=latency, hit_level="l2p", granted_state=S,
-                    exclusive_available=pline.state.is_private)
+                return HierarchyResult(latency, "l2p", granted_state=S,
+                                       exclusive_available=pline.state is M
+                                       or pline.state is E)
             l2p.record_miss()
         outcome = self.controller.read(core_id, line_address, now,
                                        speculative=speculative,
                                        protect_coherence=protect_coherence,
                                        fill_l2=False)
         if outcome.nacked:
-            return HierarchyResult(latency=outcome.latency, hit_level="nack",
-                                   nacked=True)
+            return HierarchyResult(outcome.latency, "nack", nacked=True)
         l1.mshrs.allocate(line_address, now, outcome.latency)
         total_latency = l1.config.hit_latency + outcome.latency
         if (train_prefetcher_speculatively and not instruction
@@ -400,8 +414,7 @@ class NonSpeculativeHierarchy:
             # Only used when the commit-time prefetch protection is disabled
             # (the "fcache only" ablation points of Figures 8 and 9).
             self.train_l2_prefetcher(line_address, pc, now, was_miss=True)
-        return HierarchyResult(latency=total_latency,
-                               hit_level=outcome.hit_level,
+        return HierarchyResult(total_latency, outcome.hit_level,
                                granted_state=S,
                                exclusive_available=outcome.exclusive_available)
 
@@ -419,8 +432,7 @@ class NonSpeculativeHierarchy:
         round trip rather than immediately.
         """
         l1 = self._l1i[core_id] if instruction else self._l1d[core_id]
-        line_address = l1.line_address(address)
-        l2p = self._l2p.get(core_id)
+        line_address = address & self._line_mask
         if l1.probe(line_address) is None:
             if self.config.num_cores > 1:
                 # A peer may have acquired the line privately since the
@@ -433,9 +445,7 @@ class NonSpeculativeHierarchy:
                 if snoop.dirty_owner is not None:
                     self.bus.downgrade_core(snoop.dirty_owner, line_address,
                                             S)
-                    self.l2.fill(line_address, S, now, dirty=True,
-                                 writeback_handler=lambda victim:
-                                 self.memory.write(victim.address, now))
+                    self._fill_l2(line_address, S, now, dirty=True)
                 elif snoop.exclusive_owner is not None:
                     self.bus.downgrade_core(snoop.exclusive_owner,
                                             line_address, S)
@@ -448,14 +458,11 @@ class NonSpeculativeHierarchy:
                 ready_at = now + reload_latency
                 prefetched = True
             state = E if exclusive else S
-            l1.fill(line_address, state, now, prefetched=prefetched,
-                    ready_at=ready_at,
-                    writeback_handler=lambda victim: self._writeback_from_l1(
-                        core_id, victim.address, now))
+            self._fill_l1(core_id, l1, line_address, state, now,
+                          prefetched=prefetched, ready_at=ready_at)
+            l2p = self._l2p.get(core_id)
             if l2p is not None and l2p.probe(line_address) is None:
-                l2p.fill(line_address, state, now,
-                         writeback_handler=lambda victim:
-                         self._writeback_to_l2(victim.address, now))
+                self._fill_l2p(l2p, line_address, state, now)
             if l2p is not None or not instruction:
                 self.bus.note_fill(core_id, line_address)
             if self.l2.probe(line_address) is None:
@@ -479,48 +486,42 @@ class NonSpeculativeHierarchy:
         property, so an unprotected writer's committed store still
         invalidates a MuonTrap peer's speculative copy on a mixed machine.
         """
-        self._store_commits.increment()
+        self._store_commits.value += 1
         broadcast_to_filters = (broadcast_to_filters
                                 or self.bus.has_peer_filter_listeners(
                                     core_id))
         l1 = self._l1d[core_id]
-        line_address = l1.line_address(address)
+        line_address = address & self._line_mask
         line = l1.lookup(line_address, now)
-        already_private = line is not None and line.state.is_private
-        if already_private:
+        if line is not None and (line.state is M or line.state is E):
             line.state = M
             line.dirty = True
-            return HierarchyResult(latency=l1.config.hit_latency,
-                                   hit_level="l1", granted_state=M)
+            return HierarchyResult(l1.config.hit_latency, "l1",
+                                   granted_state=M)
         l2p = self._l2p.get(core_id)
         if l2p is not None:
             pline = l2p.lookup(line_address, now)
-            if pline is not None and pline.state.is_private:
+            if pline is not None and (pline.state is M or pline.state is E):
                 # Ownership already held within the private hierarchy.
                 pline.state = M
                 pline.dirty = True
-                l1.fill(line_address, M, now, dirty=True,
-                        writeback_handler=lambda victim:
-                        self._writeback_from_l1(core_id, victim.address, now))
+                self._fill_l1(core_id, l1, line_address, M, now, dirty=True)
                 return HierarchyResult(
-                    latency=l1.config.hit_latency + l2p.config.hit_latency,
-                    hit_level="l2p", granted_state=M)
+                    l1.config.hit_latency + l2p.config.hit_latency, "l2p",
+                    granted_state=M)
         outcome = self.controller.write(
             core_id, line_address, now, already_private=False,
             broadcast_to_filters=broadcast_to_filters)
         if outcome.triggered_filter_broadcast:
-            self._store_filter_broadcasts.increment()
-        l1.fill(line_address, M, now + outcome.latency, dirty=True,
-                writeback_handler=lambda victim: self._writeback_from_l1(
-                    core_id, victim.address, now + outcome.latency))
+            self._store_filter_broadcasts.value += 1
+        filled_at = now + outcome.latency
+        self._fill_l1(core_id, l1, line_address, M, filled_at, dirty=True)
         if l2p is not None:
-            l2p.fill(line_address, M, now + outcome.latency, dirty=True,
-                     writeback_handler=lambda victim: self._writeback_to_l2(
-                         victim.address, now + outcome.latency))
+            self._fill_l2p(l2p, line_address, M, filled_at, dirty=True)
         self.bus.note_fill(core_id, line_address)
         return HierarchyResult(
-            latency=l1.config.hit_latency + outcome.latency,
-            hit_level=outcome.hit_level, granted_state=M,
+            l1.config.hit_latency + outcome.latency, outcome.hit_level,
+            granted_state=M,
             triggered_filter_broadcast=outcome.triggered_filter_broadcast)
 
     # -- statistics convenience -----------------------------------------------

@@ -11,7 +11,11 @@ queue.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Tuple
+
+#: ``_min_ready`` of a file with no outstanding entry.
+_NONE_OUTSTANDING = float("inf")
 
 
 @dataclass(slots=True)
@@ -32,26 +36,28 @@ class MSHRFile:
             raise ValueError("MSHR file needs at least one entry")
         self.num_entries = num_entries
         self._entries: Dict[int, MSHREntry] = {}
+        # (ready_time, line_address) of every outstanding entry, as a heap,
+        # so retiring takes the head instead of scanning the file.
+        self._retire_order: List[Tuple[int, int]] = []
         self.full_stalls = 0
         self.merges = 0
-        # Lower bound on the earliest ready_time of any outstanding entry;
-        # lets _expire skip the scan entirely when nothing can have retired.
-        self._min_ready = 0
+        # The earliest ready_time of any outstanding entry (infinite when
+        # none is outstanding): until ``now`` reaches it nothing can have
+        # retired, so callers skip _expire altogether.
+        self._min_ready = _NONE_OUTSTANDING
 
     def _expire(self, now: int) -> None:
+        """Retire every entry whose fill has completed by ``now``."""
         entries = self._entries
-        if not entries or now < self._min_ready:
-            return
-        finished = [addr for addr, entry in entries.items()
-                    if entry.ready_time <= now]
-        for addr in finished:
-            del entries[addr]
-        self._min_ready = min(
-            (entry.ready_time for entry in entries.values()), default=0)
+        order = self._retire_order
+        while order and order[0][0] <= now:
+            del entries[heappop(order)[1]]
+        self._min_ready = order[0][0] if order else _NONE_OUTSTANDING
 
     def lookup(self, line_address: int, now: int) -> Optional[MSHREntry]:
         """Return the in-flight entry for this line, if any."""
-        self._expire(now)
+        if now >= self._min_ready:
+            self._expire(now)
         return self._entries.get(line_address)
 
     def allocate(self, line_address: int, now: int,
@@ -62,34 +68,33 @@ class MSHRFile:
         fill completes.  If the file is full the issue is delayed until the
         earliest entry retires, modelling the structural stall.
         """
-        self._expire(now)
-        existing = self._entries.get(line_address)
+        if now >= self._min_ready:
+            self._expire(now)
+        entries = self._entries
+        existing = entries.get(line_address)
         if existing is not None:
             existing.merged_requests += 1
             self.merges += 1
             return existing
         issue_time = now
-        if len(self._entries) >= self.num_entries:
-            earliest = min(entry.ready_time for entry in self._entries.values())
-            issue_time = max(now, earliest)
+        if len(entries) >= self.num_entries:
+            # Every outstanding entry is ready after ``now``, so the miss
+            # issues when the earliest one retires; expiring at that cycle
+            # retires it (and any entry ready at the same cycle).
+            issue_time = self._min_ready
             self.full_stalls += 1
-            # Retire everything that will have finished by then.
             self._expire(issue_time)
-            if len(self._entries) >= self.num_entries:
-                # Still full (all ready later): wait for the earliest one.
-                earliest_addr = min(self._entries,
-                                    key=lambda a: self._entries[a].ready_time)
-                issue_time = self._entries[earliest_addr].ready_time
-                del self._entries[earliest_addr]
-        entry = MSHREntry(line_address=line_address, issue_time=issue_time,
-                          ready_time=issue_time + fill_latency)
-        if not self._entries or entry.ready_time < self._min_ready:
-            self._min_ready = entry.ready_time
-        self._entries[line_address] = entry
+        ready_time = issue_time + fill_latency
+        entry = entries[line_address] = MSHREntry(line_address, issue_time,
+                                                  ready_time)
+        heappush(self._retire_order, (ready_time, line_address))
+        if ready_time < self._min_ready:
+            self._min_ready = ready_time
         return entry
 
     def occupancy(self, now: int) -> int:
-        self._expire(now)
+        if now >= self._min_ready:
+            self._expire(now)
         return len(self._entries)
 
     @property

@@ -19,11 +19,11 @@ filter never changes timing, only the amount of probing work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.coherence.snoop_filter import SnoopFilter
-from repro.coherence.states import CoherenceState, I, S
+from repro.coherence.states import CoherenceState, E, I, M, S
 from repro.common.statistics import StatGroup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance, typing only
@@ -35,17 +35,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance, typing only
 FilterInvalidationListener = Callable[[int], None]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SnoopResult:
     """What snooping the other private caches found for one line."""
 
     dirty_owner: Optional[int] = None
     exclusive_owner: Optional[int] = None
-    sharers: List[int] = field(default_factory=list)
+    sharers: Tuple[int, ...] = ()
 
-    @property
-    def has_private_owner(self) -> bool:
-        return self.dirty_owner is not None or self.exclusive_owner is not None
+
+#: The result of every snoop that finds no copy; immutable, so it is shared.
+_NO_COPIES = SnoopResult()
 
 
 class CoherenceBus:
@@ -117,14 +117,15 @@ class CoherenceBus:
     # -- snooping -----------------------------------------------------------
     def snoop(self, requester: int, line_address: int) -> SnoopResult:
         """Find where (other than the requester) the line currently lives."""
-        self._snoops.increment()
-        result = SnoopResult()
+        self._snoops.value += 1
         snoop_filter = self.snoop_filter
         if (snoop_filter is not None and snoop_filter.precise
                 and not snoop_filter.needs_snoop(requester, line_address)):
             # The directory proves no other core holds the line; probing
             # every cache would find exactly this empty result.
-            return result
+            return _NO_COPIES
+        dirty_owner = exclusive_owner = None
+        sharers: List[int] = []
         for core_id, caches in self._private_caches.items():
             if core_id == requester:
                 continue
@@ -134,25 +135,27 @@ class CoherenceBus:
                 if line is None:
                     continue
                 state = line.state
-                if state is CoherenceState.MODIFIED:
+                if state is M:
                     strongest = state
                     break
-                if state is CoherenceState.EXCLUSIVE:
+                if state is E:
                     strongest = state
                 elif strongest is None:
                     strongest = state
             if strongest is None:
                 continue
-            if strongest is CoherenceState.MODIFIED:
-                result.dirty_owner = core_id
-            elif strongest is CoherenceState.EXCLUSIVE:
-                result.exclusive_owner = core_id
+            if strongest is M:
+                dirty_owner = core_id
+            elif strongest is E:
+                exclusive_owner = core_id
             else:
-                result.sharers.append(core_id)
-        return result
+                sharers.append(core_id)
+        if dirty_owner is None and exclusive_owner is None and not sharers:
+            return _NO_COPIES
+        return SnoopResult(dirty_owner, exclusive_owner, tuple(sharers))
 
     def record_nack(self) -> None:
-        self._nacks.increment()
+        self._nacks.value += 1
 
     # -- state-changing broadcasts -------------------------------------------
     def downgrade_core(self, core_id: int, line_address: int,
@@ -164,9 +167,9 @@ class CoherenceBus:
                 touched += 1
         if touched:
             if to_state is I:
-                self._invalidations.increment()
+                self._invalidations.value += 1
             else:
-                self._downgrades.increment()
+                self._downgrades.value += 1
         if to_state is I and self.snoop_filter is not None:
             # All of the core's private caches lost the line, so the
             # directory entry can be retired safely.
@@ -232,7 +235,7 @@ class CoherenceBus:
                                                             line_address)
         if scope_skip:
             return False
-        self._filter_broadcasts.increment()
+        self._filter_broadcasts.value += 1
         for core_id, listeners in self._filter_listeners.items():
             if core_id == requester:
                 continue

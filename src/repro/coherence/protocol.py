@@ -110,12 +110,21 @@ class CoherenceController:
         self._dirty_transfers = stats.counter("dirty_transfers")
 
     # -- internals -----------------------------------------------------------
+    def _fill_l2(self, line_address: int, state: CoherenceState, now: int,
+                 dirty: bool = False) -> None:
+        """Fill the L2; a dirty victim is written back to memory at ``now``.
+
+        The write-back closure is built here, so the request paths carry no
+        closure cells of their own.
+        """
+        self.l2.fill(line_address, state, now, dirty,
+                     writeback_handler=lambda victim: self.memory.write(
+                         victim.address, now))
+
     def _fetch_into_l2(self, line_address: int, now: int) -> int:
         """Bring a line into the L2 from memory; returns added latency."""
         latency = self.memory.read(line_address, now)
-        self.l2.fill(line_address, E, now + latency,
-                     writeback_handler=lambda victim: self.memory.write(
-                         victim.address, now + latency))
+        self._fill_l2(line_address, E, now + latency)
         return latency
 
     def _l2_lookup_latency(self, line_address: int, now: int) -> Optional[int]:
@@ -151,7 +160,7 @@ class CoherenceController:
         go directly into the filter cache and leave no trace in any
         non-speculative cache.
         """
-        self._reads.increment()
+        self._reads.value += 1
         snoop = self.bus.snoop(requester, line_address)
         latency = self.bus.snoop_latency
 
@@ -161,7 +170,7 @@ class CoherenceController:
                 # behalf of a speculative instruction.  The requester retries
                 # once the access is non-speculative.
                 self.bus.record_nack()
-                self._nacked_reads.increment()
+                self._nacked_reads.value += 1
                 return AccessOutcome(latency=latency, nacked=True,
                                      granted_state=I, hit_level="nack")
             owner = (snoop.dirty_owner if snoop.dirty_owner is not None
@@ -172,10 +181,8 @@ class CoherenceController:
                 next_state(M if was_dirty else E, MesiEvent.REMOTE_READ))
             if was_dirty:
                 # Writeback to the shared L2 so the requester reads clean data.
-                self.l2.fill(line_address, S, now + latency, dirty=True,
-                             writeback_handler=lambda victim: self.memory.write(
-                                 victim.address, now + latency))
-                self._dirty_transfers.increment()
+                self._fill_l2(line_address, S, now + latency, dirty=True)
+                self._dirty_transfers.value += 1
                 latency += self.bus.dirty_transfer_latency
             else:
                 latency += self.l2.config.hit_latency
@@ -213,7 +220,7 @@ class CoherenceController:
         cache (the MuonTrap invalidation broadcast of section 4.5), which is
         only required when the line was *not* already private.
         """
-        self._writes.increment()
+        self._writes.value += 1
         if already_private:
             return AccessOutcome(latency=0, granted_state=M, hit_level="l1")
 
@@ -226,7 +233,7 @@ class CoherenceController:
         if snoop.dirty_owner is not None:
             self.l2.fill(line_address, S, now + latency, dirty=True)
             latency += self.bus.dirty_transfer_latency
-            self._dirty_transfers.increment()
+            self._dirty_transfers.value += 1
         self.bus.invalidate_others(requester, line_address)
 
         l2_latency = self._l2_lookup_latency(line_address, now + latency)
@@ -243,7 +250,7 @@ class CoherenceController:
             # multicast; Figure 7 counts performed broadcasts.
             triggered = self.bus.broadcast_filter_invalidate(
                 requester, line_address, scope_skip=scope_skip)
-        self._upgrades.increment()
+        self._upgrades.value += 1
         return AccessOutcome(latency=latency, granted_state=M,
                              hit_level=hit_level,
                              triggered_filter_broadcast=triggered)
@@ -257,7 +264,7 @@ class CoherenceController:
         pseudo-state commits.  Invalidates stale copies elsewhere (including
         other filter caches) but adds no latency to the committing core.
         """
-        self._upgrades.increment()
+        self._upgrades.value += 1
         scope_skip = self.bus.filter_invalidate_scope_skips(requester,
                                                             line_address)
         self.bus.invalidate_others(requester, line_address)

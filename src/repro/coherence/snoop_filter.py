@@ -52,7 +52,7 @@ class SnoopFilter:
             # directory is no longer an over-approximation for it.
             victim = next(iter(self._sharers))
             del self._sharers[victim]
-            self._evictions.increment()
+            self._evictions.value += 1
             self.precise = False
         self._sharers[line_address].add(core_id)
 
@@ -66,20 +66,21 @@ class SnoopFilter:
             del self._sharers[line_address]
 
     def sharers_of(self, line_address: int) -> Set[int]:
-        self._lookups.increment()
-        return set(self._sharers.get(line_address, set()))
+        self._lookups.value += 1
+        return set(self._sharers.get(line_address, ()))
 
     def needs_snoop(self, requester: int, line_address: int) -> bool:
-        """True when someone other than the requester may hold the line."""
-        others = self.sharers_of(line_address) - {requester}
-        if not others:
-            self._filtered.increment()
-            return False
-        return True
+        """True when someone other than the requester may hold the line.
 
-    def multicast_targets(self, requester: int, line_address: int) -> Set[int]:
-        """Cores whose filter caches must receive an invalidation broadcast."""
-        return self.sharers_of(line_address) - {requester}
+        Counts one lookup, as :meth:`sharers_of` does, but reads the stored
+        sharer set in place instead of copying it.
+        """
+        self._lookups.value += 1
+        sharers = self._sharers.get(line_address)
+        if sharers and (len(sharers) > 1 or requester not in sharers):
+            return True
+        self._filtered.value += 1
+        return False
 
     @property
     def filtered_snoops(self) -> int:

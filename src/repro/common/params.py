@@ -144,6 +144,16 @@ class TLBConfig:
     walk_latency: int = 30
     filter_entries: int = 16
 
+    def __post_init__(self) -> None:
+        if self.entries < 1:
+            raise ValueError(f"entries must be at least 1, got "
+                             f"{self.entries!r}")
+        if self.page_size <= 0 or self.page_size & (self.page_size - 1):
+            raise ValueError(f"page_size must be a positive power of two, "
+                             f"got {self.page_size!r}")
+        # ``filter_entries`` is checked where a filter TLB is built
+        # (repro.tlb.filter_tlb): schemes without one never read it.
+
 
 @dataclass(frozen=True)
 class MemoryConfig:

@@ -80,6 +80,11 @@ class SpeculativeFilterCache:
         # exactly the resident lines, since at most one resident line holds
         # a given physical address (fills evict aliases first).
         self._physical_index: Dict[int, FilterLine] = {}
+        # Virtual-tag index: virtual line address -> its resident line.  A
+        # fill re-uses the line already holding its virtual line, so at
+        # most one resident line has a given virtual tag and CPU-side
+        # lookups need no way scan.
+        self._virtual_index: Dict[int, FilterLine] = {}
         stats = stats or StatGroup(name)
         self.stats = stats
         self._hits = stats.counter("hits")
@@ -106,18 +111,14 @@ class SpeculativeFilterCache:
         Returns the hit line, or None on a miss; either way the lookup
         takes ``config.hit_latency`` cycles.
         """
-        virtual_line = virtual_address & self._offset_mask
-        for line in self._sets[(virtual_address >> self._line_shift)
-                               % self.num_sets]:
-            if line is None or line.virtual_tag != virtual_line:
-                continue
-            if process_id is not None and line.owner_process not in (
-                    None, process_id):
-                continue
+        line = self._virtual_index.get(virtual_address & self._offset_mask)
+        if line is not None and (process_id is None
+                                 or line.owner_process is None
+                                 or line.owner_process == process_id):
             line.last_use = now
-            self._hits.increment()
+            self._hits.value += 1
             return line
-        self._misses.increment()
+        self._misses.value += 1
         return None
 
     # -- memory-side lookup (physically indexed) -----------------------------------
@@ -130,14 +131,10 @@ class SpeculativeFilterCache:
 
     def contains_virtual(self, virtual_address: int,
                          process_id: Optional[int] = None) -> bool:
-        virtual_line = virtual_address & self._offset_mask
-        for line in self._sets[(virtual_address >> self._line_shift)
-                               % self.num_sets]:
-            if line is not None and line.virtual_tag == virtual_line and (
-                    process_id is None or line.owner_process in (
-                        None, process_id)):
-                return True
-        return False
+        line = self._virtual_index.get(virtual_address & self._offset_mask)
+        return line is not None and (process_id is None
+                                     or line.owner_process is None
+                                     or line.owner_process == process_id)
 
     # -- fills ------------------------------------------------------------------
     def fill(self, virtual_address: int, physical_address: int, now: int, *,
@@ -157,33 +154,36 @@ class SpeculativeFilterCache:
         alias = self._physical_index.get(physical_line)
         if alias is not None and alias.virtual_tag != virtual_line:
             self._remove(alias)
+        # Re-use the line if it is already present (refill after downgrade).
+        line = self._virtual_index.get(virtual_line)
+        if line is not None:
+            line.committed = line.committed or committed
+            line.se_upgrade_pending = line.se_upgrade_pending or se_upgrade
+            line.last_use = now
+            return line
         ways = self._sets[(virtual_address >> self._line_shift)
                           % self.num_sets]
-        # Re-use the line if it is already present (refill after downgrade).
-        for line in ways:
-            if line is not None and line.virtual_tag == virtual_line:
-                line.committed = line.committed or committed
-                line.se_upgrade_pending = line.se_upgrade_pending or se_upgrade
-                line.last_use = now
-                return line
         if None in ways:
             way = ways.index(None)
         else:
             victim = min(ways, key=_last_use)
             way = victim.way
             del self._physical_index[victim.address]
-            self._evictions.increment()
+            del self._virtual_index[victim.virtual_tag]
+            self._evictions.value += 1
             if not victim.committed:
-                self._uncommitted_evictions.increment()
+                self._uncommitted_evictions.value += 1
         line = FilterLine(physical_line, virtual_line, process_id, committed,
                           se_upgrade, fill_level, now, way)
-        ways[way] = self._physical_index[physical_line] = line
-        self._fills.increment()
+        ways[way] = self._physical_index[physical_line] = \
+            self._virtual_index[virtual_line] = line
+        self._fills.value += 1
         return line
 
     def _remove(self, line: FilterLine) -> None:
         """Drop a resident line, leaving its way empty."""
         del self._physical_index[line.address]
+        del self._virtual_index[line.virtual_tag]
         self._sets[(line.virtual_tag >> self._line_shift)
                    % self.num_sets][line.way] = None
 
@@ -197,23 +197,20 @@ class SpeculativeFilterCache:
         been evicted, in which case the caller re-requests it from the
         hierarchy (section 4.2).
         """
-        virtual_line = virtual_address & self._offset_mask
-        for line in self._sets[(virtual_address >> self._line_shift)
-                               % self.num_sets]:
-            if line is not None and line.virtual_tag == virtual_line:
-                if not line.committed:
-                    line.committed = True
-                    self._commits.increment()
-                line.last_use = now
-                return line
-        return None
+        line = self._virtual_index.get(virtual_address & self._offset_mask)
+        if line is not None:
+            if not line.committed:
+                line.committed = True
+                self._commits.value += 1
+            line.last_use = now
+        return line
 
     def invalidate_physical(self, physical_address: int) -> bool:
         """Invalidate by physical address (coherence broadcast target)."""
         line = self._physical_index.get(physical_address & self._offset_mask)
         if line is None:
             return False
-        self._snoop_invalidations.increment()
+        self._snoop_invalidations.value += 1
         self._remove(line)
         return True
 
@@ -229,10 +226,11 @@ class SpeculativeFilterCache:
         dropped = len(self._physical_index)
         if dropped:
             self._physical_index.clear()
+            self._virtual_index.clear()
             self._sets = [[None] * self.associativity
                           for _ in range(self.num_sets)]
-        self._flushes.increment()
-        self._lines_flushed.increment(dropped)
+        self._flushes.value += 1
+        self._lines_flushed.value += dropped
         return dropped
 
     # -- observability ---------------------------------------------------------

@@ -51,6 +51,13 @@ class CoreState:
     #: The core's own ablation switches: on a heterogeneous machine two
     #: MuonTrap cores may enable different subsets of the mechanisms.
     protection: Optional[ProtectionConfig] = None
+    #: MuonTrap's same-line ``commit_fetch`` memo: ``(process, line,
+    #: promoted, found)`` of the last call, or None once the instruction
+    #: side may have changed (see MuonTrapMemorySystem.commit_fetch).
+    fetch_memo: Optional[tuple] = None
+    #: The address bits that memo's ``line`` keeps: the smallest of the
+    #: instruction filter line, the L1I line and the page.
+    fetch_memo_mask: int = -1
 
 
 class SchemeFrontend(MemorySystem):

@@ -65,6 +65,9 @@ class MuonTrapMemorySystem(SchemeFrontend):
         core.data_filter = data_filter
         core.inst_filter = inst_filter
         core.protection = protection
+        core.fetch_memo_mask = -min(per_core.inst_filter.line_size,
+                                    per_core.l1i.line_size,
+                                    per_core.tlb.page_size)
         # Register the filter caches as targets of exclusive-upgrade
         # invalidation broadcasts (section 4.5).  Registration is what
         # makes the fabric multicast to this core (see
@@ -93,6 +96,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
     def _flush_core(self, core_id: int) -> None:
         """Clear all speculative state once the core's domain has switched."""
         core = self._cores[core_id]
+        core.fetch_memo = None
         protection = core.protection
         if protection.data_filter_cache and \
                 protection.clear_on_context_switch:
@@ -185,6 +189,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
               now: int, *, speculative: bool, pc: int = 0
               ) -> MemoryAccessResult:
         core = self._cores[core_id]
+        core.fetch_memo = None
         protection = core.protection
         physical, tlb_latency = self._translate(
             core_id, process_id, virtual_address, instruction=True,
@@ -225,7 +230,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
         never stalled by the memory system under MuonTrap (section 4.5,
         "Wider Implications").
         """
-        self._committed_loads.increment()
+        self._committed_loads.value += 1
         core = self._cores[core_id]
         protection = core.protection
         space = self.page_tables.address_space(process_id)
@@ -261,7 +266,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
                      now: int, *, pc: int = 0) -> int:
         """A committed store obtains ownership and writes through to the L1."""
-        self._committed_stores.increment()
+        self._committed_stores.value += 1
         core = self._cores[core_id]
         protection = core.protection
         space = self.page_tables.address_space(process_id)
@@ -273,7 +278,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
         result = self.hierarchy.commit_store(core_id, physical, now,
                                              broadcast_to_filters=broadcast)
         if result.triggered_filter_broadcast:
-            self._store_broadcasts.increment()
+            self._store_broadcasts.value += 1
         if protection.data_filter_cache:
             line = core.data_filter.mark_committed(virtual_address, now)
             if line is not None:
@@ -289,19 +294,48 @@ class MuonTrapMemorySystem(SchemeFrontend):
 
     def commit_fetch(self, core_id: int, process_id: int,
                      virtual_address: int, now: int, *, pc: int = 0) -> int:
+        """Commit an instruction: promote its translation, set its inst
+        filter line's committed bit and write the line through to the L1I.
+
+        Most calls repeat the previous one's process and line.  Only
+        ``fetch``, ``_flush_core`` and a misspeculation flush touch the
+        instruction-side MMU, the inst filter or the L1I between two
+        commits (no snoop, broadcast or data-side access reaches them), and
+        each clears the memo.  So a repeat finds the page mapped, the main
+        TLB entry already most recent, the committed bit set and the L1I
+        holding the line: all it changes is ``filter_tlb.promotions`` (when
+        the first call promoted) and the inst filter line's LRU stamp.
+        """
         core = self._cores[core_id]
+        memo = core.fetch_memo
+        if (memo is not None and memo[0] == process_id
+                and memo[1] == virtual_address & core.fetch_memo_mask):
+            if memo[2]:
+                core.inst_mmu.filter_tlb._promotions.value += 1
+            if memo[3]:
+                core.inst_filter.mark_committed(virtual_address, now)
+            return 0
         space = self.page_tables.address_space(process_id)
         physical = space.translate(virtual_address)
         if physical is None:
             return 0
+        filter_tlb = core.inst_mmu.filter_tlb
+        # commit_translation promotes exactly when the filter TLB holds
+        # the page.
+        promoted = (filter_tlb is not None and filter_tlb.probe(
+            process_id, virtual_address) is not None)
         core.inst_mmu.commit_translation(space, virtual_address)
-        if not core.protection.instruction_filter_cache:
-            return 0
-        line = core.inst_filter.mark_committed(virtual_address, now)
-        if line is not None:
-            # Read-only data: no upgrade transaction is needed (section 4.7).
-            self.hierarchy.commit_fill_l1(core_id, physical, now,
-                                          exclusive=False, instruction=True)
+        line = None
+        if core.protection.instruction_filter_cache:
+            line = core.inst_filter.mark_committed(virtual_address, now)
+            if line is not None:
+                # Read-only data: no upgrade transaction is needed (section
+                # 4.7).
+                self.hierarchy.commit_fill_l1(core_id, physical, now,
+                                              exclusive=False,
+                                              instruction=True)
+        core.fetch_memo = (process_id, virtual_address & core.fetch_memo_mask,
+                           promoted, line is not None)
         return 0
 
     # -- control events ------------------------------------------------------------------
@@ -311,11 +345,12 @@ class MuonTrapMemorySystem(SchemeFrontend):
         protection = core.protection
         if not protection.clear_on_misspeculate:
             return
-        self._misspeculation_flushes.increment()
+        self._misspeculation_flushes.value += 1
         if protection.data_filter_cache:
             core.data_filter.flush()
         if protection.instruction_filter_cache:
             core.inst_filter.flush()
+            core.fetch_memo = None
 
     # -- statistics ------------------------------------------------------------------------
     @property

@@ -63,7 +63,10 @@ class TournamentPredictor:
         self.stats = stats
         self._predictions = stats.counter("predictions")
         self._mispredictions = stats.counter("mispredictions")
-        self._btb_misses = stats.counter("btb_misses")
+        # ``btb_misses`` stays 0: no target lookup happens ahead of
+        # ``update``.  It is registered so that the statistics tree (and the
+        # golden stats) keep their shape.
+        stats.counter("btb_misses")
 
     # -- prediction / update ------------------------------------------------------
     def predict(self, pc: int) -> bool:
@@ -79,12 +82,6 @@ class TournamentPredictor:
                 self._local_history[word % config.local_entries]
                 % config.local_entries]
         return counter >= WEAKLY_TAKEN
-
-    def predict_target(self, pc: int) -> Optional[int]:
-        target = self.btb.lookup(pc)
-        if target is None:
-            self._btb_misses.increment()
-        return target
 
     def update(self, pc: int, taken: bool,
                target: Optional[int] = None) -> bool:

@@ -52,7 +52,7 @@ from repro.sim.runner import (
     parallel_jobs,
 )
 from repro.sim.simulator import SimulationResult, Simulator
-from repro.sim.system import build_system
+from repro.sim.system import build_memory_system, build_system
 from repro.telemetry.log import get_logger, log_event
 from repro.telemetry.metrics import MetricsSampler
 from repro.telemetry.phases import phase
@@ -258,6 +258,13 @@ def execute_cells(specs: Sequence[RunSpec], *,
                 continue
         pending.append((key, spec))
         pending_keys.add(key)
+
+    # A machine that cannot be built (an unknown scheme, a filter TLB with
+    # no entry) is a configuration mistake: building each pending machine's
+    # memory system once raises its ValueError here, before any cell runs,
+    # instead of failing every cell after the executor's retries.
+    for config in {spec.config for _, spec in pending}:
+        build_memory_system(config)
 
     total = len(results) + len(pending)
     progress_state = {"done": len(results)}
@@ -557,6 +564,8 @@ class Campaign:
         if baseline_label in configs:
             raise ValueError(
                 f"baseline label {baseline_label!r} shadows a configuration")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self.benchmarks = list(benchmarks)
         self.configs = dict(configs)
         self.baseline_config = baseline_config

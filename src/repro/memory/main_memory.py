@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.addresses import block_align
 from repro.common.params import MemoryConfig
 from repro.common.statistics import StatGroup
 
@@ -23,6 +22,10 @@ class MainMemory:
                  stats: Optional[StatGroup] = None,
                  num_banks: int = 8, bank_conflict_penalty: int = 20) -> None:
         self.config = config or MemoryConfig()
+        line_size = self.config.line_size
+        if line_size <= 0 or line_size & (line_size - 1):
+            raise ValueError("line size must be a power of two")
+        self._line_shift = line_size.bit_length() - 1
         self.num_banks = num_banks
         self.bank_conflict_penalty = bank_conflict_penalty
         stats = stats or StatGroup("memory")
@@ -31,14 +34,10 @@ class MainMemory:
         self._busy_until = [0] * num_banks
         self.stats = stats
 
-    def _bank(self, address: int) -> int:
-        line = block_align(address, self.config.line_size)
-        return (line // self.config.line_size) % self.num_banks
-
     def read(self, address: int, now: int = 0) -> int:
         """Read one line; returns the access latency in cycles."""
-        self._reads.increment()
-        bank = self._bank(address)
+        self._reads.value += 1
+        bank = (address >> self._line_shift) % self.num_banks
         latency = self.config.access_latency
         if now < self._busy_until[bank]:
             latency += self.bank_conflict_penalty
@@ -47,8 +46,8 @@ class MainMemory:
 
     def write(self, address: int, now: int = 0) -> int:
         """Accept a writeback; returns the occupancy cost in cycles."""
-        self._writes.increment()
-        bank = self._bank(address)
+        self._writes.value += 1
+        bank = (address >> self._line_shift) % self.num_banks
         latency = self.config.access_latency
         self._busy_until[bank] = now + latency
         return latency

@@ -86,11 +86,12 @@ class PageTableManager:
         self._spaces: Dict[int, AddressSpace] = {}
 
     def address_space(self, process_id: int) -> AddressSpace:
-        if process_id not in self._spaces:
-            self._spaces[process_id] = AddressSpace(
+        space = self._spaces.get(process_id)
+        if space is None:
+            space = self._spaces[process_id] = AddressSpace(
                 process_id=process_id, allocator=self.allocator,
                 page_size=self.page_size)
-        return self._spaces[process_id]
+        return space
 
     def __contains__(self, process_id: int) -> bool:
         return process_id in self._spaces

@@ -12,15 +12,18 @@ execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.common.statistics import StatGroup
 
 
-@dataclass(frozen=True, slots=True)
-class TrainingEvent:
-    """One observation given to a prefetcher."""
+class TrainingEvent(NamedTuple):
+    """One observation given to a prefetcher.
+
+    An immutable record; a named tuple rather than a frozen dataclass
+    because one is built for every training event, and a frozen
+    dataclass's ``__init__`` sets each field through ``object.__setattr__``.
+    """
 
     address: int
     pc: int
@@ -41,9 +44,9 @@ class Prefetcher:
 
     def train(self, event: TrainingEvent) -> List[int]:
         """Observe one access; return line addresses to prefetch (maybe [])."""
-        self._trainings.increment()
+        self._trainings.value += 1
         candidates = self._propose(event)
-        self._issued.increment(len(candidates))
+        self._issued.value += len(candidates)
         return candidates
 
     def _propose(self, event: TrainingEvent) -> List[int]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.common.addresses import block_align
 from repro.common.statistics import StatGroup
 from repro.prefetch.base import Prefetcher, TrainingEvent
 
@@ -39,6 +38,9 @@ class StreamPrefetcher(Prefetcher):
                  confidence_threshold: int = 2,
                  stats: Optional[StatGroup] = None) -> None:
         super().__init__(line_size=line_size, stats=stats)
+        if line_size <= 0 or line_size & (line_size - 1):
+            raise ValueError("line size must be a power of two")
+        self._line_mask = -line_size
         self.region_bits = region_bits
         self.table_entries = table_entries
         self.degree = degree
@@ -48,41 +50,40 @@ class StreamPrefetcher(Prefetcher):
         self._insertions = self.stats.counter("stream_allocations")
         self._disruptions = self.stats.counter("stream_disruptions")
 
-    def _region(self, address: int) -> int:
-        return address >> self.region_bits
-
     def _propose(self, event: TrainingEvent) -> List[int]:
-        region = self._region(event.address)
+        address = event.address
+        region = address >> self.region_bits
         entry = self._table.get(region)
         if entry is None:
             if len(self._table) >= self.table_entries:
                 # Evict an arbitrary (oldest-inserted) region.
                 self._table.pop(next(iter(self._table)))
-            self._table[region] = StreamEntry(last_address=event.address)
-            self._insertions.increment()
+            self._table[region] = StreamEntry(last_address=address)
+            self._insertions.value += 1
             return []
-        stride = event.address - entry.last_address
-        entry.last_address = event.address
+        stride = address - entry.last_address
+        entry.last_address = address
         if stride == 0:
             return []
         if stride == entry.stride:
             entry.confidence = min(3, entry.confidence + 1)
         else:
             if entry.confidence > 0:
-                self._disruptions.increment()
+                self._disruptions.value += 1
             entry.confidence = max(0, entry.confidence - 1)
             if entry.confidence == 0:
                 entry.stride = stride
         if entry.confidence < self.confidence_threshold or entry.stride == 0:
             return []
         candidates: List[int] = []
+        line_mask = self._line_mask
+        own_line = address & line_mask
         for ahead in range(1, self.degree + 1):
-            target = event.address + entry.stride * (self.distance + ahead)
+            target = address + entry.stride * (self.distance + ahead)
             if target < 0:
                 continue
-            line = block_align(target, self.line_size)
-            if line != block_align(event.address, self.line_size) and \
-                    line not in candidates:
+            line = target & line_mask
+            if line != own_line and line not in candidates:
                 candidates.append(line)
         return candidates
 
@@ -91,7 +92,7 @@ class StreamPrefetcher(Prefetcher):
 
     def entry_for_address(self, address: int) -> Optional[StreamEntry]:
         """Inspect the detector entry an address maps to (test helper)."""
-        return self._table.get(self._region(address))
+        return self._table.get(address >> self.region_bits)
 
     @property
     def disruptions(self) -> int:

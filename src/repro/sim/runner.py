@@ -55,9 +55,15 @@ def instructions_per_workload(explicit: Optional[int] = None) -> int:
 
     Precedence: an ``explicit`` request (a CLI flag, a constructor
     argument) wins outright; otherwise the ``REPRO_INSTRUCTIONS``
-    environment variable; otherwise :data:`DEFAULT_INSTRUCTIONS`.
+    environment variable; otherwise :data:`DEFAULT_INSTRUCTIONS`.  An
+    explicit request must be an integer of at least 1 (a bool is not a
+    count).
     """
     if explicit is not None:
+        if (not isinstance(explicit, int) or isinstance(explicit, bool)
+                or explicit < 1):
+            raise ValueError(f"instructions must be an integer of at "
+                             f"least 1, got {explicit!r}")
         return explicit
     value = env_int("REPRO_INSTRUCTIONS", minimum=500)
     if value is not None:

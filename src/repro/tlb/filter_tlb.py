@@ -24,6 +24,10 @@ class FilterTLB:
                  main_tlb: Optional[TLB] = None,
                  stats: Optional[StatGroup] = None) -> None:
         self.config = config or TLBConfig()
+        if self.config.filter_entries < 1:
+            raise ValueError(f"a filter TLB needs at least one entry, got "
+                             f"tlb.filter_entries="
+                             f"{self.config.filter_entries!r}")
         stats = stats or StatGroup("filter_tlb")
         self.stats = stats
         self._tlb = TLB(config=self.config, entries=self.config.filter_entries,
@@ -56,12 +60,12 @@ class FilterTLB:
             return False
         if self.main_tlb is not None:
             self.main_tlb.insert(process_id, virtual_address, frame)
-        self._promotions.increment()
+        self._promotions.value += 1
         return True
 
     def flush(self) -> int:
         """Invalidate all speculative translations (context switch)."""
-        self._flushes.increment()
+        self._flushes.value += 1
         return self._tlb.flush()
 
     def __len__(self) -> int:

@@ -34,10 +34,10 @@ class PageTableWalker:
     def walk(self, address_space: AddressSpace,
              virtual_address: int) -> Optional[int]:
         """Resolve one translation; returns the physical address or None."""
-        self._walks.increment()
+        self._walks.value += 1
         physical = address_space.translate(virtual_address, allocate=True)
         if physical is None:
-            self._faults.increment()
+            self._faults.value += 1
         return physical
 
     @property
@@ -88,6 +88,15 @@ class MMU:
                                         stats=stats.child("filter_tlb"))
         self.walker = PageTableWalker(config=self.config,
                                       stats=stats.child("walker"))
+        # Hot-path views of the TLB tables: a main-TLB hit and a filter-TLB
+        # promotion read and update them in place instead of going through
+        # TLB.lookup / FilterTLB.commit / TLB.insert (same LRU order and
+        # counters; see those methods).
+        self._page_shift = self.tlb._page_shift
+        self._page_offset_mask = self.tlb.page_size - 1
+        self._tlb_entries = self.tlb._entries
+        self._filter_entries = (self.filter_tlb._tlb._entries
+                                if self.filter_tlb is not None else None)
 
     def translate_address(self, address_space: AddressSpace,
                           virtual_address: int,
@@ -102,39 +111,62 @@ class MMU:
         4.7).
         """
         process_id = address_space.process_id
-        config = self.config
-        frame = self.tlb.lookup(process_id, virtual_address)
-        if frame is None and self.filter_tlb is not None:
-            frame = self.filter_tlb.lookup(process_id, virtual_address)
+        tag = (process_id, virtual_address >> self._page_shift)
+        tlb = self.tlb
+        entries = self._tlb_entries
+        frame = entries.get(tag)
         if frame is not None:
-            return (frame * config.page_size
-                    + (virtual_address & (config.page_size - 1)),
-                    config.hit_latency)
+            entries.move_to_end(tag)
+            tlb._hits.value += 1
+            return ((frame << self._page_shift)
+                    + (virtual_address & self._page_offset_mask),
+                    self.config.hit_latency)
+        tlb._misses.value += 1
+        if self.filter_tlb is not None:
+            frame = self.filter_tlb.lookup(process_id, virtual_address)
+            if frame is not None:
+                return ((frame << self._page_shift)
+                        + (virtual_address & self._page_offset_mask),
+                        self.config.hit_latency)
         physical = self.walker.walk(address_space, virtual_address)
         if physical is None:
             return None, self.walker.walk_latency
-        frame = physical // config.page_size
+        frame = physical >> self._page_shift
         if speculative and self.filter_tlb is not None:
             self.filter_tlb.insert_speculative(process_id, virtual_address,
                                                frame)
         else:
-            self.tlb.insert(process_id, virtual_address, frame)
+            tlb.insert(process_id, virtual_address, frame)
         return physical, self.walker.walk_latency
 
     def commit_translation(self, address_space: AddressSpace,
                            virtual_address: int) -> None:
-        """Promote a speculative translation when its instruction commits."""
+        """Promote a speculative translation when its instruction commits.
+
+        The filter-TLB entry, while it lasts, is copied into the main TLB
+        (and stays in the filter TLB) as :meth:`FilterTLB.commit` does.
+        Once it is gone, the paper re-translates at commit and the result
+        lands directly in the non-speculative TLB.
+        """
         if self.filter_tlb is None:
             return
-        promoted = self.filter_tlb.commit(address_space.process_id,
-                                          virtual_address)
-        if not promoted:
-            # The paper re-translates at commit when the speculative entry is
-            # gone; the result lands directly in the non-speculative TLB.
+        tag = (address_space.process_id, virtual_address >> self._page_shift)
+        frame = self._filter_entries.get(tag)
+        if frame is not None:
+            self.filter_tlb._promotions.value += 1
+        else:
             physical = address_space.translate(virtual_address, allocate=True)
-            if physical is not None:
-                self.tlb.insert(address_space.process_id, virtual_address,
-                                physical // self.config.page_size)
+            if physical is None:
+                return
+            frame = physical >> self._page_shift
+        # TLB.insert, in place.
+        entries = self._tlb_entries
+        if tag in entries:
+            entries.move_to_end(tag)
+        elif len(entries) >= self.tlb.capacity:
+            entries.popitem(last=False)
+            self.tlb._evictions.value += 1
+        entries[tag] = frame
 
     def context_switch(self) -> None:
         """Flush speculative translation state on a protection-domain switch."""

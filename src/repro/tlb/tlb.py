@@ -44,10 +44,10 @@ class TLB:
         tag = (process_id, virtual_address >> self._page_shift)
         frame = self._entries.get(tag)
         if frame is None:
-            self._misses.increment()
+            self._misses.value += 1
             return None
         self._entries.move_to_end(tag)
-        self._hits.increment()
+        self._hits.value += 1
         return frame
 
     def probe(self, process_id: int, virtual_address: int) -> Optional[int]:
@@ -64,31 +64,15 @@ class TLB:
             entries.move_to_end(tag)
         elif len(entries) >= self.capacity:
             entries.popitem(last=False)
-            self._evictions.increment()
+            self._evictions.value += 1
         entries[tag] = frame
-
-    def translate(self, process_id: int,
-                  virtual_address: int) -> Optional[int]:
-        """Full translation through the TLB (None on a miss)."""
-        frame = self.lookup(process_id, virtual_address)
-        if frame is None:
-            return None
-        return (frame * self.page_size
-                + (virtual_address & (self.page_size - 1)))
 
     def flush(self) -> int:
         """Drop every entry; returns how many were dropped."""
         dropped = len(self._entries)
         self._entries.clear()
-        self._flushes.increment()
+        self._flushes.value += 1
         return dropped
-
-    def flush_process(self, process_id: int) -> int:
-        """Drop entries belonging to one process (used on address-space exit)."""
-        victims = [tag for tag in self._entries if tag[0] == process_id]
-        for tag in victims:
-            del self._entries[tag]
-        return len(victims)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -214,6 +214,17 @@ class TestErrors:
                            match=rf"SystemConfig\.l2: .*{field}.*'{name}'"):
             machine_from_dict(payload)
 
+    @pytest.mark.parametrize("field, value", [
+        ("page_size", 1000),
+        ("entries", 0),
+    ])
+    def test_unusable_tlb_geometry_names_the_field(self, field, value):
+        payload = machine_to_dict(SystemConfig())
+        payload["tlb"][field] = value
+        with pytest.raises(MachineFormatError,
+                           match=rf"SystemConfig\.tlb: {field} .*{value}"):
+            machine_from_dict(payload)
+
     def test_versioned_output(self):
         assert machine_to_dict(SystemConfig())["schema_version"] \
             == MACHINE_SCHEMA_VERSION

@@ -315,7 +315,6 @@ class TestSnoopFilter:
         snoop_filter.record_fill(1, 0x100)
         assert snoop_filter.sharers_of(0x100) == {0, 1}
         assert snoop_filter.needs_snoop(0, 0x100)
-        assert snoop_filter.multicast_targets(0, 0x100) == {1}
         snoop_filter.record_eviction(1, 0x100)
         assert not snoop_filter.needs_snoop(0, 0x100)
 

@@ -5,6 +5,7 @@ import pytest
 from repro.common.params import (
     ProtectionConfig,
     SystemConfig,
+    TLBConfig,
 )
 from repro.core.domains import DomainKind, DomainTracker
 from repro.core.muontrap import MuonTrapMemorySystem
@@ -145,6 +146,46 @@ class TestCommitTimePrefetch:
         ahead = [line for line in hierarchy.l2.resident_lines()
                  if line.prefetched and line.address > last]
         assert ahead
+
+
+class TestCommitFetch:
+    """``commit_fetch`` skips a repeat of its previous call's line, which
+    must change exactly what the full path would."""
+
+    A, B = 0x40_0000, 0x40_1000          # on pages P and Q
+
+    def test_a_repeat_counts_another_promotion(self):
+        memory = build()
+        inst_filter = memory.inst_filter(0)
+        filter_tlb = memory.core_state(0).inst_mmu.filter_tlb
+        memory.fetch(0, 0, self.A, 100, speculative=True)
+        memory.commit_fetch(0, 0, self.A, 200)
+        memory.commit_fetch(0, 0, self.A + 4, 201)
+        assert filter_tlb.promotions == 2
+        assert inst_filter.stats.get("line_commits") == 1
+        line = inst_filter.probe_physical(
+            memory.page_tables.address_space(0).translate(self.A))
+        assert line.last_use == 201
+
+    @pytest.mark.parametrize("between", ["fetch", "context_switch"])
+    def test_a_fetch_or_domain_switch_between_commits_clears_the_memo(
+            self, between):
+        """With a one-entry filter TLB, fetching B (page Q) evicts page P,
+        and a domain switch flushes the filter TLB; either way the second
+        commit of A finds no filter-TLB entry and promotes nothing."""
+        memory = MuonTrapMemorySystem(SystemConfig(
+            mode="muontrap", tlb=TLBConfig(filter_entries=1)))
+        filter_tlb = memory.core_state(0).inst_mmu.filter_tlb
+        memory.fetch(0, 0, self.A, 100, speculative=True)
+        memory.commit_fetch(0, 0, self.A, 200)
+        assert filter_tlb.promotions == 1
+        if between == "fetch":
+            memory.fetch(0, 0, self.B, 300, speculative=True)
+        else:
+            memory.context_switch(0, 300)
+        assert filter_tlb.probe(0, self.A) is None
+        memory.commit_fetch(0, 0, self.A, 400)
+        assert filter_tlb.promotions == 1
 
 
 class TestDomainTracker:

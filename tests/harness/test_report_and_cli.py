@@ -219,6 +219,36 @@ class TestCli:
         assert f"'{name}'" in captured.err
         assert "FAILED" not in captured.out
 
+    @pytest.mark.parametrize("field, value", [
+        ("page_size", 1000),
+        ("entries", 0),
+        ("filter_entries", 0),
+    ])
+    def test_machine_file_with_an_unusable_tlb_is_rejected(
+            self, capsys, tmp_path, field, value):
+        payload = SystemConfig(mode="muontrap").to_dict()
+        payload["tlb"][field] = value
+        machine = tmp_path / f"{field}.json"
+        machine.write_text(json.dumps(payload))
+        assert self.run_cli("run", "--suite", "hmmer",
+                            "--machine-file", str(machine)) == 2
+        captured = capsys.readouterr()
+        error_lines = captured.err.splitlines()
+        assert len(error_lines) == 1 and error_lines[0].startswith("error:")
+        assert f"{field}" in captured.err and f"{value}" in captured.err
+        assert "FAILED" not in captured.out
+
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    def test_instruction_count_below_one_is_a_config_error(self, capsys,
+                                                           count):
+        assert self.run_cli("run", "--suite", "mcf", "--mode", "muontrap",
+                            "--instructions", count, "--no-store") == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: instructions must be an integer of at least 1, "
+            f"got {count}"]
+        assert "geomean" not in captured.out
+
     def test_unknown_on_off_spelling_is_a_config_error(self, capsys,
                                                        monkeypatch):
         """``REPRO_STORE_FSYNC=enabled`` is rejected, not read as off."""

@@ -121,6 +121,70 @@ class TestValidation:
         assert "SystemConfig.l2" in excinfo.value.message
         assert f"'{name}'" in excinfo.value.message
 
+    @pytest.mark.parametrize("field, value", [
+        ("page_size", 1000),
+        ("entries", 0),
+    ])
+    def test_machine_with_an_unusable_tlb_is_a_400(self, client, field,
+                                                   value):
+        machine = SystemConfig().to_dict()
+        machine["tlb"][field] = value
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate("mcf", machine=machine,
+                            instructions=INSTRUCTIONS)
+        assert excinfo.value.status == 400
+        assert f"SystemConfig.tlb: {field} " in excinfo.value.message
+
+    @pytest.mark.parametrize("param, value", [
+        ("instructions", "abc"),
+        ("instructions", 1.5),
+        ("instructions", -5),
+        ("instructions", 0),
+        ("instructions", True),
+        ("seed", "x"),
+        ("seed", 1.5),
+        ("seed", None),
+    ])
+    def test_bad_instruction_count_or_seed_is_a_400(self, client, param,
+                                                    value):
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate("mcf", **{"instructions": INSTRUCTIONS,
+                                      param: value})
+        assert excinfo.value.status == 400
+        assert param in excinfo.value.message
+
+    def test_filter_entries_matter_only_where_a_filter_tlb_is_built(
+            self, client):
+        """A MuonTrap machine without a filter-TLB entry is a 400 before
+        any cell runs; an unprotected machine never builds a filter TLB,
+        so the same field leaves it running as before."""
+        machine = SystemConfig(mode="muontrap").to_dict()
+        machine["tlb"]["filter_entries"] = 0
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate("mcf", machine=machine,
+                            instructions=INSTRUCTIONS)
+        assert excinfo.value.status == 400
+        assert "tlb.filter_entries=0" in excinfo.value.message
+        machine["mode"] = "unprotected"
+        payload = client.simulate("mcf", machine=machine,
+                                  instructions=INSTRUCTIONS)
+        plain = api.simulate("mcf", scheme="unprotected",
+                             instructions=INSTRUCTIONS)
+        assert payload["result"]["cycles"] == plain.cycles
+
+    @pytest.mark.parametrize("param, value", [
+        ("instructions", -5),
+        ("seed", "x"),
+    ])
+    def test_compare_job_with_a_bad_count_or_seed_fails_with_the_message(
+            self, client, param, value):
+        job = client.submit_compare(["muontrap"], suite="mcf",
+                                    **{"instructions": INSTRUCTIONS,
+                                       param: value})
+        with pytest.raises(ServiceError) as excinfo:
+            client.wait(job["id"], timeout=60)
+        assert f"{param} must be an integer" in excinfo.value.message
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.job("sweep-0000000000000000")

@@ -1,9 +1,11 @@
 """Tests for the event tracer: determinism, correctness and the guard."""
 
+import collections
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from repro.common.params import SystemConfig, corun_system_config
+from repro.schemes import available_schemes
 from repro.telemetry import (
     CATEGORIES,
     TraceEvent,
@@ -156,6 +160,58 @@ class TestTracedSimulation:
             self, outcome):
         commits = outcome.tracer.counts()[("pipeline", "commit")]
         assert commits == INSTRUCTIONS
+
+
+#: Every hit, miss and eviction counter of a private L1, private L2 or the
+#: shared L2: ``(core or None, unit, counter)``.
+CACHE_COUNTER = re.compile(r"system\.memory_system\.hierarchy\."
+                           r"(?:core(\d+)\.)?(l1d|l1i|l2p|l2)\."
+                           r"(hits|misses|evictions)$")
+EVENT_OF_COUNTER = {"hits": "hit", "misses": "miss", "evictions": "evict"}
+#: (case name, workload, machine): every built-in scheme, and a two-core
+#: co-run on the private-L2 topology, where peers really snoop.
+TWIN_MACHINES = [
+    (spec.name, "mcf", SystemConfig(mode=spec.name))
+    for spec in available_schemes() if spec.builtin
+] + [
+    (f"corun-{scheme}", "mix-pointer-stream",
+     corun_system_config(scheme, num_cores=2))
+    for scheme in ("muontrap", "unprotected")
+]
+
+
+@pytest.mark.parametrize("name, workload, machine", TWIN_MACHINES,
+                         ids=[case[0] for case in TWIN_MACHINES])
+def test_every_traced_cache_and_bus_hook_has_its_counter_twin(
+        name, workload, machine):
+    """A fast path that bypasses a traced hook loses its events: start
+    from the counters, so a unit that emitted nothing is checked too."""
+    outcome = api.simulate(workload, machine, seed=SEED, instructions=2000,
+                           warmup_fraction=0.0, collect_stats=True,
+                           trace=True)
+    events = collections.Counter()
+    for event in outcome.tracer.events:
+        if event.category == "cache":
+            events[(event.core, event.detail["unit"], event.name)] += 1
+        elif event.category == "coherence":
+            events[event.name] += 1
+    checked = []
+    for path, value in outcome.stats.items():
+        match = CACHE_COUNTER.match(path)
+        if match is None:
+            continue
+        core, unit, counter = match.groups()
+        key = (None if core is None else int(core), unit,
+               EVENT_OF_COUNTER[counter])
+        assert events[key] == value, (path, events[key], value)
+        checked.append(path)
+    units = {path.rsplit(".", 2)[-2] for path in checked}
+    assert units >= {"l1d", "l1i", "l2"}
+    if name.startswith("corun-"):
+        assert "l2p" in units
+    bus = "system.memory_system.hierarchy.bus"
+    assert events["snoop"] == outcome.stats[f"{bus}.snoops"]
+    assert events["nack"] == outcome.stats[f"{bus}.nacks"]
 
 
 class TestDeterminism:

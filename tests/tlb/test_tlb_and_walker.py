@@ -8,10 +8,10 @@ from repro.tlb.tlb import TLB
 
 
 class TestTLB:
-    def test_insert_lookup_translate(self):
+    def test_insert_lookup(self):
         tlb = TLB(entries=4)
         tlb.insert(1, 0x1234_5000, frame=7)
-        assert tlb.translate(1, 0x1234_5678) == 7 * 4096 + 0x678
+        assert tlb.lookup(1, 0x1234_5678) == 7
         assert tlb.lookup(2, 0x1234_5000) is None
         assert tlb.hits == 1 and tlb.misses == 1
 
@@ -24,13 +24,12 @@ class TestTLB:
         assert tlb.probe(1, 0x1000) is not None
         assert tlb.probe(1, 0x2000) is None
 
-    def test_flush_and_flush_process(self):
+    def test_flush(self):
         tlb = TLB(entries=8)
         tlb.insert(1, 0x1000, frame=1)
         tlb.insert(2, 0x1000, frame=2)
-        assert tlb.flush_process(1) == 1
-        assert len(tlb) == 1
-        assert tlb.flush() == 1
+        assert len(tlb) == 2
+        assert tlb.flush() == 2
         assert len(tlb) == 0
 
 
