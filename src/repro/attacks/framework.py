@@ -277,14 +277,10 @@ class CrossCoreAttackEnvironment:
 
     def attacker_physical(self, virtual_address: int) -> int:
         """The attacker-space physical address (allocates on first use)."""
-        physical = self._attacker_space.translate(virtual_address)
-        assert physical is not None
-        return physical
+        return self._attacker_space.translate(virtual_address)
 
     def shared_physical(self, virtual_address: int) -> int:
-        physical = self._victim_space.translate(virtual_address)
-        assert physical is not None
-        return physical
+        return self._victim_space.translate(virtual_address)
 
     # -- attacker operations (committed, on core 0) ---------------------------
     def attacker_timed_load(self, virtual_address: int) -> int:

@@ -11,6 +11,8 @@ mechanisms.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.common.params import CoreConfig
 from repro.common.statistics import StatGroup
@@ -42,59 +44,44 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
     def load(self, core_id: int, process_id: int, virtual_address: int,
              now: int, *, speculative: bool, pc: int = 0
              ) -> MemoryAccessResult:
-        l0 = self._cores[core_id].data_filter
-        hit_latency = l0.config.hit_latency
-        if l0.lookup(virtual_address, now, process_id=process_id) is not None:
-            return MemoryAccessResult(latency=hit_latency, hit_level="l0")
-        # Serial L0 lookup in front of the normal (L1-filling) path.
-        result = super().load(core_id, process_id, virtual_address,
-                              now + hit_latency, speculative=speculative,
-                              pc=pc)
-        space = self.page_tables.address_space(process_id)
-        physical = space.translate(virtual_address)
-        if physical is not None:
-            l0.fill(virtual_address, physical, now + result.latency,
-                    process_id=process_id, committed=True,
-                    fill_level=result.hit_level)
-        return MemoryAccessResult(latency=hit_latency + result.latency,
-                                  hit_level=result.hit_level)
+        return self._through_l0(self._cores[core_id].data_filter, "l0",
+                                super().load, core_id, process_id,
+                                virtual_address, now, speculative, pc)
 
     def store_address_ready(self, core_id: int, process_id: int,
                             virtual_address: int, now: int, *,
                             speculative: bool, pc: int = 0
                             ) -> MemoryAccessResult:
-        l0 = self._cores[core_id].data_filter
-        hit_latency = l0.config.hit_latency
-        if l0.lookup(virtual_address, now, process_id=process_id) is not None:
-            return MemoryAccessResult(latency=hit_latency, hit_level="l0")
-        result = super().store_address_ready(
-            core_id, process_id, virtual_address, now + hit_latency,
-            speculative=speculative, pc=pc)
-        space = self.page_tables.address_space(process_id)
-        physical = space.translate(virtual_address)
-        if physical is not None:
-            l0.fill(virtual_address, physical, now + result.latency,
-                    process_id=process_id, committed=True,
-                    fill_level=result.hit_level)
-        return MemoryAccessResult(latency=hit_latency + result.latency,
-                                  hit_level=result.hit_level)
+        return self._through_l0(self._cores[core_id].data_filter, "l0",
+                                super().store_address_ready, core_id,
+                                process_id, virtual_address, now,
+                                speculative, pc)
 
     def fetch(self, core_id: int, process_id: int, virtual_address: int,
               now: int, *, speculative: bool, pc: int = 0
               ) -> MemoryAccessResult:
-        l0 = self._cores[core_id].inst_filter
+        return self._through_l0(self._cores[core_id].inst_filter, "l0i",
+                                super().fetch, core_id, process_id,
+                                virtual_address, now, speculative, pc)
+
+    def _through_l0(self, l0: SpeculativeFilterCache, hit_level: str,
+                    unprotected: Callable[..., MemoryAccessResult],
+                    core_id: int, process_id: int,
+                    virtual_address: int, now: int, speculative: bool,
+                    pc: int) -> MemoryAccessResult:
+        """Look up the L0; on a miss, take the ``unprotected`` path after
+        the serial L0 lookup and fill the L0 with what it returns."""
         hit_latency = l0.config.hit_latency
         if l0.lookup(virtual_address, now, process_id=process_id) is not None:
-            return MemoryAccessResult(latency=hit_latency, hit_level="l0i")
-        result = super().fetch(core_id, process_id, virtual_address,
-                               now + hit_latency, speculative=speculative,
-                               pc=pc)
-        space = self.page_tables.address_space(process_id)
-        physical = space.translate(virtual_address)
-        if physical is not None:
-            l0.fill(virtual_address, physical, now + result.latency,
-                    process_id=process_id, committed=True,
-                    fill_level=result.hit_level)
+            return MemoryAccessResult(latency=hit_latency, hit_level=hit_level)
+        result = unprotected(core_id, process_id, virtual_address,
+                             now + hit_latency, speculative=speculative,
+                             pc=pc)
+        physical = self.page_tables.address_space(process_id).translate(
+            virtual_address)
+        l0.fill(virtual_address, physical, now + result.latency,
+                process_id=process_id, committed=True,
+                fill_level=result.hit_level)
         return MemoryAccessResult(latency=hit_latency + result.latency,
                                   hit_level=result.hit_level)
 

@@ -53,11 +53,8 @@ class InvisiSpecMemorySystem(SchemeFrontend):
     def load(self, core_id: int, process_id: int, virtual_address: int,
              now: int, *, speculative: bool, pc: int = 0
              ) -> MemoryAccessResult:
-        physical, tlb_latency = self._translate(core_id, process_id,
-                                                virtual_address, False)
-        if physical is None:
-            return MemoryAccessResult(latency=tlb_latency + 1,
-                                      hit_level="fault")
+        physical, tlb_latency = self._cores[core_id].data_mmu.translate(
+            process_id, virtual_address, speculative)
         line = self.hierarchy.line_address(physical)
         if not speculative:
             outcome = self.hierarchy.access(core_id, physical,
@@ -99,11 +96,8 @@ class InvisiSpecMemorySystem(SchemeFrontend):
                             speculative: bool, pc: int = 0
                             ) -> MemoryAccessResult:
         # InvisiSpec does not let speculative stores touch the hierarchy.
-        physical, tlb_latency = self._translate(core_id, process_id,
-                                                virtual_address, False)
-        if physical is None:
-            return MemoryAccessResult(latency=tlb_latency + 1,
-                                      hit_level="fault")
+        _, tlb_latency = self._cores[core_id].data_mmu.translate(
+            process_id, virtual_address, speculative)
         return MemoryAccessResult(latency=tlb_latency + 1, hit_level="sq")
 
     # -- the visibility-point re-access --------------------------------------------
@@ -117,10 +111,8 @@ class InvisiSpecMemorySystem(SchemeFrontend):
         It performs a real hierarchy access that fills the L1, and its
         latency is charged against commit.
         """
-        space = self.page_tables.address_space(process_id)
-        physical = space.translate(virtual_address)
-        if physical is None:
-            return 0
+        physical = self.page_tables.address_space(process_id).translate(
+            virtual_address)
         line = self.hierarchy.line_address(physical)
         self._validations.value += 1
         self._buffers.discard((core_id, line))
@@ -140,10 +132,8 @@ class InvisiSpecMemorySystem(SchemeFrontend):
 
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
                      now: int, *, pc: int = 0) -> int:
-        space = self.page_tables.address_space(process_id)
-        physical = space.translate(virtual_address)
-        if physical is None:
-            return 0
+        physical = self.page_tables.address_space(process_id).translate(
+            virtual_address)
         result = self.hierarchy.commit_store(core_id, physical, now,
                                              broadcast_to_filters=False)
         return min(result.latency,

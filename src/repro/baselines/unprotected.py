@@ -28,11 +28,8 @@ class UnprotectedMemorySystem(SchemeFrontend):
     def load(self, core_id: int, process_id: int, virtual_address: int,
              now: int, *, speculative: bool, pc: int = 0
              ) -> MemoryAccessResult:
-        physical, tlb_latency = self._translate(core_id, process_id,
-                                                virtual_address, False)
-        if physical is None:
-            return MemoryAccessResult(latency=tlb_latency + 1,
-                                      hit_level="fault")
+        physical, tlb_latency = self._cores[core_id].data_mmu.translate(
+            process_id, virtual_address, speculative)
         outcome = self.hierarchy.access(core_id, physical, now + tlb_latency,
                                         speculative=speculative, pc=pc)
         return MemoryAccessResult(latency=tlb_latency + outcome.latency,
@@ -45,11 +42,8 @@ class UnprotectedMemorySystem(SchemeFrontend):
         # An unprotected system issues the read-for-ownership prefetch as
         # soon as the store's address is known, even speculatively.  This is
         # the behaviour SpectrePrime-style attacks exploit.
-        physical, tlb_latency = self._translate(core_id, process_id,
-                                                virtual_address, False)
-        if physical is None:
-            return MemoryAccessResult(latency=tlb_latency + 1,
-                                      hit_level="fault")
+        physical, tlb_latency = self._cores[core_id].data_mmu.translate(
+            process_id, virtual_address, speculative)
         outcome = self.hierarchy.access(core_id, physical, now + tlb_latency,
                                         is_store=True, speculative=speculative,
                                         pc=pc)
@@ -64,10 +58,8 @@ class UnprotectedMemorySystem(SchemeFrontend):
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
                      now: int, *, pc: int = 0) -> int:
         self._committed_stores.value += 1
-        space = self.page_tables.address_space(process_id)
-        physical = space.translate(virtual_address)
-        if physical is None:
-            return 0
+        physical = self.page_tables.address_space(process_id).translate(
+            virtual_address)
         result = self.hierarchy.commit_store(core_id, physical, now,
                                              broadcast_to_filters=False)
         return min(result.latency,

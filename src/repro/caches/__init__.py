@@ -2,7 +2,7 @@
 
 from repro.caches.base_cache import SetAssociativeCache
 from repro.caches.cache_line import CacheLine
-from repro.caches.hierarchy import HierarchyResult, NonSpeculativeHierarchy
+from repro.caches.hierarchy import NonSpeculativeHierarchy
 from repro.caches.mshr import MSHREntry, MSHRFile
 from repro.caches.replacement import (
     LRUReplacement,
@@ -14,7 +14,6 @@ from repro.caches.replacement import (
 
 __all__ = [
     "CacheLine",
-    "HierarchyResult",
     "LRUReplacement",
     "NonSpeculativeHierarchy",
     "MSHREntry",

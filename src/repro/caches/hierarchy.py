@@ -23,7 +23,6 @@ the prefetcher).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.caches.base_cache import SetAssociativeCache
@@ -41,22 +40,6 @@ from repro.prefetch.stream import StreamPrefetcher
 #: Where the access-time training reorder window delivers from: mostly the
 #: oldest buffered event, sometimes the second or third.
 _REORDER_DRAW = (0, 0, 0, 1, 1, 2)
-
-
-@dataclass(slots=True)
-class HierarchyResult:
-    """Outcome of one request against the non-speculative hierarchy."""
-
-    latency: int
-    hit_level: str
-    nacked: bool = False
-    granted_state: CoherenceState = S
-    exclusive_available: bool = False
-    triggered_filter_broadcast: bool = False
-
-    @property
-    def served(self) -> bool:
-        return not self.nacked
 
 
 class NonSpeculativeHierarchy:
@@ -270,7 +253,7 @@ class NonSpeculativeHierarchy:
                is_store: bool = False, speculative: bool = False,
                protect_coherence: bool = False, pc: int = 0,
                instruction: bool = False, fill_l1: bool = True,
-               train_prefetcher: bool = True) -> HierarchyResult:
+               train_prefetcher: bool = True) -> AccessOutcome:
         """Access through the private L1 (instruction or data) and below.
 
         This is the behaviour of an unprotected system: (wrong-path)
@@ -291,13 +274,13 @@ class NonSpeculativeHierarchy:
             if is_store:
                 line.state = M
                 line.dirty = True
-            return HierarchyResult(latency, "l1", granted_state=line.state)
+            return AccessOutcome(latency, "l1", granted_state=line.state)
         l1.record_miss()
         mshr_entry = l1.mshrs.lookup(line_address, now)
         if mshr_entry is not None and not is_store:
             # Merge with an in-flight miss to the same line.
             latency = max(1, mshr_entry.ready_time - now)
-            return HierarchyResult(l1.config.hit_latency + latency, "mshr")
+            return AccessOutcome(l1.config.hit_latency + latency, "mshr")
         l2p = self._l2p.get(core_id)
         if l2p is not None:
             pline = l2p.lookup(line_address, now)
@@ -314,12 +297,12 @@ class NonSpeculativeHierarchy:
                 if fill_l1:
                     self._fill_l1(core_id, l1, line_address, state,
                                   now + latency, dirty=is_store)
-                return HierarchyResult(latency, "l2p", granted_state=state)
+                return AccessOutcome(latency, "l2p", granted_state=state)
             l2p.record_miss()
         if is_store:
             # A store that found its line privately held returned above.
             outcome = self.controller.write(
-                core_id, line_address, now, already_private=False,
+                core_id, line_address, now,
                 # The upgrade transaction is snooped by every protected
                 # filter cache on the fabric, whatever the writer's own
                 # scheme (no-op unless a mixed machine registered peers).
@@ -330,7 +313,7 @@ class NonSpeculativeHierarchy:
                 core_id, line_address, now, speculative=speculative,
                 protect_coherence=protect_coherence)
         if outcome.nacked:
-            return HierarchyResult(outcome.latency, "nack", nacked=True)
+            return AccessOutcome(outcome.latency, "nack", nacked=True)
         # Loads allocate an MSHR so occupancy statistics and merge behaviour
         # are tracked; stores allocate none.  The latency charged is the
         # downstream latency itself: the out-of-order core model accounts
@@ -352,9 +335,9 @@ class NonSpeculativeHierarchy:
         if train_prefetcher and not instruction and outcome.hit_level in (
                 "l2", "memory"):
             self.train_l2_prefetcher(line_address, pc, now, was_miss=True)
-        return HierarchyResult(total_latency, outcome.hit_level,
-                               granted_state=outcome.granted_state,
-                               exclusive_available=outcome.exclusive_available)
+        return AccessOutcome(total_latency, outcome.hit_level,
+                             granted_state=outcome.granted_state,
+                             exclusive_available=outcome.exclusive_available)
 
     # -- MuonTrap filter-cache path ---------------------------------------------
     def read_for_filter(self, core_id: int, address: int, now: int, *,
@@ -362,7 +345,7 @@ class NonSpeculativeHierarchy:
                         protect_coherence: bool = True,
                         pc: int = 0, instruction: bool = False,
                         train_prefetcher_speculatively: bool = False
-                        ) -> HierarchyResult:
+                        ) -> AccessOutcome:
         """Supply a line to a filter cache without filling the L1 or L2.
 
         The filter cache may read data from any cache on its linear path to
@@ -381,14 +364,14 @@ class NonSpeculativeHierarchy:
             if line.prefetched and line.ready_at > now:
                 latency += line.ready_at - now
                 line.prefetched = False
-            return HierarchyResult(latency, "l1", granted_state=S,
-                                   exclusive_available=line.state is M
-                                   or line.state is E)
+            return AccessOutcome(latency, "l1", granted_state=S,
+                                 exclusive_available=line.state is M
+                                 or line.state is E)
         l1.record_miss()
         mshr_entry = l1.mshrs.lookup(line_address, now)
         if mshr_entry is not None:
             latency = max(1, mshr_entry.ready_time - now)
-            return HierarchyResult(l1.config.hit_latency + latency, "mshr")
+            return AccessOutcome(l1.config.hit_latency + latency, "mshr")
         l2p = self._l2p.get(core_id)
         if l2p is not None:
             pline = l2p.lookup(line_address, now)
@@ -397,16 +380,16 @@ class NonSpeculativeHierarchy:
                 # memory, so it may supply the line (section 4.5).
                 l2p.record_hit()
                 latency = l1.config.hit_latency + l2p.config.hit_latency
-                return HierarchyResult(latency, "l2p", granted_state=S,
-                                       exclusive_available=pline.state is M
-                                       or pline.state is E)
+                return AccessOutcome(latency, "l2p", granted_state=S,
+                                     exclusive_available=pline.state is M
+                                     or pline.state is E)
             l2p.record_miss()
         outcome = self.controller.read(core_id, line_address, now,
                                        speculative=speculative,
                                        protect_coherence=protect_coherence,
                                        fill_l2=False)
         if outcome.nacked:
-            return HierarchyResult(outcome.latency, "nack", nacked=True)
+            return AccessOutcome(outcome.latency, "nack", nacked=True)
         l1.mshrs.allocate(line_address, now, outcome.latency)
         total_latency = l1.config.hit_latency + outcome.latency
         if (train_prefetcher_speculatively and not instruction
@@ -414,9 +397,9 @@ class NonSpeculativeHierarchy:
             # Only used when the commit-time prefetch protection is disabled
             # (the "fcache only" ablation points of Figures 8 and 9).
             self.train_l2_prefetcher(line_address, pc, now, was_miss=True)
-        return HierarchyResult(total_latency, outcome.hit_level,
-                               granted_state=S,
-                               exclusive_available=outcome.exclusive_available)
+        return AccessOutcome(total_latency, outcome.hit_level,
+                             granted_state=S,
+                             exclusive_available=outcome.exclusive_available)
 
     # -- commit-side operations ---------------------------------------------------
     def commit_fill_l1(self, core_id: int, address: int, now: int, *,
@@ -474,7 +457,7 @@ class NonSpeculativeHierarchy:
                                                            line_address, now)
 
     def commit_store(self, core_id: int, address: int, now: int, *,
-                     broadcast_to_filters: bool = False) -> HierarchyResult:
+                     broadcast_to_filters: bool = False) -> AccessOutcome:
         """Perform a committed store's write into the L1 (write-allocate).
 
         Returns the latency of obtaining ownership.  When
@@ -496,8 +479,8 @@ class NonSpeculativeHierarchy:
         if line is not None and (line.state is M or line.state is E):
             line.state = M
             line.dirty = True
-            return HierarchyResult(l1.config.hit_latency, "l1",
-                                   granted_state=M)
+            return AccessOutcome(l1.config.hit_latency, "l1",
+                                 granted_state=M)
         l2p = self._l2p.get(core_id)
         if l2p is not None:
             pline = l2p.lookup(line_address, now)
@@ -506,11 +489,11 @@ class NonSpeculativeHierarchy:
                 pline.state = M
                 pline.dirty = True
                 self._fill_l1(core_id, l1, line_address, M, now, dirty=True)
-                return HierarchyResult(
+                return AccessOutcome(
                     l1.config.hit_latency + l2p.config.hit_latency, "l2p",
                     granted_state=M)
         outcome = self.controller.write(
-            core_id, line_address, now, already_private=False,
+            core_id, line_address, now,
             broadcast_to_filters=broadcast_to_filters)
         if outcome.triggered_filter_broadcast:
             self._store_filter_broadcasts.value += 1
@@ -519,7 +502,7 @@ class NonSpeculativeHierarchy:
         if l2p is not None:
             self._fill_l2p(l2p, line_address, M, filled_at, dirty=True)
         self.bus.note_fill(core_id, line_address)
-        return HierarchyResult(
+        return AccessOutcome(
             l1.config.hit_latency + outcome.latency, outcome.hit_level,
             granted_state=M,
             triggered_filter_broadcast=outcome.triggered_filter_broadcast)

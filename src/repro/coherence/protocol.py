@@ -78,12 +78,16 @@ def next_state(state: CoherenceState, event: MesiEvent) -> CoherenceState:
 
 @dataclass(slots=True)
 class AccessOutcome:
-    """Result of one request against the non-speculative hierarchy."""
+    """Result of one request against the non-speculative hierarchy.
+
+    Both the coherence controller and the hierarchy's entry points
+    (:class:`~repro.caches.hierarchy.NonSpeculativeHierarchy`) return it.
+    """
 
     latency: int
-    granted_state: CoherenceState = S
+    hit_level: str
     nacked: bool = False
-    hit_level: str = "memory"
+    granted_state: CoherenceState = S
     exclusive_available: bool = False
     triggered_filter_broadcast: bool = False
 
@@ -146,7 +150,6 @@ class CoherenceController:
     def read(self, requester: int, line_address: int, now: int,
              speculative: bool = False,
              protect_coherence: bool = False,
-             want_exclusive_hint: bool = True,
              fill_l2: bool = True) -> AccessOutcome:
         """Serve a read miss from the requester's private L1 (or filter cache).
 
@@ -202,7 +205,7 @@ class CoherenceController:
         else:
             latency += l2_latency
             hit_level = "l2"
-        exclusive_ok = not snoop.sharers and want_exclusive_hint
+        exclusive_ok = not snoop.sharers
         granted = E if exclusive_ok else S
         return AccessOutcome(latency=latency, granted_state=granted,
                              hit_level=hit_level,
@@ -210,20 +213,16 @@ class CoherenceController:
 
     # -- write path ------------------------------------------------------------
     def write(self, requester: int, line_address: int, now: int,
-              already_private: bool = False,
               broadcast_to_filters: bool = False) -> AccessOutcome:
-        """Obtain Modified ownership for a committed store.
+        """Obtain Modified ownership for a store whose line is not private.
 
-        ``already_private`` is set when the requester's own L1 already holds
-        the line in M or E, in which case no bus transaction is needed.
+        A requester whose own private cache holds the line in M or E
+        upgrades it silently and never calls this (see
+        :meth:`~repro.caches.hierarchy.NonSpeculativeHierarchy.commit_store`).
         ``broadcast_to_filters`` additionally invalidates every other filter
-        cache (the MuonTrap invalidation broadcast of section 4.5), which is
-        only required when the line was *not* already private.
+        cache (the MuonTrap invalidation broadcast of section 4.5).
         """
         self._writes.value += 1
-        if already_private:
-            return AccessOutcome(latency=0, granted_state=M, hit_level="l1")
-
         snoop = self.bus.snoop(requester, line_address)
         # The scoped-invalidate ablation's directory verdict must be read
         # before invalidate_others retires the peers' entries below.

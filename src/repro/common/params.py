@@ -152,7 +152,7 @@ class TLBConfig:
             raise ValueError(f"page_size must be a positive power of two, "
                              f"got {self.page_size!r}")
         # ``filter_entries`` is checked where a filter TLB is built
-        # (repro.tlb.filter_tlb): schemes without one never read it.
+        # (repro.tlb.mmu): schemes without one never read it.
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,17 @@ them share:
   :class:`~repro.caches.hierarchy.NonSpeculativeHierarchy` it builds
   itself unless a heterogeneous machine passes its shared one in;
 * one :class:`CoreState` per served core, built by :meth:`_build_core`:
-  data and instruction MMUs, a protection-domain tracker, the optional L0
-  slots and the optional per-core protection switches;
-* translation, the unprotected instruction fetch, and the
-  protection-domain control events.
+  data and instruction MMUs over the shared page tables, a
+  protection-domain tracker, the optional L0 slots and the optional
+  per-core protection switches;
+* the unprotected instruction fetch and the protection-domain control
+  events.
 
 A scheme subclasses it and adds only its own load, store and commit
-logic.  The tracer and the metrics sampler read :class:`CoreState`
-directly, so every subclass gets per-core page-walk and L0 events and L0
-occupancy gauges.
+logic, translating through ``core.data_mmu.translate`` and
+``core.inst_mmu.translate``.  The tracer and the metrics sampler read
+:class:`CoreState` directly, so every subclass gets per-core page-walk
+and L0 events and L0 occupancy gauges.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.core.domains import DomainTracker
 from repro.core.filter_cache import SpeculativeFilterCache
 from repro.cpu.interface import MemoryAccessResult, MemorySystem
 from repro.memory.page_table import PageTableManager
-from repro.tlb.page_walker import MMU
+from repro.tlb.mmu import MMU
 
 
 @dataclass
@@ -92,10 +94,10 @@ class SchemeFrontend(MemorySystem):
                     stats: StatGroup, filter_tlb: bool = False) -> CoreState:
         """One core's MMUs and domain tracker; schemes extend the state."""
         return CoreState(
-            data_mmu=MMU(per_core.tlb, use_filter_tlb=filter_tlb,
-                         stats=stats.child("dmmu"), name="dmmu"),
-            inst_mmu=MMU(per_core.tlb, use_filter_tlb=filter_tlb,
-                         stats=stats.child("immu"), name="immu"),
+            data_mmu=MMU(per_core.tlb, self.page_tables,
+                         use_filter_tlb=filter_tlb, stats=stats.child("dmmu")),
+            inst_mmu=MMU(per_core.tlb, self.page_tables,
+                         use_filter_tlb=filter_tlb, stats=stats.child("immu")),
             domains=DomainTracker(core_id=core_id,
                                   stats=stats.child("domains")))
 
@@ -112,24 +114,13 @@ class SchemeFrontend(MemorySystem):
     def inst_filter(self, core_id: int) -> Optional[SpeculativeFilterCache]:
         return self._cores[core_id].inst_filter
 
-    def _translate(self, core_id: int, process_id: int, virtual_address: int,
-                   instruction: bool, speculative: bool = False) -> tuple:
-        core = self._cores[core_id]
-        mmu = core.inst_mmu if instruction else core.data_mmu
-        return mmu.translate_address(
-            self.page_tables.address_space(process_id), virtual_address,
-            speculative=speculative)
-
     # -- execute-time ----------------------------------------------------------
     def fetch(self, core_id: int, process_id: int, virtual_address: int,
               now: int, *, speculative: bool, pc: int = 0
               ) -> MemoryAccessResult:
         """An unprotected fetch: even wrong-path fetches fill the L1I."""
-        physical, tlb_latency = self._translate(core_id, process_id,
-                                                virtual_address, True)
-        if physical is None:
-            return MemoryAccessResult(latency=tlb_latency + 1,
-                                      hit_level="fault")
+        physical, tlb_latency = self._cores[core_id].inst_mmu.translate(
+            process_id, virtual_address, speculative)
         outcome = self.hierarchy.access(core_id, physical, now + tlb_latency,
                                         instruction=True,
                                         speculative=speculative, pc=pc,

@@ -114,12 +114,8 @@ class MuonTrapMemorySystem(SchemeFrontend):
                      pc: int, is_store_prefetch: bool) -> MemoryAccessResult:
         core = self._cores[core_id]
         protection = core.protection
-        physical, tlb_latency = self._translate(
-            core_id, process_id, virtual_address, instruction=False,
-            speculative=speculative)
-        if physical is None:
-            return MemoryAccessResult(latency=tlb_latency + 1,
-                                      hit_level="fault")
+        physical, tlb_latency = core.data_mmu.translate(
+            process_id, virtual_address, speculative)
         if not protection.data_filter_cache:
             # Ablation point "insecure L0 disabled entirely" is handled by the
             # baselines; with the data filter disabled we fall back to the
@@ -191,12 +187,8 @@ class MuonTrapMemorySystem(SchemeFrontend):
         core = self._cores[core_id]
         core.fetch_memo = None
         protection = core.protection
-        physical, tlb_latency = self._translate(
-            core_id, process_id, virtual_address, instruction=True,
-            speculative=speculative)
-        if physical is None:
-            return MemoryAccessResult(latency=tlb_latency + 1,
-                                      hit_level="fault")
+        physical, tlb_latency = core.inst_mmu.translate(
+            process_id, virtual_address, speculative)
         if not protection.instruction_filter_cache:
             outcome = self.hierarchy.access(
                 core_id, physical, now + tlb_latency, instruction=True,
@@ -233,11 +225,9 @@ class MuonTrapMemorySystem(SchemeFrontend):
         self._committed_loads.value += 1
         core = self._cores[core_id]
         protection = core.protection
-        space = self.page_tables.address_space(process_id)
-        physical = space.translate(virtual_address)
-        if physical is None:
-            return 0
-        core.data_mmu.commit_translation(space, virtual_address)
+        physical = self.page_tables.address_space(process_id).translate(
+            virtual_address)
+        core.data_mmu.commit_translation(process_id, virtual_address)
         if not protection.data_filter_cache:
             return 0
         line = core.data_filter.mark_committed(virtual_address, now)
@@ -269,11 +259,9 @@ class MuonTrapMemorySystem(SchemeFrontend):
         self._committed_stores.value += 1
         core = self._cores[core_id]
         protection = core.protection
-        space = self.page_tables.address_space(process_id)
-        physical = space.translate(virtual_address)
-        if physical is None:
-            return 0
-        core.data_mmu.commit_translation(space, virtual_address)
+        physical = self.page_tables.address_space(process_id).translate(
+            virtual_address)
+        core.data_mmu.commit_translation(process_id, virtual_address)
         broadcast = protection.coherence_protection
         result = self.hierarchy.commit_store(core_id, physical, now,
                                              broadcast_to_filters=broadcast)
@@ -303,28 +291,23 @@ class MuonTrapMemorySystem(SchemeFrontend):
         commits (no snoop, broadcast or data-side access reaches them), and
         each clears the memo.  So a repeat finds the page mapped, the main
         TLB entry already most recent, the committed bit set and the L1I
-        holding the line: all it changes is ``filter_tlb.promotions`` (when
-        the first call promoted) and the inst filter line's LRU stamp.
+        holding the line: all it changes is the inst filter line's LRU
+        stamp and, when the first call promoted, ``filter_tlb.promotions``
+        (the filter TLB still holds the page, so it promotes again).
         """
         core = self._cores[core_id]
         memo = core.fetch_memo
         if (memo is not None and memo[0] == process_id
                 and memo[1] == virtual_address & core.fetch_memo_mask):
             if memo[2]:
-                core.inst_mmu.filter_tlb._promotions.value += 1
+                core.inst_mmu.commit_translation(process_id, virtual_address)
             if memo[3]:
                 core.inst_filter.mark_committed(virtual_address, now)
             return 0
-        space = self.page_tables.address_space(process_id)
-        physical = space.translate(virtual_address)
-        if physical is None:
-            return 0
-        filter_tlb = core.inst_mmu.filter_tlb
-        # commit_translation promotes exactly when the filter TLB holds
-        # the page.
-        promoted = (filter_tlb is not None and filter_tlb.probe(
-            process_id, virtual_address) is not None)
-        core.inst_mmu.commit_translation(space, virtual_address)
+        physical = self.page_tables.address_space(process_id).translate(
+            virtual_address)
+        promoted = core.inst_mmu.commit_translation(process_id,
+                                                    virtual_address)
         line = None
         if core.protection.instruction_filter_cache:
             line = core.inst_filter.mark_committed(virtual_address, now)

@@ -41,6 +41,7 @@ import json
 import logging
 import os
 import sqlite3
+import time
 from contextlib import closing
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
@@ -423,8 +424,21 @@ class SqliteResultStore(StoreBackend):
     def _connect(self) -> sqlite3.Connection:
         conn = sqlite3.connect(self.path, timeout=30.0)
         # WAL persists in the database file; re-issuing it is a no-op
-        # read.  synchronous/busy_timeout are per-connection.
-        conn.execute("PRAGMA journal_mode=WAL")
+        # read.  synchronous/busy_timeout are per-connection.  Switching
+        # a new file to WAL needs it exclusively, and SQLite reports it
+        # locked at once, without waiting out the busy timeout, while
+        # another process switches it too: retry until the timeout.
+        deadline = time.monotonic() + 30.0
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                if ("locked" not in str(error)
+                        or time.monotonic() > deadline):
+                    conn.close()
+                    raise
+                time.sleep(0.01)
         conn.execute("PRAGMA busy_timeout=30000")
         conn.execute("PRAGMA synchronous=%s"
                      % ("FULL" if self.fsync else "NORMAL"))

@@ -46,14 +46,11 @@ class AddressSpace:
             raise ValueError("page size must be a power of two")
         self._page_shift = self.page_size.bit_length() - 1
 
-    def translate(self, virtual_address: int,
-                  allocate: bool = True) -> Optional[int]:
+    def translate(self, virtual_address: int) -> int:
         """Translate ``virtual_address``; allocate a frame on first touch."""
         vpn = virtual_address >> self._page_shift
         frame = self.entries.get(vpn)
         if frame is None:
-            if not allocate:
-                return None
             frame = self.entries[vpn] = self.allocator.allocate()
         return (frame * self.page_size
                 + (virtual_address & (self.page_size - 1)))
@@ -69,9 +66,7 @@ class AddressSpace:
         Returns the shared physical frame number.  This models shared
         libraries / shared memory, the prerequisite of Attacks 1 and 3.
         """
-        physical = self.translate(my_virtual)
-        assert physical is not None
-        frame = page_number(physical, self.page_size)
+        frame = page_number(self.translate(my_virtual), self.page_size)
         target_virtual = my_virtual if their_virtual is None else their_virtual
         other.map_page(target_virtual, frame)
         return frame

@@ -1,12 +1,7 @@
-"""TLBs, the speculative filter TLB and the page-table walker."""
+"""Address translation: the TLBs, the speculative filter TLB and the page walk."""
 
-from repro.tlb.filter_tlb import FilterTLB
-from repro.tlb.page_walker import MMU, PageTableWalker
-from repro.tlb.tlb import TLB
+from repro.tlb.mmu import MMU
 
 __all__ = [
-    "FilterTLB",
     "MMU",
-    "PageTableWalker",
-    "TLB",
 ]

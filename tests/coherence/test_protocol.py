@@ -106,11 +106,6 @@ class TestWritePath:
         assert outcome.granted_state is M
         assert l1s[1].state_of(0x4000) is I
 
-    def test_already_private_write_is_free(self):
-        _, _, _, _, controller = build_two_core_setup()
-        outcome = controller.write(0, 0x5000, now=0, already_private=True)
-        assert outcome.latency == 0
-
     def test_filter_broadcast_reaches_registered_listeners(self):
         bus, _, _, _, controller = build_two_core_setup()
         invalidated = []
@@ -171,12 +166,22 @@ class TestMesiTransitionTable:
         """E -> M needs no bus transaction; S -> M does (invalidation)."""
         assert next_state(E, MesiEvent.LOCAL_WRITE) is M
         assert next_state(S, MesiEvent.LOCAL_WRITE) is M
-        # The controller realises the S -> M edge through an invalidating
-        # write; the E -> M edge through the already_private fast path.
-        _, l1s, _, _, controller = build_two_core_setup()
-        l1s[0].fill(0x9000, E, now=0)
-        outcome = controller.write(0, 0x9000, now=1, already_private=True)
-        assert outcome.latency == 0
+        # A committed store realises the E -> M edge in the L1 alone, at
+        # the L1 hit latency and with no snoop; the S -> M edge goes
+        # through the controller's invalidating write.
+        hierarchy = NonSpeculativeHierarchy(SystemConfig(num_cores=2))
+        l1 = hierarchy.l1d(0)
+        hierarchy.access(0, 0x9000, now=0)      # a cold read is granted E
+        assert l1.state_of(0x9000) is E
+        snoops = hierarchy.stats.get("bus.snoops")
+        outcome = hierarchy.commit_store(0, 0x9000, now=500)
+        assert outcome.latency == l1.config.hit_latency
+        assert hierarchy.stats.get("bus.snoops") == snoops
+        assert l1.state_of(0x9000) is M
+        l1.fill(0xA000, S, now=500)
+        hierarchy.commit_store(0, 0xA000, now=600)
+        assert hierarchy.stats.get("bus.snoops") == snoops + 1
+        assert l1.state_of(0xA000) is M
 
     def test_controller_read_realises_remote_read_edges(self):
         """M/E owners end Shared after a peer read, as the table says."""

@@ -57,14 +57,14 @@ class TestSpeculativeIsolation:
         core = memory.core_state(0)
         assert memory.data_filter(0).occupancy() > 0
         assert memory.inst_filter(0).occupancy() > 0
-        assert len(core.data_mmu.filter_tlb) > 0
+        assert core.data_mmu.filter_occupancy() > 0
         domain_before = core.domains.current
         getattr(memory, event)(*args)
         assert core.domains.current != domain_before
         assert memory.data_filter(0).occupancy() == 0
         assert memory.inst_filter(0).occupancy() == 0
-        assert len(core.data_mmu.filter_tlb) == 0
-        assert len(core.inst_mmu.filter_tlb) == 0
+        assert core.data_mmu.filter_occupancy() == 0
+        assert core.inst_mmu.filter_occupancy() == 0
 
     def test_squash_clears_only_with_clear_on_misspeculate(self):
         keep = build()
@@ -157,11 +157,11 @@ class TestCommitFetch:
     def test_a_repeat_counts_another_promotion(self):
         memory = build()
         inst_filter = memory.inst_filter(0)
-        filter_tlb = memory.core_state(0).inst_mmu.filter_tlb
+        inst_mmu = memory.core_state(0).inst_mmu
         memory.fetch(0, 0, self.A, 100, speculative=True)
         memory.commit_fetch(0, 0, self.A, 200)
         memory.commit_fetch(0, 0, self.A + 4, 201)
-        assert filter_tlb.promotions == 2
+        assert inst_mmu.stats.get("filter_tlb.promotions") == 2
         assert inst_filter.stats.get("line_commits") == 1
         line = inst_filter.probe_physical(
             memory.page_tables.address_space(0).translate(self.A))
@@ -175,17 +175,17 @@ class TestCommitFetch:
         commit of A finds no filter-TLB entry and promotes nothing."""
         memory = MuonTrapMemorySystem(SystemConfig(
             mode="muontrap", tlb=TLBConfig(filter_entries=1)))
-        filter_tlb = memory.core_state(0).inst_mmu.filter_tlb
+        inst_mmu = memory.core_state(0).inst_mmu
         memory.fetch(0, 0, self.A, 100, speculative=True)
         memory.commit_fetch(0, 0, self.A, 200)
-        assert filter_tlb.promotions == 1
+        assert inst_mmu.stats.get("filter_tlb.promotions") == 1
         if between == "fetch":
             memory.fetch(0, 0, self.B, 300, speculative=True)
         else:
             memory.context_switch(0, 300)
-        assert filter_tlb.probe(0, self.A) is None
+        assert inst_mmu.probe_filter(0, self.A) is None
         memory.commit_fetch(0, 0, self.A, 400)
-        assert filter_tlb.promotions == 1
+        assert inst_mmu.stats.get("filter_tlb.promotions") == 1
 
 
 class TestDomainTracker:

@@ -3,7 +3,7 @@
 Every campaign cell builds a fresh machine, so whatever ``build_system``
 allocates is paid again per cell.  The timing model keeps its tables as
 plain values, and a cache line exists only while it is resident, so a
-freshly built default four-core MuonTrap machine holds 785 GC-tracked
+freshly built default four-core MuonTrap machine holds 762 GC-tracked
 objects on CPython 3.11.  Eager per-way cache lines (39,168 of them) or an
 object per predictor counter (49,152) would break the budget.
 

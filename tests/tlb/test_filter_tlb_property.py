@@ -1,0 +1,83 @@
+"""Property test: the filter TLB keeps speculation out of the main TLB.
+
+Section 4.7 isolates speculative translations in a filter TLB so that they
+cannot prime or probe the non-speculative TLB.  Random sequences of
+speculative and non-speculative translations, commits and domain switches
+over three processes and six pages run against a 4-entry main TLB and a
+2-entry filter TLB, so both tables evict, and after every step:
+
+* a speculative translation neither adds nor evicts a main-TLB entry;
+* a domain switch leaves the filter TLB empty;
+* a commit counts a promotion exactly when the filter TLB held the page,
+  and leaves the page in the main TLB;
+* ``tlb.hits + tlb.misses`` equals the translations made, and
+  ``walker.walks`` equals those that missed both TLBs.
+"""
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from repro.common.params import TLBConfig
+from repro.memory.page_table import PageTableManager
+from repro.tlb.mmu import MMU
+
+PAGE = 4096
+PROCESSES = range(3)
+PAGES = range(6)
+
+_page = st.tuples(st.sampled_from(PROCESSES), st.sampled_from(PAGES))
+_step = st.one_of(
+    st.tuples(st.just("translate"), _page, st.booleans()),
+    st.tuples(st.just("commit"), _page),
+    st.tuples(st.just("switch")),
+)
+
+
+def main_tlb(mmu):
+    """Every (process, page) the main TLB holds, with its frame."""
+    return {(process, page): mmu.probe(process, page * PAGE)
+            for process in PROCESSES for page in PAGES
+            if mmu.probe(process, page * PAGE) is not None}
+
+
+@seed(1234)
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_step, min_size=1, max_size=60),
+       offset=st.integers(min_value=0, max_value=PAGE - 1))
+def test_filter_tlb_isolates_speculative_translations(steps, offset):
+    page_tables = PageTableManager(page_size=PAGE)
+    mmu = MMU(TLBConfig(entries=4, filter_entries=2, page_size=PAGE),
+              page_tables, use_filter_tlb=True)
+    translations = double_misses = promotions = 0
+    for step in steps:
+        before = main_tlb(mmu)
+        if step[0] == "translate":
+            (process, page), speculative = step[1], step[2]
+            address = page * PAGE + offset
+            missed_both = (mmu.probe(process, address) is None
+                           and mmu.probe_filter(process, address) is None)
+            physical, _ = mmu.translate(process, address, speculative)
+            translations += 1
+            double_misses += missed_both
+            assert physical == page_tables.address_space(process).translate(
+                address)
+            if speculative:
+                assert main_tlb(mmu) == before
+        elif step[0] == "commit":
+            process, page = step[1]
+            address = page * PAGE + offset
+            held = mmu.probe_filter(process, address) is not None
+            assert mmu.commit_translation(process, address) is held
+            promotions += held
+            assert mmu.probe(process, address) == page_tables.address_space(
+                process).translate(address) // PAGE
+        else:
+            mmu.context_switch()
+            assert mmu.filter_occupancy() == 0
+            assert main_tlb(mmu) == before
+        assert mmu.filter_occupancy() <= 2
+        assert len(main_tlb(mmu)) <= 4
+        assert mmu.stats.get("filter_tlb.promotions") == promotions
+        assert (mmu.stats.get("tlb.hits") + mmu.stats.get("tlb.misses")
+                == translations)
+        assert mmu.stats.get("walker.walks") == double_misses
