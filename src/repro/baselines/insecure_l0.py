@@ -73,7 +73,7 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
         the serial L0 lookup and fill the L0 with what it returns."""
         hit_latency = l0.config.hit_latency
         if l0.lookup(virtual_address, now, process_id=process_id) is not None:
-            return MemoryAccessResult(latency=hit_latency, hit_level=hit_level)
+            return MemoryAccessResult(hit_latency, hit_level)
         result = unprotected(core_id, process_id, virtual_address,
                              now + hit_latency, speculative=speculative,
                              pc=pc)
@@ -82,8 +82,8 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
         l0.fill(virtual_address, physical, now + result.latency,
                 process_id=process_id, committed=True,
                 fill_level=result.hit_level)
-        return MemoryAccessResult(latency=hit_latency + result.latency,
-                                  hit_level=result.hit_level)
+        return MemoryAccessResult(hit_latency + result.latency,
+                                  result.hit_level)
 
 
 # -- scheme registration ------------------------------------------------------

@@ -57,11 +57,10 @@ class InvisiSpecMemorySystem(SchemeFrontend):
             process_id, virtual_address, speculative)
         line = self.hierarchy.line_address(physical)
         if not speculative:
-            outcome = self.hierarchy.access(core_id, physical,
-                                            now + tlb_latency,
-                                            speculative=False, pc=pc)
-            return MemoryAccessResult(latency=tlb_latency + outcome.latency,
-                                      hit_level=outcome.hit_level)
+            latency, hit_level = self.hierarchy.access(
+                core_id, physical, now + tlb_latency, speculative=False,
+                pc=pc)
+            return MemoryAccessResult(tlb_latency + latency, hit_level)
         # Speculative load: data goes only into the per-load speculative
         # buffer.  It may read the caches but must not change them, so an L1
         # hit is cheap while a miss pays the full downstream latency without
@@ -74,22 +73,21 @@ class InvisiSpecMemorySystem(SchemeFrontend):
             fill_level = "l1"
         else:
             l1.record_miss()
-            outcome = self.hierarchy.controller.read(
+            latency, fill_level, _ = self.hierarchy.controller.read(
                 core_id, line, now + tlb_latency, speculative=True,
                 protect_coherence=False, fill_l2=False)
             # The speculative access still occupies a miss-tracking slot.
-            l1.mshrs.allocate(line, now, outcome.latency)
-            latency = l1.config.hit_latency + outcome.latency
-            fill_level = outcome.hit_level
-            if outcome.hit_level in ("l2", "memory"):
+            l1.mshrs.allocate(line, now, latency)
+            latency += l1.config.hit_latency
+            if fill_level in ("l2", "memory"):
                 # InvisiSpec does not protect the prefetcher: speculative
                 # loads train it exactly as in the unprotected system.
                 self.hierarchy.train_l2_prefetcher(line, pc, now,
                                                    was_miss=True)
         self._speculative_loads.value += 1
         self._buffers.add((core_id, line))
-        return MemoryAccessResult(latency=tlb_latency + latency,
-                                  hit_level=f"specbuf-{fill_level}")
+        return MemoryAccessResult(tlb_latency + latency,
+                                  f"specbuf-{fill_level}")
 
     def store_address_ready(self, core_id: int, process_id: int,
                             virtual_address: int, now: int, *,
@@ -98,7 +96,7 @@ class InvisiSpecMemorySystem(SchemeFrontend):
         # InvisiSpec does not let speculative stores touch the hierarchy.
         _, tlb_latency = self._cores[core_id].data_mmu.translate(
             process_id, virtual_address, speculative)
-        return MemoryAccessResult(latency=tlb_latency + 1, hit_level="sq")
+        return MemoryAccessResult(tlb_latency + 1, "sq")
 
     # -- the visibility-point re-access --------------------------------------------
     def validation_latency(self, core_id: int, process_id: int,
@@ -118,26 +116,21 @@ class InvisiSpecMemorySystem(SchemeFrontend):
         self._buffers.discard((core_id, line))
         # The validation is a repeat of an access the prefetcher has already
         # been trained on, so it does not train again.
-        outcome = self.hierarchy.access(core_id, physical, now,
-                                        speculative=False, pc=pc,
-                                        train_prefetcher=False)
-        return outcome.latency
+        return self.hierarchy.access(core_id, physical, now,
+                                     speculative=False, pc=pc,
+                                     train_prefetcher=False)[0]
 
     # -- commit-time ------------------------------------------------------------------
-    def commit_load(self, core_id: int, process_id: int, virtual_address: int,
-                    now: int, *, pc: int = 0) -> int:
-        # The core model charges the validation itself (it knows the
-        # visibility point); nothing further happens at commit.
-        return 0
-
+    # A committed load does nothing (the inherited no-op commit_load): the
+    # core model charges the validation itself, since it knows the
+    # visibility point.
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
                      now: int, *, pc: int = 0) -> int:
         physical = self.page_tables.address_space(process_id).translate(
             virtual_address)
-        result = self.hierarchy.commit_store(core_id, physical, now,
-                                             broadcast_to_filters=False)
-        return min(result.latency,
-                   self.hierarchy.l1d(core_id).config.hit_latency)
+        latency, _, _ = self.hierarchy.commit_store(
+            core_id, physical, now, broadcast_to_filters=False)
+        return min(latency, self.hierarchy.l1d(core_id).config.hit_latency)
 
     # -- control events -----------------------------------------------------------------
     def squash(self, core_id: int, now: int) -> None:

@@ -30,10 +30,10 @@ class UnprotectedMemorySystem(SchemeFrontend):
              ) -> MemoryAccessResult:
         physical, tlb_latency = self._cores[core_id].data_mmu.translate(
             process_id, virtual_address, speculative)
-        outcome = self.hierarchy.access(core_id, physical, now + tlb_latency,
-                                        speculative=speculative, pc=pc)
-        return MemoryAccessResult(latency=tlb_latency + outcome.latency,
-                                  hit_level=outcome.hit_level)
+        latency, hit_level = self.hierarchy.access(
+            core_id, physical, now + tlb_latency, speculative=speculative,
+            pc=pc)
+        return MemoryAccessResult(tlb_latency + latency, hit_level)
 
     def store_address_ready(self, core_id: int, process_id: int,
                             virtual_address: int, now: int, *,
@@ -44,26 +44,20 @@ class UnprotectedMemorySystem(SchemeFrontend):
         # the behaviour SpectrePrime-style attacks exploit.
         physical, tlb_latency = self._cores[core_id].data_mmu.translate(
             process_id, virtual_address, speculative)
-        outcome = self.hierarchy.access(core_id, physical, now + tlb_latency,
-                                        is_store=True, speculative=speculative,
-                                        pc=pc)
-        return MemoryAccessResult(latency=tlb_latency + outcome.latency,
-                                  hit_level=outcome.hit_level)
+        latency, hit_level = self.hierarchy.access(
+            core_id, physical, now + tlb_latency, is_store=True,
+            speculative=speculative, pc=pc)
+        return MemoryAccessResult(tlb_latency + latency, hit_level)
 
     # -- commit-time -------------------------------------------------------------
-    def commit_load(self, core_id: int, process_id: int, virtual_address: int,
-                    now: int, *, pc: int = 0) -> int:
-        return 0
-
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
                      now: int, *, pc: int = 0) -> int:
         self._committed_stores.value += 1
         physical = self.page_tables.address_space(process_id).translate(
             virtual_address)
-        result = self.hierarchy.commit_store(core_id, physical, now,
-                                             broadcast_to_filters=False)
-        return min(result.latency,
-                   self.hierarchy.l1d(core_id).config.hit_latency)
+        latency, _, _ = self.hierarchy.commit_store(
+            core_id, physical, now, broadcast_to_filters=False)
+        return min(latency, self.hierarchy.l1d(core_id).config.hit_latency)
 
 
 # -- scheme registration ------------------------------------------------------

@@ -3,7 +3,7 @@
 from repro.caches.base_cache import SetAssociativeCache
 from repro.caches.cache_line import CacheLine
 from repro.caches.hierarchy import NonSpeculativeHierarchy
-from repro.caches.mshr import MSHREntry, MSHRFile
+from repro.caches.mshr import MSHRFile
 from repro.caches.replacement import (
     LRUReplacement,
     RandomReplacement,
@@ -16,7 +16,6 @@ __all__ = [
     "CacheLine",
     "LRUReplacement",
     "NonSpeculativeHierarchy",
-    "MSHREntry",
     "MSHRFile",
     "RandomReplacement",
     "ReplacementPolicy",

@@ -19,15 +19,31 @@ Commit-side helpers (:meth:`commit_fill_l1`, :meth:`commit_store`,
 upgrades with filter-cache broadcasts, and commit-time prefetcher training,
 which calls the L2 prefetcher directly (no queue sits between commit and
 the prefetcher).
+
+The request paths return plain tuples, so an access builds no result
+object:
+
+* :meth:`~NonSpeculativeHierarchy.access` returns ``(latency,
+  hit_level)``;
+* :meth:`~NonSpeculativeHierarchy.read_for_filter` returns ``(latency,
+  hit_level, exclusive_available)``;
+* :meth:`~NonSpeculativeHierarchy.commit_store` returns ``(latency,
+  hit_level, triggered_filter_broadcast)``.
+
+``hit_level`` names the level that served the request: ``"l1"``,
+``"mshr"`` (merged with an in-flight miss), ``"l2p"`` (the core's private
+L2), ``"peer"``, ``"l2"``, ``"memory"``, or ``"nack"`` for a speculative
+read that MuonTrap's reduced coherency speculation refused.  A NACKed
+request's latency is the snoop's alone.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.caches.base_cache import SetAssociativeCache
 from repro.coherence.bus import CoherenceBus
-from repro.coherence.protocol import AccessOutcome, CoherenceController
+from repro.coherence.protocol import CoherenceController
 from repro.coherence.snoop_filter import SnoopFilter
 from repro.coherence.states import CoherenceState, E, I, M, S
 from repro.common.params import SystemConfig
@@ -40,6 +56,10 @@ from repro.prefetch.stream import StreamPrefetcher
 #: Where the access-time training reorder window delivers from: mostly the
 #: oldest buffered event, sometimes the second or third.
 _REORDER_DRAW = (0, 0, 0, 1, 1, 2)
+
+#: ``_new_event(TrainingEvent, fields)`` builds a training event in C,
+#: without the Python-level ``__new__`` a named tuple's constructor runs.
+_new_event = tuple.__new__
 
 
 class NonSpeculativeHierarchy:
@@ -119,7 +139,9 @@ class NonSpeculativeHierarchy:
         # The small reorder buffer below emulates that jumbling; commit-time
         # training bypasses it and trains strictly in order, which is the
         # effect behind the paper's lbm result (section 6.1).
-        self._speculative_train_rng = rng.fork(999)
+        # The window's slot is drawn as ``choice(_REORDER_DRAW)`` would
+        # draw it: ``getrandbits(3)`` until the draw is below 6.
+        self._speculative_train_bits = rng.fork(999).getrandbits
         self._speculative_train_buffer: list = []
 
     # -- accessors ----------------------------------------------------------
@@ -203,14 +225,17 @@ class NonSpeculativeHierarchy:
         issue order of an 8-wide out-of-order core is not program order.
         """
         buffer = self._speculative_train_buffer
-        buffer.append(TrainingEvent(address, pc, now, was_miss))
+        buffer.append(_new_event(TrainingEvent, (address, pc, now, was_miss)))
         if len(buffer) <= 3:
             return
         # Mild reordering: most events arrive in order, but nearby accesses
         # (different loop iterations in flight together) occasionally swap.
         # The buffer holds at least four events, so every draw is in range.
-        delivered = buffer.pop(self._speculative_train_rng.choice(
-            _REORDER_DRAW))
+        getrandbits = self._speculative_train_bits
+        slot = getrandbits(3)
+        while slot >= 6:
+            slot = getrandbits(3)
+        delivered = buffer.pop(_REORDER_DRAW[slot])
         for line in self.l2_prefetcher.train(delivered):
             self._install_prefetch(line, delivered.cycle)
 
@@ -244,7 +269,7 @@ class NonSpeculativeHierarchy:
         """
         self._commit_notifications.value += 1
         for line in self.l2_prefetcher.train(
-                TrainingEvent(line_address, pc, now)):
+                _new_event(TrainingEvent, (line_address, pc, now, True))):
             self._install_prefetch(line, now)
             self._commit_prefetches.value += 1
 
@@ -253,13 +278,13 @@ class NonSpeculativeHierarchy:
                is_store: bool = False, speculative: bool = False,
                protect_coherence: bool = False, pc: int = 0,
                instruction: bool = False, fill_l1: bool = True,
-               train_prefetcher: bool = True) -> AccessOutcome:
+               train_prefetcher: bool = True) -> Tuple[int, str]:
         """Access through the private L1 (instruction or data) and below.
 
         This is the behaviour of an unprotected system: (wrong-path)
         speculative accesses fill the L1 and train the prefetcher like any
         other access.  Stores request ownership (Modified); loads accept
-        Shared or Exclusive.
+        Shared or Exclusive.  Returns ``(latency, hit_level)``.
         """
         l1 = self._l1i[core_id] if instruction else self._l1d[core_id]
         line_address = address & self._line_mask
@@ -274,13 +299,12 @@ class NonSpeculativeHierarchy:
             if is_store:
                 line.state = M
                 line.dirty = True
-            return AccessOutcome(latency, "l1", granted_state=line.state)
+            return latency, "l1"
         l1.record_miss()
-        mshr_entry = l1.mshrs.lookup(line_address, now)
-        if mshr_entry is not None and not is_store:
+        ready_time = l1.mshrs.lookup(line_address, now)
+        if ready_time is not None and not is_store:
             # Merge with an in-flight miss to the same line.
-            latency = max(1, mshr_entry.ready_time - now)
-            return AccessOutcome(l1.config.hit_latency + latency, "mshr")
+            return l1.config.hit_latency + max(1, ready_time - now), "mshr"
         l2p = self._l2p.get(core_id)
         if l2p is not None:
             pline = l2p.lookup(line_address, now)
@@ -293,37 +317,36 @@ class NonSpeculativeHierarchy:
                 if is_store:
                     pline.state = M
                     pline.dirty = True
-                state = M if is_store else pline.state
                 if fill_l1:
-                    self._fill_l1(core_id, l1, line_address, state,
+                    self._fill_l1(core_id, l1, line_address, pline.state,
                                   now + latency, dirty=is_store)
-                return AccessOutcome(latency, "l2p", granted_state=state)
+                return latency, "l2p"
             l2p.record_miss()
         if is_store:
             # A store that found its line privately held returned above.
-            outcome = self.controller.write(
+            latency, hit_level, _ = self.controller.write(
                 core_id, line_address, now,
                 # The upgrade transaction is snooped by every protected
                 # filter cache on the fabric, whatever the writer's own
                 # scheme (no-op unless a mixed machine registered peers).
                 broadcast_to_filters=self.bus.has_peer_filter_listeners(
                     core_id))
+            state = M
         else:
-            outcome = self.controller.read(
+            latency, hit_level, exclusive = self.controller.read(
                 core_id, line_address, now, speculative=speculative,
                 protect_coherence=protect_coherence)
-        if outcome.nacked:
-            return AccessOutcome(outcome.latency, "nack", nacked=True)
-        # Loads allocate an MSHR so occupancy statistics and merge behaviour
-        # are tracked; stores allocate none.  The latency charged is the
-        # downstream latency itself: the out-of-order core model accounts
-        # for overlap, so an additional structural stall here would
-        # double-count contention.
-        total_latency = l1.config.hit_latency + outcome.latency
-        if not is_store:
-            l1.mshrs.allocate(line_address, now, outcome.latency)
+            if hit_level == "nack":
+                return latency, "nack"
+            state = E if exclusive else S
+            # Loads allocate an MSHR so occupancy statistics and merge
+            # behaviour are tracked; stores allocate none.  The latency
+            # charged is the downstream latency itself: the out-of-order
+            # core model accounts for overlap, so an additional structural
+            # stall here would double-count contention.
+            l1.mshrs.allocate(line_address, now, latency)
+        total_latency = l1.config.hit_latency + latency
         if fill_l1:
-            state = M if is_store else outcome.granted_state
             filled_at = now + total_latency
             self._fill_l1(core_id, l1, line_address, state, filled_at,
                           dirty=is_store)
@@ -332,12 +355,10 @@ class NonSpeculativeHierarchy:
                                dirty=is_store)
             if l2p is not None or not instruction:
                 self.bus.note_fill(core_id, line_address)
-        if train_prefetcher and not instruction and outcome.hit_level in (
+        if train_prefetcher and not instruction and hit_level in (
                 "l2", "memory"):
             self.train_l2_prefetcher(line_address, pc, now, was_miss=True)
-        return AccessOutcome(total_latency, outcome.hit_level,
-                             granted_state=outcome.granted_state,
-                             exclusive_available=outcome.exclusive_available)
+        return total_latency, hit_level
 
     # -- MuonTrap filter-cache path ---------------------------------------------
     def read_for_filter(self, core_id: int, address: int, now: int, *,
@@ -345,13 +366,14 @@ class NonSpeculativeHierarchy:
                         protect_coherence: bool = True,
                         pc: int = 0, instruction: bool = False,
                         train_prefetcher_speculatively: bool = False
-                        ) -> AccessOutcome:
+                        ) -> Tuple[int, str, bool]:
         """Supply a line to a filter cache without filling the L1 or L2.
 
         The filter cache may read data from any cache on its linear path to
         memory (its own L1, the shared L2, memory) and from peers only when
         no private non-speculative cache holds the line exclusively
-        (section 4.5).  ``exclusive_available`` in the result signals that an
+        (section 4.5).  Returns ``(latency, hit_level,
+        exclusive_available)``; ``exclusive_available`` signals that an
         unprotected system would have installed the line in E, i.e. the
         filter line should be marked ``SE``.
         """
@@ -364,14 +386,12 @@ class NonSpeculativeHierarchy:
             if line.prefetched and line.ready_at > now:
                 latency += line.ready_at - now
                 line.prefetched = False
-            return AccessOutcome(latency, "l1", granted_state=S,
-                                 exclusive_available=line.state is M
-                                 or line.state is E)
+            return latency, "l1", line.state is M or line.state is E
         l1.record_miss()
-        mshr_entry = l1.mshrs.lookup(line_address, now)
-        if mshr_entry is not None:
-            latency = max(1, mshr_entry.ready_time - now)
-            return AccessOutcome(l1.config.hit_latency + latency, "mshr")
+        ready_time = l1.mshrs.lookup(line_address, now)
+        if ready_time is not None:
+            return (l1.config.hit_latency + max(1, ready_time - now), "mshr",
+                    False)
         l2p = self._l2p.get(core_id)
         if l2p is not None:
             pline = l2p.lookup(line_address, now)
@@ -379,27 +399,21 @@ class NonSpeculativeHierarchy:
                 # The private L2 is on the filter cache's linear path to
                 # memory, so it may supply the line (section 4.5).
                 l2p.record_hit()
-                latency = l1.config.hit_latency + l2p.config.hit_latency
-                return AccessOutcome(latency, "l2p", granted_state=S,
-                                     exclusive_available=pline.state is M
-                                     or pline.state is E)
+                return (l1.config.hit_latency + l2p.config.hit_latency,
+                        "l2p", pline.state is M or pline.state is E)
             l2p.record_miss()
-        outcome = self.controller.read(core_id, line_address, now,
-                                       speculative=speculative,
-                                       protect_coherence=protect_coherence,
-                                       fill_l2=False)
-        if outcome.nacked:
-            return AccessOutcome(outcome.latency, "nack", nacked=True)
-        l1.mshrs.allocate(line_address, now, outcome.latency)
-        total_latency = l1.config.hit_latency + outcome.latency
+        latency, hit_level, exclusive = self.controller.read(
+            core_id, line_address, now, speculative=speculative,
+            protect_coherence=protect_coherence, fill_l2=False)
+        if hit_level == "nack":
+            return latency, "nack", False
+        l1.mshrs.allocate(line_address, now, latency)
         if (train_prefetcher_speculatively and not instruction
-                and outcome.hit_level in ("l2", "memory")):
+                and hit_level in ("l2", "memory")):
             # Only used when the commit-time prefetch protection is disabled
             # (the "fcache only" ablation points of Figures 8 and 9).
             self.train_l2_prefetcher(line_address, pc, now, was_miss=True)
-        return AccessOutcome(total_latency, outcome.hit_level,
-                             granted_state=S,
-                             exclusive_available=outcome.exclusive_available)
+        return l1.config.hit_latency + latency, hit_level, exclusive
 
     # -- commit-side operations ---------------------------------------------------
     def commit_fill_l1(self, core_id: int, address: int, now: int, *,
@@ -457,10 +471,12 @@ class NonSpeculativeHierarchy:
                                                            line_address, now)
 
     def commit_store(self, core_id: int, address: int, now: int, *,
-                     broadcast_to_filters: bool = False) -> AccessOutcome:
+                     broadcast_to_filters: bool = False
+                     ) -> Tuple[int, str, bool]:
         """Perform a committed store's write into the L1 (write-allocate).
 
-        Returns the latency of obtaining ownership.  When
+        Returns ``(latency, hit_level, triggered_filter_broadcast)``, where
+        ``latency`` is that of obtaining ownership.  When
         ``broadcast_to_filters`` is set and the line was not already held
         privately, the exclusive upgrade additionally invalidates every other
         filter cache; the caller can read ``triggered_filter_broadcast`` to
@@ -479,8 +495,7 @@ class NonSpeculativeHierarchy:
         if line is not None and (line.state is M or line.state is E):
             line.state = M
             line.dirty = True
-            return AccessOutcome(l1.config.hit_latency, "l1",
-                                 granted_state=M)
+            return l1.config.hit_latency, "l1", False
         l2p = self._l2p.get(core_id)
         if l2p is not None:
             pline = l2p.lookup(line_address, now)
@@ -489,23 +504,19 @@ class NonSpeculativeHierarchy:
                 pline.state = M
                 pline.dirty = True
                 self._fill_l1(core_id, l1, line_address, M, now, dirty=True)
-                return AccessOutcome(
-                    l1.config.hit_latency + l2p.config.hit_latency, "l2p",
-                    granted_state=M)
-        outcome = self.controller.write(
+                return (l1.config.hit_latency + l2p.config.hit_latency,
+                        "l2p", False)
+        latency, hit_level, triggered = self.controller.write(
             core_id, line_address, now,
             broadcast_to_filters=broadcast_to_filters)
-        if outcome.triggered_filter_broadcast:
+        if triggered:
             self._store_filter_broadcasts.value += 1
-        filled_at = now + outcome.latency
+        filled_at = now + latency
         self._fill_l1(core_id, l1, line_address, M, filled_at, dirty=True)
         if l2p is not None:
             self._fill_l2p(l2p, line_address, M, filled_at, dirty=True)
         self.bus.note_fill(core_id, line_address)
-        return AccessOutcome(
-            l1.config.hit_latency + outcome.latency, outcome.hit_level,
-            granted_state=M,
-            triggered_filter_broadcast=outcome.triggered_filter_broadcast)
+        return l1.config.hit_latency + latency, hit_level, triggered
 
     # -- statistics convenience -----------------------------------------------
     @property

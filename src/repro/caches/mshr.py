@@ -6,26 +6,20 @@ entry; when the file is full, further misses stall and the access model
 charges a structural-hazard penalty.  Entries are retired lazily based on
 the cycle at which their fill completes, so the model needs no central event
 queue.
+
+An entry is nothing but its line's *ready time*, the cycle its fill
+completes: the file maps each outstanding line address to that int, and
+:meth:`MSHRFile.lookup` and :meth:`MSHRFile.allocate` return it.  A merge
+keeps the entry's ready time and is counted in :attr:`MSHRFile.merges`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 #: ``_min_ready`` of a file with no outstanding entry.
 _NONE_OUTSTANDING = float("inf")
-
-
-@dataclass(slots=True)
-class MSHREntry:
-    """One outstanding miss."""
-
-    line_address: int
-    issue_time: int
-    ready_time: int
-    merged_requests: int = 1
 
 
 class MSHRFile:
@@ -35,7 +29,8 @@ class MSHRFile:
         if num_entries <= 0:
             raise ValueError("MSHR file needs at least one entry")
         self.num_entries = num_entries
-        self._entries: Dict[int, MSHREntry] = {}
+        # Outstanding line address -> the cycle its fill completes.
+        self._entries: Dict[int, int] = {}
         # (ready_time, line_address) of every outstanding entry, as a heap,
         # so retiring takes the head instead of scanning the file.
         self._retire_order: List[Tuple[int, int]] = []
@@ -54,28 +49,28 @@ class MSHRFile:
             del entries[heappop(order)[1]]
         self._min_ready = order[0][0] if order else _NONE_OUTSTANDING
 
-    def lookup(self, line_address: int, now: int) -> Optional[MSHREntry]:
-        """Return the in-flight entry for this line, if any."""
+    def lookup(self, line_address: int, now: int) -> Optional[int]:
+        """The ready time of the line's in-flight miss, if it has one."""
         if now >= self._min_ready:
             self._expire(now)
         return self._entries.get(line_address)
 
     def allocate(self, line_address: int, now: int,
-                 fill_latency: int) -> MSHREntry:
+                 fill_latency: int) -> int:
         """Allocate (or merge into) an entry for a miss issued at ``now``.
 
-        Returns the entry; callers read ``ready_time`` to learn when the
-        fill completes.  If the file is full the issue is delayed until the
-        earliest entry retires, modelling the structural stall.
+        Returns the entry's ready time, the cycle the fill completes; a
+        merge returns the outstanding entry's.  If the file is full the
+        issue is delayed until the earliest entry retires, modelling the
+        structural stall.
         """
         if now >= self._min_ready:
             self._expire(now)
         entries = self._entries
-        existing = entries.get(line_address)
-        if existing is not None:
-            existing.merged_requests += 1
+        ready_time = entries.get(line_address)
+        if ready_time is not None:
             self.merges += 1
-            return existing
+            return ready_time
         issue_time = now
         if len(entries) >= self.num_entries:
             # Every outstanding entry is ready after ``now``, so the miss
@@ -84,13 +79,11 @@ class MSHRFile:
             issue_time = self._min_ready
             self.full_stalls += 1
             self._expire(issue_time)
-        ready_time = issue_time + fill_latency
-        entry = entries[line_address] = MSHREntry(line_address, issue_time,
-                                                  ready_time)
+        ready_time = entries[line_address] = issue_time + fill_latency
         heappush(self._retire_order, (ready_time, line_address))
         if ready_time < self._min_ready:
             self._min_ready = ready_time
-        return entry
+        return ready_time
 
     def occupancy(self, now: int) -> int:
         if now >= self._min_ready:

@@ -1,12 +1,11 @@
 """MESI coherence: states, snooping bus, controller and snoop filter."""
 
 from repro.coherence.bus import CoherenceBus, SnoopResult
-from repro.coherence.protocol import AccessOutcome, CoherenceController
+from repro.coherence.protocol import CoherenceController
 from repro.coherence.snoop_filter import SnoopFilter
 from repro.coherence.states import CoherenceState, E, I, M, S
 
 __all__ = [
-    "AccessOutcome",
     "CoherenceBus",
     "CoherenceController",
     "CoherenceState",

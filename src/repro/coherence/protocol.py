@@ -8,12 +8,23 @@ takes.  The MuonTrap-specific behaviour (NACKing speculative requests that
 would disturb another core's private M/E copy, and granting only Shared to
 filter caches with an ``SE`` hint) is driven by flags on the request so the
 same controller serves every protection mode.
+
+Both request paths return a plain tuple, so a request builds no result
+object:
+
+* :meth:`CoherenceController.read` returns ``(latency, hit_level,
+  exclusive_available)``.  ``hit_level`` is ``"l2"``, ``"memory"``,
+  ``"peer"`` or ``"nack"``; a NACKed read is one whose level is
+  ``"nack"``.  The requester is granted Exclusive exactly when
+  ``exclusive_available`` is set, and Shared otherwise.
+* :meth:`CoherenceController.write` returns ``(latency, hit_level,
+  triggered_filter_broadcast)``.  ``hit_level`` is ``"l2"`` or
+  ``"memory"``, and a write is always granted Modified.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.coherence.bus import CoherenceBus
@@ -76,26 +87,6 @@ def next_state(state: CoherenceState, event: MesiEvent) -> CoherenceState:
     return MESI_TRANSITIONS[(state, event)]
 
 
-@dataclass(slots=True)
-class AccessOutcome:
-    """Result of one request against the non-speculative hierarchy.
-
-    Both the coherence controller and the hierarchy's entry points
-    (:class:`~repro.caches.hierarchy.NonSpeculativeHierarchy`) return it.
-    """
-
-    latency: int
-    hit_level: str
-    nacked: bool = False
-    granted_state: CoherenceState = S
-    exclusive_available: bool = False
-    triggered_filter_broadcast: bool = False
-
-    @property
-    def served(self) -> bool:
-        return not self.nacked
-
-
 class CoherenceController:
     """Implements MESI over the private L1s, the shared L2 and memory."""
 
@@ -150,8 +141,11 @@ class CoherenceController:
     def read(self, requester: int, line_address: int, now: int,
              speculative: bool = False,
              protect_coherence: bool = False,
-             fill_l2: bool = True) -> AccessOutcome:
+             fill_l2: bool = True) -> Tuple[int, str, bool]:
         """Serve a read miss from the requester's private L1 (or filter cache).
+
+        Returns ``(latency, hit_level, exclusive_available)`` (see the
+        module docstring).
 
         ``protect_coherence`` enables MuonTrap's reduced coherency
         speculation: a speculative read that would force another core's
@@ -174,8 +168,7 @@ class CoherenceController:
                 # once the access is non-speculative.
                 self.bus.record_nack()
                 self._nacked_reads.value += 1
-                return AccessOutcome(latency=latency, nacked=True,
-                                     granted_state=I, hit_level="nack")
+                return latency, "nack", False
             owner = (snoop.dirty_owner if snoop.dirty_owner is not None
                      else snoop.exclusive_owner)
             was_dirty = snoop.dirty_owner is not None
@@ -191,8 +184,7 @@ class CoherenceController:
                 latency += self.l2.config.hit_latency
                 if self.l2.probe(line_address) is None:
                     self.l2.fill(line_address, S, now + latency)
-            return AccessOutcome(latency=latency, granted_state=S,
-                                 hit_level="peer")
+            return latency, "peer", False
 
         # No private owner elsewhere: the L2 (or memory) supplies the line.
         l2_latency = self._l2_lookup_latency(line_address, now + latency)
@@ -205,16 +197,15 @@ class CoherenceController:
         else:
             latency += l2_latency
             hit_level = "l2"
-        exclusive_ok = not snoop.sharers
-        granted = E if exclusive_ok else S
-        return AccessOutcome(latency=latency, granted_state=granted,
-                             hit_level=hit_level,
-                             exclusive_available=exclusive_ok)
+        return latency, hit_level, not snoop.sharers
 
     # -- write path ------------------------------------------------------------
     def write(self, requester: int, line_address: int, now: int,
-              broadcast_to_filters: bool = False) -> AccessOutcome:
+              broadcast_to_filters: bool = False) -> Tuple[int, str, bool]:
         """Obtain Modified ownership for a store whose line is not private.
+
+        Returns ``(latency, hit_level, triggered_filter_broadcast)`` (see
+        the module docstring).
 
         A requester whose own private cache holds the line in M or E
         upgrades it silently and never calls this (see
@@ -250,9 +241,7 @@ class CoherenceController:
             triggered = self.bus.broadcast_filter_invalidate(
                 requester, line_address, scope_skip=scope_skip)
         self._upgrades.value += 1
-        return AccessOutcome(latency=latency, granted_state=M,
-                             hit_level=hit_level,
-                             triggered_filter_broadcast=triggered)
+        return latency, hit_level, triggered
 
     # -- asynchronous exclusive upgrade (the SE pseudo-state, section 4.5) -----
     def asynchronous_exclusive_upgrade(self, requester: int,

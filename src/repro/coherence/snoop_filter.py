@@ -16,11 +16,13 @@ empty can never change what the snoop would have found.  If the directory
 itself ever has to drop an entry for capacity, it marks itself *imprecise*
 and the bus falls back to probing every cache, keeping results bit-identical
 to a filterless bus.
+
+Each entry is one int, the line's *sharer mask*: bit ``c`` is set when
+core ``c`` may hold the line.  A tracked line's mask is never 0.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Optional, Set
 
 from repro.common.statistics import StatGroup
@@ -32,7 +34,8 @@ class SnoopFilter:
     def __init__(self, stats: Optional[StatGroup] = None,
                  max_entries: int = 64 * 1024) -> None:
         self.max_entries = max_entries
-        self._sharers: Dict[int, Set[int]] = defaultdict(set)
+        # Line address -> sharer mask, oldest-inserted line first.
+        self._sharers: Dict[int, int] = {}
         #: False once a capacity eviction has dropped an entry: from then on
         #: absence of an entry no longer proves absence of a copy, so the
         #: bus must stop trusting empty lookups.
@@ -45,39 +48,46 @@ class SnoopFilter:
 
     def record_fill(self, core_id: int, line_address: int) -> None:
         """A core obtained a copy of the line."""
-        if (line_address not in self._sharers
-                and len(self._sharers) >= self.max_entries):
-            # Capacity eviction: drop an arbitrary (oldest-inserted) entry.
-            # The dropped line may still live in a private cache, so the
-            # directory is no longer an over-approximation for it.
-            victim = next(iter(self._sharers))
-            del self._sharers[victim]
-            self._evictions.value += 1
-            self.precise = False
-        self._sharers[line_address].add(core_id)
+        sharers = self._sharers
+        mask = sharers.get(line_address)
+        if mask is None:
+            mask = 0
+            if len(sharers) >= self.max_entries:
+                # Capacity eviction: drop an arbitrary (oldest-inserted)
+                # entry.  The dropped line may still live in a private
+                # cache, so the directory is no longer an
+                # over-approximation for it.
+                del sharers[next(iter(sharers))]
+                self._evictions.value += 1
+                self.precise = False
+        sharers[line_address] = mask | 1 << core_id
 
     def record_eviction(self, core_id: int, line_address: int) -> None:
         """Every private cache of ``core_id`` lost its copy of the line."""
-        sharers = self._sharers.get(line_address)
-        if sharers is None:
+        mask = self._sharers.get(line_address)
+        if mask is None:
             return
-        sharers.discard(core_id)
-        if not sharers:
+        mask &= ~(1 << core_id)
+        if mask:
+            self._sharers[line_address] = mask
+        else:
             del self._sharers[line_address]
 
     def sharers_of(self, line_address: int) -> Set[int]:
-        self._lookups.value += 1
-        return set(self._sharers.get(line_address, ()))
+        """The cores the directory tracks for the line.
+
+        A read-only probe: unlike :meth:`needs_snoop`, it counts no lookup.
+        """
+        mask = self._sharers.get(line_address, 0)
+        return {core for core in range(mask.bit_length()) if mask >> core & 1}
 
     def needs_snoop(self, requester: int, line_address: int) -> bool:
         """True when someone other than the requester may hold the line.
 
-        Counts one lookup, as :meth:`sharers_of` does, but reads the stored
-        sharer set in place instead of copying it.
+        Counts one lookup.
         """
         self._lookups.value += 1
-        sharers = self._sharers.get(line_address)
-        if sharers and (len(sharers) > 1 or requester not in sharers):
+        if self._sharers.get(line_address, 0) & ~(1 << requester):
             return True
         self._filtered.value += 1
         return False

@@ -10,7 +10,7 @@ needs (Zipf-like reuse distances and bounded geometric run lengths).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -36,6 +36,17 @@ class DeterministicRng:
 
     def choice(self, items: Sequence[T]) -> T:
         return self._random.choice(items)
+
+    @property
+    def getrandbits(self) -> Callable[[int], int]:
+        """The generator's own ``getrandbits``, for a hot loop to bind once.
+
+        ``choice(items)`` draws ``getrandbits(len(items).bit_length())``
+        until the draw is below ``len(items)``, and indexes with it.  A hot
+        loop that repeats that draw itself consumes the same sequence
+        without a Python-level call per draw.
+        """
+        return self._random.getrandbits
 
     def shuffle(self, items: List[T]) -> None:
         self._random.shuffle(items)

@@ -121,12 +121,10 @@ class SchemeFrontend(MemorySystem):
         """An unprotected fetch: even wrong-path fetches fill the L1I."""
         physical, tlb_latency = self._cores[core_id].inst_mmu.translate(
             process_id, virtual_address, speculative)
-        outcome = self.hierarchy.access(core_id, physical, now + tlb_latency,
-                                        instruction=True,
-                                        speculative=speculative, pc=pc,
-                                        train_prefetcher=False)
-        return MemoryAccessResult(latency=tlb_latency + outcome.latency,
-                                  hit_level=outcome.hit_level)
+        latency, hit_level = self.hierarchy.access(
+            core_id, physical, now + tlb_latency, instruction=True,
+            speculative=speculative, pc=pc, train_prefetcher=False)
+        return MemoryAccessResult(tlb_latency + latency, hit_level)
 
     # -- control events ----------------------------------------------------------
     def switch_to_process(self, core_id: int, process_id: int,

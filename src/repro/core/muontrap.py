@@ -120,47 +120,39 @@ class MuonTrapMemorySystem(SchemeFrontend):
             # Ablation point "insecure L0 disabled entirely" is handled by the
             # baselines; with the data filter disabled we fall back to the
             # conventional L1 path.
-            outcome = self.hierarchy.access(
+            latency, hit_level = self.hierarchy.access(
                 core_id, physical, now + tlb_latency, is_store=False,
                 speculative=speculative, pc=pc,
                 protect_coherence=protection.coherence_protection,
                 train_prefetcher=not protection.commit_time_prefetch)
-            return MemoryAccessResult(
-                latency=tlb_latency + outcome.latency,
-                hit_level=outcome.hit_level,
-                must_retry_nonspeculative=outcome.nacked)
+            return MemoryAccessResult(tlb_latency + latency, hit_level,
+                                      hit_level == "nack")
 
         filter_cache = core.data_filter
         hit_latency = filter_cache.config.hit_latency
         if filter_cache.lookup(virtual_address, now,
                                process_id=process_id) is not None:
-            return MemoryAccessResult(latency=tlb_latency + hit_latency,
-                                      hit_level="l0")
+            return MemoryAccessResult(tlb_latency + hit_latency, "l0")
         # Filter miss: consult the L1 and below.  Serial lookup adds the
         # filter-cache cycle in front of the L1; the parallel-access
         # optimisation of section 6.5 overlaps the two.
         probe_penalty = 0 if protection.parallel_l1_access else hit_latency
-        outcome = self.hierarchy.read_for_filter(
+        latency, hit_level, exclusive = self.hierarchy.read_for_filter(
             core_id, physical, now + tlb_latency + probe_penalty,
             speculative=speculative,
             protect_coherence=protection.coherence_protection,
             pc=pc, instruction=False,
             train_prefetcher_speculatively=not protection.commit_time_prefetch)
-        if outcome.nacked:
+        latency += tlb_latency + probe_penalty
+        if hit_level == "nack":
             # Reduced coherency speculation: retry once non-speculative.
-            return MemoryAccessResult(
-                latency=tlb_latency + probe_penalty + outcome.latency,
-                hit_level="nack", must_retry_nonspeculative=True)
-        filter_cache.fill(virtual_address, physical,
-                          now + tlb_latency + probe_penalty + outcome.latency,
+            return MemoryAccessResult(latency, "nack", True)
+        filter_cache.fill(virtual_address, physical, now + latency,
                           process_id=process_id,
                           committed=not speculative,
-                          se_upgrade=outcome.exclusive_available
-                          and not is_store_prefetch,
-                          fill_level=outcome.hit_level)
-        return MemoryAccessResult(
-            latency=tlb_latency + probe_penalty + outcome.latency,
-            hit_level=outcome.hit_level)
+                          se_upgrade=exclusive and not is_store_prefetch,
+                          fill_level=hit_level)
+        return MemoryAccessResult(latency, hit_level)
 
     def load(self, core_id: int, process_id: int, virtual_address: int,
              now: int, *, speculative: bool, pc: int = 0
@@ -190,28 +182,24 @@ class MuonTrapMemorySystem(SchemeFrontend):
         physical, tlb_latency = core.inst_mmu.translate(
             process_id, virtual_address, speculative)
         if not protection.instruction_filter_cache:
-            outcome = self.hierarchy.access(
+            latency, hit_level = self.hierarchy.access(
                 core_id, physical, now + tlb_latency, instruction=True,
                 speculative=speculative, pc=pc, train_prefetcher=False)
-            return MemoryAccessResult(latency=tlb_latency + outcome.latency,
-                                      hit_level=outcome.hit_level)
+            return MemoryAccessResult(tlb_latency + latency, hit_level)
         filter_cache = core.inst_filter
         probe_penalty = filter_cache.config.hit_latency
         if filter_cache.lookup(virtual_address, now,
                                process_id=process_id) is not None:
-            return MemoryAccessResult(latency=tlb_latency + probe_penalty,
-                                      hit_level="l0i")
-        outcome = self.hierarchy.read_for_filter(
+            return MemoryAccessResult(tlb_latency + probe_penalty, "l0i")
+        latency, hit_level, _ = self.hierarchy.read_for_filter(
             core_id, physical, now + tlb_latency + probe_penalty,
             speculative=speculative, protect_coherence=False,
             pc=pc, instruction=True)
-        filter_cache.fill(virtual_address, physical,
-                          now + tlb_latency + probe_penalty + outcome.latency,
+        latency += tlb_latency + probe_penalty
+        filter_cache.fill(virtual_address, physical, now + latency,
                           process_id=process_id, committed=not speculative,
-                          se_upgrade=False, fill_level=outcome.hit_level)
-        return MemoryAccessResult(
-            latency=tlb_latency + probe_penalty + outcome.latency,
-            hit_level=outcome.hit_level)
+                          se_upgrade=False, fill_level=hit_level)
+        return MemoryAccessResult(latency, hit_level)
 
     # -- commit-time ------------------------------------------------------------------
     def commit_load(self, core_id: int, process_id: int, virtual_address: int,
@@ -262,23 +250,21 @@ class MuonTrapMemorySystem(SchemeFrontend):
         physical = self.page_tables.address_space(process_id).translate(
             virtual_address)
         core.data_mmu.commit_translation(process_id, virtual_address)
-        broadcast = protection.coherence_protection
-        result = self.hierarchy.commit_store(core_id, physical, now,
-                                             broadcast_to_filters=broadcast)
-        if result.triggered_filter_broadcast:
+        latency, hit_level, broadcast = self.hierarchy.commit_store(
+            core_id, physical, now,
+            broadcast_to_filters=protection.coherence_protection)
+        if broadcast:
             self._store_broadcasts.value += 1
         if protection.data_filter_cache:
             line = core.data_filter.mark_committed(virtual_address, now)
             if line is not None:
                 line.se_upgrade_pending = False
-        if protection.commit_time_prefetch and result.hit_level in (
-                "l2", "memory"):
+        if protection.commit_time_prefetch and hit_level in ("l2", "memory"):
             self.hierarchy.notify_commit_prefetch(
                 self.hierarchy.line_address(physical), pc, now)
         # Ownership acquisition happens in the store buffer; only charge the
         # L1 portion against commit bandwidth.
-        return min(result.latency,
-                   self.hierarchy.l1d(core_id).config.hit_latency)
+        return min(latency, self.hierarchy.l1d(core_id).config.hit_latency)
 
     def commit_fetch(self, core_id: int, process_id: int,
                      virtual_address: int, now: int, *, pc: int = 0) -> int:

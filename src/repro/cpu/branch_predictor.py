@@ -27,7 +27,11 @@ _TRAIN = ((0, 0, 1, 2), (1, 2, 3, 3))
 
 
 class BranchTargetBuffer:
-    """Maps branch PCs to their last seen targets."""
+    """Maps branch PCs to their last seen targets.
+
+    :meth:`TournamentPredictor.update` reads and writes ``_table`` in
+    place, at the index :meth:`_index` computes.
+    """
 
     def __init__(self, entries: int) -> None:
         self.entries = entries
@@ -70,7 +74,12 @@ class TournamentPredictor:
 
     # -- prediction / update ------------------------------------------------------
     def predict(self, pc: int) -> bool:
-        """Predict the direction of the branch at ``pc``."""
+        """Predict the direction of the branch at ``pc``.
+
+        The core never acts on the direction (:meth:`update` recomputes it
+        to decide a misprediction), so its run loop counts its predictions
+        in ``branch_predictor.predictions`` without calling this.
+        """
         self._predictions.increment()
         config = self.config
         word = pc >> 2
@@ -103,12 +112,14 @@ class TournamentPredictor:
 
         mispredicted = prediction != taken
         if taken and target is not None:
-            predicted_target = self.btb.lookup(pc)
-            if predicted_target != target:
+            btb = self.btb
+            btb_table = btb._table
+            btb_idx = word % btb.entries
+            if btb_table.get(btb_idx) != target:
                 mispredicted = True
-            self.btb.update(pc, target)
+            btb_table[btb_idx] = target
         if mispredicted:
-            self._mispredictions.increment()
+            self._mispredictions.value += 1
 
         # Chooser trains toward whichever component was right.
         if local_prediction != global_prediction:

@@ -116,6 +116,9 @@ class OutOfOrderCore:
         self.predictor = TournamentPredictor(
             self.core_config.branch_predictor,
             stats=stats.child("branch_predictor"))
+        # The core acts only on ``update``'s verdict, so it counts each
+        # prediction here rather than asking for a direction it discards.
+        self._predictions = self.predictor.stats.counter("predictions")
         self.rob = ReorderBuffer(self.core_config.rob_entries)
         self.load_queue = LoadQueue(self.core_config.lq_entries)
         self.store_queue = StoreQueue(self.core_config.sq_entries)
@@ -152,10 +155,12 @@ class OutOfOrderCore:
                                            "validation_latency", None)
         self._record_delayed_forward = getattr(memory_system,
                                                "record_delayed_forward", None)
-        # The base-class commit_fetch is an empty hook whose return value
-        # both paths ignore; when the scheme does not override it
-        # (everything but MuonTrap and heterogeneous frontends)
-        # run_packed skips the call outright.
+        # The base-class commit_load and commit_fetch are empty hooks that
+        # cost no cycles; when the scheme does not override one (only
+        # MuonTrap overrides either) the core skips the call outright
+        # (commit_fetch only in run_packed).
+        self._commit_load_is_noop = (
+            type(memory_system).commit_load is MemorySystem.commit_load)
         self._commit_fetch_is_noop = (
             type(memory_system).commit_fetch is MemorySystem.commit_fetch)
         # The active tracer for the op currently in execute_op (None when
@@ -377,7 +382,7 @@ class OutOfOrderCore:
                         dispatch_time: int) -> int:
         resolve_time = issue_time + op.execution_latency
         if op.force_mispredict is None:
-            self.predictor.predict(op.pc)
+            self._predictions.value += 1
             mispredicted = self.predictor.update(op.pc, op.taken, op.target)
         else:
             mispredicted = op.force_mispredict
@@ -423,9 +428,10 @@ class OutOfOrderCore:
                     # the whole re-access; the Spectre variant's validations
                     # overlap with the time the load spends waiting to retire.
                     self._pending_lq_hold = validation_done
-            extra += self.memory.commit_load(self.core_id, self.process_id,
-                                             op.address, commit_time + extra,
-                                             pc=op.pc)
+            if not self._commit_load_is_noop:
+                extra += self.memory.commit_load(
+                    self.core_id, self.process_id, op.address,
+                    commit_time + extra, pc=op.pc)
         elif op.is_store:
             self._committed_stores.increment()
             extra += self.memory.commit_store(self.core_id, self.process_id,
@@ -464,9 +470,10 @@ class OutOfOrderCore:
         line.  Such a run executes as a batch: one fetch-line check for the
         whole run, no per-op classification and, for schemes that never
         override the hook, no ``commit_fetch`` upcall.  Complex ops —
-        loads, stores, branches, syscalls — take the full per-op path.  A
-        call may start or stop inside a run (the simulator interleaves
-        cores in chunks): the plan records every op's run end.
+        loads, stores, branches, syscalls — take the full per-op path,
+        which likewise skips ``commit_load`` for schemes that keep the
+        empty hook.  A call may start or stop inside a run (the simulator
+        interleaves cores in chunks): the plan records every op's run end.
 
         When a tracer is active (``repro.telemetry``), execution routes
         through the per-op boundary path instead — bit-identical results,
@@ -495,7 +502,8 @@ class OutOfOrderCore:
         mem_fetch = memory.fetch
         mem_load = memory.load
         mem_store_address_ready = memory.store_address_ready
-        mem_commit_load = memory.commit_load
+        mem_commit_load = (None if self._commit_load_is_noop
+                           else memory.commit_load)
         mem_commit_store = memory.commit_store
         mem_commit_fetch = memory.commit_fetch
         mem_squash = memory.squash
@@ -503,7 +511,6 @@ class OutOfOrderCore:
         mem_sandbox_entry = memory.sandbox_entry
         mem_validation_latency = self._validation_latency
         record_delayed_forward = self._record_delayed_forward
-        predictor_predict = self.predictor.predict
         predictor_update = self.predictor.update
         rob = self.rob
         load_queue = self.load_queue
@@ -545,6 +552,7 @@ class OutOfOrderCore:
         n_loads = 0
         n_stores = 0
         n_branches = 0
+        n_predictions = 0
         n_mispredictions = 0
         n_squashed = 0
         n_nack_retries = 0
@@ -758,7 +766,7 @@ class OutOfOrderCore:
                     mispredicted = bool(flags & F_FORCE_MISPREDICT_VALUE)
                     predictor_update(pc, taken, target)
                 else:
-                    predictor_predict(pc)
+                    n_predictions += 1
                     mispredicted = predictor_update(pc, taken, target)
                 if resolve_time > last_branch_resolve:
                     last_branch_resolve = resolve_time
@@ -832,8 +840,9 @@ class OutOfOrderCore:
                         extra += overshoot
                     if invisispec_future:
                         pending_lq_hold = validation_done
-                extra += mem_commit_load(core_id, process_id, address,
-                                         commit_time + extra, pc=pc)
+                if mem_commit_load is not None:
+                    extra += mem_commit_load(core_id, process_id, address,
+                                             commit_time + extra, pc=pc)
             elif is_store:
                 n_stores += 1
                 extra += mem_commit_store(core_id, process_id,
@@ -907,6 +916,8 @@ class OutOfOrderCore:
             self._committed_stores.add(n_stores)
         if n_branches:
             self._committed_branches.add(n_branches)
+        if n_predictions:
+            self._predictions.add(n_predictions)
         if n_mispredictions:
             self._mispredictions.add(n_mispredictions)
         if n_squashed:

@@ -69,10 +69,14 @@ class MemorySystem(abc.ABC):
         """An instruction-cache access on the (possibly wrong) fetch path."""
 
     # -- commit-time ------------------------------------------------------------
-    @abc.abstractmethod
     def commit_load(self, core_id: int, process_id: int, virtual_address: int,
                     now: int, *, pc: int = 0) -> int:
-        """The load reaches in-order commit; returns extra commit latency."""
+        """The load reaches in-order commit; returns extra commit latency.
+
+        The default does nothing, and the core's packed run loop skips the
+        call for a scheme that keeps it.
+        """
+        return 0
 
     @abc.abstractmethod
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
@@ -81,7 +85,10 @@ class MemorySystem(abc.ABC):
 
     def commit_fetch(self, core_id: int, process_id: int,
                      virtual_address: int, now: int, *, pc: int = 0) -> int:
-        """The instruction at ``virtual_address`` commits (default: no cost)."""
+        """The instruction at ``virtual_address`` commits.
+
+        Like :meth:`commit_load`, the default does nothing and is skipped.
+        """
         return 0
 
     # -- control events ----------------------------------------------------------

@@ -15,6 +15,11 @@ TLB itself.  MuonTrap therefore installs a translation walked for a
 speculative access only in a small filter TLB.  When the instruction
 commits, the translation is copied into the main TLB, and the filter TLB
 is flushed on every protection-domain switch, like the filter caches.
+
+Both TLBs key a (process, virtual page) pair by one int,
+``process_id << 64 | virtual_page``.  Virtual addresses are 64-bit, so a
+virtual page number is below ``2**64`` and no two pairs share a key,
+whatever the process id.
 """
 
 from __future__ import annotations
@@ -49,15 +54,20 @@ class MMU:
         self._offset_mask = config.page_size - 1
         self._hit_latency = config.hit_latency
         self._walk_latency = config.walk_latency
-        # (process, virtual page) -> frame number, least recently used
-        # first.
-        self._tlb: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
+        # Key of (process, virtual page) -> frame number, least recently
+        # used first.
+        self._tlb: "OrderedDict[int, int]" = OrderedDict()
+        # The main TLB's most recently used key and its page's physical
+        # base address: a repeat of that page is served from here, since
+        # moving the last key to the end would change nothing.
+        self._mru_key: Optional[int] = None
+        self._mru_base = 0
         tlb_stats = stats.child("tlb")
         self._hits = tlb_stats.counter("hits")
         self._misses = tlb_stats.counter("misses")
         self._evictions = tlb_stats.counter("evictions")
         tlb_stats.counter("flushes")
-        self._filter: "Optional[OrderedDict[Tuple[int, int], int]]" = None
+        self._filter: "Optional[OrderedDict[int, int]]" = None
         if use_filter_tlb:
             if config.filter_entries < 1:
                 raise ValueError(f"a filter TLB needs at least one entry, "
@@ -87,21 +97,26 @@ class MMU:
         leaving the non-speculative TLB untouched.
         """
         page_shift = self._page_shift
-        tag = (process_id, virtual_address >> page_shift)
-        table = self._tlb
-        frame = table.get(tag)
-        if frame is not None:
-            table.move_to_end(tag)
+        key = process_id << 64 | virtual_address >> page_shift
+        if key == self._mru_key:
             self._hits.value += 1
-            return ((frame << page_shift)
-                    + (virtual_address & self._offset_mask),
+            return (self._mru_base + (virtual_address & self._offset_mask),
+                    self._hit_latency)
+        table = self._tlb
+        frame = table.get(key)
+        if frame is not None:
+            table.move_to_end(key)
+            self._hits.value += 1
+            self._mru_key = key
+            base = self._mru_base = frame << page_shift
+            return (base + (virtual_address & self._offset_mask),
                     self._hit_latency)
         self._misses.value += 1
         filter_table = self._filter
         if filter_table is not None:
-            frame = filter_table.get(tag)
+            frame = filter_table.get(key)
             if frame is not None:
-                filter_table.move_to_end(tag)
+                filter_table.move_to_end(key)
                 self._filter_hits.value += 1
                 return ((frame << page_shift)
                         + (virtual_address & self._offset_mask),
@@ -113,12 +128,14 @@ class MMU:
             if len(filter_table) >= self.config.filter_entries:
                 filter_table.popitem(last=False)
                 self._filter_evictions.value += 1
-            filter_table[tag] = physical >> page_shift
+            filter_table[key] = physical >> page_shift
         else:
             if len(table) >= self.config.entries:
                 table.popitem(last=False)
                 self._evictions.value += 1
-            table[tag] = physical >> page_shift
+            frame = table[key] = physical >> page_shift
+            self._mru_key = key
+            self._mru_base = frame << page_shift
         return physical, self._walk_latency
 
     def walk(self, process_id: int, virtual_address: int) -> int:
@@ -142,21 +159,24 @@ class MMU:
         filter_table = self._filter
         if filter_table is None:
             return False
-        tag = (process_id, virtual_address >> self._page_shift)
-        frame = filter_table.get(tag)
+        page_shift = self._page_shift
+        key = process_id << 64 | virtual_address >> page_shift
+        frame = filter_table.get(key)
         promoted = frame is not None
         if promoted:
             self._promotions.value += 1
         else:
             frame = self.page_tables.address_space(process_id).translate(
-                virtual_address) >> self._page_shift
+                virtual_address) >> page_shift
         table = self._tlb
-        if tag in table:
-            table.move_to_end(tag)
+        if key in table:
+            table.move_to_end(key)
         elif len(table) >= self.config.entries:
             table.popitem(last=False)
             self._evictions.value += 1
-        table[tag] = frame
+        table[key] = frame
+        self._mru_key = key
+        self._mru_base = frame << page_shift
         return promoted
 
     def context_switch(self) -> None:
@@ -169,7 +189,8 @@ class MMU:
     # -- read-only probes (no LRU or statistics update) -----------------------
     def probe(self, process_id: int, virtual_address: int) -> Optional[int]:
         """The main TLB's frame for the page, if it holds one."""
-        return self._tlb.get((process_id, virtual_address >> self._page_shift))
+        return self._tlb.get(
+            process_id << 64 | virtual_address >> self._page_shift)
 
     def probe_filter(self, process_id: int,
                      virtual_address: int) -> Optional[int]:
@@ -177,7 +198,7 @@ class MMU:
         if self._filter is None:
             return None
         return self._filter.get(
-            (process_id, virtual_address >> self._page_shift))
+            process_id << 64 | virtual_address >> self._page_shift)
 
     def filter_occupancy(self) -> int:
         """How many translations the filter TLB holds (0 without one)."""

@@ -50,25 +50,25 @@ class TestStates:
 class TestReadPath:
     def test_cold_read_goes_to_memory_and_grants_exclusive(self):
         _, _, l2, memory, controller = build_two_core_setup()
-        outcome = controller.read(0, 0x1000, now=0)
-        assert outcome.hit_level == "memory"
-        assert outcome.granted_state is E
-        assert outcome.exclusive_available
+        _, hit_level, exclusive_available = controller.read(0, 0x1000, now=0)
+        assert hit_level == "memory"
+        # A read is granted Exclusive exactly when it is available.
+        assert exclusive_available
         assert memory.total_reads == 1
         assert l2.contains(0x1000)
 
     def test_l2_hit_is_cheaper_than_memory(self):
         _, _, _, _, controller = build_two_core_setup()
-        cold = controller.read(0, 0x2000, now=0)
-        warm = controller.read(1, 0x2000, now=100)
-        assert warm.hit_level == "l2"
-        assert warm.latency < cold.latency
+        cold_latency, _, _ = controller.read(0, 0x2000, now=0)
+        warm_latency, warm_level, _ = controller.read(1, 0x2000, now=100)
+        assert warm_level == "l2"
+        assert warm_latency < cold_latency
 
     def test_peer_modified_copy_is_downgraded(self):
         _, l1s, l2, _, controller = build_two_core_setup()
         l1s[0].fill(0x3000, M, now=0, dirty=True)
-        outcome = controller.read(1, 0x3000, now=10)
-        assert outcome.hit_level == "peer"
+        _, hit_level, _ = controller.read(1, 0x3000, now=10)
+        assert hit_level == "peer"
         assert l1s[0].state_of(0x3000) is S
         assert l2.contains(0x3000)
 
@@ -76,24 +76,24 @@ class TestReadPath:
         """Reduced coherency speculation (section 4.5)."""
         bus, l1s, _, _, controller = build_two_core_setup()
         l1s[0].fill(0x3000, E, now=0)
-        outcome = controller.read(1, 0x3000, now=10, speculative=True,
-                                  protect_coherence=True)
-        assert outcome.nacked
-        assert not outcome.served
+        _, hit_level, _ = controller.read(1, 0x3000, now=10, speculative=True,
+                                          protect_coherence=True)
+        assert hit_level == "nack"
         assert l1s[0].state_of(0x3000) is E  # untouched
         assert bus.nacks == 1
         # The same request succeeds once it is non-speculative.
-        retry = controller.read(1, 0x3000, now=20, speculative=False,
-                                protect_coherence=True)
-        assert retry.served
+        _, retry_level, _ = controller.read(1, 0x3000, now=20,
+                                            speculative=False,
+                                            protect_coherence=True)
+        assert retry_level != "nack"
         assert l1s[0].state_of(0x3000) is S
 
     def test_filter_fill_without_l2_install(self):
         """The filter-cache fill path leaves no trace in the L2."""
         _, _, l2, memory, controller = build_two_core_setup()
-        outcome = controller.read(0, 0x7000, now=0, speculative=True,
-                                  fill_l2=False)
-        assert outcome.hit_level == "memory"
+        _, hit_level, _ = controller.read(0, 0x7000, now=0, speculative=True,
+                                          fill_l2=False)
+        assert hit_level == "memory"
         assert not l2.contains(0x7000)
         assert memory.total_reads == 1
 
@@ -102,17 +102,18 @@ class TestWritePath:
     def test_write_invalidates_other_copies(self):
         _, l1s, _, _, controller = build_two_core_setup()
         l1s[1].fill(0x4000, S, now=0)
-        outcome = controller.write(0, 0x4000, now=10)
-        assert outcome.granted_state is M
+        # A write is always granted Modified, so it returns no state.
+        _, hit_level, _ = controller.write(0, 0x4000, now=10)
+        assert hit_level in ("l2", "memory")
         assert l1s[1].state_of(0x4000) is I
 
     def test_filter_broadcast_reaches_registered_listeners(self):
         bus, _, _, _, controller = build_two_core_setup()
         invalidated = []
         bus.register_filter_listener(1, invalidated.append)
-        outcome = controller.write(0, 0x6000, now=0,
-                                   broadcast_to_filters=True)
-        assert outcome.triggered_filter_broadcast
+        _, _, triggered = controller.write(0, 0x6000, now=0,
+                                           broadcast_to_filters=True)
+        assert triggered
         assert invalidated == [0x6000]
         assert bus.filter_broadcasts == 1
 
@@ -174,8 +175,8 @@ class TestMesiTransitionTable:
         hierarchy.access(0, 0x9000, now=0)      # a cold read is granted E
         assert l1.state_of(0x9000) is E
         snoops = hierarchy.stats.get("bus.snoops")
-        outcome = hierarchy.commit_store(0, 0x9000, now=500)
-        assert outcome.latency == l1.config.hit_latency
+        latency, _, _ = hierarchy.commit_store(0, 0x9000, now=500)
+        assert latency == l1.config.hit_latency
         assert hierarchy.stats.get("bus.snoops") == snoops
         assert l1.state_of(0x9000) is M
         l1.fill(0xA000, S, now=500)
@@ -234,7 +235,7 @@ def _assert_coherence_invariants(hierarchy, config, lines, context):
                 f"{context}: line {line_address:#x} held privately by "
                 f"{private_owners} but also present in {sorted(holders)}")
         # Conservative directory: every actual holder is tracked.
-        tracked = hierarchy.snoop_filter._sharers.get(line_address, set())
+        tracked = hierarchy.snoop_filter.sharers_of(line_address)
         assert set(holders) <= tracked, (
             f"{context}: line {line_address:#x} held by {sorted(holders)} "
             f"but snoop filter tracks only {sorted(tracked)}")
@@ -328,3 +329,37 @@ class TestSnoopFilter:
         for line in (0x100, 0x200, 0x300):
             snoop_filter.record_fill(0, line)
         assert len(snoop_filter) <= 2
+
+    def test_sharers_of_is_a_read_only_probe(self):
+        snoop_filter = SnoopFilter()
+        snoop_filter.record_fill(3, 0x100)
+        snoop_filter.record_fill(0, 0x100)
+        assert snoop_filter.sharers_of(0x100) == {0, 3}
+        assert snoop_filter.sharers_of(0x200) == set()
+        assert snoop_filter.stats.get("lookups") == 0
+
+    def test_capacity_eviction_makes_the_bus_probe_again(self):
+        """A full directory forgets its oldest line and stops filtering:
+        a snoop then probes every cache and finds the forgotten copy."""
+        snoop_filter = SnoopFilter(max_entries=2)
+        bus = CoherenceBus(snoop_filter=snoop_filter)
+        l1s = []
+        for core in range(2):
+            l1s.append(SetAssociativeCache(CacheConfig(
+                name=f"l1d{core}", size_bytes=4096, associativity=2,
+                hit_latency=2)))
+            bus.register_private_cache(core, l1s[core])
+        # Core 1 holds 0x1000 privately; core 0 then fills two more lines.
+        for core, line in ((1, 0x1000), (0, 0x2000), (0, 0x3000)):
+            l1s[core].fill(line, E, now=0)
+            bus.note_fill(core, line)
+        assert snoop_filter.sharers_of(0x1000) == set()
+        assert snoop_filter.sharers_of(0x2000) == {0}
+        assert snoop_filter.sharers_of(0x3000) == {0}
+        assert snoop_filter.stats.get("entry_evictions") == 1
+        assert not snoop_filter.precise
+        lookups = snoop_filter.stats.get("lookups")
+        found = bus.snoop(0, 0x1000)
+        assert found.exclusive_owner == 1
+        # The bus no longer consults the directory it cannot trust.
+        assert snoop_filter.stats.get("lookups") == lookups

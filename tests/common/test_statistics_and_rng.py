@@ -184,3 +184,20 @@ class TestDeterministicRng:
         picks = {rng.weighted_choice(["a", "b"], [1.0, 0.0])
                  for _ in range(50)}
         assert picks == {"a"}
+
+    @pytest.mark.parametrize("seed", [0, 999, 1234 * 1000003 + 999])
+    def test_getrandbits_replays_choice(self, seed):
+        """The rejection draw the L2 training window makes with the bound
+        ``getrandbits`` consumes the sequence ``choice`` consumes."""
+        items = (0, 0, 0, 1, 1, 2)
+        chosen = DeterministicRng(seed)
+        drawn = DeterministicRng(seed)
+        getrandbits = drawn.getrandbits
+        replayed = []
+        for _ in range(500):
+            slot = getrandbits(3)
+            while slot >= len(items):
+                slot = getrandbits(3)
+            replayed.append(items[slot])
+        assert replayed == [chosen.choice(items) for _ in range(500)]
+        assert drawn.randint(0, 10 ** 9) == chosen.randint(0, 10 ** 9)

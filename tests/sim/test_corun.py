@@ -61,16 +61,16 @@ class TestPrivateL2Construction:
         system = build_system(config, seed=0)
         hierarchy = system.memory_system.hierarchy
         line = 0x4_0000
-        first = hierarchy.access(0, line, 0)
-        assert first.hit_level == "memory"
+        _, first_level = hierarchy.access(0, line, 0)
+        assert first_level == "memory"
         # Evict from the (tiny relative to L2p) L1 by filling its set.
         l1 = hierarchy.l1d(0)
         set_period = l1.num_sets * l1.line_size
         for way in range(1, l1.associativity + 2):
             hierarchy.access(0, line + way * set_period, 100 + way)
         assert l1.probe(line) is None
-        again = hierarchy.access(0, line, 1000)
-        assert again.hit_level == "l2p"
+        _, again_level = hierarchy.access(0, line, 1000)
+        assert again_level == "l2p"
 
 
 class TestCoRunExecution:

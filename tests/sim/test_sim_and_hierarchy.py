@@ -22,18 +22,18 @@ from repro.workloads.profiles import get_profile
 class TestHierarchy:
     def test_conventional_access_fills_l1_and_l2(self):
         hierarchy = NonSpeculativeHierarchy(SystemConfig(num_cores=1))
-        result = hierarchy.access(0, 0x1_0000, now=0)
-        assert result.hit_level == "memory"
+        _, hit_level = hierarchy.access(0, 0x1_0000, now=0)
+        assert hit_level == "memory"
         assert hierarchy.l1d(0).contains(0x1_0000)
         assert hierarchy.l2.contains(0x1_0000)
-        repeat = hierarchy.access(0, 0x1_0000, now=500)
-        assert repeat.hit_level == "l1"
-        assert repeat.latency == 2
+        repeat_latency, repeat_level = hierarchy.access(0, 0x1_0000, now=500)
+        assert repeat_level == "l1"
+        assert repeat_latency == 2
 
     def test_read_for_filter_leaves_no_trace(self):
         hierarchy = NonSpeculativeHierarchy(SystemConfig(num_cores=1))
-        result = hierarchy.read_for_filter(0, 0x2_0000, now=0)
-        assert result.served
+        _, hit_level, _ = hierarchy.read_for_filter(0, 0x2_0000, now=0)
+        assert hit_level != "nack"
         assert not hierarchy.l1d(0).contains(0x2_0000)
         assert not hierarchy.l2.contains(0x2_0000)
 
@@ -69,13 +69,13 @@ class TestHierarchy:
 
     def test_commit_store_reports_broadcast_need(self):
         hierarchy = NonSpeculativeHierarchy(SystemConfig(num_cores=2))
-        result = hierarchy.commit_store(0, 0x4_0000, now=10,
-                                        broadcast_to_filters=True)
-        assert result.triggered_filter_broadcast
+        _, _, triggered = hierarchy.commit_store(0, 0x4_0000, now=10,
+                                                 broadcast_to_filters=True)
+        assert triggered
         # A second store to the now-private line needs no broadcast.
-        repeat = hierarchy.commit_store(0, 0x4_0000, now=50,
-                                        broadcast_to_filters=True)
-        assert not repeat.triggered_filter_broadcast
+        _, _, repeat_triggered = hierarchy.commit_store(
+            0, 0x4_0000, now=50, broadcast_to_filters=True)
+        assert not repeat_triggered
 
 
 class TestSystemBuilder:

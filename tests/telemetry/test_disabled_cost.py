@@ -4,17 +4,22 @@
 nothing while no tracer is installed.  Wall-clock is too noisy to hold a
 2% budget on a shared host, so this gate counts calls instead: a
 seed-pinned ``Simulator.run`` of each pinned cell runs under cProfile,
-and the number of calls into ``repro`` functions may exceed the pinned
-count by at most 2%.  The counts repeat exactly from run to run, so
-per-op or per-access work added to the disabled path trips the gate at
-once.  The cells are single-core mcf under five schemes, and a two-core
+and the number of calls it makes may exceed the pinned count by at most
+2%.  It counts every call into a ``repro`` function, and every call a
+``repro`` function makes into code compiled from a string: the
+generated ``__init__`` of a dataclass and ``__new__`` of a named tuple.
+So an object built per access counts as the call it costs.  The counts
+repeat exactly from run to run, so per-op or per-access work added to
+the disabled path trips the gate at once.  The cells are single-core mcf under five schemes, and a two-core
 co-run under MuonTrap and the unprotected baseline: single-core snoops
 are always filtered, so only the co-run pins real peer snoops, the
 private L2s and downgrades.
 
 Comprehension frames are not counted: Python 3.12 inlines list, dict and
 set comprehensions into their enclosing function, so counting them would
-make the pins depend on the interpreter version.  Refresh the pins after
+make the pins depend on the interpreter version.  The calls they make
+into string-compiled code are counted, since 3.12 charges those to the
+enclosing function.  Refresh the pins after
 an intentional change with::
 
     PYTHONPATH=src python -m pytest tests/telemetry/test_disabled_cost.py --update-golden
@@ -53,10 +58,14 @@ CEILING = 0.02
 
 PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
 INLINED_FRAMES = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+#: The file name of code compiled from a string, as dataclass and named
+#: tuple constructors are.
+GENERATED = "<string>"
 
 
 def repro_calls(workload_name: str, machine: SystemConfig) -> int:
-    """Calls into ``repro`` functions made by one untraced run.
+    """Calls into ``repro`` functions, and from them into string-compiled
+    code, made by one untraced run.
 
     The caller turns the trace cache off, so the trace is fresh and
     unplanned: a cached one may already carry the plan that run() builds,
@@ -70,10 +79,17 @@ def repro_calls(workload_name: str, machine: SystemConfig) -> int:
     profiler.enable()
     simulator.run(workload, warmup_fraction=0.35)
     profiler.disable()
-    return sum(entry.callcount for entry in profiler.getstats()
-               if not isinstance(entry.code, str)
-               and entry.code.co_filename.startswith(PACKAGE_DIR)
-               and entry.code.co_name not in INLINED_FRAMES)
+    calls = 0
+    for entry in profiler.getstats():
+        if (isinstance(entry.code, str)
+                or not entry.code.co_filename.startswith(PACKAGE_DIR)):
+            continue
+        if entry.code.co_name not in INLINED_FRAMES:
+            calls += entry.callcount
+        calls += sum(sub.callcount for sub in entry.calls or ()
+                     if not isinstance(sub.code, str)
+                     and sub.code.co_filename == GENERATED)
+    return calls
 
 
 def test_untraced_runs_stay_within_pinned_call_counts(update_golden,

@@ -4,8 +4,14 @@ Section 4.7 isolates speculative translations in a filter TLB so that they
 cannot prime or probe the non-speculative TLB.  Random sequences of
 speculative and non-speculative translations, commits and domain switches
 over three processes and six pages run against a 4-entry main TLB and a
-2-entry filter TLB, so both tables evict, and after every step:
+2-entry filter TLB, so both tables evict.  One process id is above
+``2**32``, so a TLB key that packs small process ids would alias.  After
+every step:
 
+* the main TLB holds exactly the pages of a reference LRU model, in which
+  every main-TLB hit (speculative or not), every walk of a
+  non-speculative access and every commit makes its page the most
+  recently used;
 * a speculative translation neither adds nor evicts a main-TLB entry;
 * a domain switch leaves the filter TLB empty;
 * a commit counts a promotion exactly when the filter TLB held the page,
@@ -13,6 +19,8 @@ over three processes and six pages run against a 4-entry main TLB and a
 * ``tlb.hits + tlb.misses`` equals the translations made, and
   ``walker.walks`` equals those that missed both TLBs.
 """
+
+from collections import OrderedDict
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -22,7 +30,8 @@ from repro.memory.page_table import PageTableManager
 from repro.tlb.mmu import MMU
 
 PAGE = 4096
-PROCESSES = range(3)
+MAIN_ENTRIES = 4
+PROCESSES = (0, 1, 2**32 + 1)
 PAGES = range(6)
 
 _page = st.tuples(st.sampled_from(PROCESSES), st.sampled_from(PAGES))
@@ -46,8 +55,21 @@ def main_tlb(mmu):
        offset=st.integers(min_value=0, max_value=PAGE - 1))
 def test_filter_tlb_isolates_speculative_translations(steps, offset):
     page_tables = PageTableManager(page_size=PAGE)
-    mmu = MMU(TLBConfig(entries=4, filter_entries=2, page_size=PAGE),
+    mmu = MMU(TLBConfig(entries=MAIN_ENTRIES, filter_entries=2,
+                        page_size=PAGE),
               page_tables, use_filter_tlb=True)
+    # The reference LRU model of the main TLB: (process, page), least
+    # recently used first.
+    model = OrderedDict()
+
+    def use(key):
+        if key in model:
+            model.move_to_end(key)
+        else:
+            if len(model) >= MAIN_ENTRIES:
+                model.popitem(last=False)
+            model[key] = None
+
     translations = double_misses = promotions = 0
     for step in steps:
         before = main_tlb(mmu)
@@ -56,6 +78,9 @@ def test_filter_tlb_isolates_speculative_translations(steps, offset):
             address = page * PAGE + offset
             missed_both = (mmu.probe(process, address) is None
                            and mmu.probe_filter(process, address) is None)
+            if (process, page) in model or (missed_both
+                                            and not speculative):
+                use((process, page))
             physical, _ = mmu.translate(process, address, speculative)
             translations += 1
             double_misses += missed_both
@@ -67,6 +92,7 @@ def test_filter_tlb_isolates_speculative_translations(steps, offset):
             process, page = step[1]
             address = page * PAGE + offset
             held = mmu.probe_filter(process, address) is not None
+            use((process, page))
             assert mmu.commit_translation(process, address) is held
             promotions += held
             assert mmu.probe(process, address) == page_tables.address_space(
@@ -75,8 +101,9 @@ def test_filter_tlb_isolates_speculative_translations(steps, offset):
             mmu.context_switch()
             assert mmu.filter_occupancy() == 0
             assert main_tlb(mmu) == before
+        assert set(main_tlb(mmu)) == set(model)
         assert mmu.filter_occupancy() <= 2
-        assert len(main_tlb(mmu)) <= 4
+        assert len(main_tlb(mmu)) <= MAIN_ENTRIES
         assert mmu.stats.get("filter_tlb.promotions") == promotions
         assert (mmu.stats.get("tlb.hits") + mmu.stats.get("tlb.misses")
                 == translations)
