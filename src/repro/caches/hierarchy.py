@@ -56,6 +56,10 @@ from repro.prefetch.stream import StreamPrefetcher
 #: Where the access-time training reorder window delivers from: mostly the
 #: oldest buffered event, sometimes the second or third.
 _REORDER_DRAW = (0, 0, 0, 1, 1, 2)
+#: ``choice(_REORDER_DRAW)`` draws ``getrandbits(_DRAW_BITS)`` until the
+#: draw is below ``_DRAW_N``; the window repeats that draw inline.
+_DRAW_N = len(_REORDER_DRAW)
+_DRAW_BITS = _DRAW_N.bit_length()
 
 #: ``_new_event(TrainingEvent, fields)`` builds a training event in C,
 #: without the Python-level ``__new__`` a named tuple's constructor runs.
@@ -140,7 +144,7 @@ class NonSpeculativeHierarchy:
         # training bypasses it and trains strictly in order, which is the
         # effect behind the paper's lbm result (section 6.1).
         # The window's slot is drawn as ``choice(_REORDER_DRAW)`` would
-        # draw it: ``getrandbits(3)`` until the draw is below 6.
+        # draw it (see ``_DRAW_BITS``).
         self._speculative_train_bits = rng.fork(999).getrandbits
         self._speculative_train_buffer: list = []
 
@@ -232,9 +236,9 @@ class NonSpeculativeHierarchy:
         # (different loop iterations in flight together) occasionally swap.
         # The buffer holds at least four events, so every draw is in range.
         getrandbits = self._speculative_train_bits
-        slot = getrandbits(3)
-        while slot >= 6:
-            slot = getrandbits(3)
+        slot = getrandbits(_DRAW_BITS)
+        while slot >= _DRAW_N:
+            slot = getrandbits(_DRAW_BITS)
         delivered = buffer.pop(_REORDER_DRAW[slot])
         for line in self.l2_prefetcher.train(delivered):
             self._install_prefetch(line, delivered.cycle)

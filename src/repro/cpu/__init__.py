@@ -1,9 +1,6 @@
 """The out-of-order core model and its supporting structures."""
 
-from repro.cpu.branch_predictor import (
-    BranchTargetBuffer,
-    TournamentPredictor,
-)
+from repro.cpu.branch_predictor import TournamentPredictor
 from repro.cpu.core import CoreResult, OutOfOrderCore
 from repro.cpu.instructions import (
     EXECUTION_LATENCY,
@@ -16,7 +13,6 @@ from repro.cpu.interface import MemoryAccessResult, MemorySystem
 from repro.cpu.rob import LoadQueue, ReorderBuffer, RetirementWindow, StoreQueue
 
 __all__ = [
-    "BranchTargetBuffer",
     "CoreResult",
     "EXECUTION_LATENCY",
     "LoadQueue",

@@ -26,31 +26,6 @@ WEAKLY_TAKEN = 2
 _TRAIN = ((0, 0, 1, 2), (1, 2, 3, 3))
 
 
-class BranchTargetBuffer:
-    """Maps branch PCs to their last seen targets.
-
-    :meth:`TournamentPredictor.update` reads and writes ``_table`` in
-    place, at the index :meth:`_index` computes.
-    """
-
-    def __init__(self, entries: int) -> None:
-        self.entries = entries
-        self._table: Dict[int, int] = {}
-
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) % self.entries
-
-    def lookup(self, pc: int) -> Optional[int]:
-        return self._table.get(self._index(pc))
-
-    def update(self, pc: int, target: int) -> None:
-        self._table[self._index(pc)] = target
-
-    def flush(self) -> None:
-        """BTB isolation on domain switches (variant-2 mitigation hook)."""
-        self._table.clear()
-
-
 class TournamentPredictor:
     """Local + gshare global predictors arbitrated by a chooser."""
 
@@ -62,9 +37,12 @@ class TournamentPredictor:
         self._global_counters = [WEAKLY_TAKEN] * config.global_entries
         self._chooser = [WEAKLY_TAKEN] * config.chooser_entries
         self._global_history = 0
-        self.btb = BranchTargetBuffer(config.btb_entries)
+        # The branch target buffer: BTB index -> last seen target.
+        self._btb: Dict[int, int] = {}
         stats = stats or StatGroup("branch_predictor")
         self.stats = stats
+        # The core counts ``predictions`` (the branches whose direction it
+        # took from the predictor); ``update`` counts ``mispredictions``.
         self._predictions = stats.counter("predictions")
         self._mispredictions = stats.counter("mispredictions")
         # ``btb_misses`` stays 0: no target lookup happens ahead of
@@ -72,29 +50,15 @@ class TournamentPredictor:
         # golden stats) keep their shape.
         stats.counter("btb_misses")
 
-    # -- prediction / update ------------------------------------------------------
-    def predict(self, pc: int) -> bool:
-        """Predict the direction of the branch at ``pc``.
-
-        The core never acts on the direction (:meth:`update` recomputes it
-        to decide a misprediction), so its run loop counts its predictions
-        in ``branch_predictor.predictions`` without calling this.
-        """
-        self._predictions.increment()
-        config = self.config
-        word = pc >> 2
-        if self._chooser[word % config.chooser_entries] >= WEAKLY_TAKEN:
-            counter = self._global_counters[
-                (word ^ self._global_history) % config.global_entries]
-        else:
-            counter = self._local_counters[
-                self._local_history[word % config.local_entries]
-                % config.local_entries]
-        return counter >= WEAKLY_TAKEN
-
+    # -- update ---------------------------------------------------------------------
     def update(self, pc: int, taken: bool,
                target: Optional[int] = None) -> bool:
-        """Update all structures; returns True if the branch was mispredicted."""
+        """Update all structures; returns True if the branch was mispredicted.
+
+        The verdict compares the direction the predictor would have given
+        with ``taken`` and, for a taken branch with a ``target``, the BTB's
+        entry with the target, before training either.
+        """
         config = self.config
         word = pc >> 2
         local_idx = word % config.local_entries
@@ -112,12 +76,11 @@ class TournamentPredictor:
 
         mispredicted = prediction != taken
         if taken and target is not None:
-            btb = self.btb
-            btb_table = btb._table
-            btb_idx = word % btb.entries
-            if btb_table.get(btb_idx) != target:
+            btb = self._btb
+            btb_idx = word % config.btb_entries
+            if btb.get(btb_idx) != target:
                 mispredicted = True
-            btb_table[btb_idx] = target
+            btb[btb_idx] = target
         if mispredicted:
             self._mispredictions.value += 1
 

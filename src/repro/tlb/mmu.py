@@ -57,11 +57,6 @@ class MMU:
         # Key of (process, virtual page) -> frame number, least recently
         # used first.
         self._tlb: "OrderedDict[int, int]" = OrderedDict()
-        # The main TLB's most recently used key and its page's physical
-        # base address: a repeat of that page is served from here, since
-        # moving the last key to the end would change nothing.
-        self._mru_key: Optional[int] = None
-        self._mru_base = 0
         tlb_stats = stats.child("tlb")
         self._hits = tlb_stats.counter("hits")
         self._misses = tlb_stats.counter("misses")
@@ -98,18 +93,13 @@ class MMU:
         """
         page_shift = self._page_shift
         key = process_id << 64 | virtual_address >> page_shift
-        if key == self._mru_key:
-            self._hits.value += 1
-            return (self._mru_base + (virtual_address & self._offset_mask),
-                    self._hit_latency)
         table = self._tlb
         frame = table.get(key)
         if frame is not None:
             table.move_to_end(key)
             self._hits.value += 1
-            self._mru_key = key
-            base = self._mru_base = frame << page_shift
-            return (base + (virtual_address & self._offset_mask),
+            return ((frame << page_shift)
+                    + (virtual_address & self._offset_mask),
                     self._hit_latency)
         self._misses.value += 1
         filter_table = self._filter
@@ -133,9 +123,7 @@ class MMU:
             if len(table) >= self.config.entries:
                 table.popitem(last=False)
                 self._evictions.value += 1
-            frame = table[key] = physical >> page_shift
-            self._mru_key = key
-            self._mru_base = frame << page_shift
+            table[key] = physical >> page_shift
         return physical, self._walk_latency
 
     def walk(self, process_id: int, virtual_address: int) -> int:
@@ -175,8 +163,6 @@ class MMU:
             table.popitem(last=False)
             self._evictions.value += 1
         table[key] = frame
-        self._mru_key = key
-        self._mru_base = frame << page_shift
         return promoted
 
     def context_switch(self) -> None:

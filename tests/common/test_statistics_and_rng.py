@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 import pytest
 
+from repro.caches.hierarchy import _DRAW_BITS, _DRAW_N, _REORDER_DRAW
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import (
     Counter,
@@ -189,15 +190,14 @@ class TestDeterministicRng:
     def test_getrandbits_replays_choice(self, seed):
         """The rejection draw the L2 training window makes with the bound
         ``getrandbits`` consumes the sequence ``choice`` consumes."""
-        items = (0, 0, 0, 1, 1, 2)
         chosen = DeterministicRng(seed)
         drawn = DeterministicRng(seed)
         getrandbits = drawn.getrandbits
         replayed = []
         for _ in range(500):
-            slot = getrandbits(3)
-            while slot >= len(items):
-                slot = getrandbits(3)
-            replayed.append(items[slot])
-        assert replayed == [chosen.choice(items) for _ in range(500)]
+            slot = getrandbits(_DRAW_BITS)
+            while slot >= _DRAW_N:
+                slot = getrandbits(_DRAW_BITS)
+            replayed.append(_REORDER_DRAW[slot])
+        assert replayed == [chosen.choice(_REORDER_DRAW) for _ in range(500)]
         assert drawn.randint(0, 10 ** 9) == chosen.randint(0, 10 ** 9)

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.common.params import BranchPredictorConfig, SystemConfig
 from repro.core.muontrap import MuonTrapMemorySystem
-from repro.cpu.branch_predictor import BranchTargetBuffer, TournamentPredictor
+from repro.cpu.branch_predictor import TournamentPredictor
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.instructions import MicroOp, OpKind, WrongPathAccess, summarize_trace
 from repro.cpu.rob import LoadQueue, ReorderBuffer
@@ -19,12 +19,13 @@ class TestBranchPredictorComponents:
         global_ = predictor._global_counters
         tables = (local, global_, predictor._chooser)
         assert all(set(table) == {2} for table in tables)
-        assert predictor.predict(0x400)          # weakly taken
+        # Weakly taken: a taken branch is predicted correctly.
+        assert not predictor.update(0x400, True)
         # Once both histories are all ones, the local pattern (10 bits)
         # and the gshare index stop moving, so the same two entries take
         # every further update.
         all_taken_local, all_taken_global = 0x3FF, 0x100 ^ 0x1FFF
-        for _ in range(40):
+        for _ in range(39):
             predictor.update(0x400, True)
         assert local[all_taken_local] == global_[all_taken_global] == 3
         assert max(max(table) for table in tables) == 3
@@ -36,14 +37,26 @@ class TestBranchPredictorComponents:
             predictor.update(0x400, False)
         assert local[all_clear_local] == global_[all_clear_global] == 0
         assert min(min(table) for table in tables) == 0
-        assert not predictor.predict(0x400)
-        predictor.update(0x400, True)            # one step up from 0
+        # Predicted not taken, so a taken branch is mispredicted; it
+        # trains one step up from 0.
+        assert predictor.update(0x400, True)
         assert local[all_clear_local] == global_[all_clear_global] == 1
 
     def test_btb(self):
-        btb = BranchTargetBuffer(entries=16)
-        btb.update(0x400, 0x800)
-        assert btb.lookup(0x400) == 0x800
+        """A taken branch whose target differs from its BTB entry is
+        mispredicted, and the entry takes the new target; PCs that share
+        an index share the entry."""
+        predictor = TournamentPredictor(BranchPredictorConfig(btb_entries=16))
+        assert predictor.update(0x400, True, 0x800)      # cold entry
+        assert not predictor.update(0x400, True, 0x800)  # same target
+        assert predictor.update(0x400, True, 0x900)      # new target
+        assert not predictor.update(0x400, True, 0x900)
+        # 0x440 is 16 words on: the same BTB index, another target.
+        assert predictor.update(0x440, True, 0xA00)
+        assert predictor.update(0x400, True, 0x900)
+        # A not-taken branch leaves the entry alone.
+        predictor.update(0x440, False, 0xA00)
+        assert not predictor.update(0x400, True, 0x900)
 
     def test_predictor_learns_biased_branch(self):
         predictor = TournamentPredictor(BranchPredictorConfig())

@@ -5,8 +5,9 @@ import pytest
 from repro.baselines.invisispec import InvisiSpecMemorySystem
 from repro.baselines.stt import STTMemorySystem
 from repro.baselines.unprotected import UnprotectedMemorySystem
-from repro.caches.hierarchy import NonSpeculativeHierarchy
+from repro.caches.hierarchy import _REORDER_DRAW, NonSpeculativeHierarchy
 from repro.common.params import SystemConfig
+from repro.common.rng import DeterministicRng
 from repro.core.muontrap import MuonTrapMemorySystem
 from repro.sim.runner import cumulative_protection_configs, standard_modes
 from repro.sim.simulator import Simulator
@@ -57,6 +58,32 @@ class TestHierarchy:
                 == trained_before + 3)
         # Idempotent once drained.
         assert hierarchy.flush_speculative_training(now=101) == 0
+
+    def test_training_window_delivers_as_choice_would(self):
+        """The window pops the slot ``choice(_REORDER_DRAW)`` would pick
+        on the hierarchy's ``fork(999)`` stream, event after event."""
+        delivered = []
+
+        class Recorder:
+            def train(self, event):
+                delivered.append(event.address)
+                return []
+
+        hierarchy = NonSpeculativeHierarchy(SystemConfig(num_cores=1),
+                                            rng=DeterministicRng(1234))
+        hierarchy.l2_prefetcher = Recorder()
+        for index in range(400):
+            hierarchy.train_l2_prefetcher(index, pc=0x400, now=index,
+                                          was_miss=True)
+        window = DeterministicRng(1234).fork(999)
+        buffer, expected = [], []
+        for index in range(400):
+            buffer.append(index)
+            if len(buffer) > 3:
+                expected.append(buffer.pop(window.choice(_REORDER_DRAW)))
+        assert delivered == expected
+        assert [event.address for event
+                in hierarchy._speculative_train_buffer] == buffer
 
     def test_simulator_drains_training_buffer_at_end_of_run(self):
         config = SystemConfig(num_cores=1,
