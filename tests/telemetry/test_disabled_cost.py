@@ -29,6 +29,7 @@ import cProfile
 import json
 import os
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -79,6 +80,14 @@ def repro_calls(workload_name: str, machine: SystemConfig) -> int:
     profiler.enable()
     simulator.run(workload, warmup_fraction=0.35)
     profiler.disable()
+    return counted_calls(profiler, lambda filename: filename == GENERATED)
+
+
+def counted_calls(profiler: cProfile.Profile,
+                  counts_callee: Callable[[str], bool]) -> int:
+    """Calls into ``repro`` functions, plus the calls they make into
+    Python code outside ``repro`` whose file name ``counts_callee``
+    accepts."""
     calls = 0
     for entry in profiler.getstats():
         if (isinstance(entry.code, str)
@@ -88,7 +97,8 @@ def repro_calls(workload_name: str, machine: SystemConfig) -> int:
             calls += entry.callcount
         calls += sum(sub.callcount for sub in entry.calls or ()
                      if not isinstance(sub.code, str)
-                     and sub.code.co_filename == GENERATED)
+                     and not sub.code.co_filename.startswith(PACKAGE_DIR)
+                     and counts_callee(sub.code.co_filename))
     return calls
 
 

@@ -5,7 +5,10 @@ engines read the same columns, so neither would notice an encoding slip in
 the generator.  These digests hash every field of every op of a spread of
 workloads (pointer-chasing, streaming, compute-bound, four-threaded Parsec,
 branch-heavy and a co-run mix), so any change to what the generator emits
-shows up here.
+shows up here.  Every SPEC and Parsec profile is pinned as well: each at
+2,000 instructions, where ``scaled_for_sample`` shrinks its working sets,
+and povray and mcf also at 25,000, above the scaling reference, where they
+run unscaled as the long benchmark samples do.
 """
 
 import gc
@@ -59,6 +62,63 @@ def workload_digest(workload) -> str:
 ])
 def test_generated_trace_content_is_pinned(name, instructions, expected):
     workload = generate_workload(get_profile(name), instructions, seed=SEED)
+    assert workload_digest(workload) == expected
+
+
+#: Every SPEC and Parsec profile at 2,000 instructions, seed 1234.
+EVERY_PROFILE_AT_2000 = {
+    "astar": "1129a626c757de9deaf7ee4e",
+    "bwaves": "b36cadb50f539104e8fdca3a",
+    "bzip2": "b261841945f5c56027521172",
+    "cactusADM": "3b2f448dddc1655c5010e73d",
+    "calculix": "b499e93cdf0da36204a9d696",
+    "gamess": "154b232f89bd9a010fdc05df",
+    "gcc": "a995db969cd7ffd17614462d",
+    "GemsFDTD": "9f10ad0f486dac9de887cbd5",
+    "gobmk": "78dee064eab54e79f5455112",
+    "gromacs": "04fa7712264bcf368d1ec88f",
+    "h264ref": "39877186b5c9fa53497c3550",
+    "hmmer": "3e50139e6d7480270547434b",
+    "lbm": "ee6018566cf1ca44dbe7e66b",
+    "leslie3d": "6c17fd4da8305aef2bb3615a",
+    "libquantum": "26ed953a9d714fe60b71f0c4",
+    "mcf": "63474eb861d3d184ff5b7cd1",
+    "milc": "864754c55bf8e252c05a8fbb",
+    "namd": "326c68403682d53666722c2f",
+    "omnetpp": "f9f232dd61980edaf7fc03c0",
+    "povray": "a98c336212112d8d59d1a003",
+    "sjeng": "34502e058755d4bb97a5ad94",
+    "soplex": "4fa509b7fcaf04fec7e39edf",
+    "sphinx3": "26968292154a534b90ad4528",
+    "tonto": "91e230a97a216410e8da20da",
+    "xalancbmk": "ff84e305284282e170a5f089",
+    "zeusmp": "040d9ecf95385f576d7654d3",
+    "blackscholes": "8da56341e70424a3352e5a58",
+    "canneal": "41cc168dbb010fd1fca1612e",
+    "ferret": "2967f1af608df31cbee0849b",
+    "fluidanimate": "40946cb0aa47f1a35d023b72",
+    "freqmine": "0d0e3045ab215930aa746e76",
+    "streamcluster": "b2ba4f4ffb606c84fde6b822",
+    "swaptions": "f49f17e1a69172237ad86632",
+}
+
+
+@pytest.mark.parametrize("name", list(EVERY_PROFILE_AT_2000))
+def test_every_profile_trace_is_pinned(name):
+    workload = generate_workload(get_profile(name), 2000, seed=SEED)
+    assert workload_digest(workload) == EVERY_PROFILE_AT_2000[name]
+
+
+@pytest.mark.parametrize("name, instructions, expected", [
+    ("povray", 25000, "cfc6bd3a9c47ed8d3e5a8dc4"),
+    ("mcf", 25000, "543248119ae87f0d9bd37803"),
+])
+def test_unscaled_trace_content_is_pinned(name, instructions, expected):
+    """Samples above ``scaled_for_sample``'s 20,000-instruction reference
+    keep the profile's full working sets and code footprint."""
+    profile = get_profile(name)
+    assert profile.scaled_for_sample(instructions) is profile
+    workload = generate_workload(profile, instructions, seed=SEED)
     assert workload_digest(workload) == expected
 
 
