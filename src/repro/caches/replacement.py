@@ -45,7 +45,7 @@ class RandomReplacement(ReplacementPolicy):
         self._rng = rng
 
     def victim(self, set_index: int, lines: Sequence[CacheLine]) -> int:
-        return self._rng.randint(0, len(lines) - 1)
+        return self._rng.below(len(lines))
 
 
 class TreePLRUReplacement(ReplacementPolicy):

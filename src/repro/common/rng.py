@@ -1,41 +1,42 @@
 """Deterministic random number generation.
 
 Every stochastic component (the workload generator, random replacement, the
-DRAM bank-conflict jitter) takes an explicit :class:`DeterministicRng` so
-that simulations are reproducible given a seed.  The class wraps
-:class:`random.Random` and adds a few distributions the workload generator
-needs (Zipf-like reuse distances and bounded geometric run lengths).
+L2 training window) takes an explicit :class:`DeterministicRng` so that
+simulations are reproducible given a seed.  The class wraps
+:class:`random.Random`.  Its draw primitives are meant to be bound once by
+a hot loop: each makes exactly the :class:`random.Random` draws of the
+method it stands for, in at most one Python frame, so traces and results
+do not depend on which of the two made them.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Callable, List, Optional, Sequence, TypeVar
+from bisect import bisect
+from itertools import accumulate
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
 
 class DeterministicRng:
-    """A seeded random source with helpers used across the simulator."""
+    """A seeded random source with the draws used across the simulator."""
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._random = random.Random(seed)
+        self._getrandbits = self._random.getrandbits
 
     def fork(self, salt: int) -> "DeterministicRng":
         """Derive an independent stream; used per core / per workload."""
         return DeterministicRng((self.seed * 1000003 + salt) & 0xFFFFFFFF)
 
-    # -- basic draws -------------------------------------------------------
-    def uniform(self) -> float:
-        return self._random.random()
-
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in the inclusive range [low, high]."""
-        return self._random.randint(low, high)
-
-    def choice(self, items: Sequence[T]) -> T:
-        return self._random.choice(items)
+    # -- draw primitives ------------------------------------------------------
+    @property
+    def random(self) -> Callable[[], float]:
+        """The generator's own ``random``: a uniform float in ``[0, 1)``."""
+        return self._random.random
 
     @property
     def getrandbits(self) -> Callable[[int], int]:
@@ -46,32 +47,47 @@ class DeterministicRng:
         loop that repeats that draw itself consumes the same sequence
         without a Python-level call per draw.
         """
-        return self._random.getrandbits
+        return self._getrandbits
 
-    def shuffle(self, items: List[T]) -> None:
-        self._random.shuffle(items)
+    def below(self, n: int) -> int:
+        """A uniform integer in ``[0, n)``.
 
-    def chance(self, probability: float) -> bool:
-        """True with the given probability."""
-        if probability <= 0.0:
-            return False
-        if probability >= 1.0:
-            return True
-        return self._random.random() < probability
-
-    # -- distributions -----------------------------------------------------
-    def geometric(self, mean: float, maximum: Optional[int] = None) -> int:
-        """A geometric draw with the given mean, at least 1."""
-        if mean <= 1.0:
-            return 1
-        p = 1.0 / mean
-        value = 1
-        while not self.chance(p):
-            value += 1
-            if maximum is not None and value >= maximum:
-                return maximum
+        Makes the draws ``randrange(n)`` makes, and so those of
+        ``randint(0, n - 1)`` and of ``choice`` over ``n`` items:
+        ``getrandbits(n.bit_length())`` until the draw is below ``n``.
+        """
+        if n <= 0:
+            raise ValueError(f"empty range for below({n})")
+        getrandbits = self._getrandbits
+        bits = n.bit_length()
+        value = getrandbits(bits)
+        while value >= n:
+            value = getrandbits(bits)
         return value
 
+    def weighted(self, items: Sequence[T],
+                 weights: Sequence[float]) -> Callable[[], T]:
+        """A draw of one of ``items`` by weight, for a hot loop to bind once.
+
+        Each call makes the draw ``choices(items, weights)`` makes: one
+        ``random()``, scaled by the total weight and bisected into the
+        cumulative weights, which are accumulated here, once.
+        """
+        if len(items) != len(weights):
+            raise ValueError("items and weights must have equal length")
+        cumulative = list(accumulate(weights))
+        total = cumulative[-1] + 0.0 if cumulative else 0.0
+        if not 0.0 < total < math.inf:
+            raise ValueError("the total weight must be positive and finite")
+        items = tuple(items)
+        last = len(items) - 1
+        uniform = self._random.random
+
+        def draw() -> T:
+            return items[bisect(cumulative, uniform() * total, 0, last)]
+        return draw
+
+    # -- distributions -----------------------------------------------------
     def zipf_index(self, n: int, skew: float = 1.0) -> int:
         """An index in ``[0, n)`` drawn with a Zipf-like bias toward 0.
 
@@ -91,9 +107,3 @@ class DeterministicRng:
             scaled = int(value * skew)
             value = min(n - 1, scaled)
         return value
-
-    def weighted_choice(self, items: Sequence[T],
-                        weights: Sequence[float]) -> T:
-        if len(items) != len(weights):
-            raise ValueError("items and weights must have equal length")
-        return self._random.choices(list(items), weights=list(weights), k=1)[0]

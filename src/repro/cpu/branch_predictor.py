@@ -43,7 +43,7 @@ class TournamentPredictor:
         self.stats = stats
         # The core counts ``predictions`` (the branches whose direction it
         # took from the predictor); ``update`` counts ``mispredictions``.
-        self._predictions = stats.counter("predictions")
+        stats.counter("predictions")
         self._mispredictions = stats.counter("mispredictions")
         # ``btb_misses`` stays 0: no target lookup happens ahead of
         # ``update``.  It is registered so that the statistics tree (and the
@@ -96,18 +96,3 @@ class TournamentPredictor:
         self._global_history = (
             (self._global_history << 1) | int(taken)) & 0x1FFF
         return mispredicted
-
-    # -- statistics ------------------------------------------------------------------
-    @property
-    def predictions(self) -> int:
-        return self._predictions.value
-
-    @property
-    def mispredictions(self) -> int:
-        return self._mispredictions.value
-
-    @property
-    def misprediction_rate(self) -> float:
-        if not self._predictions.value:
-            return 0.0
-        return self._mispredictions.value / self._predictions.value

@@ -8,9 +8,14 @@ instruction mix, data locality, streaming, pointer chasing, branch
 predictability, wrong-path traffic, instruction footprint and inter-thread
 sharing — matches the profile, so that the relative timing of the different
 protection schemes emerges from the simulator rather than being scripted.
-Each op is written straight into the trace's packed columns
-(:meth:`~repro.workloads.trace.PackedTrace.append`); no per-op object is
-built.
+Each op is written straight into the trace's packed columns, its kind's
+columns from :data:`~repro.workloads.trace.KIND_ENCODING`; no per-op object
+is built.
+
+Each thread binds its draw primitives and works out its profile's
+constants once.  A probability ``p`` is drawn as ``chance(p)`` always was:
+``random() < p`` strictly inside (0, 1), and no draw at all outside it, so
+every trace stays the same draw for draw.
 
 Address-space layout (virtual addresses, per process):
 
@@ -25,13 +30,13 @@ Address-space layout (virtual addresses, per process):
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Tuple
 
 from repro.common.rng import DeterministicRng
-from repro.cpu.instructions import OpKind, WrongPathAccess
+from repro.cpu.instructions import F_TAKEN, OpKind, WrongPathAccess
 from repro.workloads.profiles import WorkloadProfile
-from repro.workloads.trace import PackedTrace, Trace, WorkloadTraces
+from repro.workloads.trace import (ABSENT, KIND_ENCODING, PackedTrace, Trace,
+                                   WorkloadTraces)
 
 CODE_BASE = 0x0040_0000
 PRIVATE_DATA_BASE = 0x1000_0000
@@ -39,30 +44,25 @@ PRIVATE_DATA_STRIDE = 0x0100_0000
 SHARED_DATA_BASE = 0x7000_0000
 LINE_SIZE = 64
 
+#: The kinds the per-op draw picks from, in the order of ``_mix_weights``.
+_MIX_KINDS = (OpKind.LOAD, OpKind.STORE, OpKind.BRANCH, OpKind.FP_ALU,
+              OpKind.MUL_DIV, OpKind.SYSCALL, OpKind.INT_ALU)
+_LOAD, _STORE, _BRANCH, _SYSCALL = (
+    KIND_ENCODING[kind][0]
+    for kind in (OpKind.LOAD, OpKind.STORE, OpKind.BRANCH, OpKind.SYSCALL))
+#: Register id -> the source tuple of an op reading it, shared by all.
+_SOURCES = [(register,) for register in range(64)]
+#: The strides a new sequential stream draws from.
+_STREAM_STRIDES = (8, 8, 16, 16, 32, 64)
 
-@dataclass
-class _DataStream:
-    """One sequential access stream (models array traversals)."""
 
-    cursor: int
-    stride: int
-    remaining: int
-
-
-@dataclass
-class _ThreadState:
-    """Mutable generation state for one thread."""
-
-    rng: DeterministicRng
-    data_base: int
-    shared_base: int
-    packed: PackedTrace = field(default_factory=PackedTrace)
-    pc: int = CODE_BASE
-    recent_lines: List[int] = field(default_factory=list)
-    streams: List[_DataStream] = field(default_factory=list)
-    last_load_reg: Optional[int] = None
-    next_reg: int = 1
-    last_load_line: Optional[int] = None
+def _mix_weights(profile: WorkloadProfile) -> List[float]:
+    alu = max(0.01, 1.0 - (profile.load_fraction + profile.store_fraction
+                           + profile.branch_fraction + profile.fp_fraction
+                           + profile.mul_fraction + profile.syscall_rate))
+    return [profile.load_fraction, profile.store_fraction,
+            profile.branch_fraction, profile.fp_fraction,
+            profile.mul_fraction, profile.syscall_rate, alu]
 
 
 class TraceGenerator:
@@ -100,231 +100,217 @@ class TraceGenerator:
     def _generate_thread(self, profile: WorkloadProfile, instructions: int,
                          thread_id: int, process_id: int) -> Trace:
         rng = DeterministicRng(self.seed).fork(thread_id + 1)
-        state = _ThreadState(
-            rng=rng,
-            data_base=PRIVATE_DATA_BASE + thread_id * PRIVATE_DATA_STRIDE,
-            shared_base=SHARED_DATA_BASE)
-        mix = self._mix_weights(profile)
-        for _ in range(instructions):
-            kind = rng.weighted_choice(*mix)
-            if kind is OpKind.LOAD:
-                self._make_load(profile, state)
-            elif kind is OpKind.STORE:
-                self._make_store(profile, state)
-            elif kind is OpKind.BRANCH:
-                self._make_branch(profile, state)
-            elif kind is OpKind.SYSCALL:
-                self._make_syscall(state)
+        random = rng.random
+        below = rng.below
+        zipf_index = rng.zipf_index
+        draw_kind = rng.weighted([KIND_ENCODING[kind] for kind in _MIX_KINDS],
+                                 _mix_weights(profile))
+        reuse_window = self.REUSE_WINDOW
+        recent: List[int] = []
+        # Live sequential streams, each ``[cursor, stride, remaining]``.
+        streams: List[List[int]] = []
+
+        # -- the profile's constants -----------------------------------------
+        data_base = PRIVATE_DATA_BASE + thread_id * PRIVATE_DATA_STRIDE
+        data_end = data_base + profile.working_set_bytes
+        stream_lines = max(1, profile.working_set_bytes // LINE_SIZE)
+        private_words = max(
+            1, max(LINE_SIZE * 4, profile.working_set_bytes) // 8)
+        shared_words = max(
+            1, max(LINE_SIZE * 4, profile.shared_working_set_bytes) // 8)
+        hot_words = max(1, max(LINE_SIZE * 2, profile.hot_set_bytes) // 8)
+        footprint = max(256, profile.instruction_footprint_bytes)
+        code_end = CODE_BASE + footprint
+        code_slots = footprint // 4
+        hot_code_slots = max(128, int(footprint
+                                      * profile.hot_code_fraction)) // 4
+        # A syscall wraps the pc at the unscaled profile's code footprint.
+        syscall_code_end = CODE_BASE + max(
+            256, self.profile.instruction_footprint_bytes)
+        concurrent_streams = profile.concurrent_streams
+        shared_fraction = profile.shared_fraction
+        conflict = profile.set_conflict_pressure * 0.3
+        streaming = profile.streaming
+        temporal = profile.temporal_locality
+        spatial = profile.spatial_locality
+        loop_bias = profile.loop_bias
+        pointer_chase = profile.pointer_chase_fraction
+        store_private = profile.store_private_fraction
+        load_use = profile.load_use_fraction
+        branch_load_use = profile.load_use_fraction * 0.5
+        predictability = profile.branch_predictability
+        wrong_path_mean = max(1.0, profile.wrong_path_loads)
+        wrong_path_stop = 1.0 / wrong_path_mean
+        branch_name = f"{self.profile.name}:"
+
+        def branch_target() -> int:
+            if loop_bias > 0.0 and (loop_bias >= 1.0 or random() < loop_bias):
+                # Loop back within the hot region of the code.
+                return CODE_BASE + below(hot_code_slots) * 4
+            return CODE_BASE + below(code_slots) * 4
+
+        def stream_address() -> int:
+            """Next address of one of the workload's sequential streams."""
+            if not streams or (len(streams) < concurrent_streams
+                               and random() < 0.1):
+                start = data_base + below(stream_lines) * LINE_SIZE
+                stride = _STREAM_STRIDES[below(len(_STREAM_STRIDES))]
+                streams.append([start, stride, 128 + below(641)])
+            stream = streams[below(len(streams))]
+            address = stream[0]
+            stream[0] += stream[1]
+            stream[2] -= 1
+            if stream[2] <= 0 or stream[0] >= data_end:
+                # ``remove`` drops the first stream *equal* to this one,
+                # which need not be this one; later draws pick streams by
+                # their place in the list, so that choice must not change.
+                streams.remove(stream)
+            return address
+
+        def data_address() -> int:
+            shared = shared_fraction > 0.0 and (
+                shared_fraction >= 1.0 or random() < shared_fraction)
+            if not shared and conflict > 0.0 and (
+                    conflict >= 1.0 or random() < conflict):
+                # Eight ways 2 KiB apart collide in one set of a 2 KiB
+                # filter cache whatever its associativity: the power-of-two
+                # strides that make cactusADM sensitive to filter-cache
+                # associativity (Figure 6).
+                address = data_base + below(8) * 2048 + below(2) * 8
+            elif not shared and streaming > 0.0 and (
+                    streaming >= 1.0 or random() < streaming):
+                address = stream_address()
+            elif recent and temporal > 0.0 and (
+                    temporal >= 1.0 or random() < temporal):
+                line = recent[-zipf_index(len(recent)) - 1]
+                address = line + below(LINE_SIZE) & ~0x7
+            elif recent and spatial > 0.0 and (
+                    spatial >= 1.0 or random() < spatial):
+                address = recent[-1] + LINE_SIZE + below(LINE_SIZE) & ~0x7
+            elif random() < 0.6:
+                address = ((SHARED_DATA_BASE if shared else data_base)
+                           + below(hot_words) * 8)
+            elif shared:
+                address = SHARED_DATA_BASE + below(shared_words) * 8
             else:
-                self._make_compute(profile, state, kind)
-        return Trace(profile.name, thread_id, process_id, state.packed)
+                address = data_base + below(private_words) * 8
+            recent.append(address - address % LINE_SIZE)
+            if len(recent) > reuse_window:
+                del recent[0]
+            return address
 
-    def _mix_weights(self, profile: WorkloadProfile):
-        kinds = [OpKind.LOAD, OpKind.STORE, OpKind.BRANCH, OpKind.FP_ALU,
-                 OpKind.MUL_DIV, OpKind.SYSCALL, OpKind.INT_ALU]
-        alu = max(0.01, 1.0 - (profile.load_fraction + profile.store_fraction
-                               + profile.branch_fraction + profile.fp_fraction
-                               + profile.mul_fraction + profile.syscall_rate))
-        weights = [profile.load_fraction, profile.store_fraction,
-                   profile.branch_fraction, profile.fp_fraction,
-                   profile.mul_fraction, profile.syscall_rate, alu]
-        return kinds, weights
+        def wrong_path() -> Tuple[WrongPathAccess, ...]:
+            """Squashed accesses a misprediction of this branch would produce.
 
-    # -- program counter handling ------------------------------------------------
-    def _advance_pc(self, profile: WorkloadProfile,
-                    state: _ThreadState) -> int:
-        pc = state.pc
-        state.pc += 4
-        footprint = max(256, profile.instruction_footprint_bytes)
-        if state.pc >= CODE_BASE + footprint:
-            state.pc = CODE_BASE
-        return pc
+            Their number is geometric with mean ``wrong_path_loads``, at
+            most six.  They hit the same working set but without the
+            pattern of the committed stream: mostly random lines, which is
+            what perturbs the stride prefetcher in an unprotected system.
+            """
+            count = 1
+            if wrong_path_mean > 1.0:
+                while not random() < wrong_path_stop:
+                    count += 1
+                    if count >= 6:
+                        break
+            accesses = []
+            for offset in range(1, count + 1):
+                address = data_base + below(private_words) * 8
+                accesses.append(WrongPathAccess(address, random() < 0.15,
+                                                False, offset))
+            if random() < 0.3:
+                accesses.append(WrongPathAccess(branch_target(), False, True,
+                                                1))
+            return tuple(accesses)
 
-    def _branch_target(self, profile: WorkloadProfile,
-                       state: _ThreadState) -> int:
-        footprint = max(256, profile.instruction_footprint_bytes)
-        hot_bytes = max(128, int(footprint * profile.hot_code_fraction))
-        if state.rng.chance(profile.loop_bias):
-            # Loop back within the hot region of the code.
-            offset = state.rng.randint(0, hot_bytes // 4 - 1) * 4
-        else:
-            offset = state.rng.randint(0, footprint // 4 - 1) * 4
-        return CODE_BASE + offset
-
-    # -- data address generation -----------------------------------------------------
-    def _remember_line(self, state: _ThreadState, address: int) -> None:
-        line = address - (address % LINE_SIZE)
-        state.recent_lines.append(line)
-        if len(state.recent_lines) > self.REUSE_WINDOW:
-            state.recent_lines.pop(0)
-
-    def _stream_address(self, profile: WorkloadProfile,
-                        state: _ThreadState) -> int:
-        """Next address of one of the workload's sequential streams."""
-        rng = state.rng
-        if (not state.streams
-                or (len(state.streams) < profile.concurrent_streams
-                    and rng.chance(0.1))):
-            start = state.data_base + rng.randint(
-                0, max(1, profile.working_set_bytes // LINE_SIZE) - 1) * LINE_SIZE
-            stride = rng.choice([8, 8, 16, 16, 32, 64])
-            state.streams.append(_DataStream(cursor=start, stride=stride,
-                                             remaining=rng.randint(128, 768)))
-        stream = rng.choice(state.streams)
-        address = stream.cursor
-        stream.cursor += stream.stride
-        stream.remaining -= 1
-        if stream.remaining <= 0 or (
-                stream.cursor >= state.data_base + profile.working_set_bytes):
-            state.streams.remove(stream)
-        return address
-
-    def _conflict_address(self, profile: WorkloadProfile,
-                          state: _ThreadState) -> int:
-        """Addresses that collide in a low-associativity filter cache.
-
-        Power-of-two strides map many concurrently live lines to the same
-        set, which is the behaviour that makes cactusADM sensitive to
-        filter-cache associativity (Figure 6).
-        """
-        rng = state.rng
-        way = rng.randint(0, 7)
-        set_stride = 2048  # same set in a 2 KiB filter cache regardless of ways
-        return state.data_base + way * set_stride + rng.randint(0, 1) * 8
-
-    def _data_address(self, profile: WorkloadProfile, state: _ThreadState,
-                      for_store: bool = False) -> int:
-        rng = state.rng
-        shared = (profile.shared_fraction > 0.0
-                  and rng.chance(profile.shared_fraction))
-        base = state.shared_base if shared else state.data_base
-        working_set = (profile.shared_working_set_bytes if shared
-                       else profile.working_set_bytes)
-        working_set = max(LINE_SIZE * 4, working_set)
-        if not shared and profile.set_conflict_pressure > 0.0 and rng.chance(
-                profile.set_conflict_pressure * 0.3):
-            address = self._conflict_address(profile, state)
-        elif not shared and rng.chance(profile.streaming):
-            address = self._stream_address(profile, state)
-        elif state.recent_lines and rng.chance(profile.temporal_locality):
-            index = rng.zipf_index(len(state.recent_lines))
-            line = state.recent_lines[-(index + 1)]
-            address = line + rng.randint(0, LINE_SIZE - 1) & ~0x7
-        elif state.recent_lines and rng.chance(profile.spatial_locality):
-            line = state.recent_lines[-1]
-            address = line + LINE_SIZE + rng.randint(0, LINE_SIZE - 1) & ~0x7
-        else:
-            hot = rng.chance(0.6)
-            region = (max(LINE_SIZE * 2, profile.hot_set_bytes) if hot
-                      else working_set)
-            address = base + rng.randint(0, max(1, region // 8) - 1) * 8
-        self._remember_line(state, address)
-        return address
-
-    def _wrong_path_accesses(self, profile: WorkloadProfile,
-                             state: _ThreadState) -> List[WrongPathAccess]:
-        """Squashed accesses a misprediction of this branch would produce."""
-        rng = state.rng
-        count = rng.geometric(max(1.0, profile.wrong_path_loads), maximum=6)
-        accesses: List[WrongPathAccess] = []
-        for index in range(count):
-            # Wrong-path accesses hit the same working set but without the
-            # pattern of the committed stream: mostly random lines, which is
-            # what perturbs the stride prefetcher in an unprotected system.
-            region = max(LINE_SIZE * 4, profile.working_set_bytes)
-            address = state.data_base + rng.randint(
-                0, max(1, region // 8) - 1) * 8
-            accesses.append(WrongPathAccess(address=address,
-                                            is_store=rng.chance(0.15),
-                                            issue_offset=index + 1))
-        if rng.chance(0.3):
-            accesses.append(WrongPathAccess(
-                address=self._branch_target(profile, state),
-                is_instruction=True, issue_offset=1))
-        return accesses
-
-    # -- per-kind op encoders ---------------------------------------------------------
-    def _fresh_register(self, state: _ThreadState) -> int:
-        register = state.next_reg
-        state.next_reg = (state.next_reg + 1) % 64 or 1
-        return register
-
-    def _make_load(self, profile: WorkloadProfile,
-                   state: _ThreadState) -> None:
-        rng = state.rng
-        pc = self._advance_pc(profile, state)
-        src_regs = ()
-        if (profile.pointer_chase_fraction > 0.0
-                and state.last_load_reg is not None
-                and rng.chance(profile.pointer_chase_fraction)):
-            # A dependent (pointer-chasing) load: its address comes from the
-            # previous load's result.
-            src_regs = (state.last_load_reg,)
-        address = self._data_address(profile, state)
-        dst = self._fresh_register(state)
-        state.last_load_reg = dst
-        state.last_load_line = address - (address % LINE_SIZE)
-        state.packed.append(OpKind.LOAD, pc, address=address,
-                            src_regs=src_regs, dst_reg=dst)
-
-    def _make_store(self, profile: WorkloadProfile,
-                    state: _ThreadState) -> None:
-        rng = state.rng
-        pc = self._advance_pc(profile, state)
-        if rng.chance(profile.store_private_fraction) and state.recent_lines:
-            # Store to data that was recently read: the line is likely
-            # already held privately, so no invalidation broadcast is needed.
-            line = state.recent_lines[-rng.zipf_index(
-                len(state.recent_lines)) - 1]
-            address = line + (rng.randint(0, LINE_SIZE // 8 - 1) * 8)
-        else:
-            address = self._data_address(profile, state, for_store=True)
-        src_regs = ()
-        if state.last_load_reg is not None and rng.chance(
-                profile.load_use_fraction):
-            src_regs = (state.last_load_reg,)
-        state.packed.append(OpKind.STORE, pc, address=address,
-                            src_regs=src_regs)
-
-    def _make_branch(self, profile: WorkloadProfile,
-                     state: _ThreadState) -> None:
-        rng = state.rng
-        pc = self._advance_pc(profile, state)
-        # Each static branch is biased; how strongly determines how well the
-        # tournament predictor learns it.  The bias must be a deterministic
-        # function of the static branch (not Python's randomised hash) so
-        # traces are reproducible across processes.
-        biased_taken = (zlib.crc32(f"{self.profile.name}:{pc}".encode())
-                        & 1) == 0
-        follows_bias = rng.chance(profile.branch_predictability)
-        taken = biased_taken if follows_bias else not biased_taken
-        src_regs = ()
-        if state.last_load_reg is not None and rng.chance(
-                profile.load_use_fraction * 0.5):
-            src_regs = (state.last_load_reg,)
-        # The wrong-path draws come after the target draw.
-        target = self._branch_target(profile, state)
-        state.packed.append(OpKind.BRANCH, pc, taken=taken, target=target,
-                            src_regs=src_regs,
-                            wrong_path=self._wrong_path_accesses(profile,
-                                                                 state))
-        if taken:
-            state.pc = target
-
-    def _make_syscall(self, state: _ThreadState) -> None:
-        pc = self._advance_pc(self.profile, state)
-        state.packed.append(OpKind.SYSCALL, pc)
-
-    def _make_compute(self, profile: WorkloadProfile, state: _ThreadState,
-                      kind: OpKind) -> None:
-        rng = state.rng
-        pc = self._advance_pc(profile, state)
-        src_regs = ()
-        if state.last_load_reg is not None and rng.chance(
-                profile.load_use_fraction):
-            src_regs = (state.last_load_reg,)
-        dst = self._fresh_register(state)
-        state.packed.append(kind, pc, src_regs=src_regs, dst_reg=dst)
+        # -- the ops ------------------------------------------------------------
+        packed = PackedTrace()
+        kinds_append = packed.kinds.append
+        flags_append = packed.flags.append
+        pcs_append = packed.pcs.append
+        addresses_append = packed.addresses.append
+        latencies_append = packed.latencies.append
+        srcs_append = packed.srcs.append
+        dsts_append = packed.dsts.append
+        targets_append = packed.targets.append
+        wrong_paths_append = packed.wrong_paths.append
+        crc32 = zlib.crc32
+        next_pc = CODE_BASE
+        last_load_reg = None
+        next_reg = 1
+        for _ in range(instructions):
+            code, flags, latency = draw_kind()
+            pc = next_pc
+            next_pc = pc + 4
+            if next_pc >= code_end:
+                next_pc = CODE_BASE
+            address = dst = target = ABSENT
+            sources = wrong = ()
+            if code == _LOAD:
+                if pointer_chase > 0.0 and last_load_reg is not None and (
+                        pointer_chase >= 1.0 or random() < pointer_chase):
+                    # A dependent (pointer-chasing) load: its address comes
+                    # from the previous load's result.
+                    sources = _SOURCES[last_load_reg]
+                address = data_address()
+                dst = last_load_reg = next_reg
+                next_reg = (next_reg + 1) % 64 or 1
+            elif code == _STORE:
+                if store_private > 0.0 and (
+                        store_private >= 1.0 or random() < store_private) \
+                        and recent:
+                    # Store to data that was recently read: the line is
+                    # likely already held privately, so no invalidation
+                    # broadcast is needed.
+                    address = (recent[-zipf_index(len(recent)) - 1]
+                               + below(LINE_SIZE // 8) * 8)
+                else:
+                    address = data_address()
+                if last_load_reg is not None and load_use > 0.0 and (
+                        load_use >= 1.0 or random() < load_use):
+                    sources = _SOURCES[last_load_reg]
+            elif code == _BRANCH:
+                # Each static branch is biased; how strongly determines how
+                # well the tournament predictor learns it.  The bias must be
+                # a deterministic function of the static branch (not
+                # Python's randomised hash) so traces are reproducible
+                # across processes.
+                biased_taken = crc32(f"{branch_name}{pc}".encode()) & 1 == 0
+                follows_bias = predictability > 0.0 and (
+                    predictability >= 1.0 or random() < predictability)
+                taken = biased_taken if follows_bias else not biased_taken
+                if last_load_reg is not None and branch_load_use > 0.0 and (
+                        branch_load_use >= 1.0
+                        or random() < branch_load_use):
+                    sources = _SOURCES[last_load_reg]
+                # The wrong-path draws come after the target draw.
+                target = branch_target()
+                wrong = wrong_path()
+                if taken:
+                    flags |= F_TAKEN
+                    next_pc = target
+            elif code == _SYSCALL:
+                next_pc = pc + 4
+                if next_pc >= syscall_code_end:
+                    next_pc = CODE_BASE
+            else:
+                if last_load_reg is not None and load_use > 0.0 and (
+                        load_use >= 1.0 or random() < load_use):
+                    sources = _SOURCES[last_load_reg]
+                dst = next_reg
+                next_reg = (next_reg + 1) % 64 or 1
+            kinds_append(code)
+            flags_append(flags)
+            pcs_append(pc)
+            addresses_append(address)
+            latencies_append(latency)
+            srcs_append(sources)
+            dsts_append(dst)
+            targets_append(target)
+            wrong_paths_append(wrong)
+        # Generated ops carry no sequence number.
+        packed.sequences = [0] * instructions
+        return Trace(profile.name, thread_id, process_id, packed)
 
 
 def generate_workload(profile, instructions: int,

@@ -8,10 +8,10 @@ per thread, all sharing one process/address space.
 
 A trace is stored in one form only, a :class:`PackedTrace`: parallel lists
 of flag bitmasks, pcs, addresses, latencies and register ids, read by the
-zero-allocation core loop.  :meth:`PackedTrace.append` is the one
-op-to-column encoder (the generator writes every op through it, and
-:meth:`PackedTrace.pack` runs it over a
-:class:`~repro.cpu.instructions.MicroOp` list); it folds the
+zero-allocation core loop.  :data:`KIND_ENCODING` is the one kind-to-column
+encoding: the generator writes every op's kind code, flags and latency
+from it, and :meth:`PackedTrace.pack` encodes a
+:class:`~repro.cpu.instructions.MicroOp` list with it.  It folds the
 ``is_load/is_store/is_branch/is_transmitter`` classification into flag bits
 so the hot loop never touches :class:`~repro.cpu.instructions.OpKind` enum
 properties.  ``MicroOp`` objects are built only on demand, by
@@ -31,7 +31,7 @@ plans rebuild on first use).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cpu.instructions import (
     EXECUTION_LATENCY,
@@ -47,17 +47,19 @@ from repro.cpu.instructions import (
     KIND_FLAGS,
     MicroOp,
     OpKind,
-    WrongPathAccess,
     summarize_trace,
 )
 
 #: Index-order list of kinds, giving each a stable small integer code.
 _KIND_CODES: List[OpKind] = list(OpKind)
-_CODE_OF_KIND: Dict[OpKind, int] = {kind: code
-                                    for code, kind in enumerate(_KIND_CODES)}
+#: OpKind -> (kind code, kind-implied flag bits, default latency): the
+#: three columns an op's kind alone decides.
+KIND_ENCODING: Dict[OpKind, Tuple[int, int, int]] = {
+    kind: (code, KIND_FLAGS[kind], EXECUTION_LATENCY[kind])
+    for code, kind in enumerate(_KIND_CODES)}
 
 #: Sentinel for "no address / no target / no destination register".
-_NONE = -1
+ABSENT = -1
 
 #: Any of these flags makes an op "complex": it interacts with the memory
 #: hierarchy, the branch predictor or the OS model, so the core must
@@ -175,53 +177,35 @@ class PackedTrace:
         for name, value in state.items():
             setattr(self, name, value)
 
-    def append(self, kind: OpKind, pc: int, *, sequence: int = 0,
-               address: Optional[int] = None, src_regs: Sequence[int] = (),
-               dst_reg: Optional[int] = None,
-               execution_latency: Optional[int] = None, taken: bool = False,
-               target: Optional[int] = None,
-               force_mispredict: Optional[bool] = None,
-               wrong_path: Sequence[WrongPathAccess] = (),
-               is_context_switch: bool = False,
-               is_sandbox_entry: bool = False) -> None:
-        """Encode one op onto the columns (fields as on :class:`MicroOp`)."""
-        flags = KIND_FLAGS[kind]
-        if taken:
-            flags |= F_TAKEN
-        if is_context_switch:
-            flags |= F_CONTEXT_SWITCH
-        if is_sandbox_entry:
-            flags |= F_SANDBOX_ENTRY
-        if force_mispredict is not None:
-            flags |= F_FORCE_MISPREDICT
-            if force_mispredict:
-                flags |= F_FORCE_MISPREDICT_VALUE
-        self.kinds.append(_CODE_OF_KIND[kind])
-        self.flags.append(flags)
-        self.pcs.append(pc)
-        self.addresses.append(_NONE if address is None else address)
-        self.latencies.append(EXECUTION_LATENCY[kind]
-                              if execution_latency is None
-                              else execution_latency)
-        self.srcs.append(tuple(src_regs) if src_regs else ())
-        self.dsts.append(_NONE if dst_reg is None else dst_reg)
-        self.targets.append(_NONE if target is None else target)
-        self.wrong_paths.append(tuple(wrong_path) if wrong_path else ())
-        self.sequences.append(sequence)
-
     @classmethod
     def pack(cls, ops: Iterable[MicroOp]) -> "PackedTrace":
         """Convert a micro-op list into the packed representation."""
         packed = cls()
-        append = packed.append
         for op in ops:
-            append(op.kind, op.pc, sequence=op.sequence, address=op.address,
-                   src_regs=op.src_regs, dst_reg=op.dst_reg,
-                   execution_latency=op.execution_latency, taken=op.taken,
-                   target=op.target, force_mispredict=op.force_mispredict,
-                   wrong_path=op.wrong_path,
-                   is_context_switch=op.is_context_switch,
-                   is_sandbox_entry=op.is_sandbox_entry)
+            code, flags, latency = KIND_ENCODING[op.kind]
+            if op.taken:
+                flags |= F_TAKEN
+            if op.is_context_switch:
+                flags |= F_CONTEXT_SWITCH
+            if op.is_sandbox_entry:
+                flags |= F_SANDBOX_ENTRY
+            if op.force_mispredict is not None:
+                flags |= F_FORCE_MISPREDICT
+                if op.force_mispredict:
+                    flags |= F_FORCE_MISPREDICT_VALUE
+            packed.kinds.append(code)
+            packed.flags.append(flags)
+            packed.pcs.append(op.pc)
+            packed.addresses.append(ABSENT if op.address is None
+                                    else op.address)
+            packed.latencies.append(latency if op.execution_latency is None
+                                    else op.execution_latency)
+            packed.srcs.append(tuple(op.src_regs) if op.src_regs else ())
+            packed.dsts.append(ABSENT if op.dst_reg is None else op.dst_reg)
+            packed.targets.append(ABSENT if op.target is None else op.target)
+            packed.wrong_paths.append(tuple(op.wrong_path) if op.wrong_path
+                                      else ())
+            packed.sequences.append(op.sequence)
         return packed
 
     def unpack(self) -> List[MicroOp]:
@@ -235,13 +219,13 @@ class PackedTrace:
             kind=_KIND_CODES[self.kinds[index]],
             pc=self.pcs[index],
             sequence=self.sequences[index],
-            address=None if self.addresses[index] == _NONE
+            address=None if self.addresses[index] == ABSENT
             else self.addresses[index],
             src_regs=self.srcs[index],
-            dst_reg=None if self.dsts[index] == _NONE else self.dsts[index],
+            dst_reg=None if self.dsts[index] == ABSENT else self.dsts[index],
             execution_latency=self.latencies[index],
             taken=bool(flags & F_TAKEN),
-            target=None if self.targets[index] == _NONE
+            target=None if self.targets[index] == ABSENT
             else self.targets[index],
             force_mispredict=(bool(flags & F_FORCE_MISPREDICT_VALUE)
                               if flags & F_FORCE_MISPREDICT else None),

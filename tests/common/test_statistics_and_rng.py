@@ -1,5 +1,7 @@
 """Tests for the statistics tree and the deterministic RNG."""
 
+import random
+
 from hypothesis import given, strategies as st
 
 import pytest
@@ -157,34 +159,32 @@ class TestDeterministicRng:
     def test_same_seed_same_stream(self):
         a = DeterministicRng(7)
         b = DeterministicRng(7)
-        assert [a.randint(0, 100) for _ in range(20)] == \
-            [b.randint(0, 100) for _ in range(20)]
+        assert [a.below(101) for _ in range(20)] == \
+            [b.below(101) for _ in range(20)]
 
     def test_fork_streams_differ(self):
         root = DeterministicRng(7)
-        assert [root.fork(1).randint(0, 10 ** 6) for _ in range(5)] != \
-            [root.fork(2).randint(0, 10 ** 6) for _ in range(5)]
+        assert [root.fork(1).below(10 ** 6 + 1) for _ in range(5)] != \
+            [root.fork(2).below(10 ** 6 + 1) for _ in range(5)]
 
-    def test_chance_extremes(self):
-        rng = DeterministicRng(0)
-        assert not rng.chance(0.0)
-        assert rng.chance(1.0)
-
-    @given(mean=st.floats(min_value=1.0, max_value=20.0))
-    def test_geometric_at_least_one(self, mean):
-        rng = DeterministicRng(3)
-        assert all(rng.geometric(mean, maximum=100) >= 1 for _ in range(50))
+    def test_below_rejects_an_empty_range(self):
+        with pytest.raises(ValueError):
+            DeterministicRng(0).below(0)
 
     @given(n=st.integers(min_value=1, max_value=1000))
     def test_zipf_index_in_range(self, n):
         rng = DeterministicRng(5)
         assert all(0 <= rng.zipf_index(n) < n for _ in range(50))
 
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = DeterministicRng(1)
-        picks = {rng.weighted_choice(["a", "b"], [1.0, 0.0])
-                 for _ in range(50)}
-        assert picks == {"a"}
+    def test_weighted_respects_zero_weight(self):
+        draw = DeterministicRng(1).weighted(["a", "b"], [1.0, 0.0])
+        assert {draw() for _ in range(50)} == {"a"}
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.0, 0.0],
+                                         [1.0, float("inf")]])
+    def test_weighted_rejects_unusable_weights(self, weights):
+        with pytest.raises(ValueError):
+            DeterministicRng(1).weighted(["a", "b"], weights)
 
     @pytest.mark.parametrize("seed", [0, 999, 1234 * 1000003 + 999])
     def test_getrandbits_replays_choice(self, seed):
@@ -199,5 +199,65 @@ class TestDeterministicRng:
             while slot >= _DRAW_N:
                 slot = getrandbits(_DRAW_BITS)
             replayed.append(_REORDER_DRAW[slot])
-        assert replayed == [chosen.choice(_REORDER_DRAW) for _ in range(500)]
-        assert drawn.randint(0, 10 ** 9) == chosen.randint(0, 10 ** 9)
+        assert replayed == [chosen._random.choice(_REORDER_DRAW)
+                            for _ in range(500)]
+        assert drawn.below(10 ** 9) == chosen.below(10 ** 9)
+
+
+#: Seeds of the replays: small, the generator's ``fork`` of seed 1234 for
+#: thread 0, and the largest ``fork`` can give.
+REPLAY_SEEDS = [0, 7, (1234 * 1000003 + 1) & 0xFFFFFFFF, 0xFFFFFFFF]
+
+
+class TestDrawPrimitivesReplayRandom:
+    """Each primitive a hot loop uses in place of a ``random.Random``
+    method returns what that method returns on the same stream, and leaves
+    the stream in the same state, so traces do not depend on which of the
+    two drew them."""
+
+    @staticmethod
+    def _pair(seed):
+        return DeterministicRng(seed), random.Random(seed)
+
+    @pytest.mark.parametrize("seed", REPLAY_SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 4096,      # powers of two
+                                   3, 6, 7, 9, 641, 3277, 10 ** 9 + 7])
+    def test_below_replays_randint(self, seed, n):
+        rng, reference = self._pair(seed)
+        assert [rng.below(n) for _ in range(300)] == \
+            [reference.randint(0, n - 1) for _ in range(300)]
+        assert rng._random.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", REPLAY_SEEDS)
+    @pytest.mark.parametrize("items", [(5,), (8, 8, 16, 16, 32, 64),
+                                       tuple(range(7)), tuple(range(33))])
+    def test_below_replays_choice(self, seed, items):
+        rng, reference = self._pair(seed)
+        assert [items[rng.below(len(items))] for _ in range(300)] == \
+            [reference.choice(items) for _ in range(300)]
+        assert rng._random.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("seed", REPLAY_SEEDS)
+    @pytest.mark.parametrize("weights", [
+        # An op mix as ``_mix_weights`` gives it, with and without branches.
+        [0.25, 0.10, 0.12, 0.05, 0.02, 0.0001, 0.4599],
+        [0.25, 0.10, 0.0, 0.05, 0.02, 0.3, 0.28],
+        [1.0, 0.0], [0.0, 1.0], [3, 0, 0, 1, 0]])
+    def test_weighted_replays_choices(self, seed, weights):
+        rng, reference = self._pair(seed)
+        items = [f"kind{index}" for index in range(len(weights))]
+        draw = rng.weighted(items, weights)
+        picks = [draw() for _ in range(500)]
+        assert picks == [reference.choices(items, weights)[0]
+                         for _ in range(500)]
+        assert rng._random.getstate() == reference.getstate()
+        assert not {item for item, weight in zip(items, weights)
+                    if weight == 0} & set(picks)
+
+    @pytest.mark.parametrize("seed", REPLAY_SEEDS)
+    def test_bound_random_is_the_streams_own(self, seed):
+        rng, reference = self._pair(seed)
+        uniform = rng.random
+        assert [uniform() for _ in range(50)] == \
+            [reference.random() for _ in range(50)]
+        assert rng._random.getstate() == reference.getstate()

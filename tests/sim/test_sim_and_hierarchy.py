@@ -1,5 +1,7 @@
 """Tests for the hierarchy, system builder, simulator and standard configs."""
 
+import random
+
 import pytest
 
 from repro.baselines.invisispec import InvisiSpecMemorySystem
@@ -75,7 +77,7 @@ class TestHierarchy:
         for index in range(400):
             hierarchy.train_l2_prefetcher(index, pc=0x400, now=index,
                                           was_miss=True)
-        window = DeterministicRng(1234).fork(999)
+        window = random.Random(DeterministicRng(1234).fork(999).seed)
         buffer, expected = [], []
         for index in range(400):
             buffer.append(index)

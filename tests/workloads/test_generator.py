@@ -1,9 +1,11 @@
 """Tests for the workload profiles and the synthetic trace generator."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu.instructions import OpKind
+from repro.cpu.instructions import F_LOAD, OpKind
 from repro.workloads.generator import TraceGenerator, generate_workload
 from repro.workloads.profiles import (
     PARSEC_PROFILES,
@@ -94,6 +96,52 @@ class TestGenerator:
         branches = [op for op in trace.ops if op.kind is OpKind.BRANCH]
         assert branches
         assert any(op.wrong_path for op in branches)
+
+    @settings(max_examples=25, deadline=None)
+    @given(mean=st.floats(min_value=1.0, max_value=20.0))
+    def test_wrong_path_data_accesses_are_bounded_geometric(self, mean):
+        """Every branch has one to six wrong-path data accesses, numbered
+        from issue slot 1, and at most one instruction fetch; a mean of one
+        gives exactly one."""
+        profile = replace(get_profile("gobmk"), wrong_path_loads=mean)
+        trace = TraceGenerator(profile, seed=3).generate_single(600)
+        counts = []
+        for op in trace.ops:
+            if op.kind is not OpKind.BRANCH:
+                assert not op.wrong_path
+                continue
+            data = [access for access in op.wrong_path
+                    if not access.is_instruction]
+            fetches = [access for access in op.wrong_path
+                       if access.is_instruction]
+            assert [access.issue_offset for access in data] == \
+                list(range(1, len(data) + 1))
+            assert len(fetches) <= 1
+            counts.append(len(data))
+        assert counts and all(1 <= count <= 6 for count in counts)
+        if mean == 1.0:
+            assert set(counts) == {1}
+
+    def test_probability_extremes_decide_without_a_draw(self):
+        """A probability of 0 or 1 decides its outcome without a draw: two
+        profiles that differ only there give the same stream, except for
+        what that probability decides."""
+        never, always = (
+            TraceGenerator(replace(get_profile("mcf"),
+                                   pointer_chase_fraction=fraction),
+                           seed=3).generate_single(2000).columns
+            for fraction in (0.0, 1.0))
+        for column in ("kinds", "flags", "pcs", "addresses", "dsts",
+                       "targets", "wrong_paths"):
+            assert getattr(never, column) == getattr(always, column)
+        loads = [index for index, flags in enumerate(always.flags)
+                 if flags & F_LOAD]
+        assert len(loads) > 100
+        assert not any(never.srcs[index] for index in loads)
+        # Every load after the first reads the register the last one wrote.
+        assert not always.srcs[loads[0]]
+        assert all(always.srcs[load] == (always.dsts[previous],)
+                   for previous, load in zip(loads, loads[1:]))
 
 
 @settings(max_examples=10, deadline=None)
