@@ -141,7 +141,7 @@ class TraceGenerator:
         predictability = profile.branch_predictability
         wrong_path_mean = max(1.0, profile.wrong_path_loads)
         wrong_path_stop = 1.0 / wrong_path_mean
-        branch_name = f"{self.profile.name}:"
+        branch_name = f"{profile.name}:"
 
         def branch_target() -> int:
             if loop_bias > 0.0 and (loop_bias >= 1.0 or random() < loop_bias):
@@ -213,6 +213,8 @@ class TraceGenerator:
                     count += 1
                     if count >= 6:
                         break
+            # Positional fields: address, is_store, is_instruction and
+            # issue_offset.
             accesses = []
             for offset in range(1, count + 1):
                 address = data_base + below(private_words) * 8
@@ -275,7 +277,7 @@ class TraceGenerator:
                 # a deterministic function of the static branch (not
                 # Python's randomised hash) so traces are reproducible
                 # across processes.
-                biased_taken = crc32(f"{branch_name}{pc}".encode()) & 1 == 0
+                biased_taken = (crc32(f"{branch_name}{pc}".encode()) & 1) == 0
                 follows_bias = predictability > 0.0 and (
                     predictability >= 1.0 or random() < predictability)
                 taken = biased_taken if follows_bias else not biased_taken
