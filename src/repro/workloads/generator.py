@@ -13,9 +13,9 @@ columns from :data:`~repro.workloads.trace.KIND_ENCODING`; no per-op object
 is built.
 
 Each thread binds its draw primitives and works out its profile's
-constants once.  A probability ``p`` is drawn as ``chance(p)`` always was:
-``random() < p`` strictly inside (0, 1), and no draw at all outside it, so
-every trace stays the same draw for draw.
+constants once.  A probability ``p`` costs a draw, ``random() < p``, only
+strictly between 0 and 1; at either end it decides without one.  The
+digests in ``tests/workloads/test_trace_content.py`` pin every draw.
 
 Address-space layout (virtual addresses, per process):
 
