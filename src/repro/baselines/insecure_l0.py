@@ -11,8 +11,6 @@ mechanisms.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.common.params import CoreConfig
 from repro.common.statistics import StatGroup
@@ -42,48 +40,48 @@ class InsecureL0MemorySystem(UnprotectedMemorySystem):
 
     # -- execute-time -----------------------------------------------------------
     def load(self, core_id: int, process_id: int, virtual_address: int,
-             now: int, *, speculative: bool, pc: int = 0
-             ) -> MemoryAccessResult:
-        return self._through_l0(self._cores[core_id].data_filter, "l0",
-                                super().load, core_id, process_id,
-                                virtual_address, now, speculative, pc)
+             now: int, *, speculative: bool) -> MemoryAccessResult:
+        return self._through_l0(core_id, process_id, virtual_address, now,
+                                speculative, instruction=False,
+                                is_store=False)
 
     def store_address_ready(self, core_id: int, process_id: int,
                             virtual_address: int, now: int, *,
-                            speculative: bool, pc: int = 0
-                            ) -> MemoryAccessResult:
-        return self._through_l0(self._cores[core_id].data_filter, "l0",
-                                super().store_address_ready, core_id,
-                                process_id, virtual_address, now,
-                                speculative, pc)
+                            speculative: bool) -> MemoryAccessResult:
+        return self._through_l0(core_id, process_id, virtual_address, now,
+                                speculative, instruction=False,
+                                is_store=True)
 
     def fetch(self, core_id: int, process_id: int, virtual_address: int,
-              now: int, *, speculative: bool, pc: int = 0
-              ) -> MemoryAccessResult:
-        return self._through_l0(self._cores[core_id].inst_filter, "l0i",
-                                super().fetch, core_id, process_id,
-                                virtual_address, now, speculative, pc)
+              now: int, *, speculative: bool) -> MemoryAccessResult:
+        return self._through_l0(core_id, process_id, virtual_address, now,
+                                speculative, instruction=True,
+                                is_store=False)
 
-    def _through_l0(self, l0: SpeculativeFilterCache, hit_level: str,
-                    unprotected: Callable[..., MemoryAccessResult],
-                    core_id: int, process_id: int,
-                    virtual_address: int, now: int, speculative: bool,
-                    pc: int) -> MemoryAccessResult:
-        """Look up the L0; on a miss, take the ``unprotected`` path after
-        the serial L0 lookup and fill the L0 with what it returns."""
+    def _through_l0(self, core_id: int, process_id: int,
+                    virtual_address: int, now: int, speculative: bool, *,
+                    instruction: bool, is_store: bool) -> MemoryAccessResult:
+        """Look up the L0; on a miss, take the unprotected path after the
+        serial L0 lookup and fill the L0 with the line and the translation
+        that path made."""
+        core = self._cores[core_id]
+        if instruction:
+            l0, mmu, l0_level = core.inst_filter, core.inst_mmu, "l0i"
+        else:
+            l0, mmu, l0_level = core.data_filter, core.data_mmu, "l0"
         hit_latency = l0.config.hit_latency
         if l0.lookup(virtual_address, now, process_id=process_id) is not None:
-            return MemoryAccessResult(hit_latency, hit_level)
-        result = unprotected(core_id, process_id, virtual_address,
-                             now + hit_latency, speculative=speculative,
-                             pc=pc)
-        physical = self.page_tables.address_space(process_id).translate(
-            virtual_address)
-        l0.fill(virtual_address, physical, now + result.latency,
-                process_id=process_id, committed=True,
-                fill_level=result.hit_level)
-        return MemoryAccessResult(hit_latency + result.latency,
-                                  result.hit_level)
+            return MemoryAccessResult(hit_latency, l0_level)
+        physical, tlb_latency = mmu.translate(process_id, virtual_address,
+                                              speculative)
+        latency, hit_level = self.hierarchy.access(
+            core_id, physical, now + hit_latency + tlb_latency,
+            is_store=is_store, speculative=speculative,
+            instruction=instruction)
+        latency += tlb_latency
+        l0.fill(virtual_address, physical, now + latency,
+                process_id=process_id, committed=True, fill_level=hit_level)
+        return MemoryAccessResult(hit_latency + latency, hit_level)
 
 
 # -- scheme registration ------------------------------------------------------

@@ -51,15 +51,13 @@ class InvisiSpecMemorySystem(SchemeFrontend):
 
     # -- execute-time -----------------------------------------------------------
     def load(self, core_id: int, process_id: int, virtual_address: int,
-             now: int, *, speculative: bool, pc: int = 0
-             ) -> MemoryAccessResult:
+             now: int, *, speculative: bool) -> MemoryAccessResult:
         physical, tlb_latency = self._cores[core_id].data_mmu.translate(
             process_id, virtual_address, speculative)
         line = self.hierarchy.line_address(physical)
         if not speculative:
             latency, hit_level = self.hierarchy.access(
-                core_id, physical, now + tlb_latency, speculative=False,
-                pc=pc)
+                core_id, physical, now + tlb_latency, speculative=False)
             return MemoryAccessResult(tlb_latency + latency, hit_level)
         # Speculative load: data goes only into the per-load speculative
         # buffer.  It may read the caches but must not change them, so an L1
@@ -82,8 +80,7 @@ class InvisiSpecMemorySystem(SchemeFrontend):
             if fill_level in ("l2", "memory"):
                 # InvisiSpec does not protect the prefetcher: speculative
                 # loads train it exactly as in the unprotected system.
-                self.hierarchy.train_l2_prefetcher(line, pc, now,
-                                                   was_miss=True)
+                self.hierarchy.train_l2_prefetcher(line, now)
         self._speculative_loads.value += 1
         self._buffers.add((core_id, line))
         return MemoryAccessResult(tlb_latency + latency,
@@ -91,8 +88,7 @@ class InvisiSpecMemorySystem(SchemeFrontend):
 
     def store_address_ready(self, core_id: int, process_id: int,
                             virtual_address: int, now: int, *,
-                            speculative: bool, pc: int = 0
-                            ) -> MemoryAccessResult:
+                            speculative: bool) -> MemoryAccessResult:
         # InvisiSpec does not let speculative stores touch the hierarchy.
         _, tlb_latency = self._cores[core_id].data_mmu.translate(
             process_id, virtual_address, speculative)
@@ -100,8 +96,7 @@ class InvisiSpecMemorySystem(SchemeFrontend):
 
     # -- the visibility-point re-access --------------------------------------------
     def validation_latency(self, core_id: int, process_id: int,
-                           virtual_address: int, now: int, *,
-                           pc: int = 0) -> int:
+                           virtual_address: int, now: int) -> int:
         """The second (validation/exposure) access for one speculative load.
 
         Called by the core model at the load's visibility point (branch
@@ -109,15 +104,15 @@ class InvisiSpecMemorySystem(SchemeFrontend):
         It performs a real hierarchy access that fills the L1, and its
         latency is charged against commit.
         """
-        physical = self.page_tables.address_space(process_id).translate(
-            virtual_address)
+        physical = self._cores[core_id].data_mmu.commit_translation(
+            process_id, virtual_address)
         line = self.hierarchy.line_address(physical)
         self._validations.value += 1
         self._buffers.discard((core_id, line))
         # The validation is a repeat of an access the prefetcher has already
         # been trained on, so it does not train again.
         return self.hierarchy.access(core_id, physical, now,
-                                     speculative=False, pc=pc,
+                                     speculative=False,
                                      train_prefetcher=False)[0]
 
     # -- commit-time ------------------------------------------------------------------
@@ -125,9 +120,9 @@ class InvisiSpecMemorySystem(SchemeFrontend):
     # core model charges the validation itself, since it knows the
     # visibility point.
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
-                     now: int, *, pc: int = 0) -> int:
-        physical = self.page_tables.address_space(process_id).translate(
-            virtual_address)
+                     now: int) -> int:
+        physical = self._cores[core_id].data_mmu.commit_translation(
+            process_id, virtual_address)
         latency, _, _ = self.hierarchy.commit_store(
             core_id, physical, now, broadcast_to_filters=False)
         return min(latency, self.hierarchy.l1d(core_id).config.hit_latency)

@@ -26,19 +26,16 @@ class UnprotectedMemorySystem(SchemeFrontend):
 
     # -- execute-time ----------------------------------------------------------
     def load(self, core_id: int, process_id: int, virtual_address: int,
-             now: int, *, speculative: bool, pc: int = 0
-             ) -> MemoryAccessResult:
+             now: int, *, speculative: bool) -> MemoryAccessResult:
         physical, tlb_latency = self._cores[core_id].data_mmu.translate(
             process_id, virtual_address, speculative)
         latency, hit_level = self.hierarchy.access(
-            core_id, physical, now + tlb_latency, speculative=speculative,
-            pc=pc)
+            core_id, physical, now + tlb_latency, speculative=speculative)
         return MemoryAccessResult(tlb_latency + latency, hit_level)
 
     def store_address_ready(self, core_id: int, process_id: int,
                             virtual_address: int, now: int, *,
-                            speculative: bool, pc: int = 0
-                            ) -> MemoryAccessResult:
+                            speculative: bool) -> MemoryAccessResult:
         # An unprotected system issues the read-for-ownership prefetch as
         # soon as the store's address is known, even speculatively.  This is
         # the behaviour SpectrePrime-style attacks exploit.
@@ -46,15 +43,15 @@ class UnprotectedMemorySystem(SchemeFrontend):
             process_id, virtual_address, speculative)
         latency, hit_level = self.hierarchy.access(
             core_id, physical, now + tlb_latency, is_store=True,
-            speculative=speculative, pc=pc)
+            speculative=speculative)
         return MemoryAccessResult(tlb_latency + latency, hit_level)
 
     # -- commit-time -------------------------------------------------------------
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
-                     now: int, *, pc: int = 0) -> int:
+                     now: int) -> int:
         self._committed_stores.value += 1
-        physical = self.page_tables.address_space(process_id).translate(
-            virtual_address)
+        physical = self._cores[core_id].data_mmu.commit_translation(
+            process_id, virtual_address)
         latency, _, _ = self.hierarchy.commit_store(
             core_id, physical, now, broadcast_to_filters=False)
         return min(latency, self.hierarchy.l1d(core_id).config.hit_latency)

@@ -219,8 +219,7 @@ class NonSpeculativeHierarchy:
         self._fill_l2(line_address, E, now, prefetched=True,
                       ready_at=now + fill_latency)
 
-    def train_l2_prefetcher(self, address: int, pc: int, now: int,
-                            was_miss: bool) -> None:
+    def train_l2_prefetcher(self, address: int, now: int) -> None:
         """Train the L2 prefetcher from the (out-of-order) access stream.
 
         This is the unprotected behaviour: training events are produced by
@@ -229,7 +228,7 @@ class NonSpeculativeHierarchy:
         issue order of an 8-wide out-of-order core is not program order.
         """
         buffer = self._speculative_train_buffer
-        buffer.append(_new_event(TrainingEvent, (address, pc, now, was_miss)))
+        buffer.append(_new_event(TrainingEvent, (address, now)))
         if len(buffer) <= 3:
             return
         # Mild reordering: most events arrive in order, but nearby accesses
@@ -263,8 +262,7 @@ class NonSpeculativeHierarchy:
             delivered += 1
         return delivered
 
-    def notify_commit_prefetch(self, line_address: int, pc: int,
-                               now: int) -> None:
+    def notify_commit_prefetch(self, line_address: int, now: int) -> None:
         """Train the L2 prefetcher on a committed access (section 4.6).
 
         Commit order is program order, so the prefetcher sees no wrong-path
@@ -273,14 +271,14 @@ class NonSpeculativeHierarchy:
         """
         self._commit_notifications.value += 1
         for line in self.l2_prefetcher.train(
-                _new_event(TrainingEvent, (line_address, pc, now, True))):
+                _new_event(TrainingEvent, (line_address, now))):
             self._install_prefetch(line, now)
             self._commit_prefetches.value += 1
 
     # -- conventional access path ----------------------------------------------
     def access(self, core_id: int, address: int, now: int, *,
                is_store: bool = False, speculative: bool = False,
-               protect_coherence: bool = False, pc: int = 0,
+               protect_coherence: bool = False,
                instruction: bool = False, fill_l1: bool = True,
                train_prefetcher: bool = True) -> Tuple[int, str]:
         """Access through the private L1 (instruction or data) and below.
@@ -361,14 +359,14 @@ class NonSpeculativeHierarchy:
                 self.bus.note_fill(core_id, line_address)
         if train_prefetcher and not instruction and hit_level in (
                 "l2", "memory"):
-            self.train_l2_prefetcher(line_address, pc, now, was_miss=True)
+            self.train_l2_prefetcher(line_address, now)
         return total_latency, hit_level
 
     # -- MuonTrap filter-cache path ---------------------------------------------
     def read_for_filter(self, core_id: int, address: int, now: int, *,
                         speculative: bool = True,
                         protect_coherence: bool = True,
-                        pc: int = 0, instruction: bool = False,
+                        instruction: bool = False,
                         train_prefetcher_speculatively: bool = False
                         ) -> Tuple[int, str, bool]:
         """Supply a line to a filter cache without filling the L1 or L2.
@@ -416,7 +414,7 @@ class NonSpeculativeHierarchy:
                 and hit_level in ("l2", "memory")):
             # Only used when the commit-time prefetch protection is disabled
             # (the "fcache only" ablation points of Figures 8 and 9).
-            self.train_l2_prefetcher(line_address, pc, now, was_miss=True)
+            self.train_l2_prefetcher(line_address, now)
         return l1.config.hit_latency + latency, hit_level, exclusive
 
     # -- commit-side operations ---------------------------------------------------

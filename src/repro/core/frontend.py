@@ -18,9 +18,11 @@ them share:
 
 A scheme subclasses it and adds only its own load, store and commit
 logic, translating through ``core.data_mmu.translate`` and
-``core.inst_mmu.translate``.  The tracer and the metrics sampler read
-:class:`CoreState` directly, so every subclass gets per-core page-walk
-and L0 events and L0 occupancy gauges.
+``core.inst_mmu.translate``.  At commit it takes the access's physical
+address from the same MMU's ``commit_translation``, which also promotes
+a filter-TLB entry; no scheme reads the page tables itself.  The tracer
+and the metrics sampler read :class:`CoreState` directly, so every
+subclass gets per-core page-walk and L0 events and L0 occupancy gauges.
 """
 
 from __future__ import annotations
@@ -116,14 +118,13 @@ class SchemeFrontend(MemorySystem):
 
     # -- execute-time ----------------------------------------------------------
     def fetch(self, core_id: int, process_id: int, virtual_address: int,
-              now: int, *, speculative: bool, pc: int = 0
-              ) -> MemoryAccessResult:
+              now: int, *, speculative: bool) -> MemoryAccessResult:
         """An unprotected fetch: even wrong-path fetches fill the L1I."""
         physical, tlb_latency = self._cores[core_id].inst_mmu.translate(
             process_id, virtual_address, speculative)
         latency, hit_level = self.hierarchy.access(
             core_id, physical, now + tlb_latency, instruction=True,
-            speculative=speculative, pc=pc, train_prefetcher=False)
+            speculative=speculative, train_prefetcher=False)
         return MemoryAccessResult(tlb_latency + latency, hit_level)
 
     # -- control events ----------------------------------------------------------

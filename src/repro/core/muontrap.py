@@ -111,7 +111,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
     # -- execute-time data path -----------------------------------------------------
     def _data_access(self, core_id: int, process_id: int,
                      virtual_address: int, now: int, *, speculative: bool,
-                     pc: int, is_store_prefetch: bool) -> MemoryAccessResult:
+                     is_store_prefetch: bool) -> MemoryAccessResult:
         core = self._cores[core_id]
         protection = core.protection
         physical, tlb_latency = core.data_mmu.translate(
@@ -122,7 +122,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
             # conventional L1 path.
             latency, hit_level = self.hierarchy.access(
                 core_id, physical, now + tlb_latency, is_store=False,
-                speculative=speculative, pc=pc,
+                speculative=speculative,
                 protect_coherence=protection.coherence_protection,
                 train_prefetcher=not protection.commit_time_prefetch)
             return MemoryAccessResult(tlb_latency + latency, hit_level,
@@ -141,7 +141,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
             core_id, physical, now + tlb_latency + probe_penalty,
             speculative=speculative,
             protect_coherence=protection.coherence_protection,
-            pc=pc, instruction=False,
+            instruction=False,
             train_prefetcher_speculatively=not protection.commit_time_prefetch)
         latency += tlb_latency + probe_penalty
         if hit_level == "nack":
@@ -155,27 +155,24 @@ class MuonTrapMemorySystem(SchemeFrontend):
         return MemoryAccessResult(latency, hit_level)
 
     def load(self, core_id: int, process_id: int, virtual_address: int,
-             now: int, *, speculative: bool, pc: int = 0
-             ) -> MemoryAccessResult:
+             now: int, *, speculative: bool) -> MemoryAccessResult:
         return self._data_access(core_id, process_id, virtual_address, now,
-                                 speculative=speculative, pc=pc,
+                                 speculative=speculative,
                                  is_store_prefetch=False)
 
     def store_address_ready(self, core_id: int, process_id: int,
                             virtual_address: int, now: int, *,
-                            speculative: bool, pc: int = 0
-                            ) -> MemoryAccessResult:
+                            speculative: bool) -> MemoryAccessResult:
         # A speculative store may prefetch the line into the filter cache in
         # Shared state, but must not obtain exclusive ownership until commit
         # (section 4.1 / 4.5).
         return self._data_access(core_id, process_id, virtual_address, now,
-                                 speculative=speculative, pc=pc,
+                                 speculative=speculative,
                                  is_store_prefetch=True)
 
     # -- execute-time instruction path -------------------------------------------------
     def fetch(self, core_id: int, process_id: int, virtual_address: int,
-              now: int, *, speculative: bool, pc: int = 0
-              ) -> MemoryAccessResult:
+              now: int, *, speculative: bool) -> MemoryAccessResult:
         core = self._cores[core_id]
         core.fetch_memo = None
         protection = core.protection
@@ -184,7 +181,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
         if not protection.instruction_filter_cache:
             latency, hit_level = self.hierarchy.access(
                 core_id, physical, now + tlb_latency, instruction=True,
-                speculative=speculative, pc=pc, train_prefetcher=False)
+                speculative=speculative, train_prefetcher=False)
             return MemoryAccessResult(tlb_latency + latency, hit_level)
         filter_cache = core.inst_filter
         probe_penalty = filter_cache.config.hit_latency
@@ -194,7 +191,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
         latency, hit_level, _ = self.hierarchy.read_for_filter(
             core_id, physical, now + tlb_latency + probe_penalty,
             speculative=speculative, protect_coherence=False,
-            pc=pc, instruction=True)
+            instruction=True)
         latency += tlb_latency + probe_penalty
         filter_cache.fill(virtual_address, physical, now + latency,
                           process_id=process_id, committed=not speculative,
@@ -203,7 +200,7 @@ class MuonTrapMemorySystem(SchemeFrontend):
 
     # -- commit-time ------------------------------------------------------------------
     def commit_load(self, core_id: int, process_id: int, virtual_address: int,
-                    now: int, *, pc: int = 0) -> int:
+                    now: int) -> int:
         """Write-through-at-commit for a load (section 4.2); returns 0 cycles.
 
         The write-through and any SE upgrade are asynchronous, so commit is
@@ -213,9 +210,8 @@ class MuonTrapMemorySystem(SchemeFrontend):
         self._committed_loads.value += 1
         core = self._cores[core_id]
         protection = core.protection
-        physical = self.page_tables.address_space(process_id).translate(
-            virtual_address)
-        core.data_mmu.commit_translation(process_id, virtual_address)
+        physical = core.data_mmu.commit_translation(process_id,
+                                                    virtual_address)
         if not protection.data_filter_cache:
             return 0
         line = core.data_filter.mark_committed(virtual_address, now)
@@ -238,18 +234,17 @@ class MuonTrapMemorySystem(SchemeFrontend):
         if protection.commit_time_prefetch and fill_level in (
                 "l2", "memory"):
             self.hierarchy.notify_commit_prefetch(
-                self.hierarchy.line_address(physical), pc, now)
+                self.hierarchy.line_address(physical), now)
         return 0
 
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
-                     now: int, *, pc: int = 0) -> int:
+                     now: int) -> int:
         """A committed store obtains ownership and writes through to the L1."""
         self._committed_stores.value += 1
         core = self._cores[core_id]
         protection = core.protection
-        physical = self.page_tables.address_space(process_id).translate(
-            virtual_address)
-        core.data_mmu.commit_translation(process_id, virtual_address)
+        physical = core.data_mmu.commit_translation(process_id,
+                                                    virtual_address)
         latency, hit_level, broadcast = self.hierarchy.commit_store(
             core_id, physical, now,
             broadcast_to_filters=protection.coherence_protection)
@@ -261,13 +256,13 @@ class MuonTrapMemorySystem(SchemeFrontend):
                 line.se_upgrade_pending = False
         if protection.commit_time_prefetch and hit_level in ("l2", "memory"):
             self.hierarchy.notify_commit_prefetch(
-                self.hierarchy.line_address(physical), pc, now)
+                self.hierarchy.line_address(physical), now)
         # Ownership acquisition happens in the store buffer; only charge the
         # L1 portion against commit bandwidth.
         return min(latency, self.hierarchy.l1d(core_id).config.hit_latency)
 
     def commit_fetch(self, core_id: int, process_id: int,
-                     virtual_address: int, now: int, *, pc: int = 0) -> int:
+                     virtual_address: int, now: int) -> None:
         """Commit an instruction: promote its translation, set its inst
         filter line's committed bit and write the line through to the L1I.
 
@@ -289,11 +284,11 @@ class MuonTrapMemorySystem(SchemeFrontend):
                 core.inst_mmu.commit_translation(process_id, virtual_address)
             if memo[3]:
                 core.inst_filter.mark_committed(virtual_address, now)
-            return 0
-        physical = self.page_tables.address_space(process_id).translate(
-            virtual_address)
-        promoted = core.inst_mmu.commit_translation(process_id,
-                                                    virtual_address)
+            return
+        mmu = core.inst_mmu
+        # The commit promotes exactly when the filter TLB holds the page.
+        promoted = mmu.probe_filter(process_id, virtual_address) is not None
+        physical = mmu.commit_translation(process_id, virtual_address)
         line = None
         if core.protection.instruction_filter_cache:
             line = core.inst_filter.mark_committed(virtual_address, now)
@@ -305,7 +300,6 @@ class MuonTrapMemorySystem(SchemeFrontend):
                                               instruction=True)
         core.fetch_memo = (process_id, virtual_address & core.fetch_memo_mask,
                            promoted, line is not None)
-        return 0
 
     # -- control events ------------------------------------------------------------------
     def squash(self, core_id: int, now: int) -> None:

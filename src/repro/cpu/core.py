@@ -141,8 +141,6 @@ class OutOfOrderCore:
         self._committed_in_cycle: Tuple[int, int] = (-1, 0)
         self._last_commit_time = 0
         self._last_branch_resolve = 0   # prefix max of branch resolve times
-        self._sequence = 0
-        self._pending_lq_hold = 0
         self._line_size = per_core.l1i.line_size
         self._current_fetch_line: Optional[int] = None
         # Memory-system capability probes, hoisted once per core so the hot
@@ -218,7 +216,7 @@ class OutOfOrderCore:
         fetch_time = max(self._fetch_ready, earliest)
         if fetch_line != self._current_fetch_line:
             result = self.memory.fetch(self.core_id, self.process_id, op.pc,
-                                       fetch_time, speculative=True, pc=op.pc)
+                                       fetch_time, speculative=True)
             fetch_time += max(0, result.latency - 1)
             self._current_fetch_line = fetch_line
         self._fetch_ready = fetch_time
@@ -242,15 +240,14 @@ class OutOfOrderCore:
                             fetch=access.is_instruction)
             if access.is_instruction:
                 self.memory.fetch(self.core_id, self.process_id,
-                                  access.address, issue_at,
-                                  speculative=True, pc=access.address)
+                                  access.address, issue_at, speculative=True)
             elif access.is_store:
                 self.memory.store_address_ready(self.core_id, self.process_id,
                                                 access.address, issue_at,
-                                                speculative=True, pc=op.pc)
+                                                speculative=True)
             else:
                 self.memory.load(self.core_id, self.process_id, access.address,
-                                 issue_at, speculative=True, pc=op.pc)
+                                 issue_at, speculative=True)
             self._squashed_accesses.increment()
         # The fetch path also ran down the wrong path; the next correct-path
         # fetch re-reads the instruction cache.
@@ -260,8 +257,6 @@ class OutOfOrderCore:
     # -- main per-instruction processing --------------------------------------------------------
     def execute_op(self, op: MicroOp) -> int:
         """Process one micro-op; returns its commit time."""
-        op.sequence = self._sequence
-        self._sequence += 1
         tracer = self._tracer = _active_tracer()
 
         # 1. Front end: fetch and dispatch, bounded by ROB/LSQ occupancy and
@@ -323,8 +318,7 @@ class OutOfOrderCore:
         self.rob.allocate(commit_time)
         if op.is_load:
             self.load_queue.retire_older_than(dispatch_time)
-            self.load_queue.allocate(max(commit_time, self._pending_lq_hold))
-            self._pending_lq_hold = 0
+            self.load_queue.allocate(commit_time)
         if op.is_store:
             self.store_queue.retire_older_than(dispatch_time)
             self.store_queue.allocate(commit_time)
@@ -341,7 +335,7 @@ class OutOfOrderCore:
         if op.is_store:
             self.memory.store_address_ready(self.core_id, self.process_id,
                                             op.address, issue_time,
-                                            speculative=True, pc=op.pc)
+                                            speculative=True)
             return issue_time + op.execution_latency, None
         if op.is_branch:
             return self._execute_branch(op, issue_time, dispatch_time), None
@@ -351,7 +345,7 @@ class OutOfOrderCore:
     def _execute_load(self, op: MicroOp,
                       issue_time: int) -> Tuple[int, Optional[int]]:
         result = self.memory.load(self.core_id, self.process_id, op.address,
-                                  issue_time, speculative=True, pc=op.pc)
+                                  issue_time, speculative=True)
         if result.must_retry_nonspeculative:
             # MuonTrap NACKed the access (it would disturb another core's
             # private line): retry once the load is the oldest outstanding
@@ -364,7 +358,7 @@ class OutOfOrderCore:
                                   core=self.core_id, address=op.address,
                                   pc=op.pc)
             retry = self.memory.load(self.core_id, self.process_id, op.address,
-                                     retry_time, speculative=False, pc=op.pc)
+                                     retry_time, speculative=False)
             completion = retry_time + retry.latency
         else:
             completion = issue_time + result.latency
@@ -413,34 +407,26 @@ class OutOfOrderCore:
             if self._invisispec:
                 # InvisiSpec validation/exposure: the Spectre variant issues
                 # it once older branches have resolved, the Future variant
-                # only at commit; either way commit waits for it, and the
-                # load-queue entry is held until the re-access completes.
-                visibility = (commit_time if self._stt_future_like_invisispec()
+                # only at commit.  Either way commit waits for it, so the
+                # load-queue entry, held until commit, outlasts the
+                # re-access.
+                visibility = (commit_time if self._stt_future
                               else max(self._last_branch_resolve, issue_time))
                 validation = self.memory.validation_latency(
-                    self.core_id, self.process_id, op.address, visibility,
-                    pc=op.pc)
-                validation_done = visibility + validation
-                extra += max(0, validation_done - commit_time)
-                if self._stt_future_like_invisispec():
-                    # The Future variant only starts its validation at the
-                    # retirement point, so the load-queue entry is pinned for
-                    # the whole re-access; the Spectre variant's validations
-                    # overlap with the time the load spends waiting to retire.
-                    self._pending_lq_hold = validation_done
+                    self.core_id, self.process_id, op.address, visibility)
+                extra += max(0, visibility + validation - commit_time)
             if not self._commit_load_is_noop:
                 extra += self.memory.commit_load(
                     self.core_id, self.process_id, op.address,
-                    commit_time + extra, pc=op.pc)
+                    commit_time + extra)
         elif op.is_store:
             self._committed_stores.increment()
             extra += self.memory.commit_store(self.core_id, self.process_id,
-                                              op.address, commit_time + extra,
-                                              pc=op.pc)
+                                              op.address, commit_time + extra)
         elif op.is_branch:
             self._committed_branches.increment()
         self.memory.commit_fetch(self.core_id, self.process_id, op.pc,
-                                 commit_time + extra, pc=op.pc)
+                                 commit_time + extra)
         if op.is_syscall or op.is_context_switch:
             self._context_switches.increment()
             self.memory.context_switch(self.core_id, commit_time + extra)
@@ -448,10 +434,6 @@ class OutOfOrderCore:
         if op.is_sandbox_entry:
             self.memory.sandbox_entry(self.core_id, commit_time + extra)
         return extra
-
-    def _stt_future_like_invisispec(self) -> bool:
-        """True for InvisiSpec-Future: visibility only at commit."""
-        return self._invisispec and self._stt_future
 
     # -- packed-trace execution (the hot path) ------------------------------------------------------
     def run_packed(self, packed, start: int = 0,
@@ -537,14 +519,12 @@ class OutOfOrderCore:
         stt_mode = self._stt_mode
         stt_future = self._stt_future
         invisispec = self._invisispec
-        invisispec_future = self._invisispec and self._stt_future
         commit_fetch_noop = self._commit_fetch_is_noop
         # -- core state pulled into locals -----------------------------------
         fetch_ready = self._fetch_ready
         current_fetch_line = self._current_fetch_line
         last_commit_time = self._last_commit_time
         last_branch_resolve = self._last_branch_resolve
-        pending_lq_hold = self._pending_lq_hold
         dispatch_cycle, dispatch_used = self._dispatched_in_cycle
         commit_cycle, commit_used = self._committed_in_cycle
         # -- locally accumulated statistics ----------------------------------
@@ -576,7 +556,7 @@ class OutOfOrderCore:
                 fetch_time = fetch_ready
                 if fetch_line != current_fetch_line:
                     latency = mem_fetch(core_id, process_id, pc, fetch_time,
-                                        speculative=True, pc=pc).latency - 1
+                                        speculative=True).latency - 1
                     if latency > 0:
                         fetch_time += latency
                     current_fetch_line = fetch_line
@@ -637,9 +617,8 @@ class OutOfOrderCore:
                         commit_used = 1
                         commit_time = commit_cycle
                     if not commit_fetch_noop:
-                        op_pc = col_pcs[op_index]
-                        mem_commit_fetch(core_id, process_id, op_pc,
-                                         commit_time, pc=op_pc)
+                        mem_commit_fetch(core_id, process_id,
+                                         col_pcs[op_index], commit_time)
                     last_commit_time = commit_time
 
                     while rob_times and rob_times[0] <= dispatch_time:
@@ -670,7 +649,7 @@ class OutOfOrderCore:
             fetch_time = fetch_ready
             if fetch_line != current_fetch_line:
                 latency = mem_fetch(core_id, process_id, pc, fetch_time,
-                                    speculative=True, pc=pc).latency - 1
+                                    speculative=True).latency - 1
                 if latency > 0:
                     fetch_time += latency
                 current_fetch_line = fetch_line
@@ -732,13 +711,13 @@ class OutOfOrderCore:
             if is_load:
                 address = col_addresses[index]
                 result = mem_load(core_id, process_id, address, issue_time,
-                                  speculative=True, pc=pc)
+                                  speculative=True)
                 if result.must_retry_nonspeculative:
                     n_nack_retries += 1
                     retry_time = (issue_time if issue_time > last_commit_time
                                   else last_commit_time)
                     retry = mem_load(core_id, process_id, address, retry_time,
-                                     speculative=False, pc=pc)
+                                     speculative=False)
                     completion = retry_time + retry.latency
                 else:
                     completion = issue_time + result.latency
@@ -754,7 +733,7 @@ class OutOfOrderCore:
             elif is_store:
                 mem_store_address_ready(core_id, process_id,
                                         col_addresses[index], issue_time,
-                                        speculative=True, pc=pc)
+                                        speculative=True)
                 completion = issue_time + col_latencies[index]
             elif flags & F_BRANCH:
                 resolve_time = issue_time + col_latencies[index]
@@ -783,15 +762,14 @@ class OutOfOrderCore:
                                 offset if offset < window else window)
                             if access.is_instruction:
                                 mem_fetch(core_id, process_id, access.address,
-                                          issue_at, speculative=True,
-                                          pc=access.address)
+                                          issue_at, speculative=True)
                             elif access.is_store:
                                 mem_store_address_ready(
                                     core_id, process_id, access.address,
-                                    issue_at, speculative=True, pc=pc)
+                                    issue_at, speculative=True)
                             else:
                                 mem_load(core_id, process_id, access.address,
-                                         issue_at, speculative=True, pc=pc)
+                                         issue_at, speculative=True)
                             n_squashed += 1
                         current_fetch_line = None
                         mem_squash(core_id, resolve_time)
@@ -827,32 +805,28 @@ class OutOfOrderCore:
                 n_loads += 1
                 address = col_addresses[index]
                 if invisispec:
-                    if invisispec_future:
+                    if stt_future:
                         visibility = commit_time
                     else:
                         visibility = (last_branch_resolve
                                       if last_branch_resolve > issue_time
                                       else issue_time)
-                    validation_done = visibility + mem_validation_latency(
-                        core_id, process_id, address, visibility, pc=pc)
-                    overshoot = validation_done - commit_time
+                    overshoot = visibility + mem_validation_latency(
+                        core_id, process_id, address, visibility) - commit_time
                     if overshoot > 0:
                         extra += overshoot
-                    if invisispec_future:
-                        pending_lq_hold = validation_done
                 if mem_commit_load is not None:
                     extra += mem_commit_load(core_id, process_id, address,
-                                             commit_time + extra, pc=pc)
+                                             commit_time + extra)
             elif is_store:
                 n_stores += 1
                 extra += mem_commit_store(core_id, process_id,
                                           col_addresses[index],
-                                          commit_time + extra, pc=pc)
+                                          commit_time + extra)
             elif flags & F_BRANCH:
                 n_branches += 1
             if not commit_fetch_noop:
-                mem_commit_fetch(core_id, process_id, pc, commit_time + extra,
-                                 pc=pc)
+                mem_commit_fetch(core_id, process_id, pc, commit_time + extra)
             if flags & (F_SYSCALL | F_CONTEXT_SWITCH):
                 n_context_switches += 1
                 mem_context_switch(core_id, commit_time + extra)
@@ -871,12 +845,9 @@ class OutOfOrderCore:
             if is_load:
                 while lq_times and lq_times[0] <= dispatch_time:
                     lq_pop()
-                hold = (commit_time if commit_time > pending_lq_hold
-                        else pending_lq_hold)
                 while lq_times and len(lq_times) >= lq_capacity:
                     lq_pop()
-                lq_append(hold)
-                pending_lq_hold = 0
+                lq_append(commit_time)
             if is_store:
                 while sq_times and sq_times[0] <= dispatch_time:
                     sq_pop()
@@ -900,10 +871,8 @@ class OutOfOrderCore:
         self._current_fetch_line = current_fetch_line
         self._last_commit_time = last_commit_time
         self._last_branch_resolve = last_branch_resolve
-        self._pending_lq_hold = pending_lq_hold
         self._dispatched_in_cycle = (dispatch_cycle, dispatch_used)
         self._committed_in_cycle = (commit_cycle, commit_used)
-        self._sequence += end - start
         rob.full_stalls += n_rob_stalls
         load_queue.full_stalls += n_lq_stalls
         store_queue.full_stalls += n_sq_stalls

@@ -2,7 +2,9 @@
 
 Every protection scheme provides a :class:`MemorySystem`.  The core calls
 it for speculative loads, stores and instruction fetches as they execute,
-again at commit, and on squashes and protection-domain switches.  The
+again at commit, and on squashes and protection-domain switches.  A
+request names the core, the process, the virtual address and the cycle;
+it carries no pc, because nothing on the memory side reads one.  The
 returned :class:`MemoryAccessResult` carries both the latency (the core's
 scheduling input) and the metadata the experiments and attacks inspect.
 
@@ -52,25 +54,23 @@ class MemorySystem(abc.ABC):
     # -- execute-time (possibly speculative, possibly wrong-path) -------------
     @abc.abstractmethod
     def load(self, core_id: int, process_id: int, virtual_address: int,
-             now: int, *, speculative: bool, pc: int = 0) -> MemoryAccessResult:
+             now: int, *, speculative: bool) -> MemoryAccessResult:
         """A load issues from the load queue."""
 
     @abc.abstractmethod
     def store_address_ready(self, core_id: int, process_id: int,
                             virtual_address: int, now: int, *,
-                            speculative: bool, pc: int = 0
-                            ) -> MemoryAccessResult:
+                            speculative: bool) -> MemoryAccessResult:
         """A store's address is resolved (it may prefetch, but not write)."""
 
     @abc.abstractmethod
     def fetch(self, core_id: int, process_id: int, virtual_address: int,
-              now: int, *, speculative: bool, pc: int = 0
-              ) -> MemoryAccessResult:
+              now: int, *, speculative: bool) -> MemoryAccessResult:
         """An instruction-cache access on the (possibly wrong) fetch path."""
 
     # -- commit-time ------------------------------------------------------------
     def commit_load(self, core_id: int, process_id: int, virtual_address: int,
-                    now: int, *, pc: int = 0) -> int:
+                    now: int) -> int:
         """The load reaches in-order commit; returns extra commit latency.
 
         The default does nothing, and the core's packed run loop skips the
@@ -80,16 +80,16 @@ class MemorySystem(abc.ABC):
 
     @abc.abstractmethod
     def commit_store(self, core_id: int, process_id: int, virtual_address: int,
-                     now: int, *, pc: int = 0) -> int:
+                     now: int) -> int:
         """The store commits and performs its write; returns commit latency."""
 
     def commit_fetch(self, core_id: int, process_id: int,
-                     virtual_address: int, now: int, *, pc: int = 0) -> int:
+                     virtual_address: int, now: int) -> None:
         """The instruction at ``virtual_address`` commits.
 
-        Like :meth:`commit_load`, the default does nothing and is skipped.
+        It adds no commit latency.  Like :meth:`commit_load`, the default
+        does nothing and is skipped.
         """
-        return 0
 
     # -- control events ----------------------------------------------------------
     def squash(self, core_id: int, now: int) -> None:

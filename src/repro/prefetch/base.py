@@ -18,17 +18,16 @@ from repro.common.statistics import StatGroup
 
 
 class TrainingEvent(NamedTuple):
-    """One observation given to a prefetcher.
+    """One observation given to a prefetcher: an address and its cycle.
 
+    It carries no pc, since the stream prefetcher keys on address regions.
     An immutable record; a named tuple rather than a frozen dataclass
     because one is built for every training event, and a frozen
     dataclass's ``__init__`` sets each field through ``object.__setattr__``.
     """
 
     address: int
-    pc: int
     cycle: int
-    was_miss: bool = True
 
 
 class Prefetcher:

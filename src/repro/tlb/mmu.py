@@ -134,36 +134,41 @@ class MMU:
             virtual_address)
 
     def commit_translation(self, process_id: int,
-                           virtual_address: int) -> bool:
-        """Install a committing access's translation in the main TLB.
+                           virtual_address: int) -> int:
+        """The physical address of a committing access; promotes its page.
 
-        Returns whether the filter TLB supplied it (a promotion).  The
-        filter-TLB entry, while it lasts, is copied into the main TLB and
-        stays in the filter TLB.  Once it is gone, the paper re-translates
-        at commit and the result lands directly in the main TLB.  Without
-        a filter TLB the access filled the main TLB when it executed, and
-        nothing happens here.
+        With a filter TLB, the page's filter-TLB entry, while it lasts, is
+        copied into the main TLB (a promotion) and stays in the filter
+        TLB.  Once it is gone, the paper re-translates at commit and the
+        result lands directly in the main TLB.  Without a filter TLB the
+        access filled the main TLB when it executed, so neither table
+        changes here, not even its LRU order.  A frame that no TLB holds
+        is read from the page table.  The access's translation at execute
+        already counted its lookup and walk, so this counts neither and
+        emits no ``tlb walk`` event.
         """
-        filter_table = self._filter
-        if filter_table is None:
-            return False
         page_shift = self._page_shift
         key = process_id << 64 | virtual_address >> page_shift
-        frame = filter_table.get(key)
-        promoted = frame is not None
-        if promoted:
-            self._promotions.value += 1
-        else:
-            frame = self.page_tables.address_space(process_id).translate(
-                virtual_address) >> page_shift
         table = self._tlb
-        if key in table:
-            table.move_to_end(key)
-        elif len(table) >= self.config.entries:
-            table.popitem(last=False)
-            self._evictions.value += 1
-        table[key] = frame
-        return promoted
+        filter_table = self._filter
+        frame = None
+        if filter_table is not None:
+            frame = filter_table.get(key)
+            if frame is not None:
+                self._promotions.value += 1
+        if frame is None:
+            frame = table.get(key)
+            if frame is None:
+                frame = self.page_tables.address_space(process_id).translate(
+                    virtual_address) >> page_shift
+        if filter_table is not None:
+            if key in table:
+                table.move_to_end(key)
+            elif len(table) >= self.config.entries:
+                table.popitem(last=False)
+                self._evictions.value += 1
+            table[key] = frame
+        return (frame << page_shift) + (virtual_address & self._offset_mask)
 
     def context_switch(self) -> None:
         """Flush the filter TLB on a protection-domain switch."""

@@ -8,18 +8,17 @@ from repro.prefetch.base import NullPrefetcher, TrainingEvent
 from repro.prefetch.stream import StreamPrefetcher
 
 
-def event(address, pc=0x400, cycle=0, was_miss=True):
-    return TrainingEvent(address=address, pc=pc, cycle=cycle,
-                         was_miss=was_miss)
+def event(address, cycle=0):
+    return TrainingEvent(address=address, cycle=cycle)
 
 
 class TestStreamPrefetcher:
-    def test_region_stream_detected_regardless_of_pc(self):
+    def test_sequential_lines_of_one_region_form_a_stream(self):
         prefetcher = StreamPrefetcher(degree=2, distance=2)
         issued = []
         for index in range(8):
             issued = prefetcher.train(event(0x40_0000 + index * 64,
-                                            pc=0x400 + index * 4))
+                                            cycle=index))
         assert issued
         assert all(line > 0x40_0000 + 7 * 64 for line in issued)
 

@@ -49,8 +49,8 @@ class TestHierarchy:
         hierarchy = NonSpeculativeHierarchy(SystemConfig(num_cores=1))
         # The reorder window withholds the first three events.
         for index in range(3):
-            hierarchy.train_l2_prefetcher(0x4_0000 + index * 64, pc=0x400,
-                                          now=10 + index, was_miss=True)
+            hierarchy.train_l2_prefetcher(0x4_0000 + index * 64,
+                                          now=10 + index)
         assert len(hierarchy._speculative_train_buffer) == 3
         trained_before = hierarchy.stats.get("l2_prefetcher.training_events")
         delivered = hierarchy.flush_speculative_training(now=100)
@@ -75,8 +75,7 @@ class TestHierarchy:
                                             rng=DeterministicRng(1234))
         hierarchy.l2_prefetcher = Recorder()
         for index in range(400):
-            hierarchy.train_l2_prefetcher(index, pc=0x400, now=index,
-                                          was_miss=True)
+            hierarchy.train_l2_prefetcher(index, now=index)
         window = random.Random(DeterministicRng(1234).fork(999).seed)
         buffer, expected = [], []
         for index in range(400):

@@ -79,33 +79,38 @@ class TestMMU:
     def test_commit_into_a_full_main_tlb_evicts_its_oldest_page(self):
         _, mmu = build(entries=2)
         mmu.translate(1, 0x1000, False)
-        mmu.translate(1, 0x2000, False)
-        mmu.translate(1, 0x3000, True)
-        assert mmu.commit_translation(1, 0x3000)
+        held, _ = mmu.translate(1, 0x2000, False)
+        physical, _ = mmu.translate(1, 0x3000, True)
+        assert mmu.commit_translation(1, 0x3000) == physical
+        assert mmu.stats.get("filter_tlb.promotions") == 1
         assert mmu.probe(1, 0x1000) is None
         assert mmu.probe(1, 0x2000) is not None
         assert mmu.probe(1, 0x3000) == mmu.probe_filter(1, 0x3000)
         assert mmu.stats.get("tlb.evictions") == 1
         # Committing a page the main TLB already holds refreshes it and
         # evicts nothing.
-        assert mmu.commit_translation(1, 0x2000) is False
+        assert mmu.commit_translation(1, 0x2000) == held
+        assert mmu.stats.get("filter_tlb.promotions") == 1
         mmu.translate(1, 0x4000, False)     # evicts page 3, not page 2
         assert mmu.probe(1, 0x2000) is not None
         assert mmu.probe(1, 0x3000) is None
         assert mmu.stats.get("tlb.evictions") == 2
 
     def test_commit_translation_promotes_or_rewalks(self):
-        _, mmu = build()
-        mmu.translate(1, 0x9000, True)
-        assert mmu.commit_translation(1, 0x9000)
+        manager, mmu = build()
+        physical, _ = mmu.translate(1, 0x9040, True)
+        assert mmu.commit_translation(1, 0x9040) == physical
         assert mmu.probe(1, 0x9000) is not None
         assert mmu.probe_filter(1, 0x9000) is not None
         assert mmu.stats.get("filter_tlb.promotions") == 1
-        # Committing a translation whose filter entry is gone re-walks.
+        # Committing a translation whose filter entry is gone re-translates
+        # it through the page table, without counting a walk.
         mmu.context_switch()
-        assert not mmu.commit_translation(1, 0xA000)
-        assert mmu.probe(1, 0xA000) is not None
+        physical = mmu.commit_translation(1, 0xA040)
+        assert physical == manager.address_space(1).translate(0xA040)
+        assert mmu.probe(1, 0xA000) == physical >> 12
         assert mmu.stats.get("filter_tlb.promotions") == 1
+        assert mmu.stats.get("walker.walks") == 1
 
     def test_context_switch_flushes_filter_tlb(self):
         _, mmu = build()
@@ -122,7 +127,7 @@ class TestMMU:
         physical, _ = mmu.translate(1, 0x9000, True)
         assert mmu.probe(1, 0x9000) == physical >> 12
         assert mmu.probe_filter(1, 0x9000) is None
-        assert not mmu.commit_translation(1, 0x9000)
+        assert mmu.commit_translation(1, 0x9000) == physical
         mmu.context_switch()
         assert mmu.probe(1, 0x9000) == physical >> 12
         assert mmu.filter_occupancy() == 0
