@@ -133,6 +133,15 @@ class PipelineConfig:
     mispredict_penalty: int = 12
     frequency_ghz: float = 2.0
 
+    def __post_init__(self) -> None:
+        # The core dispatches and commits ``width`` ops a cycle and holds
+        # an op in each window it enters until it commits, so none of
+        # these can be empty.
+        for name in ("width", "rob_entries", "lq_entries", "sq_entries"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+
 
 @dataclass(frozen=True)
 class TLBConfig:

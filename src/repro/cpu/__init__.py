@@ -10,20 +10,15 @@ from repro.cpu.instructions import (
     summarize_trace,
 )
 from repro.cpu.interface import MemoryAccessResult, MemorySystem
-from repro.cpu.rob import LoadQueue, ReorderBuffer, RetirementWindow, StoreQueue
 
 __all__ = [
     "CoreResult",
     "EXECUTION_LATENCY",
-    "LoadQueue",
     "MemoryAccessResult",
     "MemorySystem",
     "MicroOp",
     "OpKind",
     "OutOfOrderCore",
-    "ReorderBuffer",
-    "RetirementWindow",
-    "StoreQueue",
     "TournamentPredictor",
     "WrongPathAccess",
     "summarize_trace",

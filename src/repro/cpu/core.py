@@ -20,18 +20,16 @@ reproducing the behaviour the paper's evaluation depends on:
   memory system (write-through-at-commit, prefetcher training, exclusive
   upgrade, ...).
 
-Two execution paths produce bit-identical results:
-
-* :meth:`OutOfOrderCore.execute_op` — one :class:`MicroOp` at a time; the
-  boundary API used by attacks and unit tests.
-* :meth:`OutOfOrderCore.run_packed` — the hot path.  It consumes a
-  :class:`~repro.workloads.trace.PackedTrace` (struct-of-arrays), hoists
-  every attribute lookup and memory-system capability probe into locals,
-  keeps register ready-times/taints in flat arrays, executes runs of
-  simple ALU ops on one instruction-cache line as batches, and
-  accumulates statistics in plain local integers flushed to the
-  :class:`~repro.common.statistics.StatGroup` counters once per call.
-  Nothing is allocated per instruction.
+One engine, :meth:`OutOfOrderCore.run_packed`, holds these rules.  It
+consumes a :class:`~repro.workloads.trace.PackedTrace` (struct-of-arrays),
+hoists every attribute lookup and memory-system capability probe into
+locals, keeps register ready-times/taints in flat arrays, executes runs of
+simple ALU ops on one instruction-cache line as batches, and accumulates
+statistics in plain local integers flushed to the
+:class:`~repro.common.statistics.StatGroup` counters once per call.
+Nothing is allocated per instruction.  The boundary API of attacks and
+unit tests, :meth:`OutOfOrderCore.execute_op` (one :class:`MicroOp`) and
+:meth:`OutOfOrderCore.run` (any trace), packs its ops and runs them there.
 
 The same class serves single-core (SPEC CPU2006) and multi-core (Parsec)
 experiments; in the latter case :class:`repro.sim.simulator.Simulator`
@@ -42,8 +40,9 @@ coherence bus.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Deque, Iterable, List, Optional, Tuple, Union
 
 from repro.common.params import PipelineConfig, SystemConfig
 from repro.common.statistics import StatGroup
@@ -60,14 +59,18 @@ from repro.cpu.instructions import (
     F_TAKEN,
     F_TRANSMITTER,
     MicroOp,
+    OpKind,
 )
 from repro.cpu.interface import MemorySystem
-from repro.cpu.rob import LoadQueue, ReorderBuffer, StoreQueue
 from repro.telemetry.tracer import active_tracer as _active_tracer
 
 #: Initial size of the flat register ready-time/taint arrays; grown on
 #: demand for traces that name larger register ids.
 _INITIAL_REGISTERS = 64
+
+#: ``OpKind`` values by a packed trace's kind code (the kinds' definition
+#: order), for the ``kind`` field of pipeline trace events.
+_KIND_VALUES = tuple(kind.value for kind in OpKind)
 
 
 @dataclass
@@ -119,9 +122,14 @@ class OutOfOrderCore:
         # The core acts only on ``update``'s verdict, so it counts each
         # prediction here rather than asking for a direction it discards.
         self._predictions = self.predictor.stats.counter("predictions")
-        self.rob = ReorderBuffer(self.core_config.rob_entries)
-        self.load_queue = LoadQueue(self.core_config.lq_entries)
-        self.store_queue = StoreQueue(self.core_config.sq_entries)
+        # The ROB, load queue and store queue: the commit times of their
+        # in-flight entries, oldest first.  An op dispatched while its
+        # window holds ``core_config``'s capacity waits until the oldest
+        # entry has committed; that back-pressure is how long-latency loads
+        # and commit delays stall the front end.
+        self._rob: Deque[int] = deque()
+        self._load_queue: Deque[int] = deque()
+        self._store_queue: Deque[int] = deque()
         # Register file: flat ready-time and taint-visibility arrays indexed
         # by register id (an unwritten register reads as ready at 0 with no
         # taint, exactly like the absent-dict-entry it replaces).
@@ -148,327 +156,63 @@ class OutOfOrderCore:
         self._stt_mode = getattr(memory_system, "delays_dependent_transmitters",
                                  False)
         self._stt_future = getattr(memory_system, "future_variant", False)
-        self._invisispec = hasattr(memory_system, "validation_latency")
+        # InvisiSpec's commit-time validation; None for every other scheme.
         self._validation_latency = getattr(memory_system,
                                            "validation_latency", None)
         self._record_delayed_forward = getattr(memory_system,
                                                "record_delayed_forward", None)
         # The base-class commit_load and commit_fetch are empty hooks that
         # cost no cycles; when the scheme does not override one (only
-        # MuonTrap overrides either) the core skips the call outright
-        # (commit_fetch only in run_packed).
+        # MuonTrap overrides either) the core skips the call outright.
         self._commit_load_is_noop = (
             type(memory_system).commit_load is MemorySystem.commit_load)
         self._commit_fetch_is_noop = (
             type(memory_system).commit_fetch is MemorySystem.commit_fetch)
-        # The active tracer for the op currently in execute_op (None when
-        # tracing is off); helpers read it instead of re-consulting the
-        # module-level guard.
-        self._tracer = None
 
-    # -- bandwidth helpers ---------------------------------------------------------
-    def _bandwidth_limit(self, desired_time: int,
-                         tracker: Tuple[int, int],
-                         width: int) -> Tuple[int, Tuple[int, int]]:
-        """Allow at most ``width`` events per cycle; returns (time, tracker)."""
-        cycle, used = tracker
-        if desired_time > cycle:
-            return desired_time, (desired_time, 1)
-        if used < width:
-            return cycle, (cycle, used + 1)
-        return cycle + 1, (cycle + 1, 1)
-
-    # -- register file helpers --------------------------------------------------------
-    def _ensure_register(self, register: int) -> None:
-        if register >= len(self._reg_ready):
-            grow = register + 1 - len(self._reg_ready)
-            self._reg_ready.extend([0] * grow)
-            self._reg_taint.extend([None] * grow)
-
-    def _read_sources(self, op: MicroOp) -> Tuple[int, Optional[int]]:
-        """Return (ready_time, taint_visibility) over the op's source registers."""
-        ready = 0
-        taint: Optional[int] = None
-        limit = len(self._reg_ready)
-        for reg in op.src_regs:
-            if reg >= limit:
-                continue
-            value = self._reg_ready[reg]
-            if value > ready:
-                ready = value
-            visibility = self._reg_taint[reg]
-            if visibility is not None and (taint is None or visibility > taint):
-                taint = visibility
-        return ready, taint
-
-    def _write_destination(self, op: MicroOp, ready_time: int,
-                           taint_visibility: Optional[int]) -> None:
-        if op.dst_reg is None:
-            return
-        self._ensure_register(op.dst_reg)
-        self._reg_ready[op.dst_reg] = ready_time
-        self._reg_taint[op.dst_reg] = taint_visibility
-
-    # -- front end ---------------------------------------------------------------------
-    def _fetch(self, op: MicroOp, earliest: int) -> int:
-        """Model the instruction-cache access for this op's fetch group."""
-        fetch_line = op.pc - (op.pc % self._line_size)
-        fetch_time = max(self._fetch_ready, earliest)
-        if fetch_line != self._current_fetch_line:
-            result = self.memory.fetch(self.core_id, self.process_id, op.pc,
-                                       fetch_time, speculative=True)
-            fetch_time += max(0, result.latency - 1)
-            self._current_fetch_line = fetch_line
-        self._fetch_ready = fetch_time
-        return fetch_time
-
-    # -- wrong-path execution --------------------------------------------------------------
-    def _execute_wrong_path(self, op: MicroOp, dispatch_time: int,
-                            resolve_time: int) -> None:
-        """Issue the squashed accesses a mispredicted branch would cause."""
-        if not op.wrong_path:
-            return
-        window = max(1, resolve_time - dispatch_time)
-        tracer = self._tracer
-        for access in op.wrong_path:
-            issue_at = dispatch_time + min(access.issue_offset, window)
-            if tracer is not None:
-                tracer.now = issue_at
-                tracer.emit("pipeline", "squash", cycle=issue_at,
-                            core=self.core_id, address=access.address,
-                            pc=op.pc, store=access.is_store,
-                            fetch=access.is_instruction)
-            if access.is_instruction:
-                self.memory.fetch(self.core_id, self.process_id,
-                                  access.address, issue_at, speculative=True)
-            elif access.is_store:
-                self.memory.store_address_ready(self.core_id, self.process_id,
-                                                access.address, issue_at,
-                                                speculative=True)
-            else:
-                self.memory.load(self.core_id, self.process_id, access.address,
-                                 issue_at, speculative=True)
-            self._squashed_accesses.increment()
-        # The fetch path also ran down the wrong path; the next correct-path
-        # fetch re-reads the instruction cache.
-        self._current_fetch_line = None
-        self.memory.squash(self.core_id, resolve_time)
-
-    # -- main per-instruction processing --------------------------------------------------------
+    # -- execution ------------------------------------------------------------
     def execute_op(self, op: MicroOp) -> int:
-        """Process one micro-op; returns its commit time."""
-        tracer = self._tracer = _active_tracer()
+        """Execute one micro-op; returns its commit time."""
+        # Imported here: repro.workloads.trace imports repro.cpu, whose
+        # package imports this module.
+        from repro.workloads.trace import PackedTrace
+        return self.run_packed(PackedTrace.pack((op,)))
 
-        # 1. Front end: fetch and dispatch, bounded by ROB/LSQ occupancy and
-        #    dispatch bandwidth.
-        fetch_time = self._fetch(op, self._fetch_ready)
-        dispatch_time = self.rob.earliest_dispatch_time(fetch_time)
-        if op.is_load:
-            dispatch_time = max(dispatch_time,
-                                self.load_queue.earliest_dispatch_time(
-                                    dispatch_time))
-        if op.is_store:
-            dispatch_time = max(dispatch_time,
-                                self.store_queue.earliest_dispatch_time(
-                                    dispatch_time))
-        dispatch_time, self._dispatched_in_cycle = self._bandwidth_limit(
-            dispatch_time, self._dispatched_in_cycle, self.core_config.width)
-
-        # 2. Issue: wait for source operands (plus STT taint delays).
-        source_ready, source_taint = self._read_sources(op)
-        issue_time = max(dispatch_time + 1, source_ready)
-        if (self._stt_mode and source_taint is not None
-                and op.kind.is_transmitter):
-            if issue_time < source_taint:
-                issue_time = source_taint
-                if self._record_delayed_forward is not None:
-                    self._record_delayed_forward()
-        if tracer is not None:
-            tracer.now = issue_time
-            tracer.emit("pipeline", "issue", cycle=issue_time,
-                        core=self.core_id, address=op.address, pc=op.pc,
-                        kind=op.kind.value)
-
-        # 3. Execute.
-        completion, taint_visibility = self._execute(op, issue_time,
-                                                     dispatch_time)
-        if self._stt_mode and not op.is_load and source_taint is not None:
-            # STT propagates taint transitively through non-load producers:
-            # the result of an ALU op on a tainted value is itself tainted
-            # until the original load's visibility point.
-            taint_visibility = (source_taint if taint_visibility is None
-                                else max(taint_visibility, source_taint))
-
-        # 4. Commit in order, at most ``width`` per cycle.
-        commit_time = max(completion, self._last_commit_time)
-        commit_time, self._committed_in_cycle = self._bandwidth_limit(
-            commit_time, self._committed_in_cycle, self.core_config.width)
-        if tracer is not None:
-            tracer.now = commit_time
-        commit_time += self._commit_actions(op, commit_time, issue_time)
-        self._last_commit_time = commit_time
-        if tracer is not None:
-            tracer.now = commit_time
-            tracer.emit("pipeline", "commit", cycle=commit_time,
-                        core=self.core_id, address=op.address, pc=op.pc,
-                        kind=op.kind.value, issue=issue_time)
-
-        # 5. Update structures.
-        self.rob.retire_older_than(dispatch_time)
-        self.rob.allocate(commit_time)
-        if op.is_load:
-            self.load_queue.retire_older_than(dispatch_time)
-            self.load_queue.allocate(commit_time)
-        if op.is_store:
-            self.store_queue.retire_older_than(dispatch_time)
-            self.store_queue.allocate(commit_time)
-        self._write_destination(op, completion, taint_visibility)
-        self._committed.increment()
-        return commit_time
-
-    # -- execution of the different op kinds -------------------------------------------------------
-    def _execute(self, op: MicroOp, issue_time: int,
-                 dispatch_time: int) -> Tuple[int, Optional[int]]:
-        """Return (completion_time, taint_visibility_for_dst)."""
-        if op.is_load:
-            return self._execute_load(op, issue_time)
-        if op.is_store:
-            self.memory.store_address_ready(self.core_id, self.process_id,
-                                            op.address, issue_time,
-                                            speculative=True)
-            return issue_time + op.execution_latency, None
-        if op.is_branch:
-            return self._execute_branch(op, issue_time, dispatch_time), None
-        # Plain ALU / FP / system ops.
-        return issue_time + op.execution_latency, None
-
-    def _execute_load(self, op: MicroOp,
-                      issue_time: int) -> Tuple[int, Optional[int]]:
-        result = self.memory.load(self.core_id, self.process_id, op.address,
-                                  issue_time, speculative=True)
-        if result.must_retry_nonspeculative:
-            # MuonTrap NACKed the access (it would disturb another core's
-            # private line): retry once the load is the oldest outstanding
-            # instruction, i.e. not before every older instruction committed.
-            self._nack_retries.increment()
-            retry_time = max(issue_time, self._last_commit_time)
-            if self._tracer is not None:
-                self._tracer.now = retry_time
-                self._tracer.emit("pipeline", "nack_retry", cycle=retry_time,
-                                  core=self.core_id, address=op.address,
-                                  pc=op.pc)
-            retry = self.memory.load(self.core_id, self.process_id, op.address,
-                                     retry_time, speculative=False)
-            completion = retry_time + retry.latency
-        else:
-            completion = issue_time + result.latency
-        # STT taint: the loaded value is unsafe to forward to transmitters
-        # until the load's visibility point.
-        visibility: Optional[int] = None
-        if self._stt_mode:
-            if self._stt_future:
-                visibility = max(completion, self._last_commit_time)
-            else:
-                visibility = max(completion, self._last_branch_resolve)
-        return completion, visibility
-
-    def _execute_branch(self, op: MicroOp, issue_time: int,
-                        dispatch_time: int) -> int:
-        resolve_time = issue_time + op.execution_latency
-        if op.force_mispredict is None:
-            self._predictions.value += 1
-            mispredicted = self.predictor.update(op.pc, op.taken, op.target)
-        else:
-            mispredicted = op.force_mispredict
-            self.predictor.update(op.pc, op.taken, op.target)
-        self._last_branch_resolve = max(self._last_branch_resolve,
-                                        resolve_time)
-        if mispredicted:
-            self._mispredictions.increment()
-            if self._tracer is not None:
-                self._tracer.emit("pipeline", "mispredict",
-                                  cycle=resolve_time, core=self.core_id,
-                                  pc=op.pc)
-            self._execute_wrong_path(op, dispatch_time, resolve_time)
-            # Redirect: the front end can only deliver correct-path
-            # instructions after the pipeline refills.
-            self._fetch_ready = max(
-                self._fetch_ready,
-                resolve_time + self.core_config.mispredict_penalty)
-        return resolve_time
-
-    # -- commit actions -------------------------------------------------------------------------------
-    def _commit_actions(self, op: MicroOp, commit_time: int,
-                        issue_time: int) -> int:
-        """Perform memory-system commit work; returns extra commit latency."""
-        extra = 0
-        if op.is_load:
-            self._committed_loads.increment()
-            if self._invisispec:
-                # InvisiSpec validation/exposure: the Spectre variant issues
-                # it once older branches have resolved, the Future variant
-                # only at commit.  Either way commit waits for it, so the
-                # load-queue entry, held until commit, outlasts the
-                # re-access.
-                visibility = (commit_time if self._stt_future
-                              else max(self._last_branch_resolve, issue_time))
-                validation = self.memory.validation_latency(
-                    self.core_id, self.process_id, op.address, visibility)
-                extra += max(0, visibility + validation - commit_time)
-            if not self._commit_load_is_noop:
-                extra += self.memory.commit_load(
-                    self.core_id, self.process_id, op.address,
-                    commit_time + extra)
-        elif op.is_store:
-            self._committed_stores.increment()
-            extra += self.memory.commit_store(self.core_id, self.process_id,
-                                              op.address, commit_time + extra)
-        elif op.is_branch:
-            self._committed_branches.increment()
-        self.memory.commit_fetch(self.core_id, self.process_id, op.pc,
-                                 commit_time + extra)
-        if op.is_syscall or op.is_context_switch:
-            self._context_switches.increment()
-            self.memory.context_switch(self.core_id, commit_time + extra)
-            extra += self.core_config.mispredict_penalty
-        if op.is_sandbox_entry:
-            self.memory.sandbox_entry(self.core_id, commit_time + extra)
-        return extra
-
-    # -- packed-trace execution (the hot path) ------------------------------------------------------
     def run_packed(self, packed, start: int = 0,
                    end: Optional[int] = None) -> int:
         """Execute ops ``[start, end)`` of a packed trace; returns the clock.
 
-        This is the zero-allocation twin of :meth:`execute_op`: identical
-        step-for-step semantics (it is golden-tested to produce bit-identical
-        cycles, instructions and statistics), but driven by the
-        struct-of-arrays trace with every per-op attribute lookup hoisted
-        into locals and statistics accumulated in local integers that are
-        flushed once per call.
+        The one timing model of the core, driven by the struct-of-arrays
+        trace with every per-op attribute lookup hoisted into locals and
+        statistics accumulated in local integers that are flushed once per
+        call.
 
         The trace's plan (:meth:`~repro.workloads.trace.PackedTrace.plan`)
         marks maximal runs of simple ALU ops sharing one instruction-cache
         line.  Such a run executes as a batch: one fetch-line check for the
         whole run, no per-op classification and, for schemes that never
         override the hook, no ``commit_fetch`` upcall.  Complex ops —
-        loads, stores, branches, syscalls — take the full per-op path,
-        which likewise skips ``commit_load`` for schemes that keep the
-        empty hook.  A call may start or stop inside a run (the simulator
+        loads, stores, branches, syscalls — take the per-op branch, which
+        likewise skips ``commit_load`` for schemes that keep the empty
+        hook.  A call may start or stop inside a run (the simulator
         interleaves cores in chunks): the plan records every op's run end.
 
-        When a tracer is active (``repro.telemetry``), execution routes
-        through the per-op boundary path instead — bit-identical results,
-        every hook point live.  With tracing off (the default) the check
-        is one module-global read per call and the loop below is
-        untouched, which is what keeps telemetry zero-cost when disabled.
+        When a tracer is active (``repro.telemetry``), the call runs every
+        op on the per-op branch, with batching off, and that branch emits
+        the pipeline events (``issue``, ``nack_retry``, ``mispredict``,
+        ``squash``, ``commit``) and keeps ``tracer.now`` at the cycle the
+        memory side is being asked about.  Results are those of the
+        batched run.  With tracing off (the default) the guard is one
+        module-global read per call plus local ``None`` tests on the
+        per-op branch, which keeps telemetry free of calls when disabled.
         """
-        if _active_tracer() is not None:
-            return self._run_packed_traced(packed, start, end)
+        tracer = _active_tracer()
         if end is None:
             end = packed.length
-        plan_run_end = packed.plan(self._line_size).run_end
+        # ``range(end)`` ends every op's run at the op itself: no batches.
+        plan_run_end = (packed.plan(self._line_size).run_end
+                        if tracer is None else range(end))
         # -- trace columns ---------------------------------------------------
+        col_kinds = packed.kinds
         col_flags = packed.flags
         col_pcs = packed.pcs
         col_addresses = packed.addresses
@@ -494,31 +238,28 @@ class OutOfOrderCore:
         mem_validation_latency = self._validation_latency
         record_delayed_forward = self._record_delayed_forward
         predictor_update = self.predictor.update
-        rob = self.rob
-        load_queue = self.load_queue
-        store_queue = self.store_queue
-        rob_times = rob._commit_times
-        lq_times = load_queue._commit_times
-        sq_times = store_queue._commit_times
+        rob_times = self._rob
+        lq_times = self._load_queue
+        sq_times = self._store_queue
         rob_pop = rob_times.popleft
         lq_pop = lq_times.popleft
         sq_pop = sq_times.popleft
         rob_append = rob_times.append
         lq_append = lq_times.append
         sq_append = sq_times.append
-        rob_capacity = rob.capacity
-        lq_capacity = load_queue.capacity
-        sq_capacity = store_queue.capacity
         reg_ready = self._reg_ready
         reg_taint = self._reg_taint
         reg_limit = len(reg_ready)
         # -- hoisted configuration -------------------------------------------
-        width = self.core_config.width
-        mispredict_penalty = self.core_config.mispredict_penalty
+        core_config = self.core_config
+        width = core_config.width
+        mispredict_penalty = core_config.mispredict_penalty
+        rob_capacity = core_config.rob_entries
+        lq_capacity = core_config.lq_entries
+        sq_capacity = core_config.sq_entries
         line_size = self._line_size
         stt_mode = self._stt_mode
         stt_future = self._stt_future
-        invisispec = self._invisispec
         commit_fetch_noop = self._commit_fetch_is_noop
         # -- core state pulled into locals -----------------------------------
         fetch_ready = self._fetch_ready
@@ -537,9 +278,6 @@ class OutOfOrderCore:
         n_squashed = 0
         n_nack_retries = 0
         n_context_switches = 0
-        n_rob_stalls = 0
-        n_lq_stalls = 0
-        n_sq_stalls = 0
 
         index = start
         while index < end:
@@ -567,7 +305,6 @@ class OutOfOrderCore:
                     if len(rob_times) >= rob_capacity:
                         oldest = rob_times[0]
                         if oldest > dispatch_time:
-                            n_rob_stalls += 1
                             dispatch_time = oldest
                     if dispatch_time > dispatch_cycle:
                         dispatch_cycle = dispatch_time
@@ -639,7 +376,7 @@ class OutOfOrderCore:
                 index = stop
                 continue
 
-            # ==== complex op: the full per-op path ===========================
+            # ==== one op: complex, or any op of a traced call ================
             flags = col_flags[index]
             pc = col_pcs[index]
 
@@ -659,19 +396,16 @@ class OutOfOrderCore:
             if len(rob_times) >= rob_capacity:
                 oldest = rob_times[0]
                 if oldest > dispatch_time:
-                    n_rob_stalls += 1
                     dispatch_time = oldest
             is_load = flags & F_LOAD
             is_store = flags & F_STORE
             if is_load and len(lq_times) >= lq_capacity:
                 oldest = lq_times[0]
                 if oldest > dispatch_time:
-                    n_lq_stalls += 1
                     dispatch_time = oldest
             if is_store and len(sq_times) >= sq_capacity:
                 oldest = sq_times[0]
                 if oldest > dispatch_time:
-                    n_sq_stalls += 1
                     dispatch_time = oldest
             if dispatch_time > dispatch_cycle:
                 dispatch_cycle = dispatch_time
@@ -705,6 +439,15 @@ class OutOfOrderCore:
                     issue_time = source_taint
                     if record_delayed_forward is not None:
                         record_delayed_forward()
+            if tracer is not None:
+                tracer.now = issue_time
+                event_address = col_addresses[index]
+                if event_address < 0:
+                    event_address = None
+                event_kind = _KIND_VALUES[col_kinds[index]]
+                tracer.emit("pipeline", "issue", cycle=issue_time,
+                            core=core_id, address=event_address, pc=pc,
+                            kind=event_kind)
 
             # 3. Execute.
             taint_visibility = None
@@ -716,6 +459,10 @@ class OutOfOrderCore:
                     n_nack_retries += 1
                     retry_time = (issue_time if issue_time > last_commit_time
                                   else last_commit_time)
+                    if tracer is not None:
+                        tracer.now = retry_time
+                        tracer.emit("pipeline", "nack_retry", cycle=retry_time,
+                                    core=core_id, address=address, pc=pc)
                     retry = mem_load(core_id, process_id, address, retry_time,
                                      speculative=False)
                     completion = retry_time + retry.latency
@@ -751,6 +498,9 @@ class OutOfOrderCore:
                     last_branch_resolve = resolve_time
                 if mispredicted:
                     n_mispredictions += 1
+                    if tracer is not None:
+                        tracer.emit("pipeline", "mispredict",
+                                    cycle=resolve_time, core=core_id, pc=pc)
                     wrong_path = col_wrong_paths[index]
                     if wrong_path:
                         window = resolve_time - dispatch_time
@@ -760,6 +510,13 @@ class OutOfOrderCore:
                             offset = access.issue_offset
                             issue_at = dispatch_time + (
                                 offset if offset < window else window)
+                            if tracer is not None:
+                                tracer.now = issue_at
+                                tracer.emit(
+                                    "pipeline", "squash", cycle=issue_at,
+                                    core=core_id, address=access.address,
+                                    pc=pc, store=access.is_store,
+                                    fetch=access.is_instruction)
                             if access.is_instruction:
                                 mem_fetch(core_id, process_id, access.address,
                                           issue_at, speculative=True)
@@ -799,12 +556,18 @@ class OutOfOrderCore:
                 commit_cycle += 1
                 commit_used = 1
                 commit_time = commit_cycle
+            if tracer is not None:
+                tracer.now = commit_time
 
             extra = 0
             if is_load:
                 n_loads += 1
                 address = col_addresses[index]
-                if invisispec:
+                if mem_validation_latency is not None:
+                    # InvisiSpec validation/exposure: the Spectre variant
+                    # issues it once older branches have resolved, the
+                    # Future variant only at commit.  Either way commit
+                    # waits for it.
                     if stt_future:
                         visibility = commit_time
                     else:
@@ -835,6 +598,11 @@ class OutOfOrderCore:
                 mem_sandbox_entry(core_id, commit_time + extra)
             commit_time += extra
             last_commit_time = commit_time
+            if tracer is not None:
+                tracer.now = commit_time
+                tracer.emit("pipeline", "commit", cycle=commit_time,
+                            core=core_id, address=event_address, pc=pc,
+                            kind=event_kind, issue=issue_time)
 
             # 5. Update structures.
             while rob_times and rob_times[0] <= dispatch_time:
@@ -873,9 +641,6 @@ class OutOfOrderCore:
         self._last_branch_resolve = last_branch_resolve
         self._dispatched_in_cycle = (dispatch_cycle, dispatch_used)
         self._committed_in_cycle = (commit_cycle, commit_used)
-        rob.full_stalls += n_rob_stalls
-        load_queue.full_stalls += n_lq_stalls
-        store_queue.full_stalls += n_sq_stalls
         # -- flush batched statistics -----------------------------------------
         if n_committed:
             self._committed.add(n_committed)
@@ -897,42 +662,22 @@ class OutOfOrderCore:
             self._context_switches.add(n_context_switches)
         return last_commit_time
 
-    def _run_packed_traced(self, packed, start: int = 0,
-                           end: Optional[int] = None) -> int:
-        """The traced twin of :meth:`run_packed`.
-
-        Materialises each op and drives it through :meth:`execute_op` — the
-        boundary path golden-tested bit-identical to the packed loop — so
-        the pipeline, cache, coherence, filter and TLB hook points all fire
-        while cycles, instructions and statistics stay exactly those of the
-        untraced run.
-        """
-        if end is None:
-            end = packed.length
-        op_at = packed.op
-        execute_op = self.execute_op
-        for index in range(start, end):
-            execute_op(op_at(index))
-        return self._last_commit_time
-
     # -- whole-trace execution -----------------------------------------------------------------------------
     def run(self, trace: Union["Trace", "PackedTrace", Iterable[MicroOp]]
             ) -> CoreResult:
         """Execute a complete trace and return the timing summary.
 
-        Accepts a :class:`~repro.workloads.trace.Trace` or
-        :class:`~repro.workloads.trace.PackedTrace` (executed through the
-        packed fast path) or any iterable of :class:`MicroOp` (executed
-        op-by-op through :meth:`execute_op`).
+        Accepts a :class:`~repro.workloads.trace.Trace`, a
+        :class:`~repro.workloads.trace.PackedTrace` or any iterable of
+        :class:`MicroOp`, which is packed first.
         """
         packed = getattr(trace, "packed", None)
         if packed is not None:                 # a Trace
-            self.run_packed(packed())
-        elif hasattr(trace, "flags"):          # already a PackedTrace
-            self.run_packed(trace)
-        else:
-            for op in trace:
-                self.execute_op(op)
+            trace = packed()
+        elif not hasattr(trace, "flags"):      # micro-ops, not a PackedTrace
+            from repro.workloads.trace import PackedTrace  # see execute_op
+            trace = PackedTrace.pack(trace)
+        self.run_packed(trace)
         return self.result()
 
     def register_ready_time(self, register: int) -> int:

@@ -1,8 +1,10 @@
 """Micro-op representation used by the out-of-order core model.
 
 The workload generators (:mod:`repro.workloads`) write packed trace
-columns, not :class:`MicroOp` objects; the columns build micro-ops on
-demand for the per-op core path.  A micro-op carries its architectural
+columns, not :class:`MicroOp` objects, and the core executes those
+columns.  Micro-ops are the boundary format: attacks and tests build them
+and the core packs them before it runs them, and the columns build them on
+demand for inspection.  A micro-op carries its architectural
 effects only to the extent the timing and security model needs: which
 registers it reads and writes, which address it touches, how long its
 functional unit takes, whether it is a branch and what the branch actually
@@ -129,22 +131,6 @@ class MicroOp:
             raise ValueError(f"{self.kind.value} micro-op requires an address")
         if self.execution_latency is None:
             self.execution_latency = EXECUTION_LATENCY[self.kind]
-
-    @property
-    def is_load(self) -> bool:
-        return self.kind is OpKind.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.kind is OpKind.STORE
-
-    @property
-    def is_branch(self) -> bool:
-        return self.kind is OpKind.BRANCH
-
-    @property
-    def is_syscall(self) -> bool:
-        return self.kind is OpKind.SYSCALL
 
 
 def summarize_trace(ops: List[MicroOp]) -> dict:

@@ -16,13 +16,9 @@ contend in the shared LLC and on the bus.  :attr:`SimulationResult.core_benchmar
 records which benchmark ran on which core and
 :meth:`SimulationResult.per_benchmark` splits the aggregate back out.
 
-Execution runs on the packed-trace fast path by default
-(:meth:`~repro.cpu.core.OutOfOrderCore.run_packed` over index ranges — no
-per-chunk slice copies, no per-op allocation).  Constructing the simulator
-with ``use_packed=False`` builds each op from the same columns and drives
-it through the per-op :meth:`~repro.cpu.core.OutOfOrderCore.execute_op`
-boundary path instead; the two are golden-tested to produce bit-identical
-results.
+Each core executes its trace's packed columns through the core's one
+engine, :meth:`~repro.cpu.core.OutOfOrderCore.run_packed`, over index
+ranges: no per-chunk slice copies, no per-op allocation.
 """
 
 from __future__ import annotations
@@ -167,10 +163,8 @@ class Simulator:
     INTERLEAVE_CHUNK = 64
 
     def __init__(self, system: SimulatedSystem,
-                 use_packed: bool = True,
                  sampler: Optional["MetricsSampler"] = None) -> None:
         self.system = system
-        self.use_packed = use_packed
         # Time-series metrics (repro.telemetry.metrics): the sampler
         # snapshots the system's statistics tree at interleave boundaries.
         self.sampler = sampler
@@ -260,11 +254,10 @@ class Simulator:
         """Run ops ``bounds[i]`` of ``traces[i]`` interleaved across cores.
 
         Iterates by index over each trace's packed columns — no per-chunk
-        slice copies; the per-op path builds one op at a time.
+        slice copies.
         """
         chunk = self.INTERLEAVE_CHUNK
-        use_packed = self.use_packed
-        if use_packed and len(traces) == 1 and self.sampler is None:
+        if len(traces) == 1 and self.sampler is None:
             # Single-threaded workload with no sampler: interleaving is a
             # no-op, so run the whole remaining range in one engine call
             # (state persists across calls, so this is bit-identical to
@@ -285,13 +278,7 @@ class Simulator:
                 core = self.system.core(thread_id)
                 start = cursors[thread_id]
                 end = min(ends[thread_id], start + chunk)
-                if use_packed:
-                    core.run_packed(packs[thread_id], start, end)
-                else:
-                    op_at = packs[thread_id].op
-                    execute_op = core.execute_op
-                    for index in range(start, end):
-                        execute_op(op_at(index))
+                core.run_packed(packs[thread_id], start, end)
                 cursors[thread_id] = end
                 if end >= ends[thread_id]:
                     done[thread_id] = True

@@ -3,9 +3,11 @@
 Design goals, in order:
 
 1. **Zero cost when disabled.**  The hot loop
-   (:meth:`~repro.cpu.core.OutOfOrderCore.run_packed`) checks the
-   module-level active tracer exactly once per call and runs its unmodified
-   zero-allocation body when none is installed; the memory-side hook points
+   (:meth:`~repro.cpu.core.OutOfOrderCore.run_packed`) reads the
+   module-level active tracer once per call into a local.  Its pipeline
+   hook points sit on the per-op branch behind tests of that local, so an
+   untraced run makes no extra call and still batches; a traced run sends
+   every op down that branch.  The memory-side hook points
    are *instance-attribute* method wrappers installed by
    :meth:`Tracer.attach`, so an untraced cache/bus/MMU instance executes
    the plain class methods with no guard at all.  The tier-1 test

@@ -201,6 +201,14 @@ class TestErrors:
     def test_domain_validation_errors_carry_the_context(self):
         with pytest.raises(MachineFormatError, match="SystemConfig"):
             machine_from_dict({"num_cores": 0})
+        with pytest.raises(MachineFormatError,
+                           match=r"SystemConfig\.core: width must be "
+                                 r"positive, got 0"):
+            machine_from_dict({"core": {"width": 0}})
+        with pytest.raises(MachineFormatError,
+                           match=r"SystemConfig\.core: rob_entries must be "
+                                 r"positive, got 0"):
+            machine_from_dict({"core": {"rob_entries": 0}})
 
     @pytest.mark.parametrize("field, name", [
         ("replacement", "fifo"),

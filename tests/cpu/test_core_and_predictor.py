@@ -1,14 +1,19 @@
 """Tests for the out-of-order core model, branch predictor and windows."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.unprotected import UnprotectedMemorySystem
-from repro.common.params import BranchPredictorConfig, SystemConfig
+from repro.common.params import (
+    BranchPredictorConfig,
+    PipelineConfig,
+    SystemConfig,
+)
 from repro.core.muontrap import MuonTrapMemorySystem
 from repro.cpu.branch_predictor import TournamentPredictor
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.instructions import MicroOp, OpKind, WrongPathAccess, summarize_trace
-from repro.cpu.rob import LoadQueue, ReorderBuffer
 
 
 class TestBranchPredictorComponents:
@@ -79,24 +84,56 @@ class TestBranchPredictorComponents:
 
 
 class TestRetirementWindows:
-    def test_rob_backpressure(self):
-        rob = ReorderBuffer(capacity=2)
-        rob.allocate(commit_time=100)
-        rob.allocate(commit_time=200)
-        assert rob.earliest_dispatch_time(now=10) == 100
-        assert rob.full_stalls == 1
-        rob.retire_older_than(150)
-        assert rob.earliest_dispatch_time(now=10) == 10
+    """A full ROB or load queue holds dispatch until its oldest entry
+    commits.  Each case runs once with a tiny window and once with the
+    Table 1 default, where nothing waits."""
 
-    def test_load_queue_capacity(self):
-        load_queue = LoadQueue(capacity=1)
-        load_queue.allocate(commit_time=50)
-        assert load_queue.is_full
-        assert load_queue.earliest_dispatch_time(now=0) == 50
+    MISS = 0x10_0000
+    WARM = 0x20_0000
 
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            ReorderBuffer(capacity=0)
+    @staticmethod
+    def _core(**pipeline):
+        config = replace(SystemConfig(), core=PipelineConfig(**pipeline))
+        return OutOfOrderCore(0, config, UnprotectedMemorySystem(config))
+
+    def _rob_run(self, rob_entries):
+        """A missing load, then two independent ALU ops: with two ROB
+        entries the second ALU op dispatches when the load commits."""
+        core = self._core(rob_entries=rob_entries)
+        load_commit = core.execute_op(MicroOp(
+            kind=OpKind.LOAD, pc=0x1000, address=self.MISS, dst_reg=1))
+        core.execute_op(MicroOp(kind=OpKind.INT_ALU, pc=0x1004, dst_reg=2))
+        core.execute_op(MicroOp(kind=OpKind.INT_ALU, pc=0x1008, dst_reg=3))
+        return load_commit, core.register_ready_time(3)
+
+    def test_full_rob_holds_dispatch_until_the_oldest_entry_commits(self):
+        load_commit, ready = self._rob_run(rob_entries=2)
+        # Dispatched at the load's commit, issued a cycle later, and done
+        # after its one-cycle latency.
+        assert ready == load_commit + 2
+        load_commit, ready = self._rob_run(rob_entries=192)
+        assert ready < load_commit
+
+    def _load_queue_run(self, lq_entries):
+        """Warm a line, miss on another once the first load is done, then
+        reload the warm line: with one load-queue entry the reload
+        dispatches when the miss commits."""
+        core = self._core(lq_entries=lq_entries)
+        core.execute_op(MicroOp(kind=OpKind.LOAD, pc=0x1000,
+                                address=self.WARM, dst_reg=1))
+        miss_commit = core.execute_op(MicroOp(
+            kind=OpKind.LOAD, pc=0x1004, address=self.MISS, src_regs=(1,),
+            dst_reg=2))
+        core.execute_op(MicroOp(kind=OpKind.LOAD, pc=0x1008,
+                                address=self.WARM, dst_reg=3))
+        return miss_commit, core.register_ready_time(3)
+
+    def test_full_load_queue_holds_dispatch_until_the_oldest_entry_commits(
+            self):
+        miss_commit, ready = self._load_queue_run(lq_entries=1)
+        assert ready > miss_commit
+        miss_commit, ready = self._load_queue_run(lq_entries=32)
+        assert ready < miss_commit
 
 
 def _simple_trace(n=400, miss_stride=None):

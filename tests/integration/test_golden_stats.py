@@ -1,11 +1,11 @@
 """Golden-stats snapshots: the full statistics tree, pinned.
 
-The packed/per-op equivalence tests prove the two engines agree with *each
-other*; these snapshots pin what both engines produce, so any semantic
-drift introduced by future hot-path or coherence work — a stat that stops
-counting, a latency that shifts by one cycle, a changed replacement
-decision — is caught immediately and attributed to the exact counter that
-moved.
+The equivalence tests prove that batched and unbatched runs of the core's
+one engine agree with *each other*; these snapshots pin what both produce,
+so any semantic drift introduced by future hot-path or coherence work — a
+stat that stops counting, a latency that shifts by one cycle, a changed
+replacement decision — is caught immediately and attributed to the exact
+counter that moved.
 
 One snapshot per protection mode on a small fixed workload, one multi-core
 co-run mix on the private-L2 topology, and one per heterogeneous machine

@@ -1,13 +1,14 @@
-"""Golden equivalence: the packed engine must match the per-op engine.
+"""Golden equivalence: batched execution must match unbatched execution.
 
-The packed-trace fast path (`OutOfOrderCore.run_packed`) re-implements the
-per-instruction semantics of `execute_op` as a zero-allocation loop that
-executes same-line runs of simple ops as batches.  These tests pin the
-contract down: for every protection scheme the paper evaluates, running
-the same workload through the per-op and packed engines must produce a
-**bit-identical** `SimulationResult` — cycles, instructions, warmup
-cycles, per-core results and the complete statistics tree.  Any
-divergence, however small, is a bug in one of the engines.
+The core's one engine (`OutOfOrderCore.run_packed`) executes same-line
+runs of simple ops as batches, and every other op on its per-op branch.
+Batching is the one part of the engine that restates the per-op rules, so
+these tests pin it down: for every protection scheme the paper evaluates,
+an untraced run, which batches, must produce a **bit-identical**
+`SimulationResult` to a run under an active tracer that records nothing
+(`Tracer(categories=())`), which sends every op down the per-op branch —
+cycles, instructions, warmup cycles, per-core results and the complete
+statistics tree.  Any divergence, however small, is a bug in the batch.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.common.params import (
 from repro.harness.suites import resolve_suites
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.sim.system import build_system
+from repro.telemetry import Tracer, tracing
 from repro.workloads.generator import generate_workload
 from repro.workloads.mixes import get_machine
 from repro.workloads.profiles import get_profile
@@ -41,16 +43,19 @@ CROSS_SECTION = ["mcf", "omnetpp", "lbm", "cactusADM", "streamcluster"]
 
 INSTRUCTIONS = 500
 
-#: Simulator ``use_packed`` flag selecting each engine.
-ENGINES = {"per-op": False, "packed": True}
+#: The tracer each way of running installs: none lets ``run_packed``
+#: batch; an active one that records nothing runs every op unbatched.
+ENGINES = {"batched": lambda: None,
+           "unbatched": lambda: Tracer(categories=())}
 
 
 def _simulate(config: SystemConfig, profile, seed: int,
               engine: str) -> SimulationResult:
     workload = generate_workload(profile, INSTRUCTIONS, seed=seed)
-    simulator = Simulator(build_system(config, seed=seed),
-                          use_packed=ENGINES[engine])
-    return simulator.run(workload, collect_stats=True, warmup_fraction=0.35)
+    simulator = Simulator(build_system(config, seed=seed))
+    with tracing(ENGINES[engine]()):
+        return simulator.run(workload, collect_stats=True,
+                             warmup_fraction=0.35)
 
 
 def _run(mode: str, benchmark: str, seed: int,
@@ -60,21 +65,21 @@ def _run(mode: str, benchmark: str, seed: int,
     return _simulate(config, profile, seed, engine)
 
 
-def _assert_identical(candidate: SimulationResult, per_op: SimulationResult,
-                      context: str) -> None:
-    assert candidate.cycles == per_op.cycles, context
-    assert candidate.instructions == per_op.instructions, context
-    assert candidate.warmup_cycles == per_op.warmup_cycles, context
-    assert candidate.core_results == per_op.core_results, context
+def _assert_identical(candidate: SimulationResult,
+                      reference: SimulationResult, context: str) -> None:
+    assert candidate.cycles == reference.cycles, context
+    assert candidate.instructions == reference.instructions, context
+    assert candidate.warmup_cycles == reference.warmup_cycles, context
+    assert candidate.core_results == reference.core_results, context
     # The full statistics tree, key by key, so a mismatch names the stat.
-    assert set(candidate.stats) == set(per_op.stats), context
-    for key, value in per_op.stats.items():
+    assert set(candidate.stats) == set(reference.stats), context
+    for key, value in reference.stats.items():
         assert candidate.stats[key] == value, f"{context}: {key}"
 
 
 def _assert_two_way(runner, context: str) -> None:
-    """per-op ≡ packed for one (config, workload, seed)."""
-    _assert_identical(runner("packed"), runner("per-op"), context)
+    """unbatched ≡ batched for one (config, workload, seed)."""
+    _assert_identical(runner("batched"), runner("unbatched"), context)
 
 
 class TestPackedEquivalence:
@@ -106,13 +111,13 @@ class TestPackedEquivalence:
 
 
 class TestHeterogeneousEquivalence:
-    """big.LITTLE machine presets through both engines.
+    """big.LITTLE machine presets, batched and unbatched.
 
     Heterogeneous machines stress what homogeneous runs cannot: per-core
     pipeline widths and ROB capacities (the batched dispatch and commit
     must honour each core's own width), per-core protection modes (an
     unprotected LITTLE core beside an STT big core), and the hetero
-    memory system's ``commit_fetch`` override, which disables the packed
+    memory system's ``commit_fetch`` override, which disables the
     engine's no-op-elision fast path.
     """
 
@@ -136,11 +141,11 @@ def _run_corun(mode: str, mix: str, seed: int,
 
 
 class TestCoRunPackedEquivalence:
-    """Multi-programmed co-run mixes through all engines, bit-identical.
+    """Multi-programmed co-run mixes, batched and unbatched, bit-identical.
 
     This covers the whole co-run machinery — per-core private L1/L2
     hierarchies, the snoop-filtered coherence bus, the shared LLC, distinct
-    address spaces per constituent — under every execution engine.
+    address spaces per constituent — with and without batching.
     """
 
     #: Two mixes chosen to cover 2-core and 4-core systems.
@@ -150,18 +155,18 @@ class TestCoRunPackedEquivalence:
     @pytest.mark.parametrize("mode", SCHEMES)
     def test_corun_bit_identical_across_engines(self, mode, seed):
         for mix in self.MIXES:
-            per_op = _run_corun(mode, mix, seed, "per-op")
-            candidate = _run_corun(mode, mix, seed, "packed")
-            _assert_identical(candidate, per_op, f"{mode}/{mix}/{seed}")
-            assert candidate.core_benchmarks == per_op.core_benchmarks
+            unbatched = _run_corun(mode, mix, seed, "unbatched")
+            candidate = _run_corun(mode, mix, seed, "batched")
+            _assert_identical(candidate, unbatched, f"{mode}/{mix}/{seed}")
+            assert candidate.core_benchmarks == unbatched.core_benchmarks
             assert candidate.is_corun
 
     def test_corun_deterministic_across_runs(self):
         """The same spec twice gives byte-identical results."""
         first = _run_corun("muontrap", "mix-pointer-stream",
-                           SEEDS[0], "packed")
+                           SEEDS[0], "batched")
         second = _run_corun("muontrap", "mix-pointer-stream",
-                            SEEDS[0], "packed")
+                            SEEDS[0], "batched")
         _assert_identical(first, second, "determinism")
 
     @pytest.mark.slow

@@ -135,6 +135,15 @@ class TestValidation:
         assert excinfo.value.status == 400
         assert f"SystemConfig.tlb: {field} " in excinfo.value.message
 
+    @pytest.mark.parametrize("field", ["width", "rob_entries"])
+    def test_machine_with_an_empty_pipeline_is_a_400(self, client, field):
+        with pytest.raises(ServiceError) as excinfo:
+            client.simulate("mcf", machine={"core": {field: 0}},
+                            instructions=INSTRUCTIONS)
+        assert excinfo.value.status == 400
+        assert (f"SystemConfig.core: {field} must be positive"
+                in excinfo.value.message)
+
     @pytest.mark.parametrize("param, value", [
         ("instructions", "abc"),
         ("instructions", 1.5),

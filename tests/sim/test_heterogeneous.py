@@ -161,7 +161,8 @@ class TestHeterogeneousExecution:
         big, little = system.core(0), system.core(1)
         assert big.core_config.width == 8
         assert little.core_config.width == 2
-        assert little.rob.capacity < big.rob.capacity
+        assert (little.core_config.rob_entries
+                < big.core_config.rob_entries)
         hierarchy = system.memory_system.hierarchy
         assert hierarchy.l1d(0).config.size_bytes == 64 * 1024
         assert hierarchy.l1d(1).config.size_bytes == 32 * 1024

@@ -168,8 +168,9 @@ CACHE_COUNTER = re.compile(r"system\.memory_system\.hierarchy\."
                            r"(?:core(\d+)\.)?(l1d|l1i|l2p|l2)\."
                            r"(hits|misses|evictions)$")
 EVENT_OF_COUNTER = {"hits": "hit", "misses": "miss", "evictions": "evict"}
-#: (case name, workload, machine): every built-in scheme, and a two-core
-#: co-run on the private-L2 topology, where peers really snoop.
+#: (case name, workload, machine): every built-in scheme, a two-core
+#: co-run on the private-L2 topology, where peers really snoop, and
+#: four-threaded canneal under MuonTrap, whose shared lines draw NACKs.
 TWIN_MACHINES = [
     (spec.name, "mcf", SystemConfig(mode=spec.name))
     for spec in available_schemes() if spec.builtin
@@ -177,7 +178,17 @@ TWIN_MACHINES = [
     (f"corun-{scheme}", "mix-pointer-stream",
      corun_system_config(scheme, num_cores=2))
     for scheme in ("muontrap", "unprotected")
+] + [
+    ("canneal-muontrap", "canneal", SystemConfig(mode="muontrap")),
 ]
+#: Pipeline event -> the ``CoreResult`` field counting the same thing.
+PIPELINE_TWINS = {
+    "issue": "committed_instructions",
+    "commit": "committed_instructions",
+    "mispredict": "mispredictions",
+    "squash": "squashed_accesses",
+    "nack_retry": "nack_retries",
+}
 
 
 @pytest.mark.parametrize("name, workload, machine", TWIN_MACHINES,
@@ -185,7 +196,9 @@ TWIN_MACHINES = [
 def test_every_traced_cache_and_bus_hook_has_its_counter_twin(
         name, workload, machine):
     """A fast path that bypasses a traced hook loses its events: start
-    from the counters, so a unit that emitted nothing is checked too."""
+    from the counters, so a unit that emitted nothing is checked too.
+    Each core's pipeline events are checked against its result the same
+    way."""
     outcome = api.simulate(workload, machine, seed=SEED, instructions=2000,
                            warmup_fraction=0.0, collect_stats=True,
                            trace=True)
@@ -195,6 +208,15 @@ def test_every_traced_cache_and_bus_hook_has_its_counter_twin(
             events[(event.core, event.detail["unit"], event.name)] += 1
         elif event.category == "coherence":
             events[event.name] += 1
+        elif event.category == "pipeline":
+            events[(event.core, event.name)] += 1
+    for core in outcome.result.core_results:
+        for event_name, field in PIPELINE_TWINS.items():
+            assert (events[(core.core_id, event_name)]
+                    == getattr(core, field)), (core.core_id, event_name)
+    if name == "canneal-muontrap":
+        assert sum(core.nack_retries
+                   for core in outcome.result.core_results) > 0
     checked = []
     for path, value in outcome.stats.items():
         match = CACHE_COUNTER.match(path)

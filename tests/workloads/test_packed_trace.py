@@ -75,9 +75,9 @@ class TestPackedFlags:
         packed = trace.packed()
         for index, op in enumerate(trace.ops):
             flags = packed.flags[index]
-            assert bool(flags & F_LOAD) == op.is_load
-            assert bool(flags & F_STORE) == op.is_store
-            assert bool(flags & F_BRANCH) == op.is_branch
+            assert bool(flags & F_LOAD) == (op.kind is OpKind.LOAD)
+            assert bool(flags & F_STORE) == (op.kind is OpKind.STORE)
+            assert bool(flags & F_BRANCH) == (op.kind is OpKind.BRANCH)
             assert bool(flags & F_TRANSMITTER) == op.kind.is_transmitter
 
 

@@ -1,7 +1,7 @@
 """Pins the exact content of generated traces.
 
-The golden stats cover only a few short traces, and the per-op and packed
-engines read the same columns, so neither would notice an encoding slip in
+The golden stats cover only a few short traces, and batched and unbatched
+runs read the same columns, so neither would notice an encoding slip in
 the generator.  These digests hash every field of every op of a spread of
 workloads (pointer-chasing, streaming, compute-bound, four-threaded Parsec,
 branch-heavy and a co-run mix), so any change to what the generator emits

@@ -1,4 +1,4 @@
-"""Tests for the packed engine's trace plan (batchable-run segmentation).
+"""Tests for the core's trace plan (batchable-run segmentation).
 
 The plan is derived data: ``run_end`` segments a packed trace into maximal
 runs of simple ops sharing one instruction-cache line.  These tests pin
@@ -17,6 +17,7 @@ from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.common.params import SystemConfig
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.instructions import F_TRANSMITTER, KIND_FLAGS, MicroOp, OpKind
+from repro.telemetry import Tracer, tracing
 from repro.workloads.trace import (
     COMPLEX_MASK,
     DEFAULT_LINE_SIZE,
@@ -176,7 +177,9 @@ class TestPlanLifecycle:
 
 
 class TestEmptyAndSingleOpExecution:
-    """Engine-level pinning: degenerate traces return the entry clock."""
+    """Engine-level pinning: degenerate traces return the entry clock,
+    batched or not (an active tracer that records nothing turns batching
+    off)."""
 
     def _core(self):
         config = SystemConfig()
@@ -189,7 +192,9 @@ class TestEmptyAndSingleOpExecution:
         core.run_packed(PackedTrace.pack(_long_run(4)))
         before = core.result()
         assert core.run_packed(empty) == before.cycles
-        assert core.run(empty.unpack()) == before      # the per-op path
+        assert core.run(empty.unpack()) == before      # micro-ops, packed
+        with tracing(Tracer(categories=())):
+            assert core.run_packed(empty) == before.cycles
 
     def test_single_op_trace_identical_across_engines(self):
         single = PackedTrace.pack([_alu(0x1000, srcs=(1,), dst=2,
@@ -197,7 +202,8 @@ class TestEmptyAndSingleOpExecution:
         packed = self._core()
         clock = packed.run_packed(single)
         per_op = self._core()
-        per_op.execute_op(single.op(0))
+        with tracing(Tracer(categories=())):
+            per_op.execute_op(single.op(0))
         assert (clock, packed.result()) \
             == (per_op._last_commit_time, per_op.result())
         assert packed.result().committed_instructions == 1
