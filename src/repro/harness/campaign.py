@@ -57,11 +57,6 @@ from repro.telemetry.log import get_logger, log_event
 from repro.telemetry.metrics import MetricsSampler
 from repro.telemetry.phases import phase
 from repro.telemetry.tracer import Tracer, tracing
-from repro.workloads.cache import (
-    clear_shared_traces,
-    materialize_shared_traces,
-    shared_traces_enabled,
-)
 from repro.workloads.generator import generate_workload
 from repro.workloads.profiles import WorkloadProfile, get_profile
 
@@ -108,13 +103,12 @@ def run_cell(spec: RunSpec, *, tracer: Optional[Tracer] = None,
     """Execute one cell from scratch (pure function of the spec).
 
     Trace generation goes through the workload trace cache
-    (:mod:`repro.workloads.cache`), so a worker sweeping one benchmark
-    across several configurations generates its trace once; pointing
-    ``REPRO_TRACE_CACHE`` at a directory extends the sharing across
-    workers and campaign invocations.  In a parallel campaign the lookup
-    is normally satisfied one tier earlier still: the fork-inherited
-    shared registry the parent filled before the pool forked, making
-    trace generation a pure attach.
+    (:mod:`repro.workloads.cache`) of the process that runs the cell, so
+    a process sweeping one benchmark across several configurations
+    generates its trace once; pointing ``REPRO_TRACE_CACHE`` at a
+    directory extends the sharing across processes and campaign
+    invocations.  A parallel campaign's workers run this too, and the
+    pool hands each worker the cells whose traces it already holds.
 
     ``tracer`` and ``sampler`` instrument the run (:func:`repro.api.simulate`
     passes them); neither changes the result.
@@ -140,11 +134,11 @@ class ExecutionStats:
     """Where each requested cell came from, and what executing cost.
 
     ``executed_seconds`` sums per-cell wall-clock measured inside the
-    workers; ``wall_seconds`` is the caller-side wall-clock of the whole
-    :func:`execute_cells` call; ``workers`` is the pool size actually
-    used.  Their ratio is the pool's utilisation — low values mean the
-    campaign is dominated by stragglers or pool overhead rather than
-    simulation.
+    workers, trace generation included; ``wall_seconds`` is the
+    caller-side wall-clock of the whole :func:`execute_cells` call;
+    ``workers`` is the pool size actually used.  Their ratio is the
+    pool's utilisation — low values mean the campaign is dominated by
+    stragglers or pool overhead rather than simulation.
     """
 
     executed: int = 0
@@ -153,10 +147,6 @@ class ExecutionStats:
     executed_seconds: float = 0.0
     wall_seconds: float = 0.0
     workers: int = 1
-    #: Workloads pre-materialised into the fork-inherited shared trace
-    #: registry before the worker pool forked (0 = serial run, sharing
-    #: disabled, or every cell cached).
-    shared_traces: int = 0
     #: Supervision accounting (see :mod:`repro.harness.executor`):
     #: re-dispatches of failed cells, per-cell timeouts fired, worker
     #: processes that died and were replaced, and cells quarantined after
@@ -189,8 +179,6 @@ class ExecutionStats:
         text = (f"{self.executed} executed, {self.store_hits} store hits, "
                 f"{self.memory_hits} memory hits "
                 f"({self.cached_fraction:.0%} cached)")
-        if self.shared_traces:
-            text += f"; {self.shared_traces} trace(s) shared with workers"
         if self.executed and self.wall_seconds > 0:
             text += (f"; {self.executed_seconds:.2f}s simulated work in "
                      f"{self.wall_seconds:.2f}s wall on {self.workers} "
@@ -282,15 +270,6 @@ def execute_cells(specs: Sequence[RunSpec], *,
                     if workers > 1
                     else SerialExecutor(max_retries=max_retries,
                                         cell_timeout=cell_timeout))
-        if isinstance(executor, PoolExecutor) and shared_traces_enabled():
-            # Materialise every distinct workload *before* the pool forks:
-            # workers inherit the finished traces (packed columns and
-            # execution plans included) as read-only copy-on-write pages
-            # and attach by key instead of regenerating per process.
-            with phase("trace-materialize"):
-                stats.shared_traces += materialize_shared_traces(
-                    (spec.profile, spec.instructions, spec.seed)
-                    for _, spec in pending)
         log_event(logger, "execute_start", cells=len(pending),
                   cached=progress_state["done"], workers=workers,
                   executor=type(executor).__name__)
@@ -335,13 +314,6 @@ def execute_cells(specs: Sequence[RunSpec], *,
             log_event(logger, "execute_interrupted",
                       completed=progress_state["done"], total=total)
             raise
-        finally:
-            # The pool is gone by now (``executor.execute`` shuts its
-            # workers down on every exit path, interrupts and quarantines
-            # included), so drop the parent's shared-trace references:
-            # holding them across campaigns would accumulate every trace
-            # ever materialised in a long-lived process.
-            clear_shared_traces()
 
     if cache is not None:
         cache.update(results)
@@ -368,6 +340,17 @@ def execute_cells(specs: Sequence[RunSpec], *,
             raise CellExecutionError(failed_cells)
         failures.extend(failed_cells)
     return results
+
+
+def materialize_shared_traces(requests) -> int:
+    """Generate nothing and return 0.
+
+    Pool workers generate the traces of the cells they run, and the
+    campaign parent generates none, so nothing calls this.  The name is
+    kept only because ``perfbench/layers.py`` wraps it for its
+    ``harness.materialize`` span; delete it together with that span.
+    """
+    return 0
 
 
 def _progress_enabled() -> bool:

@@ -151,11 +151,14 @@ FailureCallback = Callable[[FailedCell], None]
 class _Task:
     """One cell in flight: its spec plus retry bookkeeping."""
 
-    __slots__ = ("key", "spec", "attempt", "errors", "seconds", "not_before")
+    __slots__ = ("key", "spec", "workload", "attempt", "errors", "seconds",
+                 "not_before")
 
     def __init__(self, key: str, spec) -> None:
         self.key = key
         self.spec = spec
+        #: Cells with equal workloads run on one generated trace.
+        self.workload = (spec.profile, spec.instructions, spec.seed)
         self.attempt = 0
         self.errors: List[str] = []
         self.seconds = 0.0
@@ -290,9 +293,11 @@ def _worker_main(conn) -> None:
 
 
 class _WorkerHandle:
-    """One supervised worker process plus its command pipe."""
+    """One supervised worker process plus its command pipe, and the
+    workloads of the cells it has been given (their traces are in its
+    trace cache)."""
 
-    __slots__ = ("process", "conn", "task", "deadline")
+    __slots__ = ("process", "conn", "task", "deadline", "workloads")
 
     def __init__(self, context) -> None:
         self.conn, child_conn = context.Pipe(duplex=True)
@@ -302,11 +307,13 @@ class _WorkerHandle:
         child_conn.close()
         self.task: Optional[_Task] = None
         self.deadline: Optional[float] = None
+        self.workloads: set = set()
 
     def assign(self, task: _Task, timeout: Optional[float]) -> None:
         self.task = task
         self.deadline = (time.monotonic() + timeout
                          if timeout is not None else None)
+        self.workloads.add(task.workload)
         self.conn.send((task.key, task.spec, task.attempt))
 
     @property
@@ -337,11 +344,15 @@ class PoolExecutor(Executor):
     """Supervised worker-process pool with completion tracking.
 
     Each worker is a long-lived process fed one cell at a time over a
-    pipe (so per-worker caches, e.g. the in-process trace cache, stay
-    warm across cells) and the supervisor knows exactly which cell every
-    worker holds.  That mapping is what bare ``pool.imap`` lacked: when a
-    worker dies or exceeds the cell timeout, its cell — and only its
-    cell — is re-dispatched to a fresh process.
+    pipe, and the supervisor knows exactly which cell every worker holds.
+    That mapping is what bare ``pool.imap`` lacked: when a worker dies or
+    exceeds the cell timeout, its cell — and only its cell — is
+    re-dispatched to a fresh process.
+
+    Workers generate the traces of the cells they run, in parallel,
+    through their own trace cache.  Dispatch keeps the cells of one
+    workload on one worker (:meth:`_next_runnable`), so each trace is
+    usually generated once; a replacement worker starts with none.
     """
 
     def __init__(self, workers: Optional[int] = None, *,
@@ -417,7 +428,7 @@ class PoolExecutor(Executor):
         for worker in list(pool):
             if not worker.idle:
                 continue
-            task = self._next_runnable(queue, now)
+            task = self._next_runnable(queue, now, worker, pool)
             if task is None:
                 break
             try:
@@ -431,14 +442,35 @@ class PoolExecutor(Executor):
                 queue.appendleft(task)
 
     @staticmethod
-    def _next_runnable(queue, now: float) -> Optional[_Task]:
-        """Pop the first task whose backoff window has elapsed."""
-        for _ in range(len(queue)):
-            task = queue.popleft()
-            if task.not_before <= now:
-                return task
-            queue.append(task)
-        return None
+    def _next_runnable(queue, now: float, worker,
+                       pool) -> Optional[_Task]:
+        """Pop the task an idle ``worker`` runs next.
+
+        Among the tasks whose backoff window has elapsed, in queue order:
+        the first whose workload this worker has run, else the first whose
+        workload no other worker in ``pool`` has run, else the first.  The
+        last case steals a cell at the tail, and regenerating its trace
+        beats leaving the worker idle.
+        """
+        elsewhere = set()
+        for other in pool:
+            if other is not worker:
+                elsewhere |= other.workloads
+        own = fresh = first = None
+        for task in queue:
+            if task.not_before > now:
+                continue
+            if task.workload in worker.workloads:
+                own = task
+                break
+            if first is None:
+                first = task
+            if fresh is None and task.workload not in elsewhere:
+                fresh = task
+        task = own or fresh or first
+        if task is not None:
+            queue.remove(task)
+        return task
 
     def _poll_workers(self, queue, pool, stats, on_complete,
                       on_failure) -> int:

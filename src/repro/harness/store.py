@@ -41,8 +41,9 @@ import json
 import logging
 import os
 import sqlite3
+import threading
 import time
-from contextlib import closing
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
@@ -387,10 +388,12 @@ class SqliteResultStore(StoreBackend):
     mid-transaction rolls back on the next open — the entry is simply
     absent, costing one recompute, never a torn row.
 
-    Connections are opened per operation (with a busy timeout), never
-    cached: the store object can be shared across threads and survives
-    ``fork`` without inheriting a connection, and WAL mode is a property
-    of the database file, so the one-time ``PRAGMA`` at creation sticks.
+    Each process keeps one connection (with a busy timeout), opened on
+    first use and shared by its threads under one lock.  Opening a
+    connection per operation would make every put pay for a checkpoint,
+    since closing the last connection to a WAL database checkpoints it.
+    A forked child never uses its parent's connection: it opens its own
+    under a new lock.
     """
 
     backend_name = "sqlite"
@@ -412,7 +415,11 @@ class SqliteResultStore(StoreBackend):
             self.root = root
             self.path = root / self.DB_FILENAME
         self.root.mkdir(parents=True, exist_ok=True)
-        with closing(self._connect()) as conn, conn:
+        self._conn: Optional[sqlite3.Connection] = None
+        self._inherited: Optional[sqlite3.Connection] = None
+        self._lock = threading.Lock()
+        self._pid = os.getpid()
+        with self._connection() as conn, conn:
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS results ("
                 " key TEXT PRIMARY KEY,"
@@ -421,8 +428,24 @@ class SqliteResultStore(StoreBackend):
                 " metadata TEXT NOT NULL,"
                 " result TEXT NOT NULL)")
 
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """This process's connection, held under the store's lock."""
+        if self._pid != os.getpid():
+            # Forked: the parent's connection and lock are not ours.  Keep
+            # that connection referenced, unused and unclosed, since
+            # closing it here would act on the parent's SQLite locks.
+            self._inherited, self._conn = self._conn, None
+            self._lock = threading.Lock()
+            self._pid = os.getpid()
+        with self._lock:
+            if self._conn is None:
+                self._conn = self._connect()
+            yield self._conn
+
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
+        conn = sqlite3.connect(self.path, timeout=30.0,
+                               check_same_thread=False)
         # WAL persists in the database file; re-issuing it is a no-op
         # read.  synchronous/busy_timeout are per-connection.  Switching
         # a new file to WAL needs it exclusively, and SQLite reports it
@@ -448,24 +471,24 @@ class SqliteResultStore(StoreBackend):
         return f"sqlite:{self.path}"
 
     def keys(self) -> Iterator[str]:
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             rows = conn.execute(
                 "SELECT key FROM results ORDER BY key").fetchall()
         for (key,) in rows:
             yield key
 
     def __len__(self) -> int:
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             return conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
 
     def __contains__(self, key: str) -> bool:
-        with closing(self._connect()) as conn:
+        with self._connection() as conn:
             return conn.execute("SELECT 1 FROM results WHERE key = ?",
                                 (key,)).fetchone() is not None
 
     def load_entry(self, key: str) -> Any:
         try:
-            with closing(self._connect()) as conn:
+            with self._connection() as conn:
                 row = conn.execute(
                     "SELECT version, sha256, metadata, result FROM results"
                     " WHERE key = ?", (key,)).fetchone()
@@ -486,7 +509,7 @@ class SqliteResultStore(StoreBackend):
                 "result": result_payload, "sha256": sha256}
 
     def store_entry(self, key: str, payload: Dict[str, Any]) -> None:
-        with closing(self._connect()) as conn, conn:
+        with self._connection() as conn, conn:
             conn.execute(
                 "INSERT OR REPLACE INTO results"
                 " (key, version, sha256, metadata, result)"
@@ -498,7 +521,7 @@ class SqliteResultStore(StoreBackend):
 
     def delete_entry(self, key: str) -> bool:
         try:
-            with closing(self._connect()) as conn, conn:
+            with self._connection() as conn, conn:
                 cursor = conn.execute(
                     "DELETE FROM results WHERE key = ?", (key,))
                 return cursor.rowcount > 0
@@ -506,7 +529,7 @@ class SqliteResultStore(StoreBackend):
             return False
 
     def clear(self) -> int:
-        with closing(self._connect()) as conn, conn:
+        with self._connection() as conn, conn:
             count = conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
             conn.execute("DELETE FROM results")
         return count

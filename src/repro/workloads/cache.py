@@ -7,24 +7,19 @@ applies it one layer down, to the traces themselves — a suite × config ×
 seed sweep runs every benchmark under several protection schemes, and
 without a cache each scheme regenerates an identical trace.
 
-Three tiers, mirroring the result store:
+Two tiers, mirroring the result store:
 
-* a fork-inherited **shared registry** of pre-materialised workloads
-  (:func:`materialize_shared_traces`): the campaign parent generates each
-  distinct trace once — packed columns and execution plans included —
-  *before* the worker pool forks, so every worker attaches to the same
-  read-only copy-on-write pages instead of re-generating or re-unpickling
-  traces per process.  Disable with ``REPRO_SHARED_TRACES=off``;
 * an in-process LRU of recently generated workloads (always on), sized by
-  ``MEMORY_ENTRIES`` so worker memory stays bounded;
+  ``MEMORY_ENTRIES`` so worker memory stays bounded.  Each campaign
+  worker has its own, and the pool dispatches the cells of one workload
+  to one worker (:class:`~repro.harness.executor.PoolExecutor`);
 * an optional on-disk tier enabled by pointing the ``REPRO_TRACE_CACHE``
   environment variable at a directory; entries are pickled per-key files
   written atomically, so parallel campaign workers share generated traces
   without contention.
 
-Set ``REPRO_TRACE_CACHE=off`` to disable the LRU and disk tiers entirely
-(fresh generation on every call — useful for benchmarking the generator
-itself); the shared registry is separate and only ever filled explicitly.
+Set ``REPRO_TRACE_CACHE=off`` to disable both tiers (fresh generation on
+every call — useful for benchmarking the generator itself).
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Optional
 
-from repro.common.env import OFF_VALUES, env_flag
+from repro.common.env import OFF_VALUES
 from repro.common.jsonable import jsonable
 from repro.telemetry.log import get_logger, log_event
 from repro.workloads.profiles import WorkloadProfile
@@ -50,11 +45,6 @@ from repro.workloads.trace import WorkloadTraces
 #: ...) disables caching altogether, unset/empty keeps the in-memory tier
 #: only.
 TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
-
-#: Environment variable: an on/off flag (:func:`~repro.common.env.env_flag`);
-#: off stops campaigns from pre-materialising traces into the
-#: fork-inherited shared registry (default: on).
-SHARED_TRACES_ENV = "REPRO_SHARED_TRACES"
 
 #: Bump when the trace layout changes; stale on-disk entries are ignored.
 TRACE_CACHE_VERSION = 2
@@ -223,100 +213,3 @@ def reset_trace_cache() -> None:
     _active_cache = None
     _active_signature = None
 
-
-# -- fork-inherited shared trace registry --------------------------------------
-#
-# ``multiprocessing`` with the ``fork`` start method gives child processes
-# a copy-on-write view of the parent's heap.  Traces are immutable once
-# generated (the harness-wide contract), so a workload materialised in the
-# campaign parent *before* the pool forks is physically shared with every
-# worker: the packed columns and execution plans live in pages that are
-# never written, hence never copied.  Workers attach by key through
-# :func:`shared_trace_lookup`; nothing is pickled, nothing is regenerated.
-#
-# The registry is deliberately not wired to ``REPRO_TRACE_CACHE``: it is
-# only ever filled explicitly (by ``execute_cells`` just before forking)
-# and emptied explicitly when the pool is gone, so its lifetime is exactly
-# one campaign execution.
-
-_shared_traces: dict = {}
-
-
-def shared_traces_enabled() -> bool:
-    """Whether campaigns may pre-materialise traces (default: yes)."""
-    return env_flag(SHARED_TRACES_ENV, default=True)
-
-
-def shared_trace_lookup(profile: WorkloadProfile, instructions: int,
-                        seed: int, process_id: int
-                        ) -> Optional[WorkloadTraces]:
-    """The shared registry's entry for one generation request, if any.
-
-    Cheap when the registry is empty (no key is hashed), which is every
-    process that is not part of a shared-trace campaign.
-    """
-    if not _shared_traces:
-        return None
-    return _shared_traces.get(
-        trace_key(profile, instructions, seed, process_id))
-
-
-def materialize_shared_traces(requests) -> int:
-    """Generate each distinct workload once, into the shared registry.
-
-    ``requests`` is an iterable of ``(profile, instructions, seed)``
-    generation requests — typically one per pending campaign cell, with
-    duplicates (the same benchmark under several configurations) welcome.
-    Mix profiles are expanded into their constituents, mirroring how
-    :func:`~repro.workloads.mixes.generate_mix` composes them at run time.
-
-    Each workload is generated through the ordinary cache tiers, then
-    *fully materialised* — its default execution plan built — so forked
-    workers inherit finished read-only structures and never fault in
-    derived data of their own.  Returns the number of workloads newly
-    registered.
-    """
-    from repro.workloads.generator import generate_workload
-    from repro.workloads.mixes import MixProfile
-    from repro.workloads.trace import DEFAULT_LINE_SIZE
-
-    flat = []
-    for profile, instructions, seed in requests:
-        if isinstance(profile, MixProfile):
-            flat.extend((profile.member_profile(process_id), instructions,
-                         seed) for process_id in range(len(profile.members)))
-        else:
-            flat.append((profile, instructions, seed))
-    registered = 0
-    for profile, instructions, seed in flat:
-        key = trace_key(profile, instructions, seed, 0)
-        if key in _shared_traces:
-            continue
-        workload = generate_workload(profile, instructions, seed=seed)
-        for trace in workload:
-            trace.packed().plan(DEFAULT_LINE_SIZE)
-        _shared_traces[key] = workload
-        registered += 1
-    if registered:
-        log_event(get_logger("workloads.cache"), "shared_traces_ready",
-                  registered=registered, total=len(_shared_traces))
-    return registered
-
-
-def shared_trace_count() -> int:
-    return len(_shared_traces)
-
-
-def clear_shared_traces() -> int:
-    """Empty the shared registry; returns the number of entries dropped.
-
-    Called by the campaign layer once its worker pool is gone (normal
-    completion, quarantine-laden completion, or interrupt): the parent's
-    references are what keep the shared pages alive, and a long-lived
-    process running several campaigns must not accumulate every trace it
-    ever materialised.  Already-forked workers are unaffected — their
-    copy-on-write view is independent of the parent's dict.
-    """
-    dropped = len(_shared_traces)
-    _shared_traces.clear()
-    return dropped

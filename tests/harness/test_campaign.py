@@ -1,6 +1,7 @@
 """Tests for campaign expansion, caching and parallel determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.harness.store import ResultStore, result_to_dict
 from repro.sim.runner import unprotected_config
 from repro.telemetry.metrics import MetricsSampler
 from repro.telemetry.tracer import Tracer
+from repro.workloads.cache import reset_trace_cache
+from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import get_profile
 
 INSTRUCTIONS = 600
@@ -34,6 +37,34 @@ def make_campaign(store=None, jobs=1, benchmarks=("hmmer", "povray"),
                     baseline_config=unprotected_config(),
                     instructions=INSTRUCTIONS, store=store, jobs=jobs,
                     replicates=replicates)
+
+
+def record_generations(monkeypatch, path):
+    """Log every trace generation, from any process, to ``path``.
+
+    Patches :meth:`TraceGenerator.generate` (forked workers inherit the
+    patch) to append one ``pid benchmark`` line per call, and empties this
+    process's trace cache so that no worker inherits a generated trace.
+    Returns a function that reads the log back as ``(pid, benchmark)``
+    pairs.
+    """
+    real = TraceGenerator.generate
+
+    def generate(self, *args, **kwargs):
+        with open(path, "a") as handle:
+            handle.write(f"{os.getpid()} {self.profile.name}\n")
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceGenerator, "generate", generate)
+    reset_trace_cache()
+
+    def records():
+        if not path.exists():
+            return []
+        return [(int(pid), benchmark) for pid, benchmark
+                in (line.split() for line in path.read_text().splitlines())]
+
+    return records
 
 
 class TestExpansion:
@@ -94,6 +125,25 @@ class TestDeterminism:
         for key in seq_keys:
             assert ((store_seq.root / f"{key}.json").read_text()
                     == (store_par.root / f"{key}.json").read_text())
+
+
+class TestPooledTraceGeneration:
+    def test_workers_generate_every_trace(self, monkeypatch, tmp_path):
+        """The parent generates no trace; each worker generates the ones
+        its cells need, and the results equal a serial run's."""
+        serial = make_campaign(jobs=1).run()
+        generations = record_generations(monkeypatch, tmp_path / "log")
+        pooled = make_campaign(jobs=2).run()
+        records = generations()
+        assert os.getpid() not in {pid for pid, _ in records}
+        assert {benchmark for _, benchmark in records} == {"hmmer", "povray"}
+        # Two workloads, each kept on one worker; at most one tail steal.
+        assert len(records) <= 3
+        assert serial.runs.keys() == pooled.runs.keys()
+        for key, result in serial.runs.items():
+            assert (json.dumps(result_to_dict(result), sort_keys=True)
+                    == json.dumps(result_to_dict(pooled.runs[key]),
+                                  sort_keys=True))
 
 
 class TestCaching:

@@ -7,6 +7,7 @@ undisturbed run — faults cost re-execution, never correctness.
 """
 
 import json
+import os
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.harness.faults import (
 from repro.harness.report import FAILED_CELL, Report
 from repro.harness.store import ResultStore, result_to_dict
 from repro.sim.runner import unprotected_config
+from tests.harness.test_campaign import record_generations
 
 INSTRUCTIONS = 600
 
@@ -152,39 +154,28 @@ class TestQuarantine:
         assert healed.stats.store_hits == len(cells) - len(doomed)
 
 
-class TestSharedTracesUnderChaos:
-    """Worker kills must not corrupt or leak the shared trace registry.
+class TestWorkerTracesUnderChaos:
+    """Worker kills cost trace regeneration, never correctness.
 
-    Parallel campaigns pre-materialise traces into the fork-inherited
-    shared registry; every worker — including the replacements spawned
-    after a kill — attaches to the same read-only pages.  Chaos must not
-    change that story: results stay byte-identical, and the parent always
-    empties the registry once the pool is gone (the fork model has no
-    OS-level segments to unlink, so a leak here would be parent memory
-    pinned across campaigns).
+    Pool workers generate the traces of the cells they run, and a
+    replacement worker starts with none, so after a kill the replacements
+    regenerate the traces their cells need.
     """
 
-    def test_killed_workers_leave_shared_traces_intact(self, monkeypatch):
-        from repro.workloads.cache import shared_trace_count
+    def test_replacement_workers_regenerate_their_traces(self, monkeypatch,
+                                                         tmp_path):
         clean = make_campaign(jobs=2).run()
-        assert clean.stats.shared_traces == 2
-        assert shared_trace_count() == 0
+        generations = record_generations(monkeypatch, tmp_path / "log")
         monkeypatch.setenv(FAULTS_ENV, "kill:1.0:5")
         chaotic = make_campaign(jobs=2).run()
         assert chaotic.stats.worker_restarts > 0
-        assert chaotic.stats.shared_traces == 2
         assert not chaotic.failures
         assert_identical_runs(clean, chaotic)
-        # Cleanup on the chaotic path too: no entries survive the run.
-        assert shared_trace_count() == 0
-
-    def test_quarantine_still_clears_the_registry(self, monkeypatch):
-        from repro.workloads.cache import shared_trace_count
-        monkeypatch.setenv(FAULTS_ENV, "exc:1.0:3:99")
-        result = make_campaign(jobs=2, max_retries=0,
-                               benchmarks=("hmmer",)).run()
-        assert result.failures          # every cell quarantined ...
-        assert shared_trace_count() == 0  # ... and nothing leaked
+        # Every first attempt dies before generating, so every trace was
+        # generated by a replacement worker, never by the parent.
+        records = generations()
+        assert os.getpid() not in {pid for pid, _ in records}
+        assert {benchmark for _, benchmark in records} == {"hmmer", "povray"}
 
 
 class TestResume:

@@ -1,6 +1,7 @@
 """Tests for the supervised executor layer (retry, quarantine, policy)."""
 
 import json
+from collections import deque
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.harness.executor import (
     MAX_RETRIES_ENV,
     PoolExecutor,
     SerialExecutor,
+    _Task,
     default_cell_timeout,
     default_max_retries,
     env_float,
@@ -160,6 +162,66 @@ class TestPoolExecutor:
         assert serial.keys() == pooled.keys()
         for key in serial:
             assert dumps(serial[key]) == dumps(pooled[key])
+
+
+class _FakeWorker:
+    """A worker handle reduced to what dispatch reads."""
+
+    def __init__(self, *workloads):
+        self.workloads = set(workloads)
+
+
+class TestDispatchByWorkload:
+    """An idle worker takes its own workload's cell, else one no other
+    worker has started, else any runnable cell."""
+
+    NOW = 100.0
+
+    @staticmethod
+    def workload(benchmark):
+        return (get_profile(benchmark), INSTRUCTIONS, 1234)
+
+    def queue(self, *benchmarks):
+        specs = {spec.benchmark: spec for spec in make_specs(
+            benchmarks=("hmmer", "povray", "mcf"))}
+        return deque(_Task(f"{benchmark}-{index}", specs[benchmark])
+                     for index, benchmark in enumerate(benchmarks))
+
+    def setup_method(self):
+        # The queue holds A, A, B, B, C; another worker has run B.
+        self.ran_a = _FakeWorker(self.workload("hmmer"))
+        self.ran_b = _FakeWorker(self.workload("povray"))
+        self.fresh = _FakeWorker()
+        self.pool = [self.ran_a, self.ran_b, self.fresh]
+
+    def take(self, queue, worker):
+        return PoolExecutor._next_runnable(queue, self.NOW, worker,
+                                           self.pool)
+
+    def test_worker_takes_its_own_workload(self):
+        queue = self.queue("hmmer", "hmmer", "povray", "povray", "mcf")
+        assert self.take(queue, self.ran_a).key == "hmmer-0"
+        assert [task.key for task in queue] == [
+            "hmmer-1", "povray-2", "povray-3", "mcf-4"]
+
+    def test_fresh_worker_takes_a_workload_nobody_has_run(self):
+        queue = self.queue("hmmer", "hmmer", "povray", "povray", "mcf")
+        assert self.take(queue, self.fresh).key == "mcf-4"
+
+    def test_idle_worker_steals_at_the_tail(self):
+        queue = self.queue("povray", "povray")
+        assert self.take(queue, self.ran_a).key == "povray-0"
+        assert self.take(queue, self.fresh).key == "povray-1"
+        assert self.take(queue, self.fresh) is None
+
+    def test_task_inside_its_backoff_is_skipped(self):
+        queue = self.queue("hmmer", "hmmer", "povray", "povray", "mcf")
+        queue[0].not_before = self.NOW + 1.0
+        assert self.take(queue, self.ran_a).key == "hmmer-1"
+        queue = self.queue("mcf")
+        queue[0].not_before = self.NOW + 1.0
+        assert self.take(queue, self.fresh) is None
+        assert len(queue) == 1
 
 
 class TestExecuteCellsFailurePolicy:

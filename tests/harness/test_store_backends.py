@@ -15,6 +15,8 @@ import sqlite3
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
@@ -165,6 +167,69 @@ class TestSqliteSpecifics:
         with sqlite3.connect(store.path) as conn:
             mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
         assert mode == "wal"
+
+    def test_forked_child_writes_through_the_parents_store(self, tmp_path):
+        """A child forked with the store's connection open opens its own,
+        and its commit is visible to the parent's connection."""
+        store = open_store(tmp_path, backend="sqlite")
+        store.put("parent", make_result(cycles=1))
+        parent_connection = store._conn
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                store.put("child", make_result(cycles=2))
+                if (store.get("parent") == make_result(cycles=1)
+                        and store._conn is not parent_connection):
+                    code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done, "the forked child hung"
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert store.get("child") == make_result(cycles=2)
+        assert store.get("parent") == make_result(cycles=1)
+        assert store.evictions == 0
+
+    def test_threads_share_one_store(self, tmp_path):
+        """Eight threads put and get through one store object; a write
+        lost or crossed between threads would fail a read-back."""
+        store = open_store(tmp_path, backend="sqlite")
+        errors = []
+
+        def work(thread):
+            try:
+                for index in range(20):
+                    key = f"t{thread}-{index}"
+                    store.put(key, make_result(cycles=thread * 100 + index))
+                    if store.get(key) != make_result(
+                            cycles=thread * 100 + index):
+                        errors.append(f"{key} read back wrong")
+            except (sqlite3.Error, OSError, ValueError) as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(thread,))
+                       for thread in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(store) == 8 * 20
 
     def test_unreadable_database_reports_corrupt_entry(self, tmp_path):
         store = open_store(tmp_path / "db.sqlite3", backend="sqlite")
