@@ -12,13 +12,18 @@ from repro.harness.campaign import (
     RunSpec,
     derive_seed,
     execute_cells,
+    materialize_shared_traces,
     run_cell,
 )
 from repro.harness.store import ResultStore, result_to_dict
 from repro.sim.runner import unprotected_config
 from repro.telemetry.metrics import MetricsSampler
 from repro.telemetry.tracer import Tracer
-from repro.workloads.cache import reset_trace_cache
+from repro.workloads.cache import (
+    TRACE_CACHE_ENV,
+    active_trace_cache,
+    reset_trace_cache,
+)
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import get_profile
 
@@ -45,8 +50,9 @@ def record_generations(monkeypatch, path):
     Patches :meth:`TraceGenerator.generate` (forked workers inherit the
     patch) to append one ``pid benchmark`` line per call, and empties this
     process's trace cache so that no worker inherits a generated trace.
-    Returns a function that reads the log back as ``(pid, benchmark)``
-    pairs.
+    The on-disk tier is switched off, so every lookup that misses in
+    memory generates.  Returns a function that reads the log back as
+    ``(pid, benchmark)`` pairs.
     """
     real = TraceGenerator.generate
 
@@ -56,6 +62,7 @@ def record_generations(monkeypatch, path):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(TraceGenerator, "generate", generate)
+    monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
     reset_trace_cache()
 
     def records():
@@ -144,6 +151,35 @@ class TestPooledTraceGeneration:
             assert (json.dumps(result_to_dict(result), sort_keys=True)
                     == json.dumps(result_to_dict(pooled.runs[key]),
                                   sort_keys=True))
+
+    def test_pooled_run_leaves_the_parents_trace_cache_empty(
+            self, monkeypatch, tmp_path):
+        """No trace outlives the pool in the parent, so a long-lived
+        process running many campaigns holds none of their traces."""
+        record_generations(monkeypatch, tmp_path / "log")
+        make_campaign(jobs=2).run()
+        assert len(active_trace_cache()) == 0
+
+    def test_serial_run_generates_each_workload_once_in_process(
+            self, monkeypatch, tmp_path):
+        generations = record_generations(monkeypatch, tmp_path / "log")
+        make_campaign(jobs=1).run()
+        assert sorted(generations()) == [(os.getpid(), "hmmer"),
+                                         (os.getpid(), "povray")]
+
+    def test_summary_names_the_pool(self):
+        summary = make_campaign(jobs=2).run().stats.summary()
+        assert "on 2 worker(s)" in summary
+        assert "shared with workers" not in summary
+
+    def test_materialize_stub_generates_nothing(self, monkeypatch,
+                                                tmp_path):
+        generations = record_generations(monkeypatch, tmp_path / "log")
+        requests = [(spec.profile, spec.instructions, spec.seed)
+                    for spec in make_campaign().cells()]
+        assert materialize_shared_traces(requests) == 0
+        assert generations() == []
+        assert len(active_trace_cache()) == 0
 
 
 class TestCaching:

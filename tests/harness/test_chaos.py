@@ -23,6 +23,7 @@ from repro.harness.faults import (
 from repro.harness.report import FAILED_CELL, Report
 from repro.harness.store import ResultStore, result_to_dict
 from repro.sim.runner import unprotected_config
+from repro.workloads.cache import active_trace_cache
 from tests.harness.test_campaign import record_generations
 
 INSTRUCTIONS = 600
@@ -176,6 +177,25 @@ class TestWorkerTracesUnderChaos:
         records = generations()
         assert os.getpid() not in {pid for pid, _ in records}
         assert {benchmark for _, benchmark in records} == {"hmmer", "povray"}
+
+    def test_quarantine_leaves_no_trace_in_the_parent(self, monkeypatch,
+                                                      tmp_path):
+        generations = record_generations(monkeypatch, tmp_path / "log")
+        monkeypatch.setenv(FAULTS_ENV, "exc:1.0:3:99")
+        result = make_campaign(jobs=2, max_retries=0,
+                               benchmarks=("hmmer",)).run()
+        assert result.failures          # every cell quarantined ...
+        assert len(active_trace_cache()) == 0  # ... and no trace kept
+        # The fault clears; the next pooled run in this process generates
+        # its trace in a worker again.
+        monkeypatch.delenv(FAULTS_ENV)
+        reset_fault_plan()
+        healed = make_campaign(jobs=2, benchmarks=("hmmer",)).run()
+        assert not healed.failures
+        records = generations()
+        assert os.getpid() not in {pid for pid, _ in records}
+        assert {benchmark for _, benchmark in records} == {"hmmer"}
+        assert len(active_trace_cache()) == 0
 
 
 class TestResume:

@@ -223,6 +223,49 @@ class TestDispatchByWorkload:
         assert self.take(queue, self.fresh) is None
         assert len(queue) == 1
 
+    def test_own_workload_beats_an_earlier_fresh_one(self):
+        queue = self.queue("mcf", "povray", "hmmer")
+        assert self.take(queue, self.ran_a).key == "hmmer-2"
+        assert [task.key for task in queue] == ["mcf-0", "povray-1"]
+
+    def test_fresh_workload_beats_an_earlier_one_held_elsewhere(self):
+        # The worker's own cell is backing off, so it falls to rule 2 and
+        # passes over the cell whose trace another worker holds.
+        queue = self.queue("hmmer", "povray", "mcf")
+        queue[0].not_before = self.NOW + 1.0
+        assert self.take(queue, self.ran_a).key == "mcf-2"
+        assert [task.key for task in queue] == ["hmmer-0", "povray-1"]
+
+    def test_workloads_outside_the_pool_do_not_count(self):
+        # A replaced worker leaves the pool with its workloads, so a
+        # fresh worker may again take the cell it was running.
+        queue = self.queue("povray", "mcf")
+        self.pool.remove(self.ran_b)
+        assert self.take(queue, self.fresh).key == "povray-0"
+
+    def test_task_workload_ignores_the_configuration(self):
+        specs = make_specs(benchmarks=("hmmer", "povray"))
+        tasks = [_Task(spec.key(), spec) for spec in specs]
+        assert tasks[0].workload == tasks[1].workload == self.workload(
+            "hmmer")
+        assert tasks[2].workload == tasks[3].workload == self.workload(
+            "povray")
+        assert tasks[0].workload != tasks[2].workload
+        reseeded = RunSpec(profile=get_profile("hmmer"), label="baseline",
+                           config=unprotected_config(),
+                           instructions=INSTRUCTIONS, seed=1235)
+        assert _Task("reseeded", reseeded).workload != tasks[0].workload
+
+    def test_mix_workloads_dispatch_by_key(self):
+        mix = RunSpec(profile=get_profile("mix-pointer-stream"),
+                      label="baseline", config=unprotected_config(),
+                      instructions=INSTRUCTIONS, seed=1234)
+        queue = self.queue("hmmer")
+        queue.append(_Task("mix", mix))
+        worker = _FakeWorker(_Task("earlier", mix).workload)
+        self.pool.append(worker)
+        assert self.take(queue, worker).key == "mix"
+
 
 class TestExecuteCellsFailurePolicy:
     def test_failures_list_quarantines_without_raising(self, monkeypatch):

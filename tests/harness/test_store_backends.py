@@ -168,6 +168,37 @@ class TestSqliteSpecifics:
             mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
         assert mode == "wal"
 
+    def test_one_connection_serves_every_operation(self, tmp_path,
+                                                   monkeypatch):
+        opened = []
+        connect = SqliteResultStore._connect
+
+        def counting_connect(self):
+            opened.append(os.getpid())
+            return connect(self)
+
+        monkeypatch.setattr(SqliteResultStore, "_connect", counting_connect)
+        store = open_store(tmp_path, backend="sqlite")
+        for index in range(5):
+            store.put(f"k{index}", make_result(cycles=index + 1))
+            assert store.get(f"k{index}") == make_result(cycles=index + 1)
+        assert f"k{index}" in store and "absent" not in store
+        assert list(store.keys()) == [f"k{index}" for index in range(5)]
+        assert store.delete_entry("k0")
+        assert store.clear() == 4
+        assert len(store) == 0
+        assert opened == [os.getpid()]
+
+    def test_each_put_is_committed_for_other_connections(self, tmp_path):
+        writer = open_store(tmp_path, backend="sqlite")
+        reader = open_store(tmp_path, backend="sqlite")
+        assert reader.get("k") is None
+        writer.put("k", make_result(cycles=7))
+        assert reader.get("k") == make_result(cycles=7)
+        with sqlite3.connect(writer.path) as conn:
+            assert conn.execute(
+                "SELECT COUNT(*) FROM results").fetchone()[0] == 1
+
     def test_forked_child_writes_through_the_parents_store(self, tmp_path):
         """A child forked with the store's connection open opens its own,
         and its commit is visible to the parent's connection."""
