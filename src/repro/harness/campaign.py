@@ -102,13 +102,13 @@ def run_cell(spec: RunSpec, *, tracer: Optional[Tracer] = None,
              sampler: Optional[MetricsSampler] = None) -> SimulationResult:
     """Execute one cell from scratch (pure function of the spec).
 
-    Trace generation goes through the workload trace cache
-    (:mod:`repro.workloads.cache`) of the process that runs the cell, so
-    a process sweeping one benchmark across several configurations
-    generates its trace once; pointing ``REPRO_TRACE_CACHE`` at a
-    directory extends the sharing across processes and campaign
-    invocations.  A parallel campaign's workers run this too, and the
-    pool hands each worker the cells whose traces it already holds.
+    Trace generation goes through the trace cache of the process that
+    runs the cell (:func:`~repro.workloads.generator.cached_workload`, an
+    LRU of the last ``MEMORY_ENTRIES`` workloads), so a process sweeping
+    one benchmark across several configurations generates its trace once.
+    No trace outlives its process.  A parallel campaign's workers run this
+    too, and the pool hands each worker the cells of the workloads it has
+    already run.
 
     ``tracer`` and ``sampler`` instrument the run (:func:`repro.api.simulate`
     passes them); neither changes the result.

@@ -294,8 +294,9 @@ def _worker_main(conn) -> None:
 
 class _WorkerHandle:
     """One supervised worker process plus its command pipe, and the
-    workloads of the cells it has been given (their traces are in its
-    trace cache)."""
+    workloads of the cells it has been given.  Its trace cache keeps only
+    the last ``MEMORY_ENTRIES`` of them, so a workload here may have to be
+    generated again."""
 
     __slots__ = ("process", "conn", "task", "deadline", "workloads")
 
@@ -452,10 +453,9 @@ class PoolExecutor(Executor):
         last case steals a cell at the tail, and regenerating its trace
         beats leaving the worker idle.
         """
-        elsewhere = set()
-        for other in pool:
-            if other is not worker:
-                elsewhere |= other.workloads
+        # ``worker``'s own workloads are in ``elsewhere`` too, which changes
+        # no choice: the loop stops at the first task of one of them.
+        elsewhere = set().union(*(other.workloads for other in pool))
         own = fresh = first = None
         for task in queue:
             if task.not_before > now:

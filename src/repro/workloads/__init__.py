@@ -1,11 +1,5 @@
 """Synthetic workload models of SPEC CPU2006 and Parsec."""
 
-from repro.workloads.cache import (
-    TRACE_CACHE_ENV,
-    TraceCache,
-    active_trace_cache,
-    trace_key,
-)
 from repro.workloads.generator import TraceGenerator, generate_workload
 from repro.workloads.mixes import (
     MIX_PROFILES,
@@ -30,13 +24,10 @@ __all__ = [
     "PARSEC_PROFILES",
     "SPEC2006_PROFILES",
     "PackedTrace",
-    "TRACE_CACHE_ENV",
     "Trace",
-    "TraceCache",
     "TraceGenerator",
     "WorkloadProfile",
     "WorkloadTraces",
-    "active_trace_cache",
     "generate_mix",
     "generate_workload",
     "get_mix",
@@ -44,5 +35,4 @@ __all__ = [
     "mix_names",
     "parsec_benchmarks",
     "spec_benchmarks",
-    "trace_key",
 ]

@@ -29,6 +29,7 @@ Address-space layout (virtual addresses, per process):
 
 from __future__ import annotations
 
+import functools
 import zlib
 from typing import List, Tuple
 
@@ -315,6 +316,27 @@ class TraceGenerator:
         return Trace(profile.name, thread_id, process_id, packed)
 
 
+#: Workloads each process keeps in :func:`cached_workload`'s LRU.
+MEMORY_ENTRIES = 8
+
+
+@functools.lru_cache(maxsize=MEMORY_ENTRIES)
+def cached_workload(profile: WorkloadProfile, instructions: int, seed: int,
+                    process_id: int) -> WorkloadTraces:
+    """The workload ``TraceGenerator(profile, seed).generate`` returns,
+    generated once per process while it stays among the last
+    ``MEMORY_ENTRIES`` looked up.
+
+    :func:`generate_workload` is the one caller and passes every argument
+    positionally: ``lru_cache`` keys a keyword call apart from a positional
+    one.  The profile is a frozen dataclass, so the key holds it by value.
+    Tests take a fresh trace with ``cached_workload.cache_clear()`` and
+    count hits and misses with ``cached_workload.cache_info()``.
+    """
+    return TraceGenerator(profile, seed=seed).generate(
+        instructions, process_id=process_id)
+
+
 def generate_workload(profile, instructions: int,
                       seed: int = 0, process_id: int = 0) -> WorkloadTraces:
     """Convenience wrapper used by the experiment harness.
@@ -324,11 +346,11 @@ def generate_workload(profile, instructions: int,
     its constituents (each cached individually) by
     :func:`repro.workloads.mixes.generate_mix`.
 
-    Generation is pure in its arguments, so results are cached through
-    :mod:`repro.workloads.cache` (in-memory LRU, plus an on-disk tier when
-    ``REPRO_TRACE_CACHE`` names a directory).  A process sweeping one
-    benchmark across several protection schemes therefore generates the
-    trace once; a parallel campaign's workers each call this for the
+    Generation is pure in its arguments, so every other profile's workload
+    comes from :func:`cached_workload`, a per-process LRU of the last
+    ``MEMORY_ENTRIES`` workloads with nothing on disk.  A process sweeping
+    one benchmark across several protection schemes therefore generates
+    the trace once; a parallel campaign's workers each call this for the
     cells they run.  Cached workloads are shared objects: treat them as
     immutable, as all harness code does.
     """
@@ -336,20 +358,7 @@ def generate_workload(profile, instructions: int,
     if isinstance(profile, MixProfile):
         # Mixes are composed by reference from their (individually cached)
         # constituents, so composition is nearly free; caching the composed
-        # bundle as well would duplicate every constituent trace in the
-        # cache (and, on the disk tier, pickle full copies of the shared
-        # columns), for no generation saved.
+        # bundle as well would hold every constituent trace twice in the
+        # LRU, for no generation saved.
         return generate_mix(profile, instructions, seed=seed)
-
-    from repro.workloads.cache import active_trace_cache, trace_key
-    cache = active_trace_cache()
-    if cache is None:
-        return TraceGenerator(profile, seed=seed).generate(
-            instructions, process_id=process_id)
-    key = trace_key(profile, instructions, seed, process_id)
-    workload = cache.get(key)
-    if workload is None:
-        workload = TraceGenerator(profile, seed=seed).generate(
-            instructions, process_id=process_id)
-        cache.put(key, workload)
-    return workload
+    return cached_workload(profile, instructions, seed, process_id)

@@ -198,8 +198,8 @@ def generate_mix(mix: MixProfile, instructions: int,
 
     Each constituent is generated through :func:`generate_workload` with
     the *same* arguments a single-program run of that benchmark would use,
-    so the trace cache (in-memory and on-disk) is shared with ordinary
-    sweeps; the resulting traces' :class:`~repro.workloads.trace.PackedTrace`
+    so the process's trace cache is shared with ordinary sweeps; the
+    resulting traces' :class:`~repro.workloads.trace.PackedTrace`
     columns are re-bound by reference to the mix's process layout
     (constituent ``k`` becomes process ``k``), never copied.  Cached traces
     are shared, immutable objects, exactly as the harness treats every

@@ -22,10 +22,11 @@ a one-time pass over the packed columns that segments the trace into
 maximal runs of "simple" ops (no loads, stores, branches, syscalls,
 context switches or sandbox entries — nothing that touches the memory
 hierarchy or the predictor) sharing one instruction-cache line, which the
-core executes as batches.  Plans are derived data: they are cached per
-``(trace, line size)`` on the :class:`PackedTrace` and deliberately
-excluded from pickles (the on-disk trace cache stores only the columns;
-plans rebuild on first use).
+core executes as batches.  Plans are derived data: they are built on
+first use and kept per ``(trace, line size)`` on the :class:`PackedTrace`,
+so a trace served from the per-process trace cache
+(:func:`~repro.workloads.generator.cached_workload`) keeps its plans.
+No trace leaves the process that generated it.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class PackedTrace:
         self.targets: List[int] = []
         self.wrong_paths: List[tuple] = []
         self.sequences: List[int] = []
-        #: line_size -> cached TracePlan (derived data; never pickled).
+        #: line_size -> TracePlan, built on first use (derived data).
         self._plans: Optional[Dict[int, "TracePlan"]] = None
 
     def __len__(self) -> int:
@@ -151,9 +152,8 @@ class PackedTrace:
     def plan(self, line_size: int) -> "TracePlan":
         """The (cached) batchable-run segmentation for ``line_size``.
 
-        Plans are immutable derived data, so building one in the campaign
-        supervisor before workers fork shares it read-only with every
-        worker for free.
+        Plans are immutable derived data, built once per trace and line
+        size and shared by every run of that trace in its process.
         """
         plans = self._plans
         if plans is None:
@@ -162,20 +162,6 @@ class PackedTrace:
         if plan is None:
             plan = plans[line_size] = TracePlan.build(self, line_size)
         return plan
-
-    # Plans are excluded from pickles: the on-disk trace cache and any
-    # cross-process transfer carry only the columns, and the plan rebuilds
-    # (deterministically) on first use.  Pickles of another column layout
-    # are never read back: a layout change bumps the trace cache's
-    # TRACE_CACHE_VERSION.
-    def __getstate__(self) -> Dict[str, object]:
-        return {name: getattr(self, name) for name in self.__slots__
-                if name != "_plans"}
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self._plans = None
-        for name, value in state.items():
-            setattr(self, name, value)
 
     @classmethod
     def pack(cls, ops: Iterable[MicroOp]) -> "PackedTrace":

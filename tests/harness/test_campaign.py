@@ -19,12 +19,7 @@ from repro.harness.store import ResultStore, result_to_dict
 from repro.sim.runner import unprotected_config
 from repro.telemetry.metrics import MetricsSampler
 from repro.telemetry.tracer import Tracer
-from repro.workloads.cache import (
-    TRACE_CACHE_ENV,
-    active_trace_cache,
-    reset_trace_cache,
-)
-from repro.workloads.generator import TraceGenerator
+from repro.workloads.generator import TraceGenerator, cached_workload
 from repro.workloads.profiles import get_profile
 
 INSTRUCTIONS = 600
@@ -49,10 +44,9 @@ def record_generations(monkeypatch, path):
 
     Patches :meth:`TraceGenerator.generate` (forked workers inherit the
     patch) to append one ``pid benchmark`` line per call, and empties this
-    process's trace cache so that no worker inherits a generated trace.
-    The on-disk tier is switched off, so every lookup that misses in
-    memory generates.  Returns a function that reads the log back as
-    ``(pid, benchmark)`` pairs.
+    process's trace cache so that no worker inherits a generated trace and
+    every lookup that misses generates.  Returns a function that reads the
+    log back as ``(pid, benchmark)`` pairs.
     """
     real = TraceGenerator.generate
 
@@ -62,8 +56,7 @@ def record_generations(monkeypatch, path):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(TraceGenerator, "generate", generate)
-    monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
-    reset_trace_cache()
+    cached_workload.cache_clear()
 
     def records():
         if not path.exists():
@@ -158,7 +151,7 @@ class TestPooledTraceGeneration:
         process running many campaigns holds none of their traces."""
         record_generations(monkeypatch, tmp_path / "log")
         make_campaign(jobs=2).run()
-        assert len(active_trace_cache()) == 0
+        assert cached_workload.cache_info().currsize == 0
 
     def test_serial_run_generates_each_workload_once_in_process(
             self, monkeypatch, tmp_path):
@@ -179,7 +172,7 @@ class TestPooledTraceGeneration:
                     for spec in make_campaign().cells()]
         assert materialize_shared_traces(requests) == 0
         assert generations() == []
-        assert len(active_trace_cache()) == 0
+        assert cached_workload.cache_info().currsize == 0
 
 
 class TestCaching:

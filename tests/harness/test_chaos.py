@@ -23,7 +23,7 @@ from repro.harness.faults import (
 from repro.harness.report import FAILED_CELL, Report
 from repro.harness.store import ResultStore, result_to_dict
 from repro.sim.runner import unprotected_config
-from repro.workloads.cache import active_trace_cache
+from repro.workloads.generator import cached_workload
 from tests.harness.test_campaign import record_generations
 
 INSTRUCTIONS = 600
@@ -184,8 +184,9 @@ class TestWorkerTracesUnderChaos:
         monkeypatch.setenv(FAULTS_ENV, "exc:1.0:3:99")
         result = make_campaign(jobs=2, max_retries=0,
                                benchmarks=("hmmer",)).run()
-        assert result.failures          # every cell quarantined ...
-        assert len(active_trace_cache()) == 0  # ... and no trace kept
+        # Every cell is quarantined, and the parent keeps no trace.
+        assert result.failures
+        assert cached_workload.cache_info().currsize == 0
         # The fault clears; the next pooled run in this process generates
         # its trace in a worker again.
         monkeypatch.delenv(FAULTS_ENV)
@@ -195,7 +196,7 @@ class TestWorkerTracesUnderChaos:
         records = generations()
         assert os.getpid() not in {pid for pid, _ in records}
         assert {benchmark for _, benchmark in records} == {"hmmer"}
-        assert len(active_trace_cache()) == 0
+        assert cached_workload.cache_info().currsize == 0
 
 
 class TestResume:

@@ -38,7 +38,7 @@ from repro.common.params import SystemConfig, corun_system_config
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
 from repro.telemetry.tracer import active_tracer
-from repro.workloads.generator import generate_workload
+from repro.workloads.generator import cached_workload, generate_workload
 from repro.workloads.profiles import get_profile
 
 PINS = Path(__file__).with_name("disabled_call_counts.json")
@@ -68,12 +68,13 @@ def repro_calls(workload_name: str, machine: SystemConfig) -> int:
     """Calls into ``repro`` functions, and from them into string-compiled
     code, made by one untraced run.
 
-    The caller turns the trace cache off, so the trace is fresh and
+    The trace cache is emptied first, so the trace is fresh and
     unplanned: a cached one may already carry the plan that run() builds,
     and the count would depend on which tests ran first.
     """
     profile = get_profile(workload_name)
     config = machine.with_cores(max(machine.num_cores, profile.num_threads))
+    cached_workload.cache_clear()
     workload = generate_workload(profile, INSTRUCTIONS, seed=SEED)
     simulator = Simulator(build_system(config, seed=SEED))
     profiler = cProfile.Profile()
@@ -102,10 +103,8 @@ def counted_calls(profiler: cProfile.Profile,
     return calls
 
 
-def test_untraced_runs_stay_within_pinned_call_counts(update_golden,
-                                                     monkeypatch):
+def test_untraced_runs_stay_within_pinned_call_counts(update_golden):
     assert active_tracer() is None, "the gate measures the untraced path"
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
     counts = {name: repro_calls(*cell) for name, cell in CELLS.items()}
     if update_golden:
         PINS.write_text(json.dumps(counts, indent=2) + "\n")

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.harness.suites import resolve_suites
-from repro.workloads.cache import reset_trace_cache
-from repro.workloads.generator import generate_workload
+from repro.workloads.generator import cached_workload, generate_workload
 from repro.workloads.mixes import (
     MIX_PROFILES,
     MixProfile,
@@ -56,7 +55,7 @@ class TestMixGeneration:
 
     def test_constituent_traces_reuse_the_trace_cache(self):
         """Mix composition must not regenerate (or copy) member traces."""
-        reset_trace_cache()
+        cached_workload.cache_clear()
         try:
             single = generate_workload(get_profile("mcf"), 250, seed=9)
             mix = generate_workload(get_mix("mix-pointer-stream"), 250,
@@ -65,7 +64,7 @@ class TestMixGeneration:
             # reference — zero copying.
             assert mix.traces[0].packed() is single.traces[0].packed()
         finally:
-            reset_trace_cache()
+            cached_workload.cache_clear()
 
     def test_generate_workload_dispatches_mixes(self):
         via_dispatch = generate_workload(get_profile("mix-pointer-stream"),

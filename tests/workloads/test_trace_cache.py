@@ -1,161 +1,184 @@
-"""Tests for the content-hash-keyed trace cache."""
+"""Tests for the per-process trace cache, ``cached_workload``.
 
-import logging
+Every non-mix workload comes from one ``functools.lru_cache`` of
+``MEMORY_ENTRIES`` entries keyed by ``(profile, instructions, seed,
+process_id)``; each test starts and ends with it empty.
+"""
+
+import dataclasses
+import sys
+import threading
 
 import pytest
 
-from repro.telemetry.log import configure
-from repro.workloads.cache import (
-    TRACE_CACHE_ENV,
-    TraceCache,
-    active_trace_cache,
-    reset_trace_cache,
-    trace_key,
+from repro.workloads.generator import (
+    MEMORY_ENTRIES,
+    TraceGenerator,
+    cached_workload,
+    generate_workload,
 )
-from repro.workloads.generator import TraceGenerator, generate_workload
+from repro.workloads.mixes import get_mix
 from repro.workloads.profiles import get_profile
+
+INSTRUCTIONS = 200
 
 
 @pytest.fixture(autouse=True)
-def _fresh_cache_state(monkeypatch):
-    """Isolate every test from the process-wide cache singleton."""
-    monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
-    reset_trace_cache()
+def _empty_trace_cache():
+    cached_workload.cache_clear()
     yield
-    reset_trace_cache()
+    cached_workload.cache_clear()
 
 
-class TestTraceKey:
-    def test_key_depends_on_every_generation_input(self):
+def columns(workload) -> list:
+    """Every thread's identity and op stream, for content comparison."""
+    return [(trace.benchmark, trace.thread_id, trace.process_id, trace.ops)
+            for trace in workload]
+
+
+class TestCachedWorkload:
+    def test_repeated_call_returns_the_same_object(self):
+        first = generate_workload(get_profile("mcf"), INSTRUCTIONS, seed=4)
+        second = generate_workload(get_profile("mcf"), INSTRUCTIONS, seed=4)
+        assert second is first
+        info = cached_workload.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    @pytest.mark.parametrize("changed", [
+        {"instructions": INSTRUCTIONS + 1},
+        {"seed": 5},
+        {"process_id": 1},
+        {"profile": get_profile("lbm")},
+    ], ids=["instructions", "seed", "process_id", "profile"])
+    def test_every_key_component_gives_a_different_workload(self, changed):
+        base = {"profile": get_profile("mcf"),
+                "instructions": INSTRUCTIONS, "seed": 4, "process_id": 0}
+        first = generate_workload(**base)
+        second = generate_workload(**{**base, **changed})
+        assert second is not first
+        assert columns(second) != columns(first)
+        assert cached_workload.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("name, seed, process_id", [
+        ("mcf", 1234, 0),
+        ("canneal", 7, 0),
+        ("lbm", 3, 2),
+    ])
+    def test_cached_content_equals_fresh_generation(self, name, seed,
+                                                    process_id):
+        profile = get_profile(name)
+        cached = generate_workload(profile, INSTRUCTIONS, seed=seed,
+                                   process_id=process_id)
+        fresh = TraceGenerator(profile, seed=seed).generate(
+            INSTRUCTIONS, process_id=process_id)
+        assert (cached.benchmark, cached.suite) == (fresh.benchmark,
+                                                    fresh.suite)
+        assert columns(cached) == columns(fresh)
+
+    def test_the_oldest_of_one_workload_too_many_is_regenerated(self):
         mcf = get_profile("mcf")
-        base = trace_key(mcf, 1000, 1, 0)
-        assert trace_key(mcf, 1000, 1, 0) == base
-        assert trace_key(mcf, 2000, 1, 0) != base
-        assert trace_key(mcf, 1000, 2, 0) != base
-        assert trace_key(mcf, 1000, 1, 3) != base
-        assert trace_key(get_profile("lbm"), 1000, 1, 0) != base
+        workloads = [generate_workload(mcf, INSTRUCTIONS, seed=seed)
+                     for seed in range(MEMORY_ENTRIES + 1)]
+        assert generate_workload(mcf, INSTRUCTIONS,
+                                 seed=MEMORY_ENTRIES) is workloads[-1]
+        oldest = generate_workload(mcf, INSTRUCTIONS, seed=0)
+        assert oldest is not workloads[0]
+        assert columns(oldest) == columns(workloads[0])
+        info = cached_workload.cache_info()
+        assert (info.hits, info.misses) == (1, MEMORY_ENTRIES + 2)
+        assert info.currsize == info.maxsize == MEMORY_ENTRIES
 
-    def test_key_of_a_fixed_workload_is_pinned(self):
-        # Cached traces stay reachable only while keys are stable: a change
-        # here silently regenerates every trace of every on-disk cache.
-        assert (trace_key(get_profile("mcf"), 8000, 1234, 0)
-                == "66a8e5b8fbec1f617af15d04")
+    def test_a_hit_keeps_a_workload_from_eviction(self):
+        """Least recently used, not first in: a looked-up workload stays."""
+        mcf = get_profile("mcf")
+        oldest = generate_workload(mcf, INSTRUCTIONS, seed=0)
+        second = generate_workload(mcf, INSTRUCTIONS, seed=1)
+        for seed in range(2, MEMORY_ENTRIES):
+            generate_workload(mcf, INSTRUCTIONS, seed=seed)
+        assert generate_workload(mcf, INSTRUCTIONS, seed=0) is oldest
+        generate_workload(mcf, INSTRUCTIONS, seed=MEMORY_ENTRIES)
+        assert generate_workload(mcf, INSTRUCTIONS, seed=0) is oldest
+        assert generate_workload(mcf, INSTRUCTIONS, seed=1) is not second
 
+    def test_keyword_and_positional_calls_share_one_entry(self):
+        mcf = get_profile("mcf")
+        first = generate_workload(mcf, INSTRUCTIONS)
+        assert generate_workload(mcf, INSTRUCTIONS, 0, 0) is first
+        assert generate_workload(profile=mcf, instructions=INSTRUCTIONS,
+                                 seed=0, process_id=0) is first
+        assert cached_workload.cache_info().currsize == 1
 
-class TestTraceCache:
-    def test_memory_tier_round_trip(self):
-        cache = TraceCache()
-        workload = TraceGenerator(get_profile("mcf"), seed=2).generate(300)
-        key = trace_key(get_profile("mcf"), 300, 2, 0)
-        assert cache.get(key) is None
-        cache.put(key, workload)
-        assert cache.get(key) is workload
-        assert cache.hits == 1 and cache.misses == 1
+    def test_the_key_holds_the_profile_by_value(self):
+        mcf = get_profile("mcf")
+        first = generate_workload(mcf, INSTRUCTIONS, seed=4)
+        rebuilt = dataclasses.replace(mcf)
+        assert rebuilt is not mcf
+        assert generate_workload(rebuilt, INSTRUCTIONS, seed=4) is first
+        wider = dataclasses.replace(
+            mcf, working_set_bytes=mcf.working_set_bytes * 2)
+        assert generate_workload(wider, INSTRUCTIONS, seed=4) is not first
 
-    def test_memory_tier_is_lru_bounded(self):
-        cache = TraceCache(memory_entries=2)
-        workload = TraceGenerator(get_profile("mcf"), seed=2).generate(50)
-        cache.put("a", workload)
-        cache.put("b", workload)
-        cache.put("c", workload)
-        assert cache.get("a") is None
-        assert cache.get("b") is workload
-        assert cache.get("c") is workload
-
-    def test_disk_tier_round_trip(self, tmp_path):
-        writer = TraceCache(root=tmp_path)
-        workload = TraceGenerator(get_profile("lbm"), seed=9).generate(200)
-        key = trace_key(get_profile("lbm"), 200, 9, 0)
-        writer.put(key, workload)
-        # A fresh cache (fresh process, conceptually) reads it back.
-        reader = TraceCache(root=tmp_path)
-        loaded = reader.get(key)
-        assert loaded is not None
-        assert loaded.benchmark == workload.benchmark
-        assert [t.ops for t in loaded] == [t.ops for t in workload]
-        # The packed view survives pickling too.
-        assert loaded.thread(0).packed().unpack() == workload.thread(0).ops
-
-    def test_disk_tier_evicts_corrupt_entries(self, tmp_path):
-        cache = TraceCache(root=tmp_path)
-        (tmp_path / "deadbeef.pkl").write_bytes(b"not a pickle")
-        assert cache.get("deadbeef") is None
-        # Evicted, not skipped: the next put rewrites the entry cleanly
-        # instead of failing to unpickle on every future run.
-        assert not (tmp_path / "deadbeef.pkl").exists()
-
-    def test_truncated_pickle_is_evicted(self, tmp_path):
-        writer = TraceCache(root=tmp_path)
-        workload = TraceGenerator(get_profile("mcf"), seed=3).generate(100)
-        writer.put("torn", workload)
-        path = tmp_path / "torn.pkl"
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
-        reader = TraceCache(root=tmp_path)
-        assert reader.get("torn") is None
-        assert not path.exists()
-
-    def test_unusable_directory_keeps_the_memory_tier(self, tmp_path,
-                                                      monkeypatch, caplog):
-        configure()
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        (tmp_path / "file").write_text("a regular file, not a directory")
-        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "file" / "cache"))
-        with caplog.at_level(logging.WARNING, logger="repro.workloads.cache"):
-            first = generate_workload(get_profile("mcf"), 100, seed=2)
-            second = generate_workload(get_profile("mcf"), 100, seed=2)
-        assert second is first
-        assert active_trace_cache().root is None
-        assert [message.split()[0] for message in caplog.messages] == [
-            "trace_cache_unavailable"]
-
-    def test_clear_sweeps_stray_tmp_files(self, tmp_path):
-        cache = TraceCache(root=tmp_path)
-        workload = TraceGenerator(get_profile("mcf"), seed=2).generate(50)
-        cache.put("x", workload)
-        (tmp_path / ".x.999.0.tmp").write_bytes(b"crashed mid-write")
-        cache.clear()
-        assert not list(tmp_path.iterdir())
-
-    def test_clear_empties_both_tiers(self, tmp_path):
-        cache = TraceCache(root=tmp_path)
-        workload = TraceGenerator(get_profile("mcf"), seed=2).generate(50)
-        cache.put("x", workload)
-        assert len(cache) == 1
-        assert cache.clear() >= 1
-        assert len(cache) == 0
-
-
-class TestGenerateWorkloadCaching:
-    def test_repeated_generation_returns_cached_workload(self):
-        first = generate_workload(get_profile("mcf"), 300, seed=4)
-        second = generate_workload(get_profile("mcf"), 300, seed=4)
-        assert second is first
-
-    def test_different_seed_is_a_different_workload(self):
-        first = generate_workload(get_profile("mcf"), 300, seed=4)
-        second = generate_workload(get_profile("mcf"), 300, seed=5)
+    def test_mixes_are_composed_afresh_from_cached_constituents(self):
+        mix = get_mix("mix-pointer-stream")
+        first = generate_workload(mix, INSTRUCTIONS, seed=9)
+        second = generate_workload(mix, INSTRUCTIONS, seed=9)
         assert second is not first
+        assert all(a.packed() is b.packed()
+                   for a, b in zip(first.traces, second.traces))
+        # One entry per constituent (mcf and lbm), none for the bundle.
+        info = cached_workload.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
-    def test_env_off_disables_caching(self, monkeypatch):
-        monkeypatch.setenv(TRACE_CACHE_ENV, "off")
-        assert active_trace_cache() is None
-        first = generate_workload(get_profile("mcf"), 300, seed=4)
-        second = generate_workload(get_profile("mcf"), 300, seed=4)
-        assert second is not first
-        # Identical content either way — caching only changes identity.
-        assert [t.ops for t in first] == [t.ops for t in second]
+    def test_cache_clear_forces_fresh_generation(self):
+        mcf = get_profile("mcf")
+        first = generate_workload(mcf, INSTRUCTIONS, seed=4)
+        cached_workload.cache_clear()
+        assert cached_workload.cache_info().currsize == 0
+        again = generate_workload(mcf, INSTRUCTIONS, seed=4)
+        assert again is not first
+        assert columns(again) == columns(first)
 
-    def test_env_no_disables_caching_without_a_directory(
-            self, monkeypatch, tmp_path):
-        """An off spelling is never taken for a disk-tier directory name."""
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv(TRACE_CACHE_ENV, "no")
-        assert active_trace_cache() is None
-        generate_workload(get_profile("mcf"), 300, seed=4)
-        assert list(tmp_path.iterdir()) == []
 
-    def test_env_directory_enables_disk_tier(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
-        generate_workload(get_profile("mcf"), 300, seed=4)
-        assert list(tmp_path.glob("*.pkl"))
+#: Sized so that the hand-written ``OrderedDict`` LRU this cache replaced,
+#: which read, moved and evicted entries in separate unlocked steps, raised
+#: ``KeyError`` in every run of this test.
+THREADS = 8
+CALLS_PER_THREAD = 10_000
+DISTINCT_WORKLOADS = MEMORY_ENTRIES + 4
+
+
+def test_concurrent_lookups_share_one_cache_safely(monkeypatch):
+    """Threads of one process (the service's request threads) share the
+    cache: every lookup returns its own key's workload and none raises,
+    even with a thread switch forced after almost every bytecode."""
+    def generate(self, instructions, process_id=0):
+        return (self.profile.name, instructions, self.seed, process_id)
+
+    monkeypatch.setattr(TraceGenerator, "generate", generate)
+    mcf = get_profile("mcf")
+    failures = []
+
+    def look_up(offset):
+        try:
+            for call in range(CALLS_PER_THREAD):
+                seed = (call + offset) % DISTINCT_WORKLOADS
+                workload = generate_workload(mcf, INSTRUCTIONS, seed=seed)
+                if workload != ("mcf", INSTRUCTIONS, seed, 0):
+                    failures.append(workload)
+                    return
+        except Exception as error:   # noqa: BLE001 - reported below
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=look_up, args=(offset,))
+                   for offset in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

@@ -17,20 +17,18 @@ import hashlib
 import pytest
 
 from repro.cpu.instructions import MicroOp
-from repro.workloads.cache import TRACE_CACHE_ENV, reset_trace_cache
-from repro.workloads.generator import generate_workload
+from repro.workloads.generator import cached_workload, generate_workload
 from repro.workloads.profiles import get_profile
 
 SEED = 1234
 
 
 @pytest.fixture(autouse=True)
-def _trace_cache_off(monkeypatch):
-    """Generate every trace afresh: no cache tier may hand back a copy."""
-    monkeypatch.setenv(TRACE_CACHE_ENV, "off")
-    reset_trace_cache()
+def _empty_trace_cache():
+    """Generate every trace afresh: the cache may not hand one back."""
+    cached_workload.cache_clear()
     yield
-    reset_trace_cache()
+    cached_workload.cache_clear()
 
 
 def _op_fields(op: MicroOp) -> tuple:

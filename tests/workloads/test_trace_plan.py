@@ -4,10 +4,9 @@ The plan is derived data: ``run_end`` segments a packed trace into maximal
 runs of simple ops sharing one instruction-cache line.  These tests pin
 the segmentation invariants (property-tested round-trip against the
 original op sequence), the empty/single-op edge cases, and the rule that
-plans never travel through pickles.
+a plan is built once per trace and line size, and stays with a cached
+trace.
 """
-
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +17,8 @@ from repro.common.params import SystemConfig
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.instructions import F_TRANSMITTER, KIND_FLAGS, MicroOp, OpKind
 from repro.telemetry import Tracer, tracing
+from repro.workloads.generator import cached_workload, generate_workload
+from repro.workloads.profiles import get_profile
 from repro.workloads.trace import (
     COMPLEX_MASK,
     DEFAULT_LINE_SIZE,
@@ -166,14 +167,16 @@ class TestPlanLifecycle:
         assert packed.plan(64) is packed.plan(64)
         assert packed.plan(64) is not packed.plan(32)
 
-    def test_plans_never_travel_through_pickles(self):
-        packed = PackedTrace.pack(_long_run(32))
-        packed.plan(LINE)
-        clone = pickle.loads(pickle.dumps(packed))
-        assert clone._plans is None          # derived data stays home
-        assert clone.unpack() == packed.unpack()
-        # A fresh plan is rebuilt on demand and matches the original.
-        assert clone.plan(LINE).run_end == packed.plan(LINE).run_end
+    def test_a_cached_trace_keeps_its_plans(self):
+        """The second run of a cached workload reuses the first's plan."""
+        cached_workload.cache_clear()
+        try:
+            first = generate_workload(get_profile("povray"), 300, seed=3)
+            plan = first.thread(0).packed().plan(LINE)
+            again = generate_workload(get_profile("povray"), 300, seed=3)
+            assert again.thread(0).packed().plan(LINE) is plan
+        finally:
+            cached_workload.cache_clear()
 
 
 class TestEmptyAndSingleOpExecution:
