@@ -222,9 +222,9 @@ def _run_profiled(campaign: Campaign):
     """Run the campaign under cProfile and print the top-25 hot spots.
 
     Profiling forces ``jobs=1``: the interesting work otherwise happens in
-    forked pool workers the profiler cannot see.  (This also means the
-    phase timers printed afterwards account for every cell — phases timed
-    inside pool workers never reach this process's timers.)
+    forked pool workers the profiler cannot see.  The phase timers printed
+    afterwards count every cell whatever the job count, because a pool
+    worker sends each cell's phase times back with its result.
     """
     import cProfile
     import pstats

@@ -20,11 +20,11 @@ reproducing the behaviour the paper's evaluation depends on:
   memory system (write-through-at-commit, prefetcher training, exclusive
   upgrade, ...).
 
-One engine, :meth:`OutOfOrderCore.run_packed`, holds these rules.  It
-consumes a :class:`~repro.workloads.trace.PackedTrace` (struct-of-arrays),
-hoists every attribute lookup and memory-system capability probe into
-locals, keeps register ready-times/taints in flat arrays, executes runs of
-simple ALU ops on one instruction-cache line as batches, and accumulates
+One engine, :meth:`OutOfOrderCore.run_packed`, holds these rules, in one
+loop that takes every op through the same steps.  It consumes a
+:class:`~repro.workloads.trace.PackedTrace` (struct-of-arrays), hoists
+every attribute lookup and memory-system capability probe into locals,
+keeps register ready-times/taints in flat arrays, and accumulates
 statistics in plain local integers flushed to the
 :class:`~repro.common.statistics.StatGroup` counters once per call.
 Nothing is allocated per instruction.  The boundary API of attacks and
@@ -181,36 +181,26 @@ class OutOfOrderCore:
                    end: Optional[int] = None) -> int:
         """Execute ops ``[start, end)`` of a packed trace; returns the clock.
 
-        The one timing model of the core, driven by the struct-of-arrays
-        trace with every per-op attribute lookup hoisted into locals and
-        statistics accumulated in local integers that are flushed once per
-        call.
+        The one timing model of the core: one loop takes each op, in
+        program order, through fetch, dispatch, issue, execute and commit.
+        Every per-op attribute lookup is hoisted into locals, and
+        statistics are accumulated in local integers that are flushed once
+        per call.  A call may start and stop anywhere in the trace (the
+        simulator interleaves cores in chunks); all timing state lives on
+        the core between calls.  Schemes that keep the base class's empty
+        ``commit_load`` or ``commit_fetch`` hook are not called for it.
 
-        The trace's plan (:meth:`~repro.workloads.trace.PackedTrace.plan`)
-        marks maximal runs of simple ALU ops sharing one instruction-cache
-        line.  Such a run executes as a batch: one fetch-line check for the
-        whole run, no per-op classification and, for schemes that never
-        override the hook, no ``commit_fetch`` upcall.  Complex ops —
-        loads, stores, branches, syscalls — take the per-op branch, which
-        likewise skips ``commit_load`` for schemes that keep the empty
-        hook.  A call may start or stop inside a run (the simulator
-        interleaves cores in chunks): the plan records every op's run end.
-
-        When a tracer is active (``repro.telemetry``), the call runs every
-        op on the per-op branch, with batching off, and that branch emits
-        the pipeline events (``issue``, ``nack_retry``, ``mispredict``,
+        When a tracer is active (``repro.telemetry``), the loop emits the
+        pipeline events (``issue``, ``nack_retry``, ``mispredict``,
         ``squash``, ``commit``) and keeps ``tracer.now`` at the cycle the
-        memory side is being asked about.  Results are those of the
-        batched run.  With tracing off (the default) the guard is one
-        module-global read per call plus local ``None`` tests on the
-        per-op branch, which keeps telemetry free of calls when disabled.
+        memory side is being asked about; the results are those of an
+        untraced run.  With tracing off (the default) the guard is one
+        module-global read per call plus local ``None`` tests, which keeps
+        telemetry free of calls when disabled.
         """
         tracer = _active_tracer()
         if end is None:
             end = packed.length
-        # ``range(end)`` ends every op's run at the op itself: no batches.
-        plan_run_end = (packed.plan(self._line_size).run_end
-                        if tracer is None else range(end))
         # -- trace columns ---------------------------------------------------
         col_kinds = packed.kinds
         col_flags = packed.flags
@@ -231,7 +221,8 @@ class OutOfOrderCore:
         mem_commit_load = (None if self._commit_load_is_noop
                            else memory.commit_load)
         mem_commit_store = memory.commit_store
-        mem_commit_fetch = memory.commit_fetch
+        mem_commit_fetch = (None if self._commit_fetch_is_noop
+                            else memory.commit_fetch)
         mem_squash = memory.squash
         mem_context_switch = memory.context_switch
         mem_sandbox_entry = memory.sandbox_entry
@@ -260,7 +251,6 @@ class OutOfOrderCore:
         line_size = self._line_size
         stt_mode = self._stt_mode
         stt_future = self._stt_future
-        commit_fetch_noop = self._commit_fetch_is_noop
         # -- core state pulled into locals -----------------------------------
         fetch_ready = self._fetch_ready
         current_fetch_line = self._current_fetch_line
@@ -279,104 +269,7 @@ class OutOfOrderCore:
         n_nack_retries = 0
         n_context_switches = 0
 
-        index = start
-        while index < end:
-            stop = plan_run_end[index]
-            if stop > index:
-                # ==== batched simple run [index, stop) ======================
-                if stop > end:
-                    stop = end
-                # Fetch: every op in the batch shares one line, so only
-                # the first can miss the line buffer, and no simple op
-                # moves ``fetch_ready`` afterwards.
-                pc = col_pcs[index]
-                fetch_line = pc - pc % line_size
-                fetch_time = fetch_ready
-                if fetch_line != current_fetch_line:
-                    latency = mem_fetch(core_id, process_id, pc, fetch_time,
-                                        speculative=True).latency - 1
-                    if latency > 0:
-                        fetch_time += latency
-                    current_fetch_line = fetch_line
-                fetch_ready = fetch_time
-
-                for op_index in range(index, stop):
-                    dispatch_time = fetch_time
-                    if len(rob_times) >= rob_capacity:
-                        oldest = rob_times[0]
-                        if oldest > dispatch_time:
-                            dispatch_time = oldest
-                    if dispatch_time > dispatch_cycle:
-                        dispatch_cycle = dispatch_time
-                        dispatch_used = 1
-                    elif dispatch_used < width:
-                        dispatch_time = dispatch_cycle
-                        dispatch_used += 1
-                    else:
-                        dispatch_cycle += 1
-                        dispatch_used = 1
-                        dispatch_time = dispatch_cycle
-
-                    # No STT issue delay: only loads and stores transmit,
-                    # and they are never simple.
-                    source_taint = None
-                    issue_time = dispatch_time + 1
-                    srcs = col_srcs[op_index]
-                    if srcs:
-                        for reg in srcs:
-                            if reg >= reg_limit:
-                                continue
-                            value = reg_ready[reg]
-                            if value > issue_time:
-                                issue_time = value
-                            visibility = reg_taint[reg]
-                            if visibility is not None \
-                                    and (source_taint is None
-                                         or visibility > source_taint):
-                                source_taint = visibility
-                    completion = issue_time + col_latencies[op_index]
-                    if stt_mode and source_taint is not None:
-                        taint_visibility = source_taint
-                    else:
-                        taint_visibility = None
-
-                    commit_time = (completion
-                                   if completion > last_commit_time
-                                   else last_commit_time)
-                    if commit_time > commit_cycle:
-                        commit_cycle = commit_time
-                        commit_used = 1
-                    elif commit_used < width:
-                        commit_time = commit_cycle
-                        commit_used += 1
-                    else:
-                        commit_cycle += 1
-                        commit_used = 1
-                        commit_time = commit_cycle
-                    if not commit_fetch_noop:
-                        mem_commit_fetch(core_id, process_id,
-                                         col_pcs[op_index], commit_time)
-                    last_commit_time = commit_time
-
-                    while rob_times and rob_times[0] <= dispatch_time:
-                        rob_pop()
-                    while rob_times and len(rob_times) >= rob_capacity:
-                        rob_pop()
-                    rob_append(commit_time)
-                    dst = col_dsts[op_index]
-                    if dst >= 0:
-                        if dst >= reg_limit:
-                            grow = dst + 1 - reg_limit
-                            reg_ready.extend([0] * grow)
-                            reg_taint.extend([None] * grow)
-                            reg_limit = dst + 1
-                        reg_ready[dst] = completion
-                        reg_taint[dst] = taint_visibility
-                    n_committed += 1
-                index = stop
-                continue
-
-            # ==== one op: complex, or any op of a traced call ================
+        for index in range(start, end):
             flags = col_flags[index]
             pc = col_pcs[index]
 
@@ -588,7 +481,7 @@ class OutOfOrderCore:
                                           commit_time + extra)
             elif flags & F_BRANCH:
                 n_branches += 1
-            if not commit_fetch_noop:
+            if mem_commit_fetch is not None:
                 mem_commit_fetch(core_id, process_id, pc, commit_time + extra)
             if flags & (F_SYSCALL | F_CONTEXT_SWITCH):
                 n_context_switches += 1
@@ -632,7 +525,6 @@ class OutOfOrderCore:
                 reg_ready[dst] = completion
                 reg_taint[dst] = taint_visibility
             n_committed += 1
-            index += 1
 
         # -- write state back -------------------------------------------------
         self._fetch_ready = fetch_ready
@@ -641,7 +533,7 @@ class OutOfOrderCore:
         self._last_branch_resolve = last_branch_resolve
         self._dispatched_in_cycle = (dispatch_cycle, dispatch_used)
         self._committed_in_cycle = (commit_cycle, commit_used)
-        # -- flush batched statistics -----------------------------------------
+        # -- flush accumulated statistics -------------------------------------
         if n_committed:
             self._committed.add(n_committed)
         if n_loads:

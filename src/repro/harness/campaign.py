@@ -549,13 +549,18 @@ class Campaign:
                 f"baseline label {baseline_label!r} shadows a configuration")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"seed must be an integer, got {seed!r}")
+        if (not isinstance(replicates, int) or isinstance(replicates, bool)
+                or replicates < 1):
+            raise ValueError(
+                f"replicates must be an integer of at least 1, "
+                f"got {replicates!r}")
         self.benchmarks = list(benchmarks)
         self.configs = dict(configs)
         self.baseline_config = baseline_config
         self.baseline_label = baseline_label
         self.instructions = instructions_per_workload(instructions)
         self.seed = seed
-        self.replicates = max(1, replicates)
+        self.replicates = replicates
         self.warmup_fraction = warmup_fraction
         self.collect_stats = collect_stats
         self.store = store

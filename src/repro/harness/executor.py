@@ -79,7 +79,7 @@ def env_float(name: str, minimum: float = 0.0) -> Optional[float]:
         raise ValueError(
             f"environment variable {name} must be a number, "
             f"got {raw!r}") from None
-    if value <= minimum:
+    if not value > minimum:     # also rejects "nan", which compares false
         raise ValueError(
             f"environment variable {name} must be greater than {minimum}, "
             f"got {raw!r}")

@@ -33,19 +33,29 @@ RATE_LIMIT_ENV = "REPRO_RATE_LIMIT"
 RATE_BURST_ENV = "REPRO_RATE_BURST"
 
 
+def _bucket_capacity(rate: float, burst: Optional[float]) -> float:
+    """The capacity of a bucket refilled at ``rate`` tokens per second.
+
+    ``burst`` defaults to ``max(1, rate)``.  Raises ``ValueError`` unless
+    the rate is positive and the bucket holds at least one token; the
+    negated tests reject NaN, which would otherwise admit every request.
+    """
+    if not rate > 0:
+        raise ValueError(f"rate must be positive, got {rate!r}")
+    capacity = float(burst) if burst is not None else max(1.0, float(rate))
+    if not capacity >= 1.0:
+        raise ValueError(
+            f"burst must admit at least one request, got {burst!r}")
+    return capacity
+
+
 class TokenBucket:
     """One token bucket: ``capacity`` tokens, refilled at ``rate``/s."""
 
     def __init__(self, rate: float, burst: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
+        self.capacity = _bucket_capacity(rate, burst)
         self.rate = float(rate)
-        self.capacity = float(burst) if burst is not None \
-            else max(1.0, self.rate)
-        if self.capacity < 1.0:
-            raise ValueError(
-                f"burst must admit at least one request, got {burst!r}")
         self._clock = clock
         self.tokens = self.capacity
         self._updated = self._clock()
@@ -76,6 +86,9 @@ class RateLimiter:
 
     def __init__(self, rate: float, burst: Optional[float] = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
+        # Checked here, so a bad pair fails when the service starts rather
+        # than on every metered request, where each new bucket would raise.
+        _bucket_capacity(rate, burst)
         self.rate = float(rate)
         self.burst = burst
         self._clock = clock
@@ -89,7 +102,12 @@ class RateLimiter:
         if rate is None:
             return None
         burst = env_float(RATE_BURST_ENV, minimum=0.0)
-        return cls(rate, burst=burst)
+        try:
+            return cls(rate, burst=burst)
+        except ValueError as error:
+            # env_float has checked the rate, so the burst is at fault.
+            raise ValueError(
+                f"environment variable {RATE_BURST_ENV}: {error}") from None
 
     def allow(self, identity: str) -> Tuple[bool, float]:
         """``(admitted, retry_after_seconds)`` for one request."""

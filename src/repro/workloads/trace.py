@@ -17,33 +17,24 @@ so the hot loop never touches :class:`~repro.cpu.instructions.OpKind` enum
 properties.  ``MicroOp`` objects are built only on demand, by
 :meth:`PackedTrace.op` and :meth:`PackedTrace.unpack`.
 
-``OutOfOrderCore.run_packed`` additionally consumes a :class:`TracePlan` —
-a one-time pass over the packed columns that segments the trace into
-maximal runs of "simple" ops (no loads, stores, branches, syscalls,
-context switches or sandbox entries — nothing that touches the memory
-hierarchy or the predictor) sharing one instruction-cache line, which the
-core executes as batches.  Plans are derived data: they are built on
-first use and kept per ``(trace, line size)`` on the :class:`PackedTrace`,
-so a trace served from the per-process trace cache
-(:func:`~repro.workloads.generator.cached_workload`) keeps its plans.
-No trace leaves the process that generated it.
+``OutOfOrderCore.run_packed`` reads these columns one op at a time, and
+nothing derived from them is built or kept beside them.  No trace leaves
+the process that generated it: the per-process trace cache
+(:func:`~repro.workloads.generator.cached_workload`) holds traces in
+memory only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.cpu.instructions import (
     EXECUTION_LATENCY,
-    F_BRANCH,
     F_CONTEXT_SWITCH,
     F_FORCE_MISPREDICT,
     F_FORCE_MISPREDICT_VALUE,
-    F_LOAD,
     F_SANDBOX_ENTRY,
-    F_STORE,
-    F_SYSCALL,
     F_TAKEN,
     KIND_FLAGS,
     MicroOp,
@@ -62,58 +53,9 @@ KIND_ENCODING: Dict[OpKind, Tuple[int, int, int]] = {
 #: Sentinel for "no address / no target / no destination register".
 ABSENT = -1
 
-#: Any of these flags makes an op "complex": it interacts with the memory
-#: hierarchy, the branch predictor or the OS model, so the core must
-#: execute it on the full per-op path.  Everything else (plain ALU work)
-#: is "simple" and batchable.
-COMPLEX_MASK = (F_LOAD | F_STORE | F_BRANCH | F_SYSCALL
-                | F_CONTEXT_SWITCH | F_SANDBOX_ENTRY)
-
-#: The instruction-cache line size plans are pre-built for when no core
-#: configuration is at hand (matches ``CacheConfig.line_size``'s default).
-#: Plans are keyed by line size and built lazily, so a machine with a
-#: different line size simply builds its own plan on first use.
+#: The instruction-cache line size (``CacheConfig.line_size``'s default).
+#: Only the benchmark's set-up imports it, to call :meth:`PackedTrace.plan`.
 DEFAULT_LINE_SIZE = 64
-
-
-class TracePlan:
-    """Segmentation of a packed trace into batchable runs.
-
-    ``run_end[i]`` is the exclusive end of the maximal batchable run
-    starting at op ``i``: every op in ``[i, run_end[i])`` is simple and
-    shares op ``i``'s instruction-cache line (so only the first op of a
-    batch can miss in the line buffer).  For complex ops ``run_end[i]``
-    equals ``i``.
-    """
-
-    __slots__ = ("line_size", "run_end")
-
-    def __init__(self, line_size: int, run_end: List[int]) -> None:
-        self.line_size = line_size
-        self.run_end = run_end
-
-    @classmethod
-    def build(cls, packed: "PackedTrace", line_size: int) -> "TracePlan":
-        # One backward scan: a simple op extends the run of its successor
-        # when both sit on the same line.
-        col_flags = packed.flags
-        col_pcs = packed.pcs
-        length = packed.length
-        run_end = [0] * length
-        i = length - 1
-        while i >= 0:
-            if col_flags[i] & COMPLEX_MASK:
-                run_end[i] = i
-                i -= 1
-                continue
-            stop = i + 1
-            line = col_pcs[i] // line_size
-            if stop < length and run_end[stop] > stop \
-                    and col_pcs[stop] // line_size == line:
-                stop = run_end[stop]
-            run_end[i] = stop
-            i -= 1
-        return cls(line_size, run_end)
 
 
 class PackedTrace:
@@ -128,7 +70,7 @@ class PackedTrace:
     """
 
     __slots__ = ("kinds", "flags", "pcs", "addresses", "latencies", "srcs",
-                 "dsts", "targets", "wrong_paths", "sequences", "_plans")
+                 "dsts", "targets", "wrong_paths", "sequences")
 
     def __init__(self) -> None:
         self.kinds: List[int] = []
@@ -141,27 +83,20 @@ class PackedTrace:
         self.targets: List[int] = []
         self.wrong_paths: List[tuple] = []
         self.sequences: List[int] = []
-        #: line_size -> TracePlan, built on first use (derived data).
-        self._plans: Optional[Dict[int, "TracePlan"]] = None
 
     def __len__(self) -> int:
         return len(self.flags)
 
     length = property(__len__)
 
-    def plan(self, line_size: int) -> "TracePlan":
-        """The (cached) batchable-run segmentation for ``line_size``.
+    def plan(self, line_size: int) -> None:
+        """Does nothing and returns ``None``; the core plans no trace.
 
-        Plans are immutable derived data, built once per trace and line
-        size and shared by every run of that trace in its process.
+        Kept only because the benchmark's set-up
+        (``perfbench/scenarios.py``) calls it and its layer timer
+        (``perfbench/layers.py``) wraps it; both go with this method.
         """
-        plans = self._plans
-        if plans is None:
-            plans = self._plans = {}
-        plan = plans.get(line_size)
-        if plan is None:
-            plan = plans[line_size] = TracePlan.build(self, line_size)
-        return plan
+        return None
 
     @classmethod
     def pack(cls, ops: Iterable[MicroOp]) -> "PackedTrace":

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import api
 from repro.baselines.unprotected import UnprotectedMemorySystem
 from repro.common.params import (
     BranchPredictorConfig,
@@ -14,6 +15,9 @@ from repro.core.muontrap import MuonTrapMemorySystem
 from repro.cpu.branch_predictor import TournamentPredictor
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.instructions import MicroOp, OpKind, WrongPathAccess, summarize_trace
+from repro.sim.system import build_system
+from repro.telemetry import Tracer, tracing
+from repro.workloads.trace import PackedTrace
 
 
 class TestBranchPredictorComponents:
@@ -201,8 +205,79 @@ class TestOutOfOrderCore:
         # Commit-side write-through happened for the committed loads.
         assert memory.stats.get("committed_loads") == result.committed_loads
 
+    def test_the_branch_resolve_time_carries_across_calls(self):
+        """Under STT-Spectre a load's value becomes visible once every
+        older branch has resolved, and the simulator runs a trace in
+        chunks, so that resolve time must carry from one ``run_packed``
+        call to the next.  Here a correctly predicted branch waits on a
+        1000-cycle producer, and the load after it completes long before
+        the branch resolves."""
+        ops = [MicroOp(kind=OpKind.INT_ALU, pc=0x1000, dst_reg=1,
+                       execution_latency=1000),
+               MicroOp(kind=OpKind.BRANCH, pc=0x1004, src_regs=(1,),
+                       taken=False, target=0x2000, force_mispredict=False),
+               MicroOp(kind=OpKind.LOAD, pc=0x1008, address=0x10_0000,
+                       dst_reg=2)]
+        stt = SystemConfig(mode="stt-spectre")
+        whole = build_system(stt, seed=1).core(0)
+        whole.run(ops)
+        per_op = build_system(stt, seed=1).core(0)
+        for op in ops:
+            per_op.execute_op(op)
+        # The branch, not the load's own completion, sets its visibility.
+        assert whole._reg_taint[2] > whole.register_ready_time(2)
+        assert per_op._reg_taint == whole._reg_taint
+
     def test_summarize_trace(self):
         summary = summarize_trace(_simple_trace(100))
         assert summary["total"] == 100
         assert summary["loads"] > 0
         assert abs(summary["load_fraction"] - summary["loads"] / 100) < 1e-9
+
+
+class TestEmptyAndSingleOpExecution:
+    """Degenerate traces: nothing to run returns the entry clock, and one
+    op runs the same through ``run_packed`` and ``execute_op``."""
+
+    def _core(self):
+        config = SystemConfig()
+        return OutOfOrderCore(0, config, UnprotectedMemorySystem(config))
+
+    def test_empty_trace_returns_the_entry_clock(self):
+        empty = PackedTrace.pack([])
+        core = self._core()
+        # Establish a non-trivial clock first, then run nothing: four ALU
+        # ops on one line, a dependency chain through r1.
+        core.run([MicroOp(kind=OpKind.INT_ALU, pc=0x40_000, src_regs=(1,),
+                          dst_reg=1, execution_latency=2)
+                  for _ in range(4)])
+        before = core.result()
+        assert before.cycles > 0
+        assert core.run_packed(empty) == before.cycles
+        assert core.run(empty.unpack()) == before      # micro-ops, packed
+        with tracing(Tracer(categories=())):
+            assert core.run_packed(empty) == before.cycles
+
+    def test_single_op_is_the_same_through_run_packed_and_execute_op(self):
+        single = PackedTrace.pack([MicroOp(
+            kind=OpKind.INT_ALU, pc=0x1000, src_regs=(1,), dst_reg=2,
+            execution_latency=3)])
+        packed = self._core()
+        clock = packed.run_packed(single)
+        per_op = self._core()
+        assert per_op.execute_op(single.op(0)) == clock
+        assert packed.result() == per_op.result()
+        assert packed.result().committed_instructions == 1
+
+
+def test_no_cell_asks_its_trace_for_a_plan(monkeypatch):
+    """The core runs every op in one loop, traced or not, and needs no
+    precomputed plan of the trace."""
+    def refuse(trace, line_size):
+        raise AssertionError("run_packed asked for a trace plan")
+
+    monkeypatch.setattr(PackedTrace, "plan", refuse)
+    cell = dict(scheme="muontrap", seed=3, instructions=600)
+    untraced = api.simulate("mcf", **cell)
+    traced = api.simulate("mcf", trace=True, **cell)
+    assert traced.result.cycles == untraced.result.cycles

@@ -1,23 +1,23 @@
-"""Property test: batched ``run_packed`` chunks ≡ unbatched ops one by one.
+"""Property test: chunked ``run_packed`` calls ≡ one ``execute_op`` per op.
 
-Generated workload traces advance the pc by 4 bytes, so a run of simple
-ops on one 64-byte line never exceeds 16 ops, and the equivalence tests
-only ever enter the batched loop at the interleave chunk size.  This test
-draws op sequences the generator cannot produce — same-line ALU runs of
-up to 128 ops (a repeated tight loop body), line crossings, loads, stores and
-branches with forced mispredictions and wrong-path accesses — and runs
-each through ``run_packed`` split at random chunk boundaries (so calls
-start and stop inside runs) and, on a second identically seeded machine,
-through one ``execute_op`` call per op under an active tracer that
-records nothing, so every op takes the per-op branch.  The simple ops of
-a run are thus batched on one machine and not on the other.  Clock, core
-result, the ROB and load/store queue contents, every register's ready
-time and taint, and the full statistics tree must match.
+The simulator interleaves cores by calling ``run_packed`` on chunks of a
+trace, so every piece of timing state — the fetch line, the dispatch and
+commit cycles, the ROB and load/store queues, register ready times and
+taints, the last branch resolve — must carry from one call to the next.
+This test draws op sequences the generator cannot produce — same-line ALU
+runs of up to 128 ops (a repeated tight loop body) that fill a 16-entry
+ROB, line crossings, loads, stores and branches with forced
+mispredictions and wrong-path accesses — and runs each through
+``run_packed`` split at random chunk boundaries and, on a second
+identically seeded machine, through one ``execute_op`` call per op, the
+finest chunking there is.  Clock, core result, the ROB and load/store
+queue contents, every register's ready time and taint, and the full
+statistics tree must match.
 
 The schemes cover the loop's distinct paths: unprotected (no
 ``commit_fetch`` override, so the no-op upcall is skipped), STT-Spectre
-(taint propagation through batched runs) and MuonTrap (overrides
-``commit_fetch``, so every op still makes the call).
+(taint propagation across call boundaries) and MuonTrap (overrides
+``commit_fetch``, so every op makes the call).
 """
 
 from dataclasses import replace
@@ -33,7 +33,6 @@ from repro.common.params import (
 )
 from repro.cpu.instructions import MicroOp, OpKind, WrongPathAccess
 from repro.sim.system import build_system
-from repro.telemetry import Tracer, tracing
 from repro.workloads.trace import PackedTrace
 
 SCHEMES = ["unprotected", "stt-spectre", "muontrap"]
@@ -159,9 +158,8 @@ def test_chunked_run_packed_matches_per_op(scheme, segments, data):
         clock = packed_core.run_packed(packed, start, end)
 
     per_op_system, per_op_core = _core(scheme)
-    with tracing(Tracer(categories=())):
-        for op in packed.unpack():
-            per_op_core.execute_op(op)
+    for op in packed.unpack():
+        per_op_core.execute_op(op)
 
     assert clock == per_op_core.current_cycle
     assert packed_core.result() == per_op_core.result()

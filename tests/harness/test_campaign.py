@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -102,6 +103,15 @@ class TestExpansion:
             Campaign([], configs=CONFIGS)
         with pytest.raises(ValueError):
             Campaign(["hmmer"], configs={})
+
+    @pytest.mark.parametrize("replicates", [0, -4, True, 2.0, "2"])
+    def test_replicates_must_be_a_positive_integer(self, replicates):
+        """No replicate count is clamped: a value below 1 would otherwise
+        run the base seed alone, silently."""
+        with pytest.raises(ValueError,
+                           match=f"replicates must be an integer of at "
+                                 f"least 1, got {re.escape(repr(replicates))}"):
+            make_campaign(replicates=replicates)
 
 
 class TestDeterminism:

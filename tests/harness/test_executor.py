@@ -64,6 +64,10 @@ class TestPolicyDefaults:
         monkeypatch.setenv(CELL_TIMEOUT_ENV, "0")
         with pytest.raises(ValueError, match="greater than"):
             env_float(CELL_TIMEOUT_ENV)
+        # NaN compares false with everything: a timeout that never fires.
+        monkeypatch.setenv(CELL_TIMEOUT_ENV, "nan")
+        with pytest.raises(ValueError, match="greater than"):
+            env_float(CELL_TIMEOUT_ENV)
 
     def test_default_max_retries(self, monkeypatch):
         assert default_max_retries() == DEFAULT_MAX_RETRIES

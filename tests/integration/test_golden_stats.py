@@ -1,6 +1,6 @@
 """Golden-stats snapshots: the full statistics tree, pinned.
 
-The equivalence tests prove that batched and unbatched runs of the core's
+The equivalence tests prove that traced and untraced runs of the core's
 one engine agree with *each other*; these snapshots pin what both produce,
 so any semantic drift introduced by future hot-path or coherence work — a
 stat that stops counting, a latency that shifts by one cycle, a changed

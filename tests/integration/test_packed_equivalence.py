@@ -1,14 +1,13 @@
-"""Golden equivalence: batched execution must match unbatched execution.
+"""Golden equivalence: a traced run must match an untraced one.
 
-The core's one engine (`OutOfOrderCore.run_packed`) executes same-line
-runs of simple ops as batches, and every other op on its per-op branch.
-Batching is the one part of the engine that restates the per-op rules, so
-these tests pin it down: for every protection scheme the paper evaluates,
-an untraced run, which batches, must produce a **bit-identical**
-`SimulationResult` to a run under an active tracer that records nothing
-(`Tracer(categories=())`), which sends every op down the per-op branch —
+The core's one engine (`OutOfOrderCore.run_packed`) runs every op through
+one loop.  With a tracer active, that loop also emits pipeline events and
+moves `tracer.now`; telemetry must never change timing.  So for every
+protection scheme the paper evaluates, an untraced run must produce a
+**bit-identical** `SimulationResult` to a run under an active tracer that
+records nothing (`Tracer(categories=())`), whose hook points all run —
 cycles, instructions, warmup cycles, per-core results and the complete
-statistics tree.  Any divergence, however small, is a bug in the batch.
+statistics tree.  Any divergence, however small, is a bug in a hook.
 """
 
 import pytest
@@ -43,26 +42,26 @@ CROSS_SECTION = ["mcf", "omnetpp", "lbm", "cactusADM", "streamcluster"]
 
 INSTRUCTIONS = 500
 
-#: The tracer each way of running installs: none lets ``run_packed``
-#: batch; an active one that records nothing runs every op unbatched.
-ENGINES = {"batched": lambda: None,
-           "unbatched": lambda: Tracer(categories=())}
+#: The tracer each way of running installs: none, or an active one that
+#: records nothing, so every pipeline hook point runs.
+TRACERS = {"untraced": lambda: None,
+           "traced": lambda: Tracer(categories=())}
 
 
 def _simulate(config: SystemConfig, profile, seed: int,
-              engine: str) -> SimulationResult:
+              tracer: str) -> SimulationResult:
     workload = generate_workload(profile, INSTRUCTIONS, seed=seed)
     simulator = Simulator(build_system(config, seed=seed))
-    with tracing(ENGINES[engine]()):
+    with tracing(TRACERS[tracer]()):
         return simulator.run(workload, collect_stats=True,
                              warmup_fraction=0.35)
 
 
 def _run(mode: str, benchmark: str, seed: int,
-         engine: str) -> SimulationResult:
+         tracer: str) -> SimulationResult:
     profile = get_profile(benchmark)
     config = SystemConfig(mode=mode).with_cores(max(1, profile.num_threads))
-    return _simulate(config, profile, seed, engine)
+    return _simulate(config, profile, seed, tracer)
 
 
 def _assert_identical(candidate: SimulationResult,
@@ -78,8 +77,8 @@ def _assert_identical(candidate: SimulationResult,
 
 
 def _assert_two_way(runner, context: str) -> None:
-    """unbatched ≡ batched for one (config, workload, seed)."""
-    _assert_identical(runner("batched"), runner("unbatched"), context)
+    """traced ≡ untraced for one (config, workload, seed)."""
+    _assert_identical(runner("untraced"), runner("traced"), context)
 
 
 class TestPackedEquivalence:
@@ -89,15 +88,15 @@ class TestPackedEquivalence:
                                                              seed):
         for benchmark in CROSS_SECTION:
             _assert_two_way(
-                lambda engine: _run(mode, benchmark, seed, engine),
+                lambda tracer: _run(mode, benchmark, seed, tracer),
                 f"{mode}/{benchmark}/seed={seed}")
 
     def test_full_mixed_suite_bit_identical(self):
         """Every benchmark of the ``mixed`` suite under the full defence."""
         for benchmark in resolve_suites(["mixed"]):
             _assert_two_way(
-                lambda engine: _run("muontrap", benchmark,
-                                    SEEDS[0], engine),
+                lambda tracer: _run("muontrap", benchmark,
+                                    SEEDS[0], tracer),
                 f"mixed/{benchmark}")
 
     def test_invisispec_future_and_stt_future_bit_identical(self):
@@ -106,19 +105,18 @@ class TestPackedEquivalence:
                      "stt-future"):
             for benchmark in ("mcf", "lbm"):
                 _assert_two_way(
-                    lambda engine: _run(mode, benchmark, SEEDS[1], engine),
+                    lambda tracer: _run(mode, benchmark, SEEDS[1], tracer),
                     f"{mode}/{benchmark}")
 
 
 class TestHeterogeneousEquivalence:
-    """big.LITTLE machine presets, batched and unbatched.
+    """big.LITTLE machine presets, traced and untraced.
 
     Heterogeneous machines stress what homogeneous runs cannot: per-core
-    pipeline widths and ROB capacities (the batched dispatch and commit
-    must honour each core's own width), per-core protection modes (an
+    pipeline widths and ROB capacities, per-core protection modes (an
     unprotected LITTLE core beside an STT big core), and the hetero
-    memory system's ``commit_fetch`` override, which disables the
-    engine's no-op-elision fast path.
+    memory system's ``commit_fetch`` override, which makes the engine
+    call the hook for every committed op.
     """
 
     PRESETS = ["biglittle-muontrap", "biglittle-asym"]
@@ -129,23 +127,23 @@ class TestHeterogeneousEquivalence:
         config = get_machine(preset)
         profile = get_profile("mix-pointer-stream")
         _assert_two_way(
-            lambda engine: _simulate(config, profile, seed, engine),
+            lambda tracer: _simulate(config, profile, seed, tracer),
             f"{preset}/seed={seed}")
 
 
 def _run_corun(mode: str, mix: str, seed: int,
-               engine: str) -> SimulationResult:
+               tracer: str) -> SimulationResult:
     profile = get_profile(mix)
     config = corun_system_config(mode=mode, num_cores=profile.num_threads)
-    return _simulate(config, profile, seed, engine)
+    return _simulate(config, profile, seed, tracer)
 
 
 class TestCoRunPackedEquivalence:
-    """Multi-programmed co-run mixes, batched and unbatched, bit-identical.
+    """Multi-programmed co-run mixes, traced and untraced, bit-identical.
 
     This covers the whole co-run machinery — per-core private L1/L2
     hierarchies, the snoop-filtered coherence bus, the shared LLC, distinct
-    address spaces per constituent — with and without batching.
+    address spaces per constituent — with and without a tracer.
     """
 
     #: Two mixes chosen to cover 2-core and 4-core systems.
@@ -153,20 +151,20 @@ class TestCoRunPackedEquivalence:
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("mode", SCHEMES)
-    def test_corun_bit_identical_across_engines(self, mode, seed):
+    def test_corun_bit_identical_traced_and_untraced(self, mode, seed):
         for mix in self.MIXES:
-            unbatched = _run_corun(mode, mix, seed, "unbatched")
-            candidate = _run_corun(mode, mix, seed, "batched")
-            _assert_identical(candidate, unbatched, f"{mode}/{mix}/{seed}")
-            assert candidate.core_benchmarks == unbatched.core_benchmarks
+            traced = _run_corun(mode, mix, seed, "traced")
+            candidate = _run_corun(mode, mix, seed, "untraced")
+            _assert_identical(candidate, traced, f"{mode}/{mix}/{seed}")
+            assert candidate.core_benchmarks == traced.core_benchmarks
             assert candidate.is_corun
 
     def test_corun_deterministic_across_runs(self):
         """The same spec twice gives byte-identical results."""
         first = _run_corun("muontrap", "mix-pointer-stream",
-                           SEEDS[0], "batched")
+                           SEEDS[0], "untraced")
         second = _run_corun("muontrap", "mix-pointer-stream",
-                            SEEDS[0], "batched")
+                            SEEDS[0], "untraced")
         _assert_identical(first, second, "determinism")
 
     @pytest.mark.slow
@@ -175,5 +173,5 @@ class TestCoRunPackedEquivalence:
         for mix in resolve_suites(["mixes"]):
             for mode in SCHEMES:
                 _assert_two_way(
-                    lambda engine: _run_corun(mode, mix, SEEDS[0], engine),
+                    lambda tracer: _run_corun(mode, mix, SEEDS[0], tracer),
                     f"{mode}/{mix}")

@@ -92,3 +92,27 @@ class TestRateLimiter:
         limiter = RateLimiter.from_env()
         assert limiter.rate == 3.5
         assert limiter.burst == 7
+
+    @pytest.mark.parametrize("rate, burst, match", [
+        (0, None, "rate must be positive"),
+        (float("nan"), None, "rate must be positive"),
+        (5.0, 0.5, "burst must admit at least one request, got 0.5"),
+        (5.0, float("nan"), "burst must admit at least one request"),
+    ], ids=["zero-rate", "nan-rate", "fractional-burst", "nan-burst"])
+    def test_constructor_rejects_a_bad_rate_or_burst(self, rate, burst,
+                                                     match):
+        """The limiter checks its buckets' rate and burst when it is
+        built, before any identity has a bucket."""
+        with pytest.raises(ValueError, match=match):
+            RateLimiter(rate=rate, burst=burst, clock=FakeClock())
+
+    @pytest.mark.parametrize("variable, value", [
+        (RATE_BURST_ENV, "0.5"), (RATE_BURST_ENV, "nan"),
+        (RATE_LIMIT_ENV, "nan")])
+    def test_from_env_names_the_bad_variable(self, monkeypatch, variable,
+                                             value):
+        monkeypatch.setenv(RATE_LIMIT_ENV, "5")
+        monkeypatch.setenv(RATE_BURST_ENV, "2")
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError, match=variable):
+            RateLimiter.from_env()

@@ -38,7 +38,7 @@ from repro.common.params import SystemConfig, corun_system_config
 from repro.sim.simulator import Simulator
 from repro.sim.system import build_system
 from repro.telemetry.tracer import active_tracer
-from repro.workloads.generator import cached_workload, generate_workload
+from repro.workloads.generator import generate_workload
 from repro.workloads.profiles import get_profile
 
 PINS = Path(__file__).with_name("disabled_call_counts.json")
@@ -68,13 +68,12 @@ def repro_calls(workload_name: str, machine: SystemConfig) -> int:
     """Calls into ``repro`` functions, and from them into string-compiled
     code, made by one untraced run.
 
-    The trace cache is emptied first, so the trace is fresh and
-    unplanned: a cached one may already carry the plan that run() builds,
-    and the count would depend on which tests ran first.
+    The trace is generated, or taken from the trace cache, before the
+    profiler starts, and running a trace builds nothing on it, so the
+    count does not depend on which tests ran first.
     """
     profile = get_profile(workload_name)
     config = machine.with_cores(max(machine.num_cores, profile.num_threads))
-    cached_workload.cache_clear()
     workload = generate_workload(profile, INSTRUCTIONS, seed=SEED)
     simulator = Simulator(build_system(config, seed=SEED))
     profiler = cProfile.Profile()

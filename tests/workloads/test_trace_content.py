@@ -1,6 +1,6 @@
 """Pins the exact content of generated traces.
 
-The golden stats cover only a few short traces, and batched and unbatched
+The golden stats cover only a few short traces, and traced and untraced
 runs read the same columns, so neither would notice an encoding slip in
 the generator.  These digests hash every field of every op of a spread of
 workloads (pointer-chasing, streaming, compute-bound, four-threaded Parsec,
