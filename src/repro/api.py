@@ -533,6 +533,24 @@ def sweep(parameter: str, values: Sequence[Any],
     ``"core.width"``); each value becomes one series labelled
     ``str(value)``, normalised against ``baseline`` like any comparison.
     """
+    campaign = _build_sweep(
+        parameter, values, suite, machine=machine, scheme=scheme,
+        baseline=baseline, instructions=instructions, seed=seed,
+        replicates=replicates, warmup_fraction=warmup_fraction, store=store,
+        jobs=jobs)
+    comparison = ComparisonOutcome(campaign=campaign,
+                                   result=campaign.run(progress=progress))
+    return SweepOutcome(parameter=parameter, values=list(values),
+                        comparison=comparison)
+
+
+def _build_sweep(parameter: str, values: Sequence[Any],
+                 suite: Union[str, Sequence[str]] = "spec_int", *,
+                 machine: Optional[MachineLike] = None,
+                 scheme: Optional[str] = None,
+                 **options: Any) -> Campaign:
+    """The :class:`Campaign` behind :func:`sweep`, not yet executed;
+    ``options`` are :func:`build_comparison`'s."""
     base = resolve_machine(machine)
     if scheme is not None:
         base = base.with_mode(scheme)
@@ -543,13 +561,7 @@ def sweep(parameter: str, values: Sequence[Any],
     # The baseline must be the *swept* base machine under the baseline
     # scheme, not the Table 1 default — otherwise normalised times would
     # compare across different machines.
-    comparison = compare(series, suite, machine=base, baseline=baseline,
-                         instructions=instructions, seed=seed,
-                         replicates=replicates,
-                         warmup_fraction=warmup_fraction, store=store,
-                         jobs=jobs, progress=progress)
-    return SweepOutcome(parameter=parameter, values=list(values),
-                        comparison=comparison)
+    return build_comparison(series, suite, machine=base, **options)
 
 
 __all__ = [

@@ -64,19 +64,16 @@ class InvisiSpecMemorySystem(SchemeFrontend):
         # hit is cheap while a miss pays the full downstream latency without
         # filling anything.
         l1 = self.hierarchy.l1d(core_id)
-        l1_line = l1.lookup(line, now)
+        latency, l1_line = l1.access(line, now)
         if l1_line is not None:
-            l1.record_hit()
-            latency = l1.config.hit_latency
             fill_level = "l1"
         else:
-            l1.record_miss()
-            latency, fill_level, _ = self.hierarchy.controller.read(
+            below, fill_level, _ = self.hierarchy.controller.read(
                 core_id, line, now + tlb_latency, speculative=True,
                 protect_coherence=False, fill_l2=False)
             # The speculative access still occupies a miss-tracking slot.
-            l1.mshrs.allocate(line, now, latency)
-            latency += l1.config.hit_latency
+            l1.mshrs.allocate(line, now, below)
+            latency += below
             if fill_level in ("l2", "memory"):
                 # InvisiSpec does not protect the prefetcher: speculative
                 # loads train it exactly as in the unprotected system.

@@ -1,9 +1,12 @@
 """A set-associative cache with MESI state and MSHRs.
 
-This is the building block for the non-speculative L1 instruction, L1 data
-and shared L2 caches.  It deliberately models only metadata (tags, state,
-replacement, timing); data values never matter for the side channels the
-paper studies, only the presence, state and timing of lines.
+This is the building block for the non-speculative L1 instruction, L1 data,
+private L2 and shared L2 caches.  It deliberately models only metadata
+(tags, state, replacement, timing); data values never matter for the side
+channels the paper studies, only the presence, state and timing of lines.
+
+Every level's hit rule is :meth:`SetAssociativeCache.access`, and its MSHR
+merge is :meth:`SetAssociativeCache.merge`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from repro.caches.cache_line import CacheLine
 from repro.caches.mshr import MSHRFile
 from repro.caches.replacement import (ReplacementPolicy,
                                      make_replacement_policy)
-from repro.coherence.states import CoherenceState, I, M, S
+from repro.coherence.states import CoherenceState, E, I, M, S
 from repro.common.params import CacheConfig
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
@@ -51,6 +54,7 @@ class SetAssociativeCache:
         self._lines: Dict[int, CacheLine] = {}
         self._sets: List[Optional[List[Optional[CacheLine]]]] = \
             [None] * self.num_sets
+        self._hit_latency = config.hit_latency
         self.mshrs = MSHRFile(config.mshrs)
         stats = stats or StatGroup(config.name)
         self.stats = stats
@@ -69,27 +73,56 @@ class SetAssociativeCache:
     def set_index_of(self, address: int) -> int:
         return (address >> self._line_shift) % self.num_sets
 
-    # -- lookup / fill / invalidate -----------------------------------------
-    def lookup(self, address: int, now: int = 0,
-               update_replacement: bool = True) -> Optional[CacheLine]:
-        """Return the line holding ``address``, or None on a miss."""
+    # -- access (the level's one hit rule), merge and probe -----------------
+    def access(self, address: int, now: int, write: bool = False,
+               commit: bool = False) -> Tuple[int, Optional[CacheLine]]:
+        """Access this level; returns ``(latency, line)``, None on a miss.
+
+        A resident line is re-stamped in the replacement state.  A
+        ``write`` hits only an M or E line, and leaves it M and dirty.  The
+        hit or miss is counted, and a hit on a prefetched line still in
+        flight pays the remaining wait, once.  A ``commit`` access counts
+        nothing and pays no wait.  A miss's latency is the hit latency: the
+        lookup's own cost, which the caller charges or not.
+        """
         line = self._lines.get(address & self._offset_mask)
-        if line is not None and update_replacement:
+        if line is not None:
             line.last_use = now
             if self._on_access is not None:
                 self._on_access((address >> self._line_shift) % self.num_sets,
                                 line.way, now)
-        return line
+            if write:
+                if line.state is M or line.state is E:
+                    line.state = M
+                    line.dirty = True
+                else:
+                    line = None
+        if commit:
+            return self._hit_latency, line
+        if line is None:
+            self._misses.value += 1
+            return self._hit_latency, None
+        self._hits.value += 1
+        if line.prefetched and line.ready_at > now:
+            # The prefetch that installed this line has not completed yet.
+            line.prefetched = False
+            return self._hit_latency + (line.ready_at - now), line
+        return self._hit_latency, line
+
+    def merge(self, line_address: int, now: int) -> Optional[int]:
+        """Latency of joining the line's in-flight miss; None if it has none.
+
+        The MSHR lookup retires finished entries, so a store, which never
+        merges, still makes it.
+        """
+        ready_time = self.mshrs.lookup(line_address, now)
+        if ready_time is None:
+            return None
+        return self._hit_latency + max(1, ready_time - now)
 
     def probe(self, address: int) -> Optional[CacheLine]:
         """Lookup without disturbing replacement state (used by snoops)."""
         return self._lines.get(address & self._offset_mask)
-
-    def record_hit(self) -> None:
-        self._hits.value += 1
-
-    def record_miss(self) -> None:
-        self._misses.value += 1
 
     # -- observability -------------------------------------------------------
     def attach_tracer(self, tracer, unit: str,
@@ -99,23 +132,22 @@ class SetAssociativeCache:
         The wrappers are *instance* attributes shadowing the class methods,
         so the class — and every untraced instance — keeps executing the
         plain methods with no guard at all (the zero-cost-when-disabled
-        contract of :mod:`repro.telemetry`).  Hit/miss events are stamped
-        with the tracer's cycle cursor; fills and evictions carry the
-        fill's own timestamp.
+        contract of :mod:`repro.telemetry`).  An :meth:`access` emits a hit
+        or miss event, stamped with the tracer's cycle cursor, unless it is
+        a ``commit`` access, which counts nothing; fills and evictions
+        carry the fill's own timestamp.
         """
         emit = tracer.emit
-        inner_hit = self.record_hit
-        inner_miss = self.record_miss
+        inner_access = self.access
         inner_fill = self.fill
         inner_invalidate = self.invalidate
 
-        def record_hit() -> None:
-            inner_hit()
-            emit("cache", "hit", core=core, unit=unit)
-
-        def record_miss() -> None:
-            inner_miss()
-            emit("cache", "miss", core=core, unit=unit)
+        def access(address, now, write=False, commit=False):
+            latency, line = inner_access(address, now, write, commit)
+            if not commit:
+                emit("cache", "miss" if line is None else "hit", core=core,
+                     unit=unit)
+            return latency, line
 
         def fill(address, state, now=0, *args, **kwargs):
             line, victim = inner_fill(address, state, now, *args, **kwargs)
@@ -133,8 +165,7 @@ class SetAssociativeCache:
                      address=self.line_address(address), unit=unit)
             return present
 
-        self.record_hit = record_hit
-        self.record_miss = record_miss
+        self.access = access
         self.fill = fill
         self.invalidate = invalidate
 
@@ -213,17 +244,6 @@ class SetAssociativeCache:
         else:
             line.state = to_state
         return old_state
-
-    def upgrade(self, address: int, to_state: CoherenceState,
-                now: int = 0) -> bool:
-        """Promote a present line (e.g. S -> M on a committed store)."""
-        line = self.lookup(address, now)
-        if line is None:
-            return False
-        line.state = to_state
-        if to_state is M:
-            line.dirty = True
-        return True
 
     def flush_all(self) -> int:
         """Invalidate every line; returns the number of lines dropped."""

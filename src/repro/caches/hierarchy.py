@@ -20,6 +20,12 @@ upgrades with filter-cache broadcasts, and commit-time prefetcher training,
 which calls the L2 prefetcher directly (no queue sits between commit and
 the prefetcher).
 
+No path here restates a cache's hit rule: each L1 and private-L2 lookup
+is one :meth:`~repro.caches.base_cache.SetAssociativeCache.access`, and
+an L1 miss's merge with an in-flight miss is
+:meth:`~repro.caches.base_cache.SetAssociativeCache.merge`.  The shared
+L2's accesses and fills are the coherence controller's.
+
 The request paths return plain tuples, so an access builds no result
 object:
 
@@ -45,7 +51,7 @@ from repro.caches.base_cache import SetAssociativeCache
 from repro.coherence.bus import CoherenceBus
 from repro.coherence.protocol import CoherenceController
 from repro.coherence.snoop_filter import SnoopFilter
-from repro.coherence.states import CoherenceState, E, I, M, S
+from repro.coherence.states import CoherenceState, E, M, S
 from repro.common.params import SystemConfig
 from repro.common.rng import DeterministicRng
 from repro.common.statistics import StatGroup
@@ -166,7 +172,8 @@ class NonSpeculativeHierarchy:
     # Each fill runs its victim's write-back inside ``fill``, before the new
     # line is installed (so a traced run records the write-back first).  The
     # write-back closures are built here, so the access paths below carry
-    # no closure cells of their own.
+    # no closure cells of their own.  The shared L2's fill is the coherence
+    # controller's ``fill_l2``.
     def _fill_l1(self, core_id: int, l1: SetAssociativeCache,
                  line_address: int, state: CoherenceState, now: int,
                  dirty: bool = False, prefetched: bool = False,
@@ -181,22 +188,15 @@ class NonSpeculativeHierarchy:
                   dirty: bool = False) -> None:
         """Fill a private L2; a dirty victim lands in the shared L2."""
         l2p.fill(line_address, state, now, dirty,
-                 writeback_handler=lambda victim: self._fill_l2(
+                 writeback_handler=lambda victim: self.controller.fill_l2(
                      victim.address, M, now, dirty=True))
-
-    def _fill_l2(self, line_address: int, state: CoherenceState, now: int,
-                 dirty: bool = False, prefetched: bool = False,
-                 ready_at: int = 0) -> None:
-        """Fill the shared L2; a dirty victim is written back to memory."""
-        self.l2.fill(line_address, state, now, dirty, prefetched, ready_at,
-                     lambda victim: self.memory.write(victim.address, now))
 
     def _writeback_from_l1(self, core_id: int, line_address: int,
                            now: int) -> None:
         """A dirty L1 victim lands in the private L2 (or the shared LLC)."""
         l2p = self._l2p.get(core_id)
         if l2p is None:
-            self._fill_l2(line_address, M, now, dirty=True)
+            self.controller.fill_l2(line_address, M, now, dirty=True)
             return
         self._fill_l2p(l2p, line_address, M, now, dirty=True)
         self.bus.note_fill(core_id, line_address)
@@ -216,8 +216,8 @@ class NonSpeculativeHierarchy:
             return
         fill_latency = self.config.memory.access_latency
         l2.mshrs.allocate(line_address, now, fill_latency)
-        self._fill_l2(line_address, E, now, prefetched=True,
-                      ready_at=now + fill_latency)
+        self.controller.fill_l2(line_address, E, now, prefetched=True,
+                                ready_at=now + fill_latency)
 
     def train_l2_prefetcher(self, address: int, now: int) -> None:
         """Train the L2 prefetcher from the (out-of-order) access stream.
@@ -290,43 +290,28 @@ class NonSpeculativeHierarchy:
         """
         l1 = self._l1i[core_id] if instruction else self._l1d[core_id]
         line_address = address & self._line_mask
-        line = l1.lookup(line_address, now)
-        if line is not None and (not is_store or line.state is M
-                                 or line.state is E):
-            l1.record_hit()
-            latency = l1.config.hit_latency
-            if line.prefetched and line.ready_at > now:
-                latency += line.ready_at - now
-                line.prefetched = False
-            if is_store:
-                line.state = M
-                line.dirty = True
+        latency, line = l1.access(line_address, now, write=is_store)
+        if line is not None:
             return latency, "l1"
-        l1.record_miss()
-        ready_time = l1.mshrs.lookup(line_address, now)
-        if ready_time is not None and not is_store:
-            # Merge with an in-flight miss to the same line.
-            return l1.config.hit_latency + max(1, ready_time - now), "mshr"
+        # A store never merges, but its lookup still retires finished
+        # entries, so it is made in every case.
+        merged = l1.merge(line_address, now)
+        if merged is not None and not is_store:
+            return merged, "mshr"
         l2p = self._l2p.get(core_id)
         if l2p is not None:
-            pline = l2p.lookup(line_address, now)
-            if pline is not None and (not is_store or pline.state is M
-                                      or pline.state is E):
+            l2p_latency, pline = l2p.access(line_address, now, write=is_store)
+            if pline is not None:
                 # Served entirely within the core's private hierarchy: no
                 # bus transaction, the L1 refills from the private L2.
-                l2p.record_hit()
-                latency = l1.config.hit_latency + l2p.config.hit_latency
-                if is_store:
-                    pline.state = M
-                    pline.dirty = True
+                latency += l2p_latency
                 if fill_l1:
                     self._fill_l1(core_id, l1, line_address, pline.state,
                                   now + latency, dirty=is_store)
                 return latency, "l2p"
-            l2p.record_miss()
         if is_store:
             # A store that found its line privately held returned above.
-            latency, hit_level, _ = self.controller.write(
+            below, hit_level, _ = self.controller.write(
                 core_id, line_address, now,
                 # The upgrade transaction is snooped by every protected
                 # filter cache on the fabric, whatever the writer's own
@@ -335,21 +320,21 @@ class NonSpeculativeHierarchy:
                     core_id))
             state = M
         else:
-            latency, hit_level, exclusive = self.controller.read(
+            below, hit_level, exclusive = self.controller.read(
                 core_id, line_address, now, speculative=speculative,
                 protect_coherence=protect_coherence)
             if hit_level == "nack":
-                return latency, "nack"
+                return below, "nack"
             state = E if exclusive else S
             # Loads allocate an MSHR so occupancy statistics and merge
             # behaviour are tracked; stores allocate none.  The latency
             # charged is the downstream latency itself: the out-of-order
             # core model accounts for overlap, so an additional structural
             # stall here would double-count contention.
-            l1.mshrs.allocate(line_address, now, latency)
-        total_latency = l1.config.hit_latency + latency
+            l1.mshrs.allocate(line_address, now, below)
+        latency += below
         if fill_l1:
-            filled_at = now + total_latency
+            filled_at = now + latency
             self._fill_l1(core_id, l1, line_address, state, filled_at,
                           dirty=is_store)
             if l2p is not None:
@@ -360,7 +345,7 @@ class NonSpeculativeHierarchy:
         if train_prefetcher and not instruction and hit_level in (
                 "l2", "memory"):
             self.train_l2_prefetcher(line_address, now)
-        return total_latency, hit_level
+        return latency, hit_level
 
     # -- MuonTrap filter-cache path ---------------------------------------------
     def read_for_filter(self, core_id: int, address: int, now: int, *,
@@ -381,41 +366,32 @@ class NonSpeculativeHierarchy:
         """
         l1 = self._l1i[core_id] if instruction else self._l1d[core_id]
         line_address = address & self._line_mask
-        line = l1.lookup(line_address, now)
+        latency, line = l1.access(line_address, now)
         if line is not None:
-            l1.record_hit()
-            latency = l1.config.hit_latency
-            if line.prefetched and line.ready_at > now:
-                latency += line.ready_at - now
-                line.prefetched = False
             return latency, "l1", line.state is M or line.state is E
-        l1.record_miss()
-        ready_time = l1.mshrs.lookup(line_address, now)
-        if ready_time is not None:
-            return (l1.config.hit_latency + max(1, ready_time - now), "mshr",
-                    False)
+        merged = l1.merge(line_address, now)
+        if merged is not None:
+            return merged, "mshr", False
         l2p = self._l2p.get(core_id)
         if l2p is not None:
-            pline = l2p.lookup(line_address, now)
+            l2p_latency, pline = l2p.access(line_address, now)
             if pline is not None:
                 # The private L2 is on the filter cache's linear path to
                 # memory, so it may supply the line (section 4.5).
-                l2p.record_hit()
-                return (l1.config.hit_latency + l2p.config.hit_latency,
-                        "l2p", pline.state is M or pline.state is E)
-            l2p.record_miss()
-        latency, hit_level, exclusive = self.controller.read(
+                return (latency + l2p_latency, "l2p",
+                        pline.state is M or pline.state is E)
+        below, hit_level, exclusive = self.controller.read(
             core_id, line_address, now, speculative=speculative,
             protect_coherence=protect_coherence, fill_l2=False)
         if hit_level == "nack":
-            return latency, "nack", False
-        l1.mshrs.allocate(line_address, now, latency)
+            return below, "nack", False
+        l1.mshrs.allocate(line_address, now, below)
         if (train_prefetcher_speculatively and not instruction
                 and hit_level in ("l2", "memory")):
             # Only used when the commit-time prefetch protection is disabled
             # (the "fcache only" ablation points of Figures 8 and 9).
             self.train_l2_prefetcher(line_address, now)
-        return l1.config.hit_latency + latency, hit_level, exclusive
+        return latency + below, hit_level, exclusive
 
     # -- commit-side operations ---------------------------------------------------
     def commit_fill_l1(self, core_id: int, address: int, now: int, *,
@@ -444,7 +420,8 @@ class NonSpeculativeHierarchy:
                 if snoop.dirty_owner is not None:
                     self.bus.downgrade_core(snoop.dirty_owner, line_address,
                                             S)
-                    self._fill_l2(line_address, S, now, dirty=True)
+                    self.controller.fill_l2(line_address, S, now,
+                                            dirty=True)
                 elif snoop.exclusive_owner is not None:
                     self.bus.downgrade_core(snoop.exclusive_owner,
                                             line_address, S)
@@ -493,32 +470,28 @@ class NonSpeculativeHierarchy:
                                     core_id))
         l1 = self._l1d[core_id]
         line_address = address & self._line_mask
-        line = l1.lookup(line_address, now)
-        if line is not None and (line.state is M or line.state is E):
-            line.state = M
-            line.dirty = True
-            return l1.config.hit_latency, "l1", False
+        latency, line = l1.access(line_address, now, write=True, commit=True)
+        if line is not None:
+            return latency, "l1", False
         l2p = self._l2p.get(core_id)
         if l2p is not None:
-            pline = l2p.lookup(line_address, now)
-            if pline is not None and (pline.state is M or pline.state is E):
+            l2p_latency, pline = l2p.access(line_address, now, write=True,
+                                            commit=True)
+            if pline is not None:
                 # Ownership already held within the private hierarchy.
-                pline.state = M
-                pline.dirty = True
                 self._fill_l1(core_id, l1, line_address, M, now, dirty=True)
-                return (l1.config.hit_latency + l2p.config.hit_latency,
-                        "l2p", False)
-        latency, hit_level, triggered = self.controller.write(
+                return latency + l2p_latency, "l2p", False
+        below, hit_level, triggered = self.controller.write(
             core_id, line_address, now,
             broadcast_to_filters=broadcast_to_filters)
         if triggered:
             self._store_filter_broadcasts.value += 1
-        filled_at = now + latency
+        filled_at = now + below
         self._fill_l1(core_id, l1, line_address, M, filled_at, dirty=True)
         if l2p is not None:
             self._fill_l2p(l2p, line_address, M, filled_at, dirty=True)
         self.bus.note_fill(core_id, line_address)
-        return l1.config.hit_latency + latency, hit_level, triggered
+        return latency + below, hit_level, triggered
 
     # -- statistics convenience -----------------------------------------------
     @property

@@ -2,10 +2,13 @@
 
 Each cache has a small MSHR file (4 for the L1s and filter caches, 16 for
 the L2 in Table 1).  Outstanding misses to the same line merge into one
-entry; when the file is full, further misses stall and the access model
-charges a structural-hazard penalty.  Entries are retired lazily based on
-the cycle at which their fill completes, so the model needs no central event
-queue.
+entry.  A miss that finds the file full is stored at a delayed ready time,
+when the earliest entry retires.  The miss itself is not charged the delay
+(its caller discards what :meth:`MSHRFile.allocate` returns); only a later
+merge into its entry pays it, through
+:meth:`~repro.caches.base_cache.SetAssociativeCache.merge`.  Entries are
+retired lazily based on the cycle at which their fill completes, so the
+model needs no central event queue.
 
 An entry is nothing but its line's *ready time*, the cycle its fill
 completes: the file maps each outstanding line address to that int, and
@@ -61,8 +64,8 @@ class MSHRFile:
 
         Returns the entry's ready time, the cycle the fill completes; a
         merge returns the outstanding entry's.  If the file is full the
-        issue is delayed until the earliest entry retires, modelling the
-        structural stall.
+        issue is delayed until the earliest entry retires, and the entry's
+        ready time carries that delay.
         """
         if now >= self._min_ready:
             self._expire(now)
@@ -89,7 +92,3 @@ class MSHRFile:
         if now >= self._min_ready:
             self._expire(now)
         return len(self._entries)
-
-    @property
-    def capacity(self) -> int:
-        return self.num_entries

@@ -104,37 +104,23 @@ class CoherenceController:
         self._nacked_reads = stats.counter("nacked_speculative_reads")
         self._dirty_transfers = stats.counter("dirty_transfers")
 
-    # -- internals -----------------------------------------------------------
-    def _fill_l2(self, line_address: int, state: CoherenceState, now: int,
-                 dirty: bool = False) -> None:
-        """Fill the L2; a dirty victim is written back to memory at ``now``.
+    # -- the shared L2's fill ------------------------------------------------
+    def fill_l2(self, line_address: int, state: CoherenceState, now: int,
+                dirty: bool = False, prefetched: bool = False,
+                ready_at: int = 0) -> None:
+        """Fill the shared L2; a dirty victim is written back to memory.
 
-        The write-back closure is built here, so the request paths carry no
+        The hierarchy's fills of the shared L2 come here too.  The
+        write-back closure is built here, so the request paths carry no
         closure cells of their own.
         """
-        self.l2.fill(line_address, state, now, dirty,
-                     writeback_handler=lambda victim: self.memory.write(
-                         victim.address, now))
+        self.l2.fill(line_address, state, now, dirty, prefetched, ready_at,
+                     lambda victim: self.memory.write(victim.address, now))
 
     def _fetch_into_l2(self, line_address: int, now: int) -> int:
         """Bring a line into the L2 from memory; returns added latency."""
         latency = self.memory.read(line_address, now)
-        self._fill_l2(line_address, E, now + latency)
-        return latency
-
-    def _l2_lookup_latency(self, line_address: int, now: int) -> Optional[int]:
-        """L2 access latency if the line is resident (None on L2 miss)."""
-        line = self.l2.lookup(line_address, now)
-        if line is None:
-            self.l2.record_miss()
-            return None
-        self.l2.record_hit()
-        latency = self.l2.config.hit_latency
-        if line.prefetched and line.ready_at > now:
-            # The prefetch that installed this line has not completed yet:
-            # the demand access pays the remaining fill time.
-            latency += line.ready_at - now
-            line.prefetched = False
+        self.fill_l2(line_address, E, now + latency)
         return latency
 
     # -- read path -----------------------------------------------------------
@@ -177,7 +163,7 @@ class CoherenceController:
                 next_state(M if was_dirty else E, MesiEvent.REMOTE_READ))
             if was_dirty:
                 # Writeback to the shared L2 so the requester reads clean data.
-                self._fill_l2(line_address, S, now + latency, dirty=True)
+                self.fill_l2(line_address, S, now + latency, dirty=True)
                 self._dirty_transfers.value += 1
                 latency += self.bus.dirty_transfer_latency
             else:
@@ -187,8 +173,8 @@ class CoherenceController:
             return latency, "peer", False
 
         # No private owner elsewhere: the L2 (or memory) supplies the line.
-        l2_latency = self._l2_lookup_latency(line_address, now + latency)
-        if l2_latency is None:
+        l2_latency, line = self.l2.access(line_address, now + latency)
+        if line is None:
             if fill_l2:
                 latency += self._fetch_into_l2(line_address, now + latency)
             else:
@@ -226,8 +212,8 @@ class CoherenceController:
             self._dirty_transfers.value += 1
         self.bus.invalidate_others(requester, line_address)
 
-        l2_latency = self._l2_lookup_latency(line_address, now + latency)
-        if l2_latency is None:
+        l2_latency, line = self.l2.access(line_address, now + latency)
+        if line is None:
             latency += self._fetch_into_l2(line_address, now + latency)
             hit_level = "memory"
         else:

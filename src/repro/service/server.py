@@ -40,7 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
-from repro.harness.campaign import DEFAULT_SEED
+from repro.harness.campaign import DEFAULT_SEED, Campaign
 from repro.harness.store import StoreBackend
 from repro.harness.suites import UnknownSuiteError
 from repro.service.auth import ApiKeyAuth
@@ -69,11 +69,6 @@ _COMPARE_PARAMS = frozenset(
 _SWEEP_PARAMS = frozenset(
     {"parameter", "values", "suite", "machine", "scheme", "baseline",
      "instructions", "seed", "replicates"})
-
-#: A sentinel distinguishing "caller did not pass baseline" (use the
-#: facade default) from an explicit ``"baseline": null`` (normalise
-#: against the first series).
-_UNSET = object()
 
 
 class RequestError(Exception):
@@ -164,32 +159,39 @@ class ReproServer:
         return drained
 
     # -- job execution --------------------------------------------------------
+    def _build_campaign(self, kind: str,
+                        params: Dict[str, Any]) -> Campaign:
+        """The campaign of a compare or sweep request.
+
+        :meth:`_submit` builds it once to answer a request that can only
+        fail with a 400, and the job builds it again to run it.  Each
+        parameter the request names is passed on, and an absent one keeps
+        the facade's default; ``"baseline": null`` normalises against the
+        first series.
+        """
+        from repro import api
+        options = {name: value for name, value in params.items()
+                   if name not in ("schemes", "parameter", "values")}
+        if kind == "compare":
+            return api.build_comparison(
+                params["schemes"], store=self.config.store,
+                jobs=self.config.jobs, **options)
+        return api._build_sweep(params["parameter"], params["values"],
+                                store=self.config.store,
+                                jobs=self.config.jobs, **options)
+
     def _run_job(self, job: Job) -> Dict[str, Any]:
         from repro import api
-        params = dict(job.params)
-        baseline = params.pop("baseline", _UNSET)
-        common = dict(
-            suite=params.pop("suite", "spec_int"),
-            machine=params.pop("machine", None),
-            instructions=params.pop("instructions", None),
-            seed=params.pop("seed", DEFAULT_SEED),
-            replicates=params.pop("replicates", 1),
-            store=self.config.store,
-            jobs=self.config.jobs,
-            progress=job.update_progress,
-        )
-        if baseline is not _UNSET:
-            common["baseline"] = baseline
+        campaign = self._build_campaign(job.kind, job.params)
+        comparison = api.ComparisonOutcome(
+            campaign=campaign,
+            result=campaign.run(progress=job.update_progress))
+        job.failed_cells = len(comparison.result.failures)
         if job.kind == "compare":
-            outcome = api.compare(params["schemes"], **common)
-            job.failed_cells = len(outcome.result.failures)
-            return comparison_payload(outcome)
-        if job.kind == "sweep":
-            outcome = api.sweep(params["parameter"], params["values"],
-                                scheme=params.get("scheme"), **common)
-            job.failed_cells = len(outcome.comparison.result.failures)
-            return sweep_payload(outcome)
-        raise ValueError(f"unknown job kind {job.kind!r}")
+            return comparison_payload(comparison)
+        return sweep_payload(api.SweepOutcome(
+            parameter=job.params["parameter"],
+            values=list(job.params["values"]), comparison=comparison))
 
     # -- request handling (called from handler threads) -----------------------
     def handle(self, method: str, path: str, body: Optional[Dict[str, Any]],
@@ -285,6 +287,10 @@ class ReproServer:
         else:
             _check_params(kind, params, _SWEEP_PARAMS,
                           required=("parameter", "values"))
+        try:
+            self._build_campaign(kind, params)
+        except (ValueError, TypeError, KeyError, UnknownSuiteError) as exc:
+            raise RequestError(400, str(exc)) from exc
         try:
             job, created = self.queue.submit(kind, params)
         except RuntimeError as exc:  # draining

@@ -93,9 +93,10 @@ class Tracer:
     (e.g. ``{"pipeline", "coherence"}``); the default records everything.
 
     :attr:`now` is the tracer's cycle cursor: the pipeline hook points keep
-    it at the cycle currently being simulated, so memory-side wrappers
-    whose underlying method takes no timestamp (``record_hit``/``miss``)
-    still stamp their events with the right simulated cycle.
+    it at the cycle currently being simulated.  An event emitted without a
+    cycle of its own is stamped with it: a cache's wrapped ``access``
+    stamps its hit or miss event with the cursor, not with the cycle the
+    access is timed at.
     """
 
     def __init__(self, categories: Optional[Any] = None) -> None:

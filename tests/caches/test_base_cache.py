@@ -15,6 +15,7 @@ from repro.caches.replacement import (
 from repro.coherence.states import E, I, M, S
 from repro.common.params import REPLACEMENT_POLICIES, CacheConfig
 from repro.common.rng import DeterministicRng
+from repro.telemetry import Tracer
 
 
 def small_cache(size=1024, assoc=2, line=64, name="l1"):
@@ -26,11 +27,12 @@ def small_cache(size=1024, assoc=2, line=64, name="l1"):
 class TestLookupAndFill:
     def test_miss_then_hit(self):
         cache = small_cache()
-        assert cache.lookup(0x1000) is None
+        assert cache.access(0x1000, now=0) == (2, None)
         cache.fill(0x1000, S, now=1)
-        line = cache.lookup(0x1040 - 0x40)
-        assert line is not None and line.state is S
+        latency, line = cache.access(0x1040 - 0x40, now=2)
+        assert latency == 2 and line is not None and line.state is S
         assert cache.contains(0x1010)  # same line, different offset
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_fill_existing_upgrades_state(self):
         cache = small_cache()
@@ -45,7 +47,7 @@ class TestLookupAndFill:
         a, b, c = 0x0, set_stride, 2 * set_stride  # all map to set 0
         cache.fill(a, S, now=1)
         cache.fill(b, M, now=2, dirty=True)
-        cache.lookup(a, now=3)          # make b the LRU
+        cache.access(a, now=3)          # make b the LRU
         _, victim = cache.fill(c, S, now=4)
         # The victim is the evicted line itself, with its address and
         # dirty bit intact.
@@ -81,13 +83,11 @@ class TestLookupAndFill:
         assert cache.flush_all() == 1
         assert cache.occupancy() == 0
 
-    def test_downgrade_and_upgrade(self):
+    def test_downgrade(self):
         cache = small_cache()
         cache.fill(0x1000, M, now=1, dirty=True)
         assert cache.downgrade(0x1000, S) is M
         assert cache.state_of(0x1000) is S
-        assert cache.upgrade(0x1000, M)
-        assert cache.state_of(0x1000) is M
         assert cache.downgrade(0x5000) is None
 
     def test_probe_does_not_update_lru(self):
@@ -97,6 +97,78 @@ class TestLookupAndFill:
         cache.probe(0x0)                 # must NOT refresh line 0x0
         _, victim = cache.fill(0x100, S, now=3)
         assert victim.address == 0x0
+
+
+class TestAccessRule:
+    """``access`` is each level's one hit rule, and ``merge`` its MSHR
+    merge."""
+
+    def test_write_to_a_shared_line_is_a_miss_that_still_restamps_it(self):
+        cache = small_cache(size=256, assoc=2, line=64)  # 2 sets, 2 ways
+        set_stride = cache.num_sets * 64
+        a, b, c = 0x0, set_stride, 2 * set_stride  # all map to set 0
+        cache.fill(a, S, now=1)
+        cache.fill(b, S, now=2)
+        assert cache.access(a, now=3, write=True) == (2, None)
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.state_of(a) is S and not cache.probe(a).dirty
+        _, victim = cache.fill(c, S, now=4)
+        assert victim.address == b          # a was re-stamped at 3
+
+    def test_write_hit_on_an_exclusive_line_leaves_it_modified_and_dirty(
+            self):
+        cache = small_cache()
+        cache.fill(0x1000, E, now=1)
+        latency, line = cache.access(0x1000, now=2, write=True)
+        assert latency == 2 and line is cache.probe(0x1000)
+        assert line.state is M and line.dirty
+        assert (cache.hits, cache.misses) == (1, 0)
+
+    def test_commit_access_counts_nothing_adds_no_wait_and_keeps_prefetched(
+            self):
+        cache = small_cache()
+        cache.fill(0x1000, E, now=0, prefetched=True, ready_at=100)
+        latency, line = cache.access(0x1000, now=10, write=True, commit=True)
+        assert latency == 2 and line.state is M and line.dirty
+        assert line.prefetched
+        cache.fill(0x2000, S, now=0)
+        assert cache.access(0x2000, now=10, write=True, commit=True) == (
+            2, None)
+        assert cache.access(0x3000, now=10, commit=True) == (2, None)
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_in_flight_prefetched_hit_pays_the_remaining_wait_once(self):
+        cache = small_cache()
+        cache.fill(0x1000, E, now=0, prefetched=True, ready_at=100)
+        latency, line = cache.access(0x1000, now=40)
+        assert latency == 2 + 60 and not line.prefetched
+        assert cache.access(0x1000, now=50) == (2, line)
+        # A prefetched line that has arrived pays nothing.
+        cache.fill(0x2000, E, now=0, prefetched=True, ready_at=30)
+        latency, arrived = cache.access(0x2000, now=40)
+        assert latency == 2 and arrived.prefetched
+        assert cache.hits == 3
+
+    def test_merge_joins_an_in_flight_miss(self):
+        cache = small_cache()
+        assert cache.merge(0x1000, now=0) is None
+        cache.mshrs.allocate(0x1000, now=0, fill_latency=50)
+        assert cache.merge(0x1000, now=10) == 2 + max(1, 50 - 10)
+        assert cache.merge(0x1000, now=49) == 2 + 1
+        assert cache.merge(0x1000, now=50) is None    # retired at 50
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_traced_access_emits_one_event_per_counted_access(self):
+        cache = small_cache()
+        tracer = Tracer()
+        cache.attach_tracer(tracer, "l1d", core=0)
+        cache.fill(0x1000, E, now=0)
+        cache.access(0x1000, now=1)
+        cache.access(0x2000, now=2)
+        cache.access(0x1000, now=3, write=True, commit=True)
+        assert tracer.counts() == {("cache", "fill"): 1,
+                                   ("cache", "hit"): 1,
+                                   ("cache", "miss"): 1}
 
 
 class TestReplacementPolicies:

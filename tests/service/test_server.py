@@ -181,18 +181,31 @@ class TestValidation:
                              instructions=INSTRUCTIONS)
         assert payload["result"]["cycles"] == plain.cycles
 
-    @pytest.mark.parametrize("param, value", [
-        ("instructions", -5),
-        ("seed", "x"),
-    ])
-    def test_compare_job_with_a_bad_count_or_seed_fails_with_the_message(
-            self, client, param, value):
-        job = client.submit_compare(["muontrap"], suite="mcf",
-                                    **{"instructions": INSTRUCTIONS,
-                                       param: value})
+    @pytest.mark.parametrize("path, params, message", [
+        ("/v1/compare", {"instructions": -5},
+         "instructions must be an integer"),
+        ("/v1/compare", {"seed": "x"}, "seed must be an integer"),
+        ("/v1/compare", {"replicates": 0}, "replicates must be an integer"),
+        ("/v1/compare", {"suite": "no-such-suite"},
+         "unknown suite or benchmark: 'no-such-suite'"),
+        ("/v1/sweep", {"replicates": 0}, "replicates must be an integer"),
+        ("/v1/sweep", {"parameter": "core.nope"},
+         "PipelineConfig has no field 'nope'"),
+    ], ids=["compare-instructions", "compare-seed", "compare-replicates",
+            "compare-suite", "sweep-replicates", "sweep-path"])
+    def test_compare_or_sweep_that_can_only_fail_is_a_400_at_submission(
+            self, client, path, params, message):
+        """The campaign is built when the request arrives, so a request
+        that could only fail gets its message at once, and no job."""
+        body = {"schemes": ["muontrap"]} if path == "/v1/compare" else {
+            "parameter": "core.width", "values": [2, 4]}
+        body.update(suite="mcf", instructions=INSTRUCTIONS)
+        body.update(params)
         with pytest.raises(ServiceError) as excinfo:
-            client.wait(job["id"], timeout=60)
-        assert f"{param} must be an integer" in excinfo.value.message
+            client._post(path, body)
+        assert excinfo.value.status == 400
+        assert message in excinfo.value.message
+        assert client.jobs() == []
 
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
