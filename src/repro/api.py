@@ -233,12 +233,9 @@ class ComparisonOutcome:
                 seed: Optional[int] = None) -> SimulationOutcome:
         """The typed outcome of one cell of the matrix."""
         run = self.result.result(benchmark, label, seed)
-        series = {**self.campaign.configs}
-        if self.campaign.baseline_config is not None:
-            series[self.campaign.baseline_label] = \
-                self.campaign.baseline_config
         return SimulationOutcome(
-            benchmark=benchmark, label=label, machine=series[label],
+            benchmark=benchmark, label=label,
+            machine=self.campaign._series()[label],
             seed=self.result.seeds[0] if seed is None else seed,
             instructions_requested=self.campaign.instructions, result=run)
 

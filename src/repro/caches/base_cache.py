@@ -113,12 +113,13 @@ class SetAssociativeCache:
         """Latency of joining the line's in-flight miss; None if it has none.
 
         The MSHR lookup retires finished entries, so a store, which never
-        merges, still makes it.
+        merges, still makes it, and an entry it returns is ready after
+        ``now``.
         """
         ready_time = self.mshrs.lookup(line_address, now)
         if ready_time is None:
             return None
-        return self._hit_latency + max(1, ready_time - now)
+        return self._hit_latency + ready_time - now
 
     def probe(self, address: int) -> Optional[CacheLine]:
         """Lookup without disturbing replacement state (used by snoops)."""

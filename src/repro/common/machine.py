@@ -33,6 +33,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Type, TypeVar, Union, get_args, get_origin, get_type_hints
 
+from repro.common.jsonable import jsonable
 from repro.common.params import (
     BranchPredictorConfig,
     CacheConfig,
@@ -77,19 +78,10 @@ def config_to_dict(config: Any) -> Dict[str, Any]:
     if not dataclasses.is_dataclass(config) or isinstance(config, type):
         raise TypeError(f"expected a config dataclass instance, "
                         f"got {config!r}")
-    payload = _encode(config)
+    payload = jsonable(config)
     if isinstance(config, _PUBLIC_CLASSES):
         payload = {_VERSION_KEY: MACHINE_SCHEMA_VERSION, **payload}
     return payload
-
-
-def _encode(value: Any) -> Any:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _encode(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, tuple):
-        return [_encode(item) for item in value]
-    return value
 
 
 def config_from_dict(payload: Dict[str, Any], cls: Type[_T]) -> _T:

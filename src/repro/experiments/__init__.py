@@ -2,7 +2,6 @@
 
 from repro.experiments.figures import (
     ALL_FIGURES,
-    FigureResult,
     figure3,
     figure4,
     figure5,
@@ -16,7 +15,6 @@ from repro.experiments.table1 import format_table1, table1_as_dict, table1_rows
 
 __all__ = [
     "ALL_FIGURES",
-    "FigureResult",
     "SecurityMatrix",
     "figure3",
     "figure4",

@@ -1,8 +1,11 @@
 """Reproduction of every performance figure in the paper's evaluation.
 
 Each ``figure*`` function runs the simulations behind the corresponding
-exhibit and returns a :class:`FigureResult`: the per-benchmark series the
-figure plots plus the headline aggregate the text quotes.  The number of
+exhibit and returns a :class:`~repro.harness.report.Report`: the
+figure's description as its title, the per-benchmark ``series`` the figure
+plots in the figure's own benchmark order, and the headline aggregate the
+text quotes as its ``geomeans`` footer (the geometric mean of normalised
+times, or Figure 7's arithmetic mean of rates).  The number of
 instructions per workload (and therefore the runtime) is controlled by the
 ``REPRO_INSTRUCTIONS`` environment variable.
 
@@ -18,12 +21,10 @@ worker pool, ``store`` persists results across invocations and a shared
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro import api
 from repro.common.params import SystemConfig
-from repro.common.statistics import geometric_mean
 from repro.harness.campaign import DEFAULT_SEED
 from repro.harness.report import Report
 from repro.sim.runner import (
@@ -43,113 +44,68 @@ from repro.workloads.profiles import (
 )
 
 
-@dataclass
-class FigureResult:
-    """One reproduced exhibit: per-benchmark series plus aggregates."""
-
-    figure: str
-    description: str
-    benchmarks: List[str]
-    #: series label -> {benchmark -> normalised execution time (or rate)}
-    series: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: series label -> geometric mean across benchmarks
-    geomeans: Dict[str, float] = field(default_factory=dict)
-
-    def compute_geomeans(self) -> None:
-        self.geomeans = {
-            label: geometric_mean([value for value in values.values()
-                                   if value > 0])
-            for label, values in self.series.items()
-        }
-
-    def to_report(self) -> Report:
-        """This figure's table as a :class:`repro.harness.report.Report`."""
-        return Report(benchmarks=list(self.benchmarks),
-                      series={label: dict(values)
-                              for label, values in self.series.items()},
-                      geomeans=dict(self.geomeans),
-                      title=self.description)
-
-    def rows(self) -> List[List[str]]:
-        """A printable table: one row per benchmark plus the geomean."""
-        return self.to_report().rows()
-
-    def format_table(self) -> str:
-        return self.to_report().to_text()
-
-    def to_markdown(self) -> str:
-        return self.to_report().to_markdown()
-
-    def to_csv(self) -> str:
-        return self.to_report().to_csv()
-
-
-def _normalised_figure(figure: str, description: str,
-                       benchmarks: Sequence[str],
+def _normalised_figure(description: str, benchmarks: Sequence[str],
                        configs: Mapping[str, SystemConfig], num_cores: int,
-                       options: Dict[str, Any]) -> FigureResult:
+                       options: Dict[str, Any]) -> Report:
     """Run ``configs`` over ``benchmarks`` against the unprotected machine."""
     campaign = api.build_comparison(
         configs, list(benchmarks),
         baseline=unprotected_config(num_cores=num_cores), **options)
-    result = FigureResult(figure=figure, description=description,
-                          benchmarks=list(benchmarks),
-                          series=campaign.run().normalised())
-    result.compute_geomeans()
-    return result
+    return Report(benchmarks=list(benchmarks),
+                  series=campaign.run().normalised(), title=description)
 
 
 def figure3(benchmarks: Optional[Sequence[str]] = None,
-            **options: Any) -> FigureResult:
+            **options: Any) -> Report:
     """Figure 3: SPEC CPU2006 normalised execution time for all five schemes."""
     return _normalised_figure(
-        "figure3", "Normalised execution time, SPEC CPU2006: MuonTrap vs "
-                   "InvisiSpec and STT (lower is better)",
+        "Normalised execution time, SPEC CPU2006: MuonTrap vs "
+        "InvisiSpec and STT (lower is better)",
         benchmarks or spec_benchmarks(), standard_modes(num_cores=1),
         num_cores=1, options=options)
 
 
 def figure4(benchmarks: Optional[Sequence[str]] = None,
-            **options: Any) -> FigureResult:
+            **options: Any) -> Report:
     """Figure 4: Parsec (4 threads) normalised execution time."""
     return _normalised_figure(
-        "figure4", "Normalised execution time, Parsec with 4 threads: "
-                   "MuonTrap vs InvisiSpec and STT (lower is better)",
+        "Normalised execution time, Parsec with 4 threads: "
+        "MuonTrap vs InvisiSpec and STT (lower is better)",
         benchmarks or parsec_benchmarks(), standard_modes(num_cores=4),
         num_cores=4, options=options)
 
 
 def figure5(sizes: Optional[Sequence[int]] = None,
             benchmarks: Optional[Sequence[str]] = None,
-            **options: Any) -> FigureResult:
+            **options: Any) -> Report:
     """Figure 5: fully associative filter-cache size sweep on Parsec."""
     configs = {f"{size}B": config for size, config in
                filter_cache_size_configs(list(sizes or DEFAULT_SIZE_SWEEP),
                                          num_cores=4).items()}
     return _normalised_figure(
-        "figure5", "Normalised execution time with a fully associative "
-                   "data filter cache of varying size, Parsec",
+        "Normalised execution time with a fully associative "
+        "data filter cache of varying size, Parsec",
         benchmarks or parsec_benchmarks(), configs, num_cores=4,
         options=options)
 
 
 def figure6(associativities: Optional[Sequence[int]] = None,
             benchmarks: Optional[Sequence[str]] = None,
-            **options: Any) -> FigureResult:
+            **options: Any) -> Report:
     """Figure 6: associativity sweep of the 2 KiB filter cache on Parsec."""
     configs = {f"{ways}-way": config for ways, config in
                filter_cache_associativity_configs(
                    list(associativities or DEFAULT_ASSOCIATIVITY_SWEEP),
                    num_cores=4).items()}
     return _normalised_figure(
-        "figure6", "Normalised execution time when varying the "
-                   "associativity of a 2 KiB filter cache, Parsec",
+        "Normalised execution time when varying the "
+        "associativity of a 2 KiB filter cache, Parsec",
         benchmarks or parsec_benchmarks(), configs, num_cores=4,
         options=options)
 
 
 def figure7(benchmarks: Optional[Sequence[str]] = None,
-            **options: Any) -> FigureResult:
+            **options: Any) -> Report:
     """Figure 7: proportion of writes triggering filter-cache invalidates."""
     benchmarks = list(benchmarks or spec_benchmarks())
     outcome = api.build_comparison(
@@ -162,24 +118,21 @@ def figure7(benchmarks: Optional[Sequence[str]] = None,
         broadcasts = stats.get(
             "system.memory_system.store_filter_broadcasts", 0)
         rates[benchmark] = broadcasts / stores if stores else 0.0
-    result = FigureResult(
-        figure="figure7",
-        description="Proportion of committed stores that trigger a "
-                    "filter-cache invalidation broadcast under MuonTrap, "
-                    "SPEC CPU2006",
-        benchmarks=benchmarks,
-        series={"write fcache-invalidate rate": rates})
     mean = sum(rates.values()) / len(rates) if rates else 0.0
-    result.geomeans = {"write fcache-invalidate rate": mean}
-    return result
+    return Report(
+        benchmarks=benchmarks,
+        series={"write fcache-invalidate rate": rates},
+        geomeans={"write fcache-invalidate rate": mean},
+        title="Proportion of committed stores that trigger a filter-cache "
+              "invalidation broadcast under MuonTrap, SPEC CPU2006")
 
 
 def figure8(benchmarks: Optional[Sequence[str]] = None,
-            **options: Any) -> FigureResult:
+            **options: Any) -> Report:
     """Figure 8: cumulative protection mechanisms on Parsec."""
     return _normalised_figure(
-        "figure8", "Normalised execution time from cumulatively adding "
-                   "protection mechanisms, Parsec",
+        "Normalised execution time from cumulatively adding "
+        "protection mechanisms, Parsec",
         benchmarks or parsec_benchmarks(),
         cumulative_protection_configs(num_cores=4,
                                       include_parallel_l1=False),
@@ -187,11 +140,11 @@ def figure8(benchmarks: Optional[Sequence[str]] = None,
 
 
 def figure9(benchmarks: Optional[Sequence[str]] = None,
-            **options: Any) -> FigureResult:
+            **options: Any) -> Report:
     """Figure 9: cumulative protection mechanisms on SPEC CPU2006."""
     return _normalised_figure(
-        "figure9", "Normalised execution time from cumulatively adding "
-                   "protection mechanisms, SPEC CPU2006",
+        "Normalised execution time from cumulatively adding "
+        "protection mechanisms, SPEC CPU2006",
         benchmarks or spec_benchmarks(),
         cumulative_protection_configs(num_cores=1,
                                       include_parallel_l1=True),

@@ -58,7 +58,6 @@ from repro.harness.store import (
     ResultStore,
     SqliteResultStore,
     StoreBackend,
-    config_fingerprint,
     migrate_store,
     open_store,
     result_from_dict,
@@ -100,7 +99,6 @@ __all__ = [
     "StoreBackend",
     "UnknownSuiteError",
     "active_fault_plan",
-    "config_fingerprint",
     "derive_seed",
     "execute_cells",
     "migrate_store",

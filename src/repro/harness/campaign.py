@@ -389,6 +389,19 @@ class _ProgressLine:
         self._stream.flush()
 
 
+def series_geomeans(series: Mapping[str, Mapping[str, float]]
+                    ) -> Dict[str, float]:
+    """label -> geometric mean of the series' positive values.
+
+    The one geomean of the harness: campaign results, every report's
+    footer and the figures all take it here.  Zero values (a zero-time
+    baseline) and missing ones (quarantined cells) never contribute.
+    """
+    return {label: geometric_mean([value for value in values.values()
+                                   if value > 0])
+            for label, values in series.items()}
+
+
 @dataclass
 class CampaignResult:
     """Results of one campaign run, indexed by (benchmark, label, seed)."""
@@ -424,43 +437,64 @@ class CampaignResult:
         return {(failure.benchmark, failure.label)
                 for failure in self.failures}
 
+    def _seed_ratios(self, per_constituent: bool = False
+                     ) -> Dict[str, Dict[str, Dict[int, float]]]:
+        """label -> row -> {seed: execution time normalised to baseline}.
+
+        The one ratio rule: a run's frequency-scaled time over its baseline
+        run's, or 0.0 when that is 0.  ``per_constituent`` splits a co-run
+        cell into ``mix:member`` rows, each against the same member's time
+        in the baseline run.  A quarantined cell (in the series or in the
+        baseline) contributes no ratio.
+        """
+        ratios: Dict[str, Dict[str, Dict[int, float]]] = {
+            label: {} for label in self.labels
+            if label != self.baseline_label}
+        for benchmark in self.benchmarks:
+            for seed in self.seeds:
+                baseline = self.runs.get((benchmark, self.baseline_label,
+                                          seed))
+                if baseline is None:
+                    continue
+                base_parts = (baseline.per_benchmark()
+                              if per_constituent else {})
+                for label, rows in ratios.items():
+                    run = self.runs.get((benchmark, label, seed))
+                    if run is None:
+                        continue
+                    pairs = ([(f"{benchmark}:{member}", part,
+                               base_parts.get(member))
+                              for member, part in run.per_benchmark().items()]
+                             if per_constituent and run.is_corun
+                             else [(benchmark, run, baseline)])
+                    for row, part, base in pairs:
+                        rows.setdefault(row, {})[seed] = (
+                            part.time / base.time
+                            if base is not None and base.time else 0.0)
+        return ratios
+
+    @staticmethod
+    def _seed_means(ratios: Dict[str, Dict[str, Dict[int, float]]]
+                    ) -> Dict[str, Dict[str, float]]:
+        """Each row's mean over its seeds, summed in seed order."""
+        return {label: {row: sum(by_seed.values()) / len(by_seed)
+                        for row, by_seed in rows.items()}
+                for label, rows in ratios.items()}
+
     def normalised(self) -> Dict[str, Dict[str, float]]:
         """label -> {benchmark -> execution time normalised to baseline}.
 
-        Times are frequency-scaled
-        (:attr:`~repro.sim.simulator.SimulationResult.time`): on machines
-        whose cores all run at the reference clock this is exactly
-        cycles / baseline cycles, while heterogeneous-frequency machines
-        (big.LITTLE) are credited for their faster clocks.  With several
-        replicates the per-seed ratios are averaged.
-
-        Quarantined cells simply contribute no ratio: a benchmark whose
-        every seed failed (in the series or in the baseline) is omitted
-        from that series, and reports annotate the gap as FAILED.
+        On machines whose cores all run at the reference clock this is
+        exactly cycles / baseline cycles, while heterogeneous-frequency
+        machines (big.LITTLE) are credited for their faster clocks.  With
+        several replicates the per-seed ratios are averaged.  A benchmark
+        whose every seed was quarantined is omitted from that series, and
+        reports annotate the gap as FAILED.
         """
-        series: Dict[str, Dict[str, float]] = {}
-        for label in self.labels:
-            if label == self.baseline_label:
-                continue
-            values: Dict[str, float] = {}
-            for benchmark in self.benchmarks:
-                ratios = []
-                for seed in self.seeds:
-                    baseline = self.runs.get((benchmark, self.baseline_label,
-                                              seed))
-                    run = self.runs.get((benchmark, label, seed))
-                    if baseline is None or run is None:
-                        continue
-                    ratios.append(run.time / baseline.time
-                                  if baseline.time else 0.0)
-                if ratios:
-                    values[benchmark] = sum(ratios) / len(ratios)
-            series[label] = values
-        return series
+        return self._seed_means(self._seed_ratios())
 
     def geomeans(self) -> Dict[str, float]:
-        return {label: geometric_mean([v for v in values.values() if v > 0])
-                for label, values in self.normalised().items()}
+        return series_geomeans(self.normalised())
 
     @property
     def has_corun_results(self) -> bool:
@@ -470,57 +504,15 @@ class CampaignResult:
     def per_constituent_normalised(self) -> Dict[str, Dict[str, float]]:
         """label -> {row -> normalised time}, with mixes split per member.
 
-        Mix-aware counterpart of :meth:`normalised`: a co-run cell
-        contributes one row per constituent, named ``mix:member`` and
-        normalised against *that member's* execution time in the baseline
-        run of the same mix (attribution via
-        :attr:`~repro.sim.simulator.SimulationResult.core_benchmarks`),
-        so the table shows how each program fared inside the mix rather
-        than only the mix's completion time.  Single-program cells keep
-        their plain benchmark row.  As in :meth:`normalised`, per-seed
-        ratios are averaged.
+        Mix-aware counterpart of :meth:`normalised`: the table shows how
+        each program fared inside the mix rather than only the mix's
+        completion time.  Single-program cells keep their plain benchmark
+        row.  As in :meth:`normalised`, per-seed ratios are averaged.
         """
-        # The baseline split is identical for every label; compute it once
-        # per (benchmark, seed) rather than inside the label loop.
-        baseline_parts = {
-            (benchmark, seed): run.per_benchmark()
-            for benchmark in self.benchmarks for seed in self.seeds
-            for run in [self.runs.get((benchmark, self.baseline_label,
-                                       seed))]
-            if run is not None}
-        series: Dict[str, Dict[str, float]] = {}
-        for label in self.labels:
-            if label == self.baseline_label:
-                continue
-            values: Dict[str, List[float]] = {}
-            for benchmark in self.benchmarks:
-                for seed in self.seeds:
-                    baseline = self.runs.get((benchmark, self.baseline_label,
-                                              seed))
-                    run = self.runs.get((benchmark, label, seed))
-                    if baseline is None or run is None:
-                        continue
-                    if run.is_corun:
-                        base_parts = baseline_parts[(benchmark, seed)]
-                        for member, part in run.per_benchmark().items():
-                            base = base_parts.get(member)
-                            ratio = (part.time / base.time
-                                     if base is not None and base.time
-                                     else 0.0)
-                            values.setdefault(f"{benchmark}:{member}",
-                                              []).append(ratio)
-                    else:
-                        ratio = (run.time / baseline.time
-                                 if baseline.time else 0.0)
-                        values.setdefault(benchmark, []).append(ratio)
-            series[label] = {row: sum(ratios) / len(ratios)
-                             for row, ratios in values.items()}
-        return series
+        return self._seed_means(self._seed_ratios(per_constituent=True))
 
     def per_constituent_geomeans(self) -> Dict[str, float]:
-        return {label: geometric_mean([v for v in values.values() if v > 0])
-                for label, values
-                in self.per_constituent_normalised().items()}
+        return series_geomeans(self.per_constituent_normalised())
 
 
 class Campaign:

@@ -167,19 +167,22 @@ class FaultPlan:
     def corrupt_store_entry(self, store, key: str) -> bool:
         """Tear the stored entry for ``key`` (models a crash mid-write).
 
-        Returns True when the entry was corrupted.  The store's integrity
-        field must detect the damage on the next read, evict the entry and
-        recompute the cell — so a corrupted entry costs one re-simulation,
-        never a wrong result.
+        The second half of the entry's result payload is dropped and the
+        entry rewritten through the backend's own ``load_entry`` /
+        ``store_entry``, so every backend takes the fault.  Returns True
+        when the entry was corrupted.  The store's integrity digest must
+        detect the damage on the next read, evict the entry and recompute
+        the cell — so a corrupted entry costs one re-simulation, never a
+        wrong result.
         """
         if not self.decide("corrupt", key, 0):
             return False
-        path = store.root / f"{key}.json"
-        try:
-            text = path.read_text()
-            path.write_text(text[:max(1, len(text) // 2)])
-        except OSError:
+        entry = store.load_entry(key)
+        if not isinstance(entry, dict):
             return False
+        fields = list(entry["result"].items())
+        store.store_entry(key, {**entry,
+                                "result": dict(fields[:len(fields) // 2])})
         log_event(get_logger("harness.faults"), "store_corrupted", key=key)
         return True
 

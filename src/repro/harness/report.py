@@ -13,8 +13,11 @@ import io
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.common.statistics import geometric_mean
-from repro.harness.campaign import CampaignResult, ExecutionStats
+from repro.harness.campaign import (
+    CampaignResult,
+    ExecutionStats,
+    series_geomeans,
+)
 
 GEOMEAN_ROW = "geomean"
 
@@ -47,10 +50,7 @@ class Report:
 
     def __post_init__(self) -> None:
         if not self.geomeans:
-            self.geomeans = {
-                label: geometric_mean([value for value in values.values()
-                                       if value > 0])
-                for label, values in self.series.items()}
+            self.geomeans = series_geomeans(self.series)
 
     @classmethod
     def from_campaign(cls, result: CampaignResult, title: str = "",
@@ -113,9 +113,9 @@ class Report:
 
         A series with no completed positive values — every cell
         quarantined, or an empty hand-built series — has no geometric
-        mean; rendering the ``geometric_mean([])`` fallback of 0.0 would
-        claim a measured (and absurdly good) aggregate for a scheme that
-        produced no data at all.
+        mean; rendering the empty-input fallback of 0.0 would claim a
+        measured (and absurdly good) aggregate for a scheme that produced
+        no data at all.
         """
         geomean = self.geomeans.get(label)
         if geomean:

@@ -35,6 +35,7 @@ the missing or damaged cells and nothing else.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -77,11 +78,6 @@ STORE_BACKENDS = ("json", "sqlite")
 _TMP_COUNTER = itertools.count()
 
 
-def config_fingerprint(config: SystemConfig) -> Dict[str, Any]:
-    """A canonical, JSON-serialisable view of a system configuration."""
-    return jsonable(config)
-
-
 def stable_key(profile: WorkloadProfile, config: SystemConfig,
                instructions: int, seed: int,
                warmup_fraction: float = 0.0,
@@ -97,7 +93,7 @@ def stable_key(profile: WorkloadProfile, config: SystemConfig,
     """
     payload = {
         "profile": jsonable(profile),
-        "config": config_fingerprint(config),
+        "config": jsonable(config),
         "instructions": instructions,
         "seed": seed,
         "warmup_fraction": warmup_fraction,
@@ -109,38 +105,24 @@ def stable_key(profile: WorkloadProfile, config: SystemConfig,
 
 
 def result_to_dict(result: SimulationResult) -> Dict[str, Any]:
-    return {
-        "benchmark": result.benchmark,
-        "mode": result.mode,
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "warmup_cycles": result.warmup_cycles,
-        "stats": dict(result.stats),
-        "core_results": [jsonable(core) for core in result.core_results],
-        "core_benchmarks": list(result.core_benchmarks),
-        "core_warmup_cycles": list(result.core_warmup_cycles),
-        "core_warmup_instructions": list(result.core_warmup_instructions),
-        "core_frequencies_ghz": list(result.core_frequencies_ghz),
-    }
+    """A result as plain JSON values: its dataclass's fields, no others."""
+    return jsonable(result)
+
+
+def _from_fields(cls: type, payload: Dict[str, Any]) -> Any:
+    """``cls(**payload)``, refusing a payload that lacks any field."""
+    missing = {field.name for field in dataclasses.fields(cls)} - set(payload)
+    if missing:
+        raise KeyError(f"{cls.__name__} payload lacks {sorted(missing)}")
+    return cls(**payload)
 
 
 def result_from_dict(payload: Dict[str, Any]) -> SimulationResult:
-    return SimulationResult(
-        benchmark=payload["benchmark"],
-        mode=payload["mode"],
-        cycles=payload["cycles"],
-        instructions=payload["instructions"],
-        warmup_cycles=payload.get("warmup_cycles", 0),
-        stats=dict(payload.get("stats", {})),
-        core_results=[CoreResult(**core)
-                      for core in payload.get("core_results", [])],
-        core_benchmarks=list(payload.get("core_benchmarks", [])),
-        core_warmup_cycles=list(payload.get("core_warmup_cycles", [])),
-        core_warmup_instructions=list(
-            payload.get("core_warmup_instructions", [])),
-        core_frequencies_ghz=list(
-            payload.get("core_frequencies_ghz", [])),
-    )
+    """The inverse of :func:`result_to_dict`; raises on a payload that
+    lacks a field or carries an unknown one."""
+    return _from_fields(SimulationResult, {
+        **payload, "core_results": [_from_fields(CoreResult, core)
+                                    for core in payload["core_results"]]})
 
 
 def result_digest(result_payload: Dict[str, Any]) -> str:
@@ -153,6 +135,29 @@ def result_digest(result_payload: Dict[str, Any]) -> str:
 #: Sentinel returned by ``load_entry`` for entries that exist but cannot
 #: even be parsed (as opposed to ``None`` for entries that do not exist).
 CORRUPT = object()
+
+#: The reason for an entry that is skipped but not damaged, so not evicted.
+STALE_VERSION = "stale-version"
+
+
+def unservable_reason(payload: Any) -> Optional[str]:
+    """Why a loaded entry cannot be served, or ``None`` when it can.
+
+    The one entry rule of the store, shared by :meth:`StoreBackend.get`
+    and :func:`migrate_store`: ``unparseable-json`` for an entry that is
+    not a parsed mapping, :data:`STALE_VERSION` for one written under
+    another :data:`STORE_VERSION`, and ``integrity-mismatch`` for a result
+    payload that is missing or does not match its sha256 digest.
+    """
+    if not isinstance(payload, dict):
+        return "unparseable-json"
+    if payload.get("version") != STORE_VERSION:
+        return STALE_VERSION
+    result_payload = payload.get("result")
+    if not isinstance(result_payload, dict) \
+            or payload.get("sha256") != result_digest(result_payload):
+        return "integrity-mismatch"
+    return None
 
 
 class StoreBackend(abc.ABC):
@@ -230,27 +235,19 @@ class StoreBackend(abc.ABC):
         if payload is None:
             self.misses += 1
             return None
-        if payload is CORRUPT or not isinstance(payload, dict):
-            self._evict(key, "unparseable-json")
-            self.misses += 1
-            return None
-        if payload.get("version") != STORE_VERSION:
-            self.misses += 1
-            return None
-        result_payload = payload.get("result")
-        if not isinstance(result_payload, dict) \
-                or payload.get("sha256") != result_digest(result_payload):
-            self._evict(key, "integrity-mismatch")
-            self.misses += 1
-            return None
-        try:
-            result = result_from_dict(result_payload)
-        except (KeyError, TypeError, ValueError):
-            self._evict(key, "undecodable-result")
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        reason = unservable_reason(payload)
+        if reason is None:
+            try:
+                result = result_from_dict(payload["result"])
+            except (KeyError, TypeError, ValueError):
+                reason = "undecodable-result"
+            else:
+                self.hits += 1
+                return result
+        if reason != STALE_VERSION:
+            self._evict(key, reason)
+        self.misses += 1
+        return None
 
     def put(self, key: str, result: SimulationResult,
             metadata: Optional[Dict[str, Any]] = None) -> None:
@@ -591,14 +588,7 @@ def migrate_store(source: StoreBackend,
     copied = skipped = 0
     for key in source.keys():
         payload = source.load_entry(key)
-        reason = None
-        if not isinstance(payload, dict):
-            reason = "unparseable-json"
-        elif payload.get("version") != STORE_VERSION:
-            reason = "stale-version"
-        elif not isinstance(payload.get("result"), dict) \
-                or payload.get("sha256") != result_digest(payload["result"]):
-            reason = "integrity-mismatch"
+        reason = unservable_reason(payload)
         if reason is not None:
             skipped += 1
             log_event(logger, "migrate_skipped", _level=logging.WARNING,

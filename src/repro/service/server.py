@@ -135,14 +135,6 @@ class ReproServer:
                   store=self.config.store.describe()
                   if self.config.store is not None else None)
 
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (blocks until :meth:`shutdown`)."""
-        log_event(self._logger, "server_started", url=self.url,
-                  auth=self.config.auth.enabled,
-                  store=self.config.store.describe()
-                  if self.config.store is not None else None)
-        self._httpd.serve_forever()
-
     def shutdown(self, drain: bool = True,
                  timeout: Optional[float] = None) -> bool:
         """Stop serving; with ``drain`` wait for in-flight jobs first.
@@ -151,10 +143,12 @@ class ReproServer:
         non-draining shutdown always returns ``True``).
         """
         drained = self.queue.drain(timeout=timeout) if drain else True
-        self._httpd.shutdown()
-        self._httpd.server_close()
         if self._thread is not None:
+            # Only a running serve loop can be stopped: on a server that
+            # never started, socketserver's shutdown() waits forever.
+            self._httpd.shutdown()
             self._thread.join(timeout=10.0)
+        self._httpd.server_close()
         log_event(self._logger, "server_stopped", drained=drained)
         return drained
 
@@ -275,7 +269,7 @@ class ReproServer:
                 label=params.get("label"),
                 store=self.config.store)
         except (ValueError, TypeError, KeyError, UnknownSuiteError) as exc:
-            raise RequestError(400, str(exc)) from exc
+            raise RequestError(400, _message(exc)) from exc
         return 200, {"Content-Type": "application/json"}, \
             canonical_json(simulation_payload(outcome))
 
@@ -290,7 +284,7 @@ class ReproServer:
         try:
             self._build_campaign(kind, params)
         except (ValueError, TypeError, KeyError, UnknownSuiteError) as exc:
-            raise RequestError(400, str(exc)) from exc
+            raise RequestError(400, _message(exc)) from exc
         try:
             job, created = self.queue.submit(kind, params)
         except RuntimeError as exc:  # draining
@@ -303,6 +297,12 @@ class ReproServer:
               ) -> Tuple[int, Dict[str, str], bytes]:
         return status, {"Content-Type": "application/json"}, \
             canonical_json(payload)
+
+
+def _message(error: Exception) -> str:
+    """An error's message text: the ``str`` of a ``KeyError`` (an unknown
+    suite or benchmark) is its message's repr, quotes and all."""
+    return str(error.args[0]) if error.args else str(error)
 
 
 def _check_params(endpoint: str, params: Dict[str, Any],

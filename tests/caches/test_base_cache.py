@@ -153,7 +153,7 @@ class TestAccessRule:
         cache = small_cache()
         assert cache.merge(0x1000, now=0) is None
         cache.mshrs.allocate(0x1000, now=0, fill_latency=50)
-        assert cache.merge(0x1000, now=10) == 2 + max(1, 50 - 10)
+        assert cache.merge(0x1000, now=10) == 2 + (50 - 10)
         assert cache.merge(0x1000, now=49) == 2 + 1
         assert cache.merge(0x1000, now=50) is None    # retired at 50
         assert (cache.hits, cache.misses) == (0, 0)

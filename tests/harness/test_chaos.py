@@ -21,7 +21,7 @@ from repro.harness.faults import (
     reset_fault_plan,
 )
 from repro.harness.report import FAILED_CELL, Report
-from repro.harness.store import ResultStore, result_to_dict
+from repro.harness.store import ResultStore, open_store, result_to_dict
 from repro.sim.runner import unprotected_config
 from repro.workloads.generator import cached_workload
 from tests.harness.test_campaign import record_generations
@@ -213,8 +213,9 @@ class TestResume:
         assert resumed.stats.store_hits == unique - 1
         assert_identical_runs(first, resumed)
 
+    @pytest.mark.parametrize("backend", ["json", "sqlite"])
     def test_torn_store_entries_cost_one_recompute_only(self, monkeypatch,
-                                                        tmp_path):
+                                                        tmp_path, backend):
         clean = make_campaign(store=ResultStore(tmp_path / "clean"),
                               jobs=1).run()
         # Every write in this run is torn right after it lands (models a
@@ -222,13 +223,14 @@ class TestResume:
         # in memory) ...
         store_root = tmp_path / "torn"
         monkeypatch.setenv(FAULTS_ENV, "corrupt:1.0:1")
-        torn = make_campaign(store=ResultStore(store_root), jobs=1).run()
+        torn = make_campaign(store=open_store(store_root, backend=backend),
+                             jobs=1).run()
         assert_identical_runs(clean, torn)
         # ... and the next run detects every torn entry via the integrity
         # digest, evicts it and recomputes — landing on the same bytes.
         monkeypatch.delenv(FAULTS_ENV)
         reset_fault_plan()
-        store = ResultStore(store_root)
+        store = open_store(store_root, backend=backend)
         recovered = make_campaign(store=store, jobs=1).run()
         assert store.evictions == len(clean.runs)
         assert recovered.stats.executed == len(clean.runs)

@@ -13,7 +13,7 @@ from repro.harness.faults import (
     parse_fault_specs,
     reset_fault_plan,
 )
-from repro.harness.store import ResultStore
+from repro.harness.store import open_store
 from repro.sim.simulator import SimulationResult
 
 
@@ -143,9 +143,10 @@ class TestApplyWorkerFaults:
         plan.apply_worker_faults("k", 0, kinds=("exc",))  # returns
 
 
+@pytest.mark.parametrize("backend", ["json", "sqlite"])
 class TestCorruptStoreEntry:
-    def test_corrupts_entry_and_store_evicts_it(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_corrupts_entry_and_store_evicts_it(self, tmp_path, backend):
+        store = open_store(tmp_path, backend=backend)
         store.put("k", make_result())
         plan = FaultPlan(parse_fault_specs("corrupt:1.0:1"))
         assert plan.corrupt_store_entry(store, "k")
@@ -153,10 +154,10 @@ class TestCorruptStoreEntry:
         # and reads as a miss — one recomputation, never a wrong result.
         assert store.get("k") is None
         assert store.evictions == 1
-        assert not (tmp_path / "k.json").exists()
+        assert "k" not in store
 
-    def test_rate_zero_leaves_entry_intact(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_rate_zero_leaves_entry_intact(self, tmp_path, backend):
+        store = open_store(tmp_path, backend=backend)
         result = make_result()
         store.put("k", result)
         plan = FaultPlan(parse_fault_specs("corrupt:0.0:1"))

@@ -161,12 +161,22 @@ class TestIntegrity:
         assert store.get("k") is None
         assert store.evictions == 1
 
-    def test_undecodable_result_is_evicted(self, tmp_path):
+    @pytest.mark.parametrize("damage", [
+        lambda result: result.pop("benchmark"),
+        lambda result: result.pop("core_frequencies_ghz"),
+        lambda result: result["core_results"][0].pop("nack_retries"),
+        lambda result: result.update(retired_field=0),
+    ], ids=["missing-field", "missing-defaulted-field",
+            "missing-core-field", "unknown-field"])
+    def test_undecodable_result_is_evicted(self, tmp_path, damage):
+        # A stored result is its dataclass's fields, every one of them: a
+        # payload of any other shape is no layout this store version
+        # writes, so it is evicted rather than filled in with defaults.
         store = ResultStore(tmp_path)
         store.put("k", make_result())
         path = tmp_path / "k.json"
         payload = json.loads(path.read_text())
-        del payload["result"]["benchmark"]
+        damage(payload["result"])
         payload["sha256"] = result_digest(payload["result"])
         path.write_text(json.dumps(payload))
         assert store.get("k") is None

@@ -9,6 +9,7 @@ two clients requesting the same matrix share one job and compute each
 cell exactly once against the shared store.
 """
 
+import socket
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro import api
 from repro.common.params import SystemConfig
 from repro.harness.store import open_store
+from repro.harness.suites import suite_names
 from repro.service import (
     ApiKeyAuth,
     RateLimiter,
@@ -207,6 +209,25 @@ class TestValidation:
         assert message in excinfo.value.message
         assert client.jobs() == []
 
+    @pytest.mark.parametrize("path, body, message", [
+        ("/v1/compare", {"schemes": ["muontrap"], "suite": "no-such-suite"},
+         "unknown suite or benchmark: 'no-such-suite' (known suites: {})"),
+        ("/v1/sweep", {"parameter": "core.width", "values": [2, 4],
+                       "suite": "no-such-suite"},
+         "unknown suite or benchmark: 'no-such-suite' (known suites: {})"),
+        ("/v1/simulate", {"workload": "no-such-benchmark"},
+         "unknown benchmark: 'no-such-benchmark'"),
+    ], ids=["compare", "sweep", "simulate"])
+    def test_unknown_name_is_a_400_with_the_bare_message(
+            self, client, path, body, message):
+        """The ``str`` of a ``KeyError`` is its message's repr; the
+        service answers with the message itself, as the CLI prints it."""
+        with pytest.raises(ServiceError) as excinfo:
+            client._post(path, {**body, "instructions": INSTRUCTIONS})
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == message.format(
+            ", ".join(suite_names()))
+
     def test_unknown_job_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.job("sweep-0000000000000000")
@@ -370,6 +391,19 @@ class TestShutdown:
         finished = server.queue.get(job["id"])
         assert finished.status == "done"
         assert finished.result is not None
+
+    def test_shutdown_of_a_server_never_started_returns(self):
+        """socketserver's shutdown() waits for a serve loop that a server
+        never started; ReproServer stops only a loop it started, and
+        closes its socket either way."""
+        server = ReproServer(ServiceConfig(port=0))
+        stopper = threading.Thread(target=server.shutdown,
+                                   kwargs={"drain": False}, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(server.address, timeout=5).close()
 
     def test_draining_server_rejects_new_submissions(self, tmp_path):
         server = ReproServer(ServiceConfig(port=0))
