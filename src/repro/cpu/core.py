@@ -58,6 +58,9 @@ from repro.cpu.instructions import (
     F_SYSCALL,
     F_TAKEN,
     F_TRANSMITTER,
+    WP_INSTRUCTION,
+    WP_OFFSET_SHIFT,
+    WP_STORE,
     MicroOp,
     OpKind,
 )
@@ -399,26 +402,29 @@ class OutOfOrderCore:
                         window = resolve_time - dispatch_time
                         if window < 1:
                             window = 1
-                        for access in wrong_path:
-                            offset = access.issue_offset
+                        # Flat (address, code) pairs: one iterator zipped
+                        # with itself yields them without a copy.
+                        pairs = iter(wrong_path)
+                        for access_address, code in zip(pairs, pairs):
+                            offset = code >> WP_OFFSET_SHIFT
                             issue_at = dispatch_time + (
                                 offset if offset < window else window)
                             if tracer is not None:
                                 tracer.now = issue_at
                                 tracer.emit(
                                     "pipeline", "squash", cycle=issue_at,
-                                    core=core_id, address=access.address,
-                                    pc=pc, store=access.is_store,
-                                    fetch=access.is_instruction)
-                            if access.is_instruction:
-                                mem_fetch(core_id, process_id, access.address,
+                                    core=core_id, address=access_address,
+                                    pc=pc, store=bool(code & WP_STORE),
+                                    fetch=bool(code & WP_INSTRUCTION))
+                            if code & WP_INSTRUCTION:
+                                mem_fetch(core_id, process_id, access_address,
                                           issue_at, speculative=True)
-                            elif access.is_store:
+                            elif code & WP_STORE:
                                 mem_store_address_ready(
-                                    core_id, process_id, access.address,
+                                    core_id, process_id, access_address,
                                     issue_at, speculative=True)
                             else:
-                                mem_load(core_id, process_id, access.address,
+                                mem_load(core_id, process_id, access_address,
                                          issue_at, speculative=True)
                             n_squashed += 1
                         current_fetch_line = None

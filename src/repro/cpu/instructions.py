@@ -70,6 +70,14 @@ F_SANDBOX_ENTRY = 1 << 7
 F_FORCE_MISPREDICT = 1 << 8
 F_FORCE_MISPREDICT_VALUE = 1 << 9
 
+# A packed trace stores a branch's wrong path as one flat tuple of int
+# pairs, ``(address, code, address, code, ...)``: each access's address,
+# then ``issue_offset << WP_OFFSET_SHIFT`` with its WP_STORE and
+# WP_INSTRUCTION bits.
+WP_INSTRUCTION = 1 << 0
+WP_STORE = 1 << 1
+WP_OFFSET_SHIFT = 2
+
 #: OpKind -> the flag bits implied by the kind alone.
 KIND_FLAGS = {
     kind: ((F_LOAD if kind is OpKind.LOAD else 0)

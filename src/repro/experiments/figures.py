@@ -48,11 +48,11 @@ def _normalised_figure(description: str, benchmarks: Sequence[str],
                        configs: Mapping[str, SystemConfig], num_cores: int,
                        options: Dict[str, Any]) -> Report:
     """Run ``configs`` over ``benchmarks`` against the unprotected machine."""
-    campaign = api.build_comparison(
+    result = api.build_comparison(
         configs, list(benchmarks),
-        baseline=unprotected_config(num_cores=num_cores), **options)
-    return Report(benchmarks=list(benchmarks),
-                  series=campaign.run().normalised(), title=description)
+        baseline=unprotected_config(num_cores=num_cores), **options).run()
+    return Report(benchmarks=list(benchmarks), series=result.normalised(),
+                  title=description, failed=result.failed_series())
 
 
 def figure3(benchmarks: Optional[Sequence[str]] = None,
@@ -106,23 +106,32 @@ def figure6(associativities: Optional[Sequence[int]] = None,
 
 def figure7(benchmarks: Optional[Sequence[str]] = None,
             **options: Any) -> Report:
-    """Figure 7: proportion of writes triggering filter-cache invalidates."""
+    """Figure 7: proportion of writes triggering filter-cache invalidates.
+
+    A quarantined cell has no rate: the table shows ``FAILED`` for it, and
+    the mean covers the other benchmarks.
+    """
     benchmarks = list(benchmarks or spec_benchmarks())
     outcome = api.build_comparison(
         ["muontrap"], benchmarks, baseline=None, warmup_fraction=0.0,
         collect_stats=True, **options).run()
+    label = "write fcache-invalidate rate"
     rates: Dict[str, float] = {}
     for benchmark in benchmarks:
-        stats = outcome.result(benchmark, outcome.labels[0]).stats
+        try:
+            stats = outcome.result(benchmark, outcome.labels[0]).stats
+        except KeyError:
+            continue
         stores = stats.get("system.memory_system.committed_stores", 0)
         broadcasts = stats.get(
             "system.memory_system.store_filter_broadcasts", 0)
         rates[benchmark] = broadcasts / stores if stores else 0.0
     mean = sum(rates.values()) / len(rates) if rates else 0.0
     return Report(
-        benchmarks=benchmarks,
-        series={"write fcache-invalidate rate": rates},
-        geomeans={"write fcache-invalidate rate": mean},
+        benchmarks=benchmarks, series={label: rates},
+        geomeans={label: mean},
+        failed={(benchmark, label)
+                for benchmark, _ in outcome.failed_series()},
         title="Proportion of committed stores that trigger a filter-cache "
               "invalidation broadcast under MuonTrap, SPEC CPU2006")
 

@@ -433,9 +433,17 @@ class CampaignResult:
             raise
 
     def failed_series(self) -> set:
-        """The ``(benchmark, label)`` pairs with at least one failed seed."""
-        return {(failure.benchmark, failure.label)
-                for failure in self.failures}
+        """The ``(benchmark, label)`` pairs with at least one failed seed.
+
+        A failed baseline seed counts against every label of its
+        benchmark, since their ratios for that seed need it.
+        """
+        failed = set()
+        for failure in self.failures:
+            labels = (self.labels if failure.label == self.baseline_label
+                      else [failure.label])
+            failed.update((failure.benchmark, label) for label in labels)
+        return failed
 
     def _seed_ratios(self, per_constituent: bool = False
                      ) -> Dict[str, Dict[str, Dict[int, float]]]:

@@ -9,8 +9,9 @@ predictability, wrong-path traffic, instruction footprint and inter-thread
 sharing — matches the profile, so that the relative timing of the different
 protection schemes emerges from the simulator rather than being scripted.
 Each op is written straight into the trace's packed columns, its kind's
-columns from :data:`~repro.workloads.trace.KIND_ENCODING`; no per-op object
-is built.
+columns from :data:`~repro.workloads.trace.KIND_ENCODING` and its wrong
+path as one flat tuple of ints; no per-op or per-access object is built.
+Each distinct code address of a thread is one shared int object.
 
 Each thread binds its draw primitives and works out its profile's
 constants once.  A probability ``p`` costs a draw, ``random() < p``, only
@@ -31,10 +32,11 @@ from __future__ import annotations
 
 import functools
 import zlib
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.rng import DeterministicRng
-from repro.cpu.instructions import F_TAKEN, OpKind, WrongPathAccess
+from repro.cpu.instructions import (F_TAKEN, WP_INSTRUCTION, WP_OFFSET_SHIFT,
+                                    WP_STORE, OpKind)
 from repro.workloads.profiles import WorkloadProfile
 from repro.workloads.trace import (ABSENT, KIND_ENCODING, PackedTrace, Trace,
                                    WorkloadTraces)
@@ -108,6 +110,10 @@ class TraceGenerator:
                                  _mix_weights(profile))
         reuse_window = self.REUSE_WINDOW
         recent: List[int] = []
+        # Every code address (pc, branch target, wrong-path fetch) goes
+        # through this dict, so each distinct one is one int object.
+        code_addresses: Dict[int, int] = {}
+        share = code_addresses.setdefault
         # Live sequential streams, each ``[cursor, stride, remaining]``.
         streams: List[List[int]] = []
 
@@ -147,8 +153,10 @@ class TraceGenerator:
         def branch_target() -> int:
             if loop_bias > 0.0 and (loop_bias >= 1.0 or random() < loop_bias):
                 # Loop back within the hot region of the code.
-                return CODE_BASE + below(hot_code_slots) * 4
-            return CODE_BASE + below(code_slots) * 4
+                target = CODE_BASE + below(hot_code_slots) * 4
+            else:
+                target = CODE_BASE + below(code_slots) * 4
+            return share(target, target)
 
         def stream_address() -> int:
             """Next address of one of the workload's sequential streams."""
@@ -200,13 +208,14 @@ class TraceGenerator:
                 del recent[0]
             return address
 
-        def wrong_path() -> Tuple[WrongPathAccess, ...]:
+        def wrong_path() -> Tuple[int, ...]:
             """Squashed accesses a misprediction of this branch would produce.
 
             Their number is geometric with mean ``wrong_path_loads``, at
             most six.  They hit the same working set but without the
             pattern of the committed stream: mostly random lines, which is
             what perturbs the stride prefetcher in an unprotected system.
+            Returned flat, as ``(address, code, ...)`` pairs.
             """
             count = 1
             if wrong_path_mean > 1.0:
@@ -214,16 +223,14 @@ class TraceGenerator:
                     count += 1
                     if count >= 6:
                         break
-            # Positional fields: address, is_store, is_instruction and
-            # issue_offset.
             accesses = []
             for offset in range(1, count + 1):
-                address = data_base + below(private_words) * 8
-                accesses.append(WrongPathAccess(address, random() < 0.15,
-                                                False, offset))
+                accesses.append(data_base + below(private_words) * 8)
+                code = offset << WP_OFFSET_SHIFT
+                accesses.append(code | WP_STORE if random() < 0.15 else code)
             if random() < 0.3:
-                accesses.append(WrongPathAccess(branch_target(), False, True,
-                                                1))
+                accesses += (branch_target(),
+                             1 << WP_OFFSET_SHIFT | WP_INSTRUCTION)
             return tuple(accesses)
 
         # -- the ops ------------------------------------------------------------
@@ -243,7 +250,7 @@ class TraceGenerator:
         next_reg = 1
         for _ in range(instructions):
             code, flags, latency = draw_kind()
-            pc = next_pc
+            pc = share(next_pc, next_pc)
             next_pc = pc + 4
             if next_pc >= code_end:
                 next_pc = CODE_BASE
@@ -311,8 +318,7 @@ class TraceGenerator:
             dsts_append(dst)
             targets_append(target)
             wrong_paths_append(wrong)
-        # Generated ops carry no sequence number.
-        packed.sequences = [0] * instructions
+        # Generated ops carry no sequence number, so no ``sequences`` column.
         return Trace(profile.name, thread_id, process_id, packed)
 
 

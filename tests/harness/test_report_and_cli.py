@@ -6,8 +6,11 @@ import pytest
 
 from repro.__main__ import main
 from repro.common.params import SystemConfig
+from repro.harness.campaign import CampaignResult
+from repro.harness.executor import FailedCell
 from repro.harness.report import Report
 from repro.sim.runner import instructions_per_workload, parallel_jobs
+from repro.sim.simulator import SimulationResult
 from repro.sim.sweeps import filter_cache_associativity_configs
 from tests.api.test_machine_serialization import legacy_machine_dict
 
@@ -86,6 +89,29 @@ class TestGeomeanFooterWithoutData:
                         series={"S": {"hmmer": 0.9}},
                         geomeans={"S": 0.9})
         assert report.rows()[-1] == ["geomean", "0.900"]
+
+
+class TestQuarantinedBaseline:
+    """A quarantined baseline cell leaves every other cell of its row
+    without a ratio, so they render ``FAILED`` too, never ``0.000``."""
+
+    def test_the_whole_row_reads_failed(self):
+        runs = {(benchmark, label, 1): SimulationResult(
+                    benchmark=benchmark, mode=label, cycles=cycles,
+                    instructions=1000)
+                for benchmark, label, cycles in [
+                    ("hmmer", "baseline", 1000), ("hmmer", "MuonTrap", 1100),
+                    ("mcf", "MuonTrap", 1300)]}
+        failure = FailedCell(key="k", benchmark="mcf", label="baseline",
+                             seed=1, error="InjectedFault", attempts=1,
+                             seconds=0.0)
+        result = CampaignResult(benchmarks=["hmmer", "mcf"],
+                                labels=["MuonTrap", "baseline"],
+                                baseline_label="baseline", seeds=[1],
+                                runs=runs, failures=[failure])
+        assert Report.from_campaign(result).rows() == [
+            ["benchmark", "MuonTrap"], ["hmmer", "1.100"],
+            ["mcf", "FAILED"], ["geomean", "1.100"]]
 
 
 class TestEnvValidation:

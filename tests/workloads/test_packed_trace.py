@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from repro.baselines.unprotected import UnprotectedMemorySystem
+from repro.common.params import SystemConfig
+from repro.cpu.core import OutOfOrderCore
 from repro.cpu.instructions import (
     F_BRANCH,
     F_LOAD,
@@ -14,6 +17,7 @@ from repro.cpu.instructions import (
     OpKind,
     WrongPathAccess,
 )
+from repro.telemetry.tracer import Tracer, tracing
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import get_profile
 from repro.workloads.trace import PackedTrace, Trace
@@ -57,6 +61,16 @@ class TestPackUnpackRoundTrip:
     def test_generated_trace_round_trips(self):
         trace = TraceGenerator(get_profile("mcf"), seed=3).generate_single(400)
         assert trace.packed().unpack() == trace.ops
+        # Generated ops all have sequence 0: neither form keeps the column.
+        assert trace.packed().sequences is None
+        assert PackedTrace.pack(trace.ops).sequences is None
+
+    def test_wrong_paths_are_flat_int_pairs(self):
+        packed = PackedTrace.pack(_varied_ops())
+        assert packed.wrong_paths[2] == (0x20_0000, 1 << 2,
+                                         0x20_0040, 1 << 2 | 2,
+                                         0x3000, 1 << 2 | 1)
+        assert packed.wrong_paths[0] == ()
 
 
 class TestPackedFlags:
@@ -96,9 +110,12 @@ def _random_op(rng: random.Random, sequence: int) -> MicroOp:
     force = rng.choice([None, True, False])
     wrong_path = [
         WrongPathAccess(address=rng.randrange(0, 1 << 40),
-                        is_store=rng.random() < 0.3,
-                        is_instruction=rng.random() < 0.2,
-                        issue_offset=rng.randrange(1, 8))
+                        is_store=rng.random() < 0.5,
+                        is_instruction=rng.random() < 0.5,
+                        # At dispatch, inside a resolve window, or past any.
+                        issue_offset=rng.choice((0, rng.randrange(1, 8),
+                                                 rng.randrange(1 << 20,
+                                                               1 << 40))))
         for _ in range(rng.randrange(0, 4))
     ]
     return MicroOp(kind=kind, pc=pc, sequence=sequence, address=address,
@@ -118,6 +135,15 @@ class TestRandomizedRoundTrip:
     """
 
     CASES = 200
+
+    def test_random_ops_draw_every_wrong_path_encoding(self):
+        rng = random.Random(0xC0DE)
+        accesses = [access for sequence in range(200)
+                    for access in _random_op(rng, sequence).wrong_path]
+        assert any(access.is_store and access.is_instruction
+                   for access in accesses)
+        assert any(access.issue_offset == 0 for access in accesses)
+        assert any(access.issue_offset >= 1 << 20 for access in accesses)
 
     @pytest.mark.parametrize("case", range(CASES))
     def test_round_trip_is_lossless(self, case):
@@ -160,6 +186,38 @@ class TestRandomizedRoundTrip:
         packed = PackedTrace.pack(ops)
         for index, op in enumerate(ops):
             assert packed.op(index) == op
+
+
+def test_traced_squash_events_carry_each_access_flags():
+    """Each squashed access's trace event carries the address, store and
+    fetch bools and (through its cycle) the issue offset of the
+    ``WrongPathAccess`` it was packed from."""
+    accesses = [WrongPathAccess(0x20_0000, False, False, 0),
+                WrongPathAccess(0x20_0040, True, False, 3),
+                WrongPathAccess(0x3000, False, True, 5),
+                WrongPathAccess(0x20_0080, True, True, 1 << 30)]
+    branch = MicroOp(kind=OpKind.BRANCH, pc=0x1000, taken=True,
+                     target=0x2000, force_mispredict=True,
+                     execution_latency=10, wrong_path=accesses)
+    config = SystemConfig()
+    core = OutOfOrderCore(0, config, UnprotectedMemorySystem(config))
+    tracer = Tracer(categories=("pipeline",))
+    with tracing(tracer):
+        core.run([branch])
+    events = {name: [event for event in tracer.events if event.name == name]
+              for name in ("issue", "mispredict", "squash")}
+    # The branch reads no register, so it issues one cycle after dispatch
+    # and resolves ten cycles later: its window is 11 issue slots.
+    dispatch = events["issue"][0].cycle - 1
+    window = events["mispredict"][0].cycle - dispatch
+    assert window == 11
+    assert [(event.address, event.detail["store"], event.detail["fetch"],
+             event.cycle) for event in events["squash"]] == [
+        (access.address, access.is_store, access.is_instruction,
+         dispatch + min(access.issue_offset, window))
+        for access in accesses]
+    assert all(type(event.detail[flag]) is bool
+               for event in events["squash"] for flag in ("store", "fetch"))
 
 
 class TestTracePackedCache:

@@ -16,7 +16,7 @@ import hashlib
 
 import pytest
 
-from repro.cpu.instructions import MicroOp
+from repro.cpu.instructions import MicroOp, WrongPathAccess
 from repro.workloads.generator import cached_workload, generate_workload
 from repro.workloads.profiles import get_profile
 
@@ -120,17 +120,19 @@ def test_unscaled_trace_content_is_pinned(name, instructions, expected):
     assert workload_digest(workload) == expected
 
 
-def _live_micro_ops() -> int:
-    return sum(1 for obj in gc.get_objects() if type(obj) is MicroOp)
+def _live(cls) -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is cls)
 
 
 def test_generated_traces_keep_no_micro_ops_resident():
-    """A trace lives only as packed columns; ops are built on demand."""
+    """A trace lives only as packed columns of ints; ops and their
+    wrong-path accesses are built on demand."""
     gc.collect()
-    before = _live_micro_ops()
+    before = {cls: _live(cls) for cls in (MicroOp, WrongPathAccess)}
     workload = generate_workload(get_profile("mcf"), 5000, seed=SEED)
     gc.collect()
-    assert _live_micro_ops() <= before
+    after = {cls: _live(cls) for cls in before}
+    assert all(after[cls] <= before[cls] for cls in before), after
     wrong_paths = workload.thread(0).packed().wrong_paths
     empty = [entry for entry in wrong_paths if not entry]
     assert empty
